@@ -19,10 +19,9 @@ from .ann import (
     train_step,
     xor_dataset,
 )
-from .coherence import CacheDirectory, CacheStats, CapacityError, HitLevel, LookupResult
+from .coherence import CacheDirectory, CacheStats, CapacityError, HitLevel
 from .devices import (
     HOST,
-    Clock,
     ConfigError,
     DeviceSpec,
     Machine,

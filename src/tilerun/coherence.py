@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import threading
 from collections import Counter, OrderedDict, defaultdict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .devices import HOST, Machine, closest_owner
@@ -41,19 +41,12 @@ class HitLevel(Enum):
 
 
 @dataclass(frozen=True)
-class LookupResult:
-    level: HitLevel
-    owner: int | None = None  # set for L2 hits only
-
-
-@dataclass(frozen=True)
 class AcquireResult:
     """Outcome of resolving one input tile for one device."""
 
     level: HitLevel
     source: object  # device id the bytes came from, or HOST
     nbytes_moved: int
-    evicted: tuple = ()
 
 
 @dataclass
@@ -73,6 +66,11 @@ class CacheStats:
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
+    def __add__(self, other: "CacheStats") -> "CacheStats":
+        return CacheStats(
+            **{f.name: getattr(self, f.name) + getattr(other, f.name) for f in fields(self)}
+        )
+
     def __sub__(self, other: "CacheStats") -> "CacheStats":
         return CacheStats(
             **{f.name: getattr(self, f.name) - getattr(other, f.name) for f in fields(self)}
@@ -86,26 +84,21 @@ class CacheStats:
 class CacheDirectory:
     """Global tile residency map plus per-device LRU order and pin counts.
 
-    ``policy`` picks the eviction victim order: ``"lru"`` (default,
-    recency refreshed on every hit) or ``"fifo"`` (insertion order).
-    ``debug=True`` re-checks the structural invariants after every
-    mutating operation.
+    Every hit refreshes the tile's recency; the victim is always the least
+    recently used unpinned tile.  The counters are kept per device only;
+    :meth:`stats` is their sum.  ``debug=True`` re-checks the structural
+    invariants after every mutating operation.
     """
 
-    def __init__(self, machine: Machine, enabled: bool = True, policy: str = "lru",
-                 debug: bool = False):
-        if policy not in ("lru", "fifo"):
-            raise ValueError(f"unknown eviction policy {policy!r}")
+    def __init__(self, machine: Machine, enabled: bool = True, debug: bool = False):
         self.machine = machine
         self.enabled = enabled
-        self.policy = policy
         self.debug = debug
         self._lock = threading.Lock()
         self._residency: dict[TileKey, set[int]] = defaultdict(set)
         self._order: dict[int, OrderedDict] = {}   # per device: key -> None, LRU last
         self._pins: dict[int, Counter] = {}
         self._capacity: dict[int, int | None] = {}
-        self._stats = CacheStats()
         self._dev_stats: dict[int, CacheStats] = {}
         for d in machine.devices:
             self._order[d.device_id] = OrderedDict()
@@ -113,43 +106,15 @@ class CacheDirectory:
             self._capacity[d.device_id] = d.capacity_tiles
             self._dev_stats[d.device_id] = CacheStats()
 
-    # -- directory primitives -------------------------------------------
-
-    def lookup(self, requester: int, key: TileKey) -> LookupResult:
-        """Classify a request without moving anything.  Refreshes LRU
-        recency on an L1 hit; never mutates residency."""
-        with self._lock:
-            return self._lookup_locked(requester, key)
-
-    def _lookup_locked(self, requester: int, key: TileKey) -> LookupResult:
-        owners = self._residency.get(key)
-        if owners and requester in owners:
-            if self.policy == "lru":
-                self._order[requester].move_to_end(key)
-            return LookupResult(HitLevel.L1)
-        if owners:
-            return LookupResult(
-                HitLevel.L2, closest_owner(requester, owners, self.machine.proximity)
-            )
-        return LookupResult(HitLevel.MISS)
-
-    def admit(self, device: int, key: TileKey) -> list[TileKey]:
-        """Make ``key`` resident on ``device``; returns the evicted keys.
-
-        Evictions follow the configured policy, never touch pinned tiles,
-        and remove exactly enough to respect the device's capacity.
-        Raises :class:`CapacityError` (leaving the directory unchanged)
-        when every resident tile is pinned.
-        """
-        with self._lock:
-            return self._admit_locked(device, key)
-
-    def _admit_locked(self, device: int, key: TileKey) -> list[TileKey]:
+    def _admit_locked(self, device: int, key: TileKey) -> None:
+        """Make ``key`` resident on ``device``, evicting least recently used
+        unpinned tiles until it fits.  Raises :class:`CapacityError`
+        (leaving the directory unchanged) when every resident tile is
+        pinned."""
         order = self._order[device]
         if key in order:
             raise ValueError(f"{key} already resident on device {device}")
         cap = self._capacity[device]
-        evicted: list[TileKey] = []
         if cap is not None and len(order) >= cap:
             pins = self._pins[device]
             need = len(order) + 1 - cap
@@ -164,24 +129,11 @@ class CacheDirectory:
                 self._residency[v].discard(device)
                 if not self._residency[v]:
                     del self._residency[v]
-                evicted.append(v)
-            self._stats.evictions += len(victims)
             self._dev_stats[device].evictions += len(victims)
         order[key] = None
         self._residency[key].add(device)
         if self.debug:
             self._check_invariants_locked()
-        return evicted
-
-    def pin(self, device: int, key: TileKey) -> None:
-        with self._lock:
-            if key not in self._order[device]:
-                raise ValueError(f"cannot pin {key}: not resident on device {device}")
-            self._pins[device][key] += 1
-
-    def unpin(self, device: int, key: TileKey) -> None:
-        with self._lock:
-            self._unpin_locked(device, key)
 
     def _unpin_locked(self, device: int, key: TileKey) -> None:
         pins = self._pins[device]
@@ -191,15 +143,12 @@ class CacheDirectory:
         if pins[key] == 0:
             del pins[key]
 
-    def is_pinned(self, device: int, key: TileKey) -> bool:
-        with self._lock:
-            return self._pins[device][key] > 0
-
     def residents(self, device: int) -> list[TileKey]:
+        """Keys resident on ``device``, least recently used first."""
         with self._lock:
             return list(self._order[device])
 
-    # -- the runtime-facing composite operations ------------------------
+    # -- the runtime-facing operations ----------------------------------
     #
     # Resolving an input tile is lookup + transfer accounting + admit +
     # pin.  Doing it under one lock acquisition makes the whole step
@@ -208,42 +157,38 @@ class CacheDirectory:
     # the same instant still produce exactly one host fetch).
 
     def acquire_input(self, requester: int, key: TileKey, nbytes: int) -> AcquireResult:
+        """Resolve ``key`` for ``requester`` and pin it there until
+        :meth:`release_input`."""
         dev = self.machine.device(requester)
         with self._lock:
-            gs, ds = self._stats, self._dev_stats[requester]
+            ds = self._dev_stats[requester]
             if dev.is_host_worker:
                 # host tiles are already local: a fetch in name only,
                 # coherence on or off
-                gs.host_fetches += 1
                 ds.host_fetches += 1
                 return AcquireResult(HitLevel.MISS, HOST, 0)
             if not self.enabled:
-                gs.host_fetches += 1
                 ds.host_fetches += 1
-                gs.bytes_host += nbytes
                 ds.bytes_host += nbytes
                 return AcquireResult(HitLevel.MISS, HOST, nbytes)
-            res = self._lookup_locked(requester, key)
-            if res.level is HitLevel.L1:
-                gs.l1_hits += 1
+            owners = self._residency.get(key)
+            if owners and requester in owners:
                 ds.l1_hits += 1
-                self._pins[requester][key] += 1
-                return AcquireResult(HitLevel.L1, requester, 0)
-            if res.level is HitLevel.L2:
-                gs.l2_hits += 1
+                self._order[requester].move_to_end(key)
+                res = AcquireResult(HitLevel.L1, requester, 0)
+            elif owners:
+                source = closest_owner(requester, owners, self.machine.proximity)
+                self._admit_locked(requester, key)
                 ds.l2_hits += 1
-                gs.bytes_peer += nbytes
                 ds.bytes_peer += nbytes
-                evicted = self._admit_locked(requester, key)
-                self._pins[requester][key] += 1
-                return AcquireResult(HitLevel.L2, res.owner, nbytes, tuple(evicted))
-            gs.host_fetches += 1
-            ds.host_fetches += 1
-            gs.bytes_host += nbytes
-            ds.bytes_host += nbytes
-            evicted = self._admit_locked(requester, key)
+                res = AcquireResult(HitLevel.L2, source, nbytes)
+            else:
+                self._admit_locked(requester, key)
+                ds.host_fetches += 1
+                ds.bytes_host += nbytes
+                res = AcquireResult(HitLevel.MISS, HOST, nbytes)
             self._pins[requester][key] += 1
-            return AcquireResult(HitLevel.MISS, HOST, nbytes, tuple(evicted))
+            return res
 
     def release_input(self, device: int, key: TileKey) -> None:
         if not self.enabled or self.machine.device(device).is_host_worker:
@@ -251,14 +196,13 @@ class CacheDirectory:
         with self._lock:
             self._unpin_locked(device, key)
 
-    def admit_output(self, device: int, key: TileKey) -> list[TileKey]:
+    def admit_output(self, device: int, key: TileKey) -> None:
         """Reserve a pinned residency slot for an output tile being built."""
         if not self.enabled or self.machine.device(device).is_host_worker:
-            return []
+            return
         with self._lock:
-            evicted = self._admit_locked(device, key)
+            self._admit_locked(device, key)
             self._pins[device][key] += 1
-            return evicted
 
     def release_output(self, device: int, key: TileKey, nbytes: int) -> None:
         """Output tile written back to host: unpin, drop residency, count
@@ -271,8 +215,6 @@ class CacheDirectory:
             self._residency[key].discard(device)
             if not self._residency[key]:
                 del self._residency[key]
-            self._stats.writebacks += 1
-            self._stats.bytes_writeback += nbytes
             ds = self._dev_stats[device]
             ds.writebacks += 1
             ds.bytes_writeback += nbytes
@@ -282,8 +224,9 @@ class CacheDirectory:
     # -- observability ---------------------------------------------------
 
     def stats(self) -> CacheStats:
+        """Session totals: the sum of the per-device counters."""
         with self._lock:
-            return self._stats.copy()
+            return sum(self._dev_stats.values(), CacheStats())
 
     def stats_per_device(self) -> dict[int, CacheStats]:
         with self._lock:

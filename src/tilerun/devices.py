@@ -289,17 +289,3 @@ def closest_owner(requester: int, owners: Iterable[int], prox: ProximityMatrix) 
     if not owners:
         raise ValueError("owner set is empty")
     return min(owners, key=lambda o: (prox.hops[requester, o], o))
-
-
-class Clock:
-    """Monotone simulated clock; one per device engine, scheduler-owned."""
-
-    __slots__ = ("now",)
-
-    def __init__(self, start: float = 0.0):
-        self.now = start
-
-    def advance_to(self, t: float) -> None:
-        if t < self.now:
-            raise ValueError(f"clock would move backwards: {self.now} -> {t}")
-        self.now = t

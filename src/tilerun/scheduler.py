@@ -36,7 +36,7 @@ from enum import Enum
 
 import numpy as np
 
-from .coherence import AcquireResult, CacheDirectory, CacheStats
+from .coherence import CacheDirectory, CacheStats
 from .devices import HOST, DeviceSpec, Machine, compute_cost, transfer_cost
 from .msqueue import MichaelScottQueue
 from .tiles import (
@@ -91,10 +91,6 @@ class Completion:
         with self._lock:
             return self._count
 
-    def snapshot(self) -> list[bool]:
-        with self._lock:
-            return list(self._done)
-
 
 @dataclass
 class Operand:
@@ -132,10 +128,6 @@ class Operand:
     def key(self, i: int, j: int) -> TileKey:
         r, c = (j, i) if self.transposed else (i, j)
         return TileKey(self.uid, r, c)
-
-    def tile_nbytes(self, i: int, j: int, element_bytes: int) -> int:
-        r, c = self.tile_view(i, j).shape
-        return r * c * element_bytes
 
 
 def _as_operand(x, uid: str) -> Operand:
@@ -205,8 +197,7 @@ class ReservationStation:
     obtained by exactly one of them.
     """
 
-    def __init__(self, owner: int, width: int):
-        self.owner = owner
+    def __init__(self, width: int):
         self.width = width
         self._slots: list[int] = []
         self._lock = threading.Lock()
@@ -364,10 +355,6 @@ def write_report_csv(stats: RunStats, path) -> None:
 # -- task execution ------------------------------------------------------
 
 
-def _fetch_time(machine: Machine, device: int, res: AcquireResult) -> float:
-    return transfer_cost(machine, res.source, device, res.nbytes_moved)
-
-
 def _execute_task(machine: Machine, plan_: Plan, directory: CacheDirectory,
                   dev: DeviceSpec, task: Task):
     """Run one task to completion on ``dev``.
@@ -392,11 +379,11 @@ def _execute_task(machine: Machine, plan_: Plan, directory: CacheDirectory,
     steps = []
     for k in range(task.k_steps):
         a_key, b_key = plan_.a.key(i, k), plan_.b.key(k, j)
-        ra = directory.acquire_input(did, a_key, plan_.a.tile_nbytes(i, k, eb))
-        rb = directory.acquire_input(did, b_key, plan_.b.tile_nbytes(k, j, eb))
-        fetch = _fetch_time(machine, did, ra) + _fetch_time(machine, did, rb)
-        a_view = plan_.a.tile_view(i, k)
-        b_view = plan_.b.tile_view(k, j)
+        a_view, b_view = plan_.a.tile_view(i, k), plan_.b.tile_view(k, j)
+        ra = directory.acquire_input(did, a_key, a_view.size * eb)
+        rb = directory.acquire_input(did, b_key, b_view.size * eb)
+        fetch = (transfer_cost(machine, ra.source, did, ra.nbytes_moved)
+                 + transfer_cost(machine, rb.source, did, rb.nbytes_moved))
         accumulate_product(a_view, b_view, c_view, sub_blocks=sub)
         compute = compute_cost(dev, a_view.shape, b_view.shape)
         directory.release_input(did, a_key)
@@ -413,26 +400,14 @@ def _execute_task(machine: Machine, plan_: Plan, directory: CacheDirectory,
 # -- engines --------------------------------------------------------------
 
 
-class _Engines:
-    """Per-device compute and transfer timelines for the sim engine."""
-
-    __slots__ = ("compute", "transfer")
-
-    def __init__(self):
-        from .devices import Clock
-
-        self.compute = Clock()
-        self.transfer = Clock()
-
-    @property
-    def now(self) -> float:
-        return max(self.compute.now, self.transfer.now)
+_POLL_SLEEP = 50e-6  # seconds an idle threaded worker waits before looking again
 
 
-def _run_sim(machine, plan_, directory, engines, dstats, events, steal_enabled):
-    stations = {d.device_id: ReservationStation(d.device_id, d.slots)
-                for d in machine.devices}
-    heap = [(engines[d.device_id].compute.now, d.device_id) for d in machine.devices]
+def _run_sim(machine, plan_, directory, clocks, dstats, events, steal_enabled):
+    """Both engine times in ``clocks[device]`` only move forward, because
+    every cost is >= 0."""
+    stations = {d.device_id: ReservationStation(d.slots) for d in machine.devices}
+    heap = [(clocks[d.device_id][0], d.device_id) for d in machine.devices]
     heapq.heapify(heap)
     while heap:
         t, did = heapq.heappop(heap)
@@ -451,23 +426,19 @@ def _run_sim(machine, plan_, directory, engines, dstats, events, steal_enabled):
                 continue  # queue drained, nothing stealable: device retires
         task = plan_.tasks[tid]
         steps, wb = _execute_task(machine, plan_, directory, machine.device(did), task)
-        eng = engines[did]
-        tr, co = eng.transfer.now, eng.compute.now
+        co, tr = clocks[did]
         tr = max(tr, t)  # transfers for this task cannot predate claiming it
         for fetch, compute in steps:
             tr += fetch
             co = max(co, tr) + compute  # fetch k+1 overlaps compute k
         tr = max(tr, co) + wb  # writeback waits for the last accumulate
-        eng.transfer.advance_to(tr)
-        eng.compute.advance_to(co)
+        clocks[did] = [co, tr]
         dstats[did].tasks_completed += 1
         heapq.heappush(heap, (co, did))
 
 
-def _run_threaded(machine, plan_, directory, dstats, events, steal_enabled,
-                  poll_sleep=50e-6):
-    stations = {d.device_id: ReservationStation(d.device_id, d.slots)
-                for d in machine.devices}
+def _run_threaded(machine, plan_, directory, dstats, events, steal_enabled):
+    stations = {d.device_id: ReservationStation(d.slots) for d in machine.devices}
     shared_lock = threading.Lock()
     abort = threading.Event()
     errors: list[BaseException] = []
@@ -488,7 +459,7 @@ def _run_threaded(machine, plan_, directory, dstats, events, steal_enabled,
                 if tid is None:
                     if plan_.completion.all_done():
                         return
-                    time.sleep(poll_sleep)
+                    time.sleep(_POLL_SLEEP)
                     continue
             if victim is not None:
                 with shared_lock:
@@ -542,7 +513,8 @@ class Runtime:
         self.coherence = coherence
         self.seed = seed
         self.directory = CacheDirectory(machine, enabled=coherence, debug=directory_debug)
-        self.engines = {d.device_id: _Engines() for d in machine.devices}
+        # per device: [compute, transfer] engine time of the sim engine
+        self.clocks = {d.device_id: [0.0, 0.0] for d in machine.devices}
         self._uid_n = 0
 
     def fresh_uid(self, prefix: str = "m") -> str:
@@ -550,7 +522,7 @@ class Runtime:
         return f"{prefix}#{self._uid_n}"
 
     def sim_now(self) -> float:
-        return max(e.now for e in self.engines.values())
+        return max(max(c) for c in self.clocks.values())
 
     def operand(self, m, uid: str | None = None, transposed: bool = False) -> Operand:
         tiled = m if isinstance(m, TiledMatrix) else partition(m, self.tile_size)
@@ -573,12 +545,11 @@ class Runtime:
             d.device_id: DeviceStats(d.device_id, d.kind) for d in self.machine.devices
         }
         events: list[StealEvent] = []
-        cache_before = self.directory.stats()
-        dev_cache_before = self.directory.stats_per_device()
+        cache_before = self.directory.stats_per_device()
         sim_before = self.sim_now()
         t0 = time.perf_counter()
         if self.mode == "sim":
-            _run_sim(self.machine, plan_, self.directory, self.engines,
+            _run_sim(self.machine, plan_, self.directory, self.clocks,
                      dstats, events, self.steal)
         else:
             _run_threaded(self.machine, plan_, self.directory,
@@ -588,8 +559,8 @@ class Runtime:
             raise RuntimeError(
                 f"run incomplete: {plan_.completion.done_count}/{plan_.total_tasks} tasks"
             )
-        cache_after = self.directory.stats()
-        dev_cache_after = self.directory.stats_per_device()
+        cache_after = self.directory.stats_per_device()
+        cache_per_device = {d: cache_after[d] - cache_before[d] for d in cache_after}
         stats = RunStats(
             mode=self.mode,
             tile_size=self.tile_size,
@@ -601,10 +572,8 @@ class Runtime:
             coherence_enabled=self.coherence,
             seed=self.seed,
             devices=dstats,
-            cache=cache_after - cache_before,
-            cache_per_device={
-                d: dev_cache_after[d] - dev_cache_before[d] for d in dev_cache_after
-            },
+            cache=sum(cache_per_device.values(), CacheStats()),
+            cache_per_device=cache_per_device,
             makespan=(self.sim_now() - sim_before) if self.mode == "sim" else None,
             wall_elapsed=wall,
             steal_events=events,

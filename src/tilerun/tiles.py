@@ -97,10 +97,6 @@ class TiledMatrix:
     def tile_shape(self, row: int, col: int) -> tuple[int, int]:
         return self.tile(row, col).shape
 
-    def tile_nbytes(self, row: int, col: int, element_bytes: int = 8) -> int:
-        r, c = self.tile_shape(row, col)
-        return r * c * element_bytes
-
     def coords(self):
         for r in range(self.grid_rows):
             for c in range(self.grid_cols):

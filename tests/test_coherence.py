@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tilerun.coherence import CacheDirectory, CapacityError, HitLevel
-from tilerun.devices import DeviceSpec, Machine, ProximityMatrix, homogeneous_machine
+from tilerun.devices import HOST, DeviceSpec, Machine, ProximityMatrix, homogeneous_machine
 from tilerun.tiles import TileKey
 
 
@@ -14,16 +14,24 @@ def cap_machine(n=1, capacity=None, **kw):
     return homogeneous_machine(n, capacity_tiles=capacity, **kw)
 
 
+def touch(d, device, k, nbytes=8):
+    """Acquire and release at once: the tile ends resident and unpinned."""
+    res = d.acquire_input(device, k, nbytes)
+    d.release_input(device, k)
+    return res
+
+
 def test_lookup_levels():
     d = CacheDirectory(cap_machine(3))
     k = key("a")
-    assert d.lookup(0, k).level is HitLevel.MISS
-    d.admit(2, k)
-    res = d.lookup(0, k)
-    assert res.level is HitLevel.L2
-    assert res.owner == 2
-    d.admit(0, k)
-    assert d.lookup(0, k).level is HitLevel.L1
+    res = touch(d, 2, k)
+    assert res.level is HitLevel.MISS and res.source == HOST
+    res = touch(d, 0, k)
+    assert res.level is HitLevel.L2 and res.source == 2
+    # a peer hit copies the tile: the owner keeps it, bystanders see nothing
+    assert d.residents(2) == [k] and d.residents(1) == []
+    res = touch(d, 0, k)
+    assert res.level is HitLevel.L1 and res.source == 0
 
 
 def test_lookup_l2_picks_closest_owner():
@@ -32,99 +40,73 @@ def test_lookup_l2_picks_closest_owner():
     m = Machine([DeviceSpec(i) for i in range(3)], prox)
     d = CacheDirectory(m)
     k = key("a")
-    d.admit(1, k)
-    d.admit(2, k)
-    assert d.lookup(0, k).owner == 2  # 1 hop beats 2
-
-
-def test_lookup_does_not_mutate_residency():
-    d = CacheDirectory(cap_machine(2))
-    k = key("a")
-    d.admit(1, k)
-    d.lookup(0, k)
-    assert d.residents(0) == []
-    assert d.residents(1) == [k]
+    touch(d, 1, k)
+    touch(d, 2, k)
+    assert touch(d, 0, k).source == 2  # 1 hop beats 2
 
 
 def test_admit_within_capacity_no_eviction():
     d = CacheDirectory(cap_machine(1, capacity=3))
-    assert d.admit(0, key("a")) == []
-    assert d.admit(0, key("b")) == []
-    assert d.admit(0, key("c")) == []
+    for n in "abc":
+        touch(d, 0, key(n))
     assert d.used_tiles(0) == 3
+    assert d.stats().evictions == 0
 
 
 def test_admit_evicts_lru_first():
     d = CacheDirectory(cap_machine(1, capacity=3))
     ka, kb, kc, kd = (key(n) for n in "abcd")
-    d.admit(0, ka)
-    d.admit(0, kb)
-    d.admit(0, kc)
-    d.lookup(0, ka)  # refresh a: now b is least recent
-    evicted = d.admit(0, kd)
-    assert evicted == [kb]
+    for k in (ka, kb, kc):
+        touch(d, 0, k)
+    assert touch(d, 0, ka).level is HitLevel.L1  # refresh a: now b is least recent
+    touch(d, 0, kd)
     assert set(d.residents(0)) == {ka, kc, kd}
-
-
-def test_fifo_policy_ignores_recency():
-    d = CacheDirectory(cap_machine(1, capacity=3), policy="fifo")
-    ka, kb, kc, kd = (key(n) for n in "abcd")
-    d.admit(0, ka)
-    d.admit(0, kb)
-    d.admit(0, kc)
-    d.lookup(0, ka)  # refresh has no effect under fifo
-    assert d.admit(0, kd) == [ka]
+    assert d.stats().evictions == 1
 
 
 def test_admit_rejects_duplicate():
     d = CacheDirectory(cap_machine(1))
-    d.admit(0, key("a"))
+    d.admit_output(0, key("a"))
     with pytest.raises(ValueError):
-        d.admit(0, key("a"))
+        d.admit_output(0, key("a"))
 
 
 def test_pinned_tiles_never_evicted():
     d = CacheDirectory(cap_machine(1, capacity=3), debug=True)
     ka, kb, kc, kd = (key(n) for n in "abcd")
-    d.admit(0, ka)
-    d.pin(0, ka)
-    d.admit(0, kb)
-    d.admit(0, kc)
-    assert d.admit(0, kd) == [kb]  # a is pinned, b is the oldest unpinned
-    assert ka in d.residents(0)
+    d.acquire_input(0, ka, 8)  # held: pinned
+    touch(d, 0, kb)
+    touch(d, 0, kc)
+    touch(d, 0, kd)
+    assert d.residents(0) == [ka, kc, kd]  # a is pinned, b was the oldest unpinned
 
 
 def test_admit_fails_when_everything_pinned():
     d = CacheDirectory(cap_machine(1, capacity=3))
     for n in "abc":
-        d.admit(0, key(n))
-        d.pin(0, key(n))
+        d.acquire_input(0, key(n), 8)
+    before = d.stats()
     with pytest.raises(CapacityError):
-        d.admit(0, key("d"))
-    # directory unchanged by the failed admit
+        d.acquire_input(0, key("d"), 8)
+    # directory and counters unchanged by the failed acquire
     assert set(d.residents(0)) == {key("a"), key("b"), key("c")}
+    assert d.stats() == before
     d.check_invariants()
 
 
 def test_pin_unpin_restores_evictability():
     d = CacheDirectory(cap_machine(1, capacity=3))
-    ka = key("a")
-    d.admit(0, ka)
-    d.pin(0, ka)
-    d.pin(0, ka)
-    d.unpin(0, ka)
-    assert d.is_pinned(0, ka)  # double pin, single unpin: still pinned
-    d.unpin(0, ka)
-    assert not d.is_pinned(0, ka)
-
-
-def test_pin_requires_residency_and_unpin_floor():
-    d = CacheDirectory(cap_machine(1))
-    with pytest.raises(ValueError):
-        d.pin(0, key("missing"))
-    d.admit(0, key("a"))
-    with pytest.raises(ValueError):
-        d.unpin(0, key("a"))
+    ka, kb, kc = key("a"), key("b"), key("c")
+    d.acquire_input(0, ka, 8)
+    d.acquire_input(0, ka, 8)  # an L1 hit pins again
+    d.release_input(0, ka)  # double pin, single unpin: still pinned
+    d.acquire_input(0, kb, 8)
+    d.acquire_input(0, kc, 8)
+    with pytest.raises(CapacityError):
+        d.acquire_input(0, key("d"), 8)
+    d.release_input(0, ka)
+    touch(d, 0, key("d"))
+    assert ka not in d.residents(0)
 
 
 def test_fresh_directory_stats_zero():
@@ -136,29 +118,32 @@ def test_fresh_directory_stats_zero():
 def test_acquire_counts_and_admits():
     d = CacheDirectory(cap_machine(2))
     k = key("a")
-    r = d.acquire_input(0, k, 100)
+    r = touch(d, 0, k, 100)
     assert r.level is HitLevel.MISS and r.nbytes_moved == 100
-    d.release_input(0, k)
-    r = d.acquire_input(0, k, 100)
+    r = touch(d, 0, k, 100)
     assert r.level is HitLevel.L1 and r.nbytes_moved == 0
-    d.release_input(0, k)
-    r = d.acquire_input(1, k, 100)
+    r = touch(d, 1, k, 100)
     assert r.level is HitLevel.L2 and r.source == 0
-    d.release_input(1, k)
     s = d.stats()
     assert (s.l1_hits, s.l2_hits, s.host_fetches) == (1, 1, 1)
     assert (s.bytes_host, s.bytes_peer) == (100, 100)
     per = d.stats_per_device()
     assert per[0].host_fetches == 1 and per[1].l2_hits == 1
+    assert s == per[0] + per[1]
 
 
 def test_acquire_pins_until_release():
-    d = CacheDirectory(cap_machine(1, capacity=3))
+    d = CacheDirectory(cap_machine(1, capacity=3), debug=True)
     ka = key("a")
     d.acquire_input(0, ka, 8)
-    assert d.is_pinned(0, ka)
+    for n in "bcde":
+        touch(d, 0, key(n))
+        assert ka in d.residents(0)
     d.release_input(0, ka)
-    assert not d.is_pinned(0, ka)
+    touch(d, 0, key("f"))  # a is now the least recent unpinned tile
+    assert ka not in d.residents(0)
+    with pytest.raises(ValueError):
+        d.release_input(0, key("f"))  # released already: no pin below zero
 
 
 def test_bypass_mode_always_host():
@@ -178,10 +163,10 @@ def test_host_worker_requests_are_free_host_fetches():
     devs = [DeviceSpec(0), DeviceSpec(1, kind="host-worker")]
     m = Machine(devs, ProximityMatrix.uniform(2, bandwidth=10.0))
     d = CacheDirectory(m)
-    d.admit(0, key("a"))  # resident on the accelerator
+    touch(d, 0, key("a"))  # resident on the accelerator
     r = d.acquire_input(1, key("a"), 999)
     assert r.level is HitLevel.MISS and r.nbytes_moved == 0
-    s = d.stats()
+    s = d.stats_per_device()[1]
     assert s.host_fetches == 1 and s.bytes_host == 0
     assert d.residents(1) == []  # host workers never enter the directory
 
@@ -190,12 +175,14 @@ def test_output_tiles_pinned_then_released():
     d = CacheDirectory(cap_machine(1, capacity=3), debug=True)
     ck = key("c")
     d.admit_output(0, ck)
-    assert d.is_pinned(0, ck)
+    for n in "abde":
+        touch(d, 0, key(n))
+        assert ck in d.residents(0)  # pinned for the whole task
     d.release_output(0, ck, 64)
     assert ck not in d.residents(0)
     s = d.stats()
     assert s.writebacks == 1 and s.bytes_writeback == 64
-    assert s.evictions == 0  # completion is not an eviction
+    assert s.evictions == 2  # inputs only: completion is not an eviction
 
 
 class ModelDirectory:
@@ -206,6 +193,7 @@ class ModelDirectory:
         self.capacity = capacity
         self.keys = []
         self.pins = {}
+        self.evictions = 0
 
     def lookup_local(self, k):
         if k in self.keys:
@@ -216,17 +204,15 @@ class ModelDirectory:
 
     def admit(self, k):
         assert k not in self.keys
-        evicted = []
         if self.capacity is not None and len(self.keys) >= self.capacity:
             for cand in list(self.keys):
                 if self.pins.get(cand, 0) == 0:
                     self.keys.remove(cand)
-                    evicted.append(cand)
+                    self.evictions += 1
                     break
             else:
                 raise CapacityError("model: all pinned")
         self.keys.append(k)
-        return evicted
 
     def pin(self, k):
         self.pins[k] = self.pins.get(k, 0) + 1
@@ -236,6 +222,7 @@ class ModelDirectory:
 
 
 def test_model_based_directory_agreement():
+    # acquire = refresh-or-admit, then pin; release = unpin
     rng = np.random.default_rng(99)
     for trial in range(20):
         cap = int(rng.integers(3, 7))
@@ -243,24 +230,23 @@ def test_model_based_directory_agreement():
         model = ModelDirectory(cap)
         universe = [key(f"t{i}") for i in range(12)]
         for _ in range(300):
-            op = rng.integers(0, 4)
             k = universe[int(rng.integers(0, len(universe)))]
-            resident = k in model.keys
-            if op == 0 and not resident:
-                try:
-                    expect = model.admit(k)
-                except CapacityError:
-                    with pytest.raises(CapacityError):
-                        d.admit(0, k)
-                    continue
-                assert d.admit(0, k) == expect
-            elif op == 1 and resident:
-                model.lookup_local(k)
-                assert d.lookup(0, k).level is HitLevel.L1
-            elif op == 2 and resident:
+            if rng.integers(0, 2) == 0:
+                if model.lookup_local(k):
+                    want = HitLevel.L1
+                else:
+                    try:
+                        model.admit(k)
+                    except CapacityError:
+                        with pytest.raises(CapacityError):
+                            d.acquire_input(0, k, 8)
+                        continue
+                    want = HitLevel.MISS
                 model.pin(k)
-                d.pin(0, k)
-            elif op == 3 and model.pins.get(k, 0) > 0:
+                assert d.acquire_input(0, k, 8).level is want
+            elif model.pins.get(k, 0) > 0:
                 model.unpin(k)
-                d.unpin(0, k)
+                d.release_input(0, k)
             assert d.residents(0) == model.keys
+            assert d.stats().evictions == model.evictions
+

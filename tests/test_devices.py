@@ -3,7 +3,6 @@ import pytest
 
 from tilerun.devices import (
     HOST,
-    Clock,
     ConfigError,
     DeviceSpec,
     Machine,
@@ -182,12 +181,3 @@ def test_malformed_config_rejected(tmp_path):
     path.write_text('{"devices": [{"kind": "accelerator"}]}')
     with pytest.raises(ConfigError):
         load_machine(path)
-
-
-def test_clock_is_monotone():
-    c = Clock()
-    c.advance_to(3.0)
-    c.advance_to(3.0)
-    with pytest.raises(ValueError):
-        c.advance_to(2.0)
-    assert c.now == 3.0

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tilerun.coherence import CacheDirectory
+from tilerun.coherence import CacheDirectory, CacheStats
 from tilerun.devices import DeviceSpec, Machine, ProximityMatrix, homogeneous_machine
 from tilerun.msqueue import MichaelScottQueue
 from tilerun.scheduler import (
@@ -84,7 +84,7 @@ def fill_queue(ids):
 
 
 def test_refill_fills_empty_slots():
-    st = ReservationStation(0, 4)
+    st = ReservationStation(4)
     q = fill_queue(range(10))
     assert st.refill(q) == [0, 1, 2, 3]
     assert st.reserved_count() == 4
@@ -92,7 +92,7 @@ def test_refill_fills_empty_slots():
 
 
 def test_refill_tops_up_partial_station():
-    st = ReservationStation(0, 4)
+    st = ReservationStation(4)
     st.refill(fill_queue([42]))
     assert st.reserved_count() == 1
     assert st.refill(fill_queue([43])) == [43]
@@ -100,12 +100,12 @@ def test_refill_tops_up_partial_station():
 
 
 def test_refill_empty_queue():
-    st = ReservationStation(0, 4)
+    st = ReservationStation(4)
     assert st.refill(MichaelScottQueue()) == []
 
 
 def test_station_owner_fifo_thief_opposite_end():
-    st = ReservationStation(0, 4)
+    st = ReservationStation(4)
     st.refill(fill_queue([1, 2, 3]))
     assert st.try_steal() == 3
     assert st.pop_for_run() == 1
@@ -114,7 +114,7 @@ def test_station_owner_fifo_thief_opposite_end():
 
 
 def test_steal_picks_most_loaded_station():
-    stations = {i: ReservationStation(i, 4) for i in range(3)}
+    stations = {i: ReservationStation(4) for i in range(3)}
     stations[1].refill(fill_queue([10, 11, 12]))
     stations[2].refill(fill_queue([20]))
     tid, victim = steal_task(0, stations)
@@ -122,12 +122,12 @@ def test_steal_picks_most_loaded_station():
 
 
 def test_steal_none_when_all_empty():
-    stations = {i: ReservationStation(i, 4) for i in range(3)}
+    stations = {i: ReservationStation(4) for i in range(3)}
     assert steal_task(0, stations) == (None, None)
 
 
 def test_steal_tie_breaks_to_lowest_id():
-    stations = {i: ReservationStation(i, 4) for i in range(3)}
+    stations = {i: ReservationStation(4) for i in range(3)}
     stations[1].refill(fill_queue([10, 11]))
     stations[2].refill(fill_queue([20, 21]))
     tid, victim = steal_task(0, stations)
@@ -394,7 +394,7 @@ def test_task_state_machine_and_double_execution_guard():
     p = plan(partition(a, 4), partition(b, 4))
     assert all(t.state is TaskState.QUEUED for t in p.tasks)
     directory = CacheDirectory(machine, debug=True)
-    st = ReservationStation(0, 4)
+    st = ReservationStation(4)
     while not p.queue.is_empty():
         for tid in st.refill(p.queue):
             p.tasks[tid].state = TaskState.RESERVED
@@ -415,8 +415,12 @@ def test_runtime_session_reuses_cached_tiles():
     a, b = int_matrix(rng, 16, 16), int_matrix(rng, 16, 16)
     rt = Runtime(homogeneous_machine(1), tile_size=4)
     _, s1 = rt.multiply(a, b, a_uid="X", b_uid="W")
+    clocks = {d: list(c) for d, c in rt.clocks.items()}
     # same operands, same uids: everything is already resident
     _, s2 = rt.multiply(a, b, a_uid="X", b_uid="W")
+    # the device clocks carry over and never move backwards
+    assert s2.makespan > 0
+    assert all(new >= old for d in clocks for new, old in zip(rt.clocks[d], clocks[d]))
     assert s1.cache.host_fetches == 2 * 16
     assert s2.cache.host_fetches == 0
     assert s2.cache.l1_hits == s2.cache.input_requests
@@ -441,20 +445,34 @@ def test_runtime_transpose_views_share_tile_identity():
 def test_report_json_schema_and_identity(tmp_path):
     rng = np.random.default_rng(19)
     a, b = int_matrix(rng, 12, 12), int_matrix(rng, 12, 12)
-    _, stats = run(homogeneous_machine(2), a, b, tile_size=4, mode="sim")
-    path = tmp_path / "report.json"
-    write_report_json(stats, path)
-    doc = json.loads(path.read_text())
-    assert doc["schema_version"] == 1
-    for k in ("mode", "tile_size", "grid", "total_tasks", "makespan",
-              "wall_elapsed", "devices", "cache"):
-        assert k in doc
-    cache = doc["cache"]
-    total_requests = cache["l1_hits"] + cache["l2_hits"] + cache["host_fetches"]
-    assert total_requests == 2 * doc["total_tasks"] * doc["grid"]["k_steps"]
-    assert len(doc["devices"]) == 2
-    per_dev = cache["per_device"]
-    assert sum(v["host_fetches"] for v in per_dev.values()) == cache["host_fetches"]
+    with_host = Machine(
+        [DeviceSpec(0, capacity_tiles=3), DeviceSpec(1, capacity_tiles=4),
+         DeviceSpec(2, kind="host-worker", subtile_factor=2)],
+        ProximityMatrix.uniform(3, bandwidth=4.0),
+    )
+    cases = [(homogeneous_machine(2), "sim"), (homogeneous_machine(2), "threaded"),
+             (with_host, "sim")]
+    for machine, mode in cases:
+        rt = Runtime(machine, tile_size=4, mode=mode)
+        _, stats = rt.multiply(a, b)
+        path = tmp_path / "report.json"
+        write_report_json(stats, path)
+        doc = json.loads(path.read_text())
+        assert doc["schema_version"] == 1
+        for k in ("mode", "tile_size", "grid", "total_tasks", "makespan",
+                  "wall_elapsed", "devices", "cache"):
+            assert k in doc
+        cache = doc["cache"]
+        total_requests = cache["l1_hits"] + cache["l2_hits"] + cache["host_fetches"]
+        assert total_requests == 2 * doc["total_tasks"] * doc["grid"]["k_steps"]
+        assert len(doc["devices"]) == machine.n_devices
+        per_dev = cache.pop("per_device")
+        assert len(per_dev) == machine.n_devices
+        for k, v in cache.items():
+            assert v == sum(d[k] for d in per_dev.values()), k
+        per_session = rt.directory.stats_per_device()
+        assert rt.directory.stats() == sum(per_session.values(), CacheStats())
+    assert cache["evictions"] > 0 and stats.tasks_by_device[2] > 0
 
 
 def test_report_csv_row_count(tmp_path):

@@ -45,8 +45,7 @@ c, stats = run(m, small, small_b, tile_size=4, mode="sim")
 print("tasks per device:", stats.tasks_by_device)
 for ev in stats.steal_events:
     print(f"  steal: device {ev.thief} took task {ev.task_id} from device "
-          f"{ev.victim}'s station at t={ev.time:.3f} "
-          f"(queue empty observed: {ev.queue_empty_observed})")
+          f"{ev.victim}'s station at t={ev.time:.3f}")
 print("result still exact:", np.array_equal(c, reference_gemm(small, small_b)))
 
 print()

@@ -41,8 +41,6 @@ from .scheduler import (
     ReservationStation,
     Runtime,
     RunStats,
-    Task,
-    TaskState,
     plan,
     run,
     steal_task,

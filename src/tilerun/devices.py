@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -52,6 +53,12 @@ class DeviceSpec:
     def __post_init__(self):
         if self.kind not in (KIND_ACCELERATOR, KIND_HOST_WORKER):
             raise ConfigError(f"unknown device kind {self.kind!r}")
+        for name in ("device_id", "slots", "capacity_tiles", "subtile_factor"):
+            v = getattr(self, name)
+            if name == "capacity_tiles" and v is None:
+                continue
+            if not isinstance(v, Integral) or isinstance(v, bool):
+                raise ConfigError(f"{name} must be an integer, got {v!r}")
         if self.device_id < 0:
             raise ConfigError(f"device_id must be >= 0, got {self.device_id}")
         if self.flops_per_unit <= 0:
@@ -206,14 +213,16 @@ class Machine:
                 )
             else:
                 proximity = ProximityMatrix(prox["hops"], prox["peer_bandwidth"])
-        except (KeyError, TypeError) as exc:
+            return cls(
+                devices=devices,
+                proximity=proximity,
+                transfer_latency=cfg.get("transfer_latency", 0.0),
+                dtype=np.dtype(cfg.get("dtype", "float64")),
+            )
+        except ConfigError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed machine config: {exc}") from exc
-        return cls(
-            devices=devices,
-            proximity=proximity,
-            transfer_latency=cfg.get("transfer_latency", 0.0),
-            dtype=np.dtype(cfg.get("dtype", "float64")),
-        )
 
 
 def load_machine(path) -> Machine:

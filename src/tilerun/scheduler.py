@@ -19,9 +19,12 @@ Engines:
   clock replaces simulated time; all counters stay exact because the
   shared structures are linearizable.
 
-Work stealing in both engines: a device whose station is empty and who
-has just observed an empty global queue removes one reserved task from
-the most-loaded peer station (ties to the lowest device id).
+Both engines claim tasks through ``_claim``: refill the device's
+station, run its oldest reservation, and if the station is empty steal
+from the most-loaded peer station (ties to the lowest device id).  A
+device that finds nothing to claim retires.  The engines keep no
+counters: per-device task counts come from ``Completion``, steal counts
+from the steal events.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ import heapq
 import json
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -51,40 +54,25 @@ from .tiles import (
 SCHEMA_VERSION = 1
 
 
-class TaskState(Enum):
-    QUEUED = "queued"
-    RESERVED = "reserved"
-    RUNNING = "running"
-    DONE = "done"
-
-
-@dataclass
-class Task:
-    task_id: int
-    row: int
-    col: int
-    k_steps: int
-    state: TaskState = TaskState.QUEUED
-
-
 class Completion:
-    """Exactly-once execution bitmap; marking a task twice is an error."""
+    """Exactly-once execution record: the device that ran each task.
+    Marking a task twice is an error."""
 
     def __init__(self, n_tasks: int):
-        self._done = [False] * n_tasks
+        self.ran_on: list[int | None] = [None] * n_tasks
         self._count = 0
         self._lock = threading.Lock()
 
-    def mark(self, task_id: int) -> None:
+    def mark(self, task_id: int, device: int) -> None:
         with self._lock:
-            if self._done[task_id]:
+            if self.ran_on[task_id] is not None:
                 raise RuntimeError(f"task {task_id} executed twice")
-            self._done[task_id] = True
+            self.ran_on[task_id] = device
             self._count += 1
 
     def all_done(self) -> bool:
         with self._lock:
-            return self._count == len(self._done)
+            return self._count == len(self.ran_on)
 
     @property
     def done_count(self) -> int:
@@ -145,13 +133,12 @@ class Plan:
     grid_rows: int
     grid_cols: int
     k_steps: int
-    tasks: list[Task]
     queue: MichaelScottQueue
     completion: Completion
 
     @property
     def total_tasks(self) -> int:
-        return len(self.tasks)
+        return self.grid_rows * self.grid_cols
 
 
 def plan(a, b, a_uid: str = "A", b_uid: str = "B", c_uid: str = "C") -> Plan:
@@ -176,16 +163,14 @@ def plan(a, b, a_uid: str = "A", b_uid: str = "B", c_uid: str = "C") -> Plan:
     grid_rows, grid_cols = c.grid_rows, c.grid_cols
     k_steps = a.grid_cols
     assert k_steps == b.grid_rows  # forced by equal element dims and tile size
+    n_tasks = grid_rows * grid_cols
     queue = MichaelScottQueue()
-    tasks = []
-    for tid in range(grid_rows * grid_cols):
-        i, j = decode_task(tid, grid_cols, grid_rows)
-        tasks.append(Task(tid, i, j, k_steps))
+    for tid in range(n_tasks):
         queue.enqueue(tid)
     return Plan(
         a=a, b=b, c=c, tile_size=t,
         grid_rows=grid_rows, grid_cols=grid_cols, k_steps=k_steps,
-        tasks=tasks, queue=queue, completion=Completion(len(tasks)),
+        queue=queue, completion=Completion(n_tasks),
     )
 
 
@@ -245,7 +230,6 @@ class StealEvent:
     thief: int
     victim: int
     task_id: int
-    queue_empty_observed: bool
     time: float | None = None
 
 
@@ -356,7 +340,7 @@ def write_report_csv(stats: RunStats, path) -> None:
 
 
 def _execute_task(machine: Machine, plan_: Plan, directory: CacheDirectory,
-                  dev: DeviceSpec, task: Task):
+                  dev: DeviceSpec, task_id: int):
     """Run one task to completion on ``dev``.
 
     Per contraction step: resolve both input tiles through the directory
@@ -370,14 +354,13 @@ def _execute_task(machine: Machine, plan_: Plan, directory: CacheDirectory,
     """
     did = dev.device_id
     eb = machine.element_bytes
-    task.state = TaskState.RUNNING
-    i, j = task.row, task.col
+    i, j = decode_task(task_id, plan_.grid_cols, plan_.grid_rows)
     c_key = plan_.c.key(i, j)
     c_view = plan_.c.tile_view(i, j)
     directory.admit_output(did, c_key)
     sub = dev.subtile_factor if dev.is_host_worker else 1
     steps = []
-    for k in range(task.k_steps):
+    for k in range(plan_.k_steps):
         a_key, b_key = plan_.a.key(i, k), plan_.b.key(k, j)
         a_view, b_view = plan_.a.tile_view(i, k), plan_.b.tile_view(k, j)
         ra = directory.acquire_input(did, a_key, a_view.size * eb)
@@ -392,18 +375,31 @@ def _execute_task(machine: Machine, plan_: Plan, directory: CacheDirectory,
     wb_bytes = c_view.size * eb
     writeback = transfer_cost(machine, did, HOST, wb_bytes)
     directory.release_output(did, c_key, wb_bytes)
-    plan_.completion.mark(task.task_id)
-    task.state = TaskState.DONE
+    plan_.completion.mark(task_id, did)
     return steps, writeback
 
 
 # -- engines --------------------------------------------------------------
 
 
-_POLL_SLEEP = 50e-6  # seconds an idle threaded worker waits before looking again
+def _claim(did: int, stations: dict[int, ReservationStation], queue: MichaelScottQueue,
+           steal_enabled: bool) -> tuple[int | None, int | None]:
+    """The next task for device ``did`` as ``(task_id, victim)``; victim is
+    None for a task of its own station.
+
+    A station comes up empty after a refill only once the queue has
+    drained, and ``plan`` enqueues every task before a run, so
+    ``(None, None)`` means nothing is left to claim, now or later.
+    """
+    st = stations[did]
+    st.refill(queue)
+    tid = st.pop_for_run()
+    if tid is None and steal_enabled:
+        return steal_task(did, stations)
+    return tid, None
 
 
-def _run_sim(machine, plan_, directory, clocks, dstats, events, steal_enabled):
+def _run_sim(machine, plan_, directory, clocks, events, steal_enabled):
     """Both engine times in ``clocks[device]`` only move forward, because
     every cost is >= 0."""
     stations = {d.device_id: ReservationStation(d.slots) for d in machine.devices}
@@ -411,21 +407,12 @@ def _run_sim(machine, plan_, directory, clocks, dstats, events, steal_enabled):
     heapq.heapify(heap)
     while heap:
         t, did = heapq.heappop(heap)
-        st = stations[did]
-        for tid in st.refill(plan_.queue):
-            plan_.tasks[tid].state = TaskState.RESERVED
-        tid = st.pop_for_run()
+        tid, victim = _claim(did, stations, plan_.queue, steal_enabled)
         if tid is None:
-            if steal_enabled and plan_.queue.is_empty():
-                tid, victim = steal_task(did, stations)
-                if tid is not None:
-                    events.append(StealEvent(did, victim, tid, True, time=t))
-                    dstats[did].steals_performed += 1
-                    dstats[victim].steals_suffered += 1
-            if tid is None:
-                continue  # queue drained, nothing stealable: device retires
-        task = plan_.tasks[tid]
-        steps, wb = _execute_task(machine, plan_, directory, machine.device(did), task)
+            continue  # the device retires
+        if victim is not None:
+            events.append(StealEvent(did, victim, tid, time=t))
+        steps, wb = _execute_task(machine, plan_, directory, machine.device(did), tid)
         co, tr = clocks[did]
         tr = max(tr, t)  # transfers for this task cannot predate claiming it
         for fetch, compute in steps:
@@ -433,11 +420,10 @@ def _run_sim(machine, plan_, directory, clocks, dstats, events, steal_enabled):
             co = max(co, tr) + compute  # fetch k+1 overlaps compute k
         tr = max(tr, co) + wb  # writeback waits for the last accumulate
         clocks[did] = [co, tr]
-        dstats[did].tasks_completed += 1
         heapq.heappush(heap, (co, did))
 
 
-def _run_threaded(machine, plan_, directory, dstats, events, steal_enabled):
+def _run_threaded(machine, plan_, directory, events, steal_enabled):
     stations = {d.device_id: ReservationStation(d.slots) for d in machine.devices}
     shared_lock = threading.Lock()
     abort = threading.Event()
@@ -445,35 +431,20 @@ def _run_threaded(machine, plan_, directory, dstats, events, steal_enabled):
 
     def worker(dev: DeviceSpec):
         did = dev.device_id
-        st = stations[did]
         while not abort.is_set():
-            for tid in st.refill(plan_.queue):
-                plan_.tasks[tid].state = TaskState.RESERVED
-            tid = st.pop_for_run()
-            victim = None
+            tid, victim = _claim(did, stations, plan_.queue, steal_enabled)
             if tid is None:
-                if not plan_.queue.is_empty():
-                    continue  # raced with producers of nothing; re-refill
-                if steal_enabled:
-                    tid, victim = steal_task(did, stations)
-                if tid is None:
-                    if plan_.completion.all_done():
-                        return
-                    time.sleep(_POLL_SLEEP)
-                    continue
+                return  # the device retires
             if victim is not None:
                 with shared_lock:
-                    events.append(StealEvent(did, victim, tid, True))
-                    dstats[did].steals_performed += 1
-                    dstats[victim].steals_suffered += 1
+                    events.append(StealEvent(did, victim, tid))
             try:
-                _execute_task(machine, plan_, directory, dev, plan_.tasks[tid])
+                _execute_task(machine, plan_, directory, dev, tid)
             except BaseException as exc:  # surface worker failures to the caller
                 with shared_lock:
                     errors.append(exc)
                 abort.set()
                 return
-            dstats[did].tasks_completed += 1
 
     threads = [
         threading.Thread(target=worker, args=(d,), name=f"device-{d.device_id}")
@@ -488,6 +459,20 @@ def _run_threaded(machine, plan_, directory, dstats, events, steal_enabled):
 
 
 # -- the runtime ----------------------------------------------------------
+
+
+def _device_stats(machine: Machine, completion: Completion,
+                  events: list[StealEvent]) -> dict[int, DeviceStats]:
+    """Per-device counts of a finished run, from ``Completion.ran_on`` and
+    the steal events."""
+    tasks = Counter(completion.ran_on)
+    performed = Counter(ev.thief for ev in events)
+    suffered = Counter(ev.victim for ev in events)
+    return {
+        d.device_id: DeviceStats(d.device_id, d.kind, tasks[d.device_id],
+                                 performed[d.device_id], suffered[d.device_id])
+        for d in machine.devices
+    }
 
 
 class Runtime:
@@ -541,19 +526,14 @@ class Runtime:
         a_op = a if isinstance(a, Operand) else self.operand(a, a_uid, transpose_a)
         b_op = b if isinstance(b, Operand) else self.operand(b, b_uid, transpose_b)
         plan_ = plan(a_op, b_op, c_uid=c_uid or self.fresh_uid("c"))
-        dstats = {
-            d.device_id: DeviceStats(d.device_id, d.kind) for d in self.machine.devices
-        }
         events: list[StealEvent] = []
         cache_before = self.directory.stats_per_device()
         sim_before = self.sim_now()
         t0 = time.perf_counter()
         if self.mode == "sim":
-            _run_sim(self.machine, plan_, self.directory, self.clocks,
-                     dstats, events, self.steal)
+            _run_sim(self.machine, plan_, self.directory, self.clocks, events, self.steal)
         else:
-            _run_threaded(self.machine, plan_, self.directory,
-                          dstats, events, self.steal)
+            _run_threaded(self.machine, plan_, self.directory, events, self.steal)
         wall = time.perf_counter() - t0
         if not plan_.completion.all_done():
             raise RuntimeError(
@@ -571,7 +551,7 @@ class Runtime:
             steal_enabled=self.steal,
             coherence_enabled=self.coherence,
             seed=self.seed,
-            devices=dstats,
+            devices=_device_stats(self.machine, plan_.completion, events),
             cache=sum(cache_per_device.values(), CacheStats()),
             cache_per_device=cache_per_device,
             makespan=(self.sim_now() - sim_before) if self.mode == "sim" else None,

@@ -233,8 +233,9 @@ def test_c6_exactly_once_scheduling():
                        mode="threaded", steal=True, directory_debug=True)
         assert np.array_equal(c, reference_gemm(a, b)), f"trial {trial}"
         assert sum(stats.tasks_by_device.values()) == stats.total_tasks
-        for ev in stats.steal_events:
-            assert ev.queue_empty_observed
+        for did, ds in stats.devices.items():
+            assert ds.steals_performed == sum(ev.thief == did for ev in stats.steal_events)
+            assert ds.steals_suffered == sum(ev.victim == did for ev in stats.steal_events)
 
 
 @criterion(7, "gradients check out and the tiled backend reproduces training")

@@ -107,13 +107,23 @@ def test_gemm_missing_input_is_io_error(tmp_path):
                    "--b", tmp_path / "nope2.txt") == cli.EXIT_IO
 
 
-def test_gemm_bad_device_config_is_config_error(tmp_path):
+@pytest.mark.parametrize("config", [
+    '{"devices": [{"id": 0, "capacity_tiles": 1}]}',
+    '{"devices": [{"id": 0, "capacity_tiles": 3.5}]}',
+    '{"devices": [{"id": 0.0}]}',
+    '{"devices": [{"id": 0}], "transfer_latency": "0"}',
+    '{"devices": [{"id": 0}], "dtype": "bogus"}',
+], ids=["capacity-below-3", "capacity-float", "id-float", "latency-str", "dtype-bogus"])
+def test_gemm_bad_device_config_is_config_error(tmp_path, capsys, config):
     pa = gen(tmp_path, "a.txt", 4, 4)
     pb = gen(tmp_path, "b.txt", 4, 4)
+    capsys.readouterr()
     bad = tmp_path / "devices.json"
-    bad.write_text('{"devices": [{"id": 0, "capacity_tiles": 1}]}')
+    bad.write_text(config)
     assert run_cli("gemm", "--a", pa, "--b", pb,
                    "--devices", bad) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
 
 
 def test_capacity_error_maps_to_exit_three(tmp_path, monkeypatch):

@@ -122,18 +122,25 @@ def test_cost_homogeneity():
             c * compute_cost(m2.device(0), (8, 8), (8, 8)))
 
 
-def test_device_spec_validation():
+@pytest.mark.parametrize("bad", [
+    pytest.param({"flops_per_unit": 0.0}, id="flops-zero"),
+    pytest.param({"host_bandwidth": -1.0}, id="bandwidth-negative"),
+    pytest.param({"capacity_tiles": 2}, id="capacity-below-3"),  # A+B+C minimum is 3
+    pytest.param({"kind": "host-worker", "capacity_tiles": 8}, id="host-worker-capacity"),
+    pytest.param({"kind": "quantum"}, id="kind-unknown"),
+    pytest.param({"device_id": 0.0}, id="id-float"),
+    pytest.param({"device_id": True}, id="id-bool"),
+    pytest.param({"slots": 2.0}, id="slots-float"),
+    pytest.param({"capacity_tiles": 3.5}, id="capacity-float"),
+    pytest.param({"capacity_tiles": True}, id="capacity-bool"),
+    pytest.param({"subtile_factor": "2"}, id="subtile-str"),
+])
+def test_device_spec_validation(bad):
     with pytest.raises(ConfigError):
-        DeviceSpec(0, flops_per_unit=0.0)
-    with pytest.raises(ConfigError):
-        DeviceSpec(0, host_bandwidth=-1.0)
-    with pytest.raises(ConfigError):
-        DeviceSpec(0, capacity_tiles=2)  # A+B+C minimum is 3
-    with pytest.raises(ConfigError):
-        DeviceSpec(0, kind="host-worker", capacity_tiles=8)
-    with pytest.raises(ConfigError):
-        DeviceSpec(0, kind="quantum")
+        DeviceSpec(**{"device_id": 0, **bad})
     DeviceSpec(0, capacity_tiles=3)  # minimum accepted
+    DeviceSpec(np.int64(0), capacity_tiles=np.int32(3), slots=np.int16(2),
+               subtile_factor=np.uint8(2))  # numpy integers are integers
 
 
 def test_proximity_validation():

@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from tilerun.msqueue import MichaelScottQueue
 from tilerun.scheduler import (
     ReservationStation,
     Runtime,
-    TaskState,
+    _claim,
+    _execute_task,
     plan,
     run,
     steal_task,
@@ -39,8 +42,7 @@ def test_plan_counts_square():
     b = partition(np.zeros((4, 4)), 2)
     p = plan(a, b)
     assert p.total_tasks == 4
-    assert [t.task_id for t in p.tasks] == [0, 1, 2, 3]
-    assert all(t.k_steps == 2 for t in p.tasks)
+    assert p.k_steps == 2
     assert p.queue.drain() == [0, 1, 2, 3]
 
 
@@ -50,7 +52,8 @@ def test_plan_counts_rectangular():
     p = plan(a, b)
     assert (p.grid_rows, p.grid_cols) == (3, 3)
     assert p.total_tasks == 9
-    assert all(t.k_steps == 2 for t in p.tasks)
+    assert p.k_steps == 2
+    assert p.queue.drain() == list(range(9))
 
 
 def test_plan_single_tile_degenerate():
@@ -58,7 +61,7 @@ def test_plan_single_tile_degenerate():
     b = partition(np.zeros((2, 2)), 4)
     p = plan(a, b)
     assert p.total_tasks == 1
-    assert p.tasks[0].k_steps == 1
+    assert p.k_steps == 1
 
 
 def test_plan_rejects_mismatches():
@@ -132,6 +135,29 @@ def test_steal_tie_breaks_to_lowest_id():
     stations[2].refill(fill_queue([20, 21]))
     tid, victim = steal_task(0, stations)
     assert victim == 1
+
+
+def test_claim_takes_from_queue_before_stealing():
+    stations = {i: ReservationStation(2) for i in range(3)}
+    stations[1].refill(fill_queue([10, 11]))
+    stations[2].refill(fill_queue([20]))
+    q = fill_queue([0, 1, 2])
+    claimed = [_claim(0, stations, q, steal_enabled=True) for _ in range(3)]
+    assert claimed == [(0, None), (1, None), (2, None)]
+    assert stations[1].reserved_count() == 2 and stations[2].reserved_count() == 1
+    # the queue has drained and the own station with it: now it steals
+    assert _claim(0, stations, q, steal_enabled=True) == (11, 1)
+
+
+def test_claim_retires_when_nothing_is_claimable():
+    stations = {i: ReservationStation(4) for i in range(2)}
+    stations[1].refill(fill_queue([10, 11]))
+    q = MichaelScottQueue()
+    assert _claim(0, stations, q, steal_enabled=False) == (None, None)
+    assert stations[1].reserved_count() == 2  # peers keep their reservations
+    assert _claim(1, stations, q, steal_enabled=False) == (10, None)
+    stations = {i: ReservationStation(4) for i in range(2)}
+    assert _claim(0, stations, q, steal_enabled=True) == (None, None)
 
 
 # -- end-to-end correctness ---------------------------------------------------
@@ -224,13 +250,21 @@ def test_host_worker_participates_and_subtiling_is_bitwise_neutral():
 
 def test_exactly_once_under_threaded_stress():
     rng = np.random.default_rng(7)
-    for trial in range(10):
-        a, b = int_matrix(rng, 12, 12), int_matrix(rng, 12, 12)
-        n = int(rng.integers(2, 5))
-        c, stats = run(homogeneous_machine(n), a, b, tile_size=3, mode="threaded",
-                       directory_debug=True)
-        assert np.array_equal(c, reference_gemm(a, b))
-        assert sum(stats.tasks_by_device.values()) == stats.total_tasks == 16
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, to expose claim races
+    try:
+        for trial in range(10):
+            a, b = int_matrix(rng, 12, 12), int_matrix(rng, 12, 12)
+            n = int(rng.integers(2, 5))
+            c, stats = run(homogeneous_machine(n, slots=1 + trial % 3), a, b, tile_size=3,
+                           mode="threaded", directory_debug=True)
+            assert np.array_equal(c, reference_gemm(a, b))
+            assert sum(stats.tasks_by_device.values()) == stats.total_tasks == 16
+            assert (sum(d.steals_performed for d in stats.devices.values())
+                    == sum(d.steals_suffered for d in stats.devices.values())
+                    == len(stats.steal_events))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # -- cache behaviour through full runs ---------------------------------------
@@ -353,9 +387,9 @@ def test_steals_happen_and_are_legal():
     assert np.array_equal(c, reference_gemm(a, b))
     assert stats.devices[1].steals_performed > 0
     assert stats.devices[0].steals_suffered == stats.devices[1].steals_performed
+    assert stats.devices[1].steals_performed == len(stats.steal_events)
     for ev in stats.steal_events:
-        assert ev.queue_empty_observed
-        assert ev.thief != ev.victim
+        assert (ev.thief, ev.victim) == (1, 0)
 
 
 def test_steal_disabled_means_no_steal_events():
@@ -385,26 +419,53 @@ def test_makespan_monotone_in_identical_devices():
             last = stats.makespan
 
 
-def test_task_state_machine_and_double_execution_guard():
-    from tilerun.scheduler import _execute_task
-
+def test_execute_task_and_double_execution_guard():
     rng = np.random.default_rng(16)
     a, b = int_matrix(rng, 8, 8), int_matrix(rng, 8, 8)
     machine = homogeneous_machine(1)
     p = plan(partition(a, 4), partition(b, 4))
-    assert all(t.state is TaskState.QUEUED for t in p.tasks)
     directory = CacheDirectory(machine, debug=True)
-    st = ReservationStation(4)
-    while not p.queue.is_empty():
-        for tid in st.refill(p.queue):
-            p.tasks[tid].state = TaskState.RESERVED
-        while (tid := st.pop_for_run()) is not None:
-            _execute_task(machine, p, directory, machine.device(0), p.tasks[tid])
-    assert all(t.state is TaskState.DONE for t in p.tasks)
+    stations = {0: ReservationStation(4)}
+    while (tid := _claim(0, stations, p.queue, steal_enabled=True)[0]) is not None:
+        _execute_task(machine, p, directory, machine.device(0), tid)
+    assert p.completion.all_done()
+    assert p.completion.ran_on == [0] * p.total_tasks
     assert np.array_equal(reassemble(p.c.tiled), reference_gemm(a, b))
-    # the completion bitmap refuses a second execution of any task
+    # the completion record refuses a second execution of any task
     with pytest.raises(RuntimeError):
-        p.completion.mark(0)
+        p.completion.mark(0, 0)
+
+
+def test_threaded_single_task_on_many_devices():
+    rng = np.random.default_rng(21)
+    a, b = int_matrix(rng, 4, 4), int_matrix(rng, 4, 4)
+    for steal in (True, False):
+        c, stats = run(homogeneous_machine(4), a, b, tile_size=4, mode="threaded",
+                       steal=steal)
+        assert np.array_equal(c, reference_gemm(a, b))
+        assert sum(stats.tasks_by_device.values()) == stats.total_tasks == 1
+
+
+def test_threaded_worker_failure_is_raised_and_workers_stop(monkeypatch):
+    import tilerun.scheduler as scheduler
+
+    kernel = scheduler.accumulate_product
+    for fail_at in (1, 7, 20):
+        calls = 0
+
+        def flaky(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            if calls == fail_at:
+                raise ArithmeticError(f"injected fault at kernel call {fail_at}")
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(scheduler, "accumulate_product", flaky)
+        rng = np.random.default_rng(fail_at)
+        a, b = int_matrix(rng, 12, 12), int_matrix(rng, 12, 12)
+        with pytest.raises(ArithmeticError, match=f"call {fail_at}$"):
+            run(homogeneous_machine(3), a, b, tile_size=4, mode="threaded")
+        assert not [t for t in threading.enumerate() if t.name.startswith("device-")]
 
 
 # -- session reuse and reports -------------------------------------------------

@@ -61,9 +61,10 @@ class DeviceSpec:
                 raise ConfigError(f"{name} must be an integer, got {v!r}")
         if self.device_id < 0:
             raise ConfigError(f"device_id must be >= 0, got {self.device_id}")
-        if self.flops_per_unit <= 0:
+        # written as not (x > 0) so that NaN fails too
+        if not self.flops_per_unit > 0:
             raise ConfigError("flops_per_unit must be > 0")
-        if self.host_bandwidth <= 0:
+        if not self.host_bandwidth > 0:
             raise ConfigError("host_bandwidth must be > 0")
         if self.slots < 1:
             raise ConfigError("slots must be >= 1")
@@ -110,7 +111,7 @@ class ProximityMatrix:
             raise ConfigError("hops must be symmetric")
         n = h.shape[0]
         off = ~np.eye(n, dtype=bool)
-        if n > 1 and (bw[off] <= 0).any():
+        if n > 1 and not (bw[off] > 0).all():
             raise ConfigError("peer bandwidths must be > 0")
 
     @property
@@ -147,7 +148,7 @@ class Machine:
                 f"proximity is {self.proximity.n_devices}x{self.proximity.n_devices} "
                 f"but there are {len(self.devices)} devices"
             )
-        if self.transfer_latency < 0:
+        if not self.transfer_latency >= 0:
             raise ConfigError("transfer_latency must be >= 0")
         if self.dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
             raise ConfigError(f"unsupported element dtype {self.dtype}")

@@ -6,7 +6,10 @@ tile size does not divide the matrix evenly (no zero padding, so byte
 accounting downstream stays honest).
 
 Every kernel in this module accumulates over the contraction index in
-strictly ascending order, one rank-1 update per index.  Because the
+strictly ascending order.  ``accumulate_product`` folds a chunk of
+indices in with one ordered reduction, or with one rank-1 update per
+index where the shapes make that exact or cheaper; ``reference_gemm``
+keeps the rank-1 loop as the independent oracle.  Because the
 per-element operation sequence is then independent of how the operands
 are tiled, sub-blocked, or scheduled across devices, a full runtime
 product is bit-identical to the dense product computed by
@@ -147,14 +150,34 @@ def _block_ranges(n: int, parts: int) -> list[tuple[int, int]]:
     return [(s, min(s + step, n)) for s in range(0, n, step)]
 
 
+# Size in elements of accumulate_product's scratch buffer (512 KiB of
+# float64); it bounds how many contraction indices one reduction folds in.
+_CHUNK_ELEMENTS = 1 << 16
+
+
 def accumulate_product(a, b, out, sub_blocks: int = 1) -> np.ndarray:
     """``out += a @ b`` with the contraction index strictly ascending.
 
-    One rank-1 update per contraction index, so for any fixed output
-    element the floating-point operation sequence is the same no matter
-    how callers block the operands.  ``sub_blocks`` splits each dimension
-    into that many contiguous chunks (the host-worker's factorized tile
-    processing); the result is bit-identical for every factor.
+    Every output element computes ``((out + p0) + p1) + ...`` with
+    ``p_k = a[i, k] * b[k, j]``, so its floating-point operation sequence
+    is the same no matter how callers block the operands.  A chunk of
+    contraction indices is one broadcast multiply into a buffer whose
+    slice 0 is a copy of ``out``, folded in by one ``np.add.reduce`` over
+    that leading axis: numpy reduces a non-inner axis strictly in order.
+    The reduction starts from ``-0.0``, the exact identity of ``+``, so
+    signed zeros come out as the rank-1 loop leaves them.
+
+    The shapes select the rank-1 loop (one ``out += outer`` per index):
+    for a 1x1 output, whose only axis becomes numpy's inner loop and is
+    summed pairwise; for k <= 2, where the loop's two calls per index
+    cost less than building the buffer; for tiles above an eighth of the
+    buffer, where a chunk holds so few products that the copy of ``out``
+    costs more than the calls it saves; and when ``out`` is narrower than
+    the products, whose every step the loop rounds to ``out``'s dtype.
+
+    ``sub_blocks`` splits the rows and columns into that many contiguous
+    chunks (the host-worker's factorized tile processing), each sent
+    through this kernel; the result is bit-identical for every factor.
     """
     m, k = a.shape
     kb, n = b.shape
@@ -162,16 +185,25 @@ def accumulate_product(a, b, out, sub_blocks: int = 1) -> np.ndarray:
         raise ValueError(f"inner dimensions differ: {a.shape} x {b.shape}")
     if out.shape != (m, n):
         raise ValueError(f"accumulator shape {out.shape}, expected {(m, n)}")
-    if sub_blocks <= 1:
+    if sub_blocks > 1:
+        for r0, r1 in _block_ranges(m, sub_blocks):
+            for c0, c1 in _block_ranges(n, sub_blocks):
+                accumulate_product(a[r0:r1], b[:, c0:c1], out[r0:r1, c0:c1])
+        return out
+    mn = m * n
+    if (k <= 2 or mn == 1 or 8 * mn > _CHUNK_ELEMENTS
+            or out.dtype != np.result_type(a, b, out)):
         for kk in range(k):
             out += np.multiply.outer(a[:, kk], b[kk, :])
         return out
-    for r0, r1 in _block_ranges(m, sub_blocks):
-        for c0, c1 in _block_ranges(n, sub_blocks):
-            sub = out[r0:r1, c0:c1]
-            for k0, k1 in _block_ranges(k, sub_blocks):
-                for kk in range(k0, k1):
-                    sub += np.multiply.outer(a[r0:r1, kk], b[kk, c0:c1])
+    w = min(k, _CHUNK_ELEMENTS // mn - 1)
+    buf = np.empty((w + 1, m, n), dtype=out.dtype)
+    for k0 in range(0, k, w):
+        part = buf[: min(w, k - k0) + 1]
+        part[0] = out
+        np.multiply(a[:, k0 : k0 + w].T[:, :, None], b[k0 : k0 + w, None, :],
+                    out=part[1:])
+        np.add.reduce(part, axis=0, out=out, initial=-0.0)
     return out
 
 

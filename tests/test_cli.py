@@ -113,7 +113,13 @@ def test_gemm_missing_input_is_io_error(tmp_path):
     '{"devices": [{"id": 0.0}]}',
     '{"devices": [{"id": 0}], "transfer_latency": "0"}',
     '{"devices": [{"id": 0}], "dtype": "bogus"}',
-], ids=["capacity-below-3", "capacity-float", "id-float", "latency-str", "dtype-bogus"])
+    '{"devices": [{"id": 0, "flops_per_unit": NaN}]}',
+    '{"devices": [{"id": 0, "host_bandwidth": NaN}]}',
+    '{"devices": [{"id": 0}, {"id": 1}], '
+    '"proximity": {"hops": [[0, 1], [1, 0]], "peer_bandwidth": [[0, NaN], [1, 0]]}}',
+    '{"devices": [{"id": 0}], "transfer_latency": NaN}',
+], ids=["capacity-below-3", "capacity-float", "id-float", "latency-str", "dtype-bogus",
+        "flops-nan", "bandwidth-nan", "peer-bandwidth-nan", "latency-nan"])
 def test_gemm_bad_device_config_is_config_error(tmp_path, capsys, config):
     pa = gen(tmp_path, "a.txt", 4, 4)
     pb = gen(tmp_path, "b.txt", 4, 4)

@@ -134,6 +134,8 @@ def test_cost_homogeneity():
     pytest.param({"capacity_tiles": 3.5}, id="capacity-float"),
     pytest.param({"capacity_tiles": True}, id="capacity-bool"),
     pytest.param({"subtile_factor": "2"}, id="subtile-str"),
+    pytest.param({"flops_per_unit": float("nan")}, id="flops-nan"),
+    pytest.param({"host_bandwidth": float("nan")}, id="bandwidth-nan"),
 ])
 def test_device_spec_validation(bad):
     with pytest.raises(ConfigError):
@@ -150,6 +152,8 @@ def test_proximity_validation():
         ProximityMatrix(np.array([[1]]), np.ones((1, 1)))  # nonzero diagonal
     with pytest.raises(ConfigError):
         ProximityMatrix(np.zeros((2, 2), dtype=int) , np.zeros((2, 2)))  # bw <= 0
+    with pytest.raises(ConfigError):
+        ProximityMatrix(np.array([[0, 1], [1, 0]]), np.array([[0, np.nan], [1, 0]]))
 
 
 def test_machine_validation():
@@ -159,6 +163,8 @@ def test_machine_validation():
         Machine([DeviceSpec(1)], ProximityMatrix.uniform(1))  # ids must start at 0
     with pytest.raises(ConfigError):
         Machine([DeviceSpec(0)], ProximityMatrix.uniform(2))  # size mismatch
+    with pytest.raises(ConfigError):
+        Machine([DeviceSpec(0)], ProximityMatrix.uniform(1), transfer_latency=float("nan"))
 
 
 def test_machine_config_roundtrip(tmp_path):

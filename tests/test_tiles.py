@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tilerun.tiles import (
     TileKey,
@@ -234,6 +238,79 @@ def test_subblocked_kernel_is_bitwise_invariant():
     for f in (1, 2, 3, 4, 16):
         out = accumulate_product(a, b, np.zeros((12, 9)), sub_blocks=f)
         assert np.array_equal(out, base), f"f={f}"
+
+
+def _rank1_loop(a, b, out):
+    for kk in range(a.shape[1]):
+        out += np.multiply.outer(a[:, kk], b[kk, :])
+    return out
+
+
+def _operand(rng, shape, dtype, layout, magnitude, zero_share):
+    x = rng.standard_normal(shape) * magnitude
+    zeros = rng.random(shape) < zero_share
+    x[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+    x = x.astype(dtype)
+    if layout == "fortran":
+        return np.asfortranarray(x)
+    if layout == "strided":
+        big = np.zeros((2 * shape[0], 3 * shape[1]), dtype=dtype)
+        big[::2, ::3] = x
+        return big[::2, ::3]
+    return x
+
+
+_layouts = st.sampled_from(["c", "fortran", "strided"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mkn=st.one_of(
+        st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(1, 40)),
+        st.tuples(st.just(1), st.integers(1, 40), st.just(1)),
+        st.tuples(st.integers(20, 40), st.integers(41, 200), st.integers(20, 40)),
+    ),
+    dtypes=st.sampled_from([(np.float64, np.float64), (np.float32, np.float64),
+                            (np.float32, np.float32), (np.float64, np.float32)]),
+    layouts=st.tuples(_layouts, _layouts, _layouts),
+    exponents=st.tuples(*[st.integers(-8, 8)] * 3),
+    zero_share=st.sampled_from([0.0, 0.1, 1.0]),  # share of ±0.0 entries
+    sub_blocks=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernel_matches_rank1_loop_bitwise(mkn, dtypes, layouts, exponents, zero_share,
+                                          sub_blocks, seed):
+    # The kernel folds chunks of k in with one reduction; every output
+    # element must still see the rank-1 loop's exact operation sequence.
+    m, k, n = mkn
+    dt_in, dt_out = dtypes
+    rng = np.random.default_rng(seed)
+    a = _operand(rng, (m, k), dt_in, layouts[0], 10.0 ** exponents[0], zero_share)
+    b = _operand(rng, (k, n), dt_in, layouts[1], 10.0 ** exponents[1], zero_share)
+    out = _operand(rng, (m, n), dt_out, layouts[2], 10.0 ** exponents[2], zero_share)
+    expected = _rank1_loop(a, b, np.array(out))
+    got = accumulate_product(a, b, out, sub_blocks=sub_blocks)
+    assert got is out
+    assert got.dtype == expected.dtype
+    assert np.ascontiguousarray(got).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("m,k", [(96, 600), (64, 1500)])
+def test_kernel_scratch_memory_is_bounded(m, k):
+    # One buffer for all of k would take (k + 1) * m * m * 8 bytes: 44 MB
+    # and 49 MB here.
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((m, k))
+    b = rng.standard_normal((k, m))
+    out = np.zeros((m, m))
+    tracemalloc.start()
+    try:
+        accumulate_product(a, b, out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+    assert np.array_equal(out, reference_gemm(a, b))
 
 
 def test_as_matrix_rejects_bad_shapes():

@@ -16,10 +16,14 @@ print("== partitioning a 10x7 matrix with tile size 4 ==")
 m = rng.standard_normal((10, 7))
 tm = partition(m, 4)
 print(f"grid: {tm.grid_rows} x {tm.grid_cols} tiles")
-for i, j in tm.coords():
-    print(f"  tile ({i},{j}) shape {tm.tile_shape(i, j)}")
-print(f"full {tm.tile_size}x{tm.tile_size} tiles: {tm.full_tile_count}, "
-      f"ragged edge tiles: {tm.ragged_tile_count}")
+shapes = []
+for i in range(tm.grid_rows):
+    for j in range(tm.grid_cols):
+        shapes.append(tm.tile(i, j).shape)
+        print(f"  tile ({i},{j}) shape {shapes[-1]}")
+full = shapes.count((tm.tile_size, tm.tile_size))
+print(f"full {tm.tile_size}x{tm.tile_size} tiles: {full}, "
+      f"ragged edge tiles: {len(shapes) - full}")
 print("reassemble == original:", np.array_equal(reassemble(tm), m))
 
 print()
@@ -27,8 +31,10 @@ print("== tile census on an N x N matrix ==")
 n, t = 13, 4
 tm = partition(np.zeros((n, n)), t)
 floor, ceil = n // t, -(-n // t)
-print(f"N={n} T={t}: {floor}^2 = {tm.full_tile_count} square tiles, "
-      f"{ceil}^2 - {floor}^2 = {tm.ragged_tile_count} ragged ones")
+shapes = [tm.tile(i, j).shape for i in range(tm.grid_rows) for j in range(tm.grid_cols)]
+full = shapes.count((t, t))
+print(f"N={n} T={t}: {floor}^2 = {full} square tiles, "
+      f"{ceil}^2 - {floor}^2 = {len(shapes) - full} ragged ones")
 
 print()
 print("== the fixed-order kernel makes tiling invisible, bit for bit ==")

@@ -2,7 +2,7 @@
 # Demand-driven work sharing and work stealing.
 #
 # Nobody assigns tasks to devices: stations refill from the global queue
-# as they drain, so faster devices simply come back for more.  When the
+# as they empty, so faster devices simply come back for more.  When the
 # queue runs dry, an idle device steals a reserved task from the most
 # loaded peer station.
 

@@ -19,7 +19,7 @@ from .ann import (
     train_step,
     xor_dataset,
 )
-from .coherence import CacheDirectory, CacheStats, CapacityError, HitLevel
+from .coherence import CacheDirectory, CacheStats, CapacityError
 from .devices import (
     HOST,
     ConfigError,
@@ -49,12 +49,9 @@ from .scheduler import (
 )
 from .tiles import (
     TiledMatrix,
-    TileCoord,
     TileKey,
     accumulate_product,
     decode_task,
-    encode_task,
-    gemm_tile,
     partition,
     reassemble,
     reference_gemm,

@@ -24,7 +24,6 @@ from __future__ import annotations
 import threading
 from collections import Counter, OrderedDict, defaultdict
 from dataclasses import dataclass, fields
-from enum import Enum
 
 from .devices import HOST, Machine, closest_owner
 from .tiles import TileKey
@@ -34,17 +33,14 @@ class CapacityError(RuntimeError):
     """A device cannot hold a task's working set (everything is pinned)."""
 
 
-class HitLevel(Enum):
-    L1 = "l1"
-    L2 = "l2"
-    MISS = "miss"
-
-
 @dataclass(frozen=True)
 class AcquireResult:
-    """Outcome of resolving one input tile for one device."""
+    """Outcome of resolving one input tile for one device.
 
-    level: HitLevel
+    ``source`` gives the hit level: the requester itself is an L1 hit,
+    another device an L2 hit, and ``HOST`` a miss.
+    """
+
     source: object  # device id the bytes came from, or HOST
     nbytes_moved: int
 
@@ -166,27 +162,27 @@ class CacheDirectory:
                 # host tiles are already local: a fetch in name only,
                 # coherence on or off
                 ds.host_fetches += 1
-                return AcquireResult(HitLevel.MISS, HOST, 0)
+                return AcquireResult(HOST, 0)
             if not self.enabled:
                 ds.host_fetches += 1
                 ds.bytes_host += nbytes
-                return AcquireResult(HitLevel.MISS, HOST, nbytes)
+                return AcquireResult(HOST, nbytes)
             owners = self._residency.get(key)
             if owners and requester in owners:
                 ds.l1_hits += 1
                 self._order[requester].move_to_end(key)
-                res = AcquireResult(HitLevel.L1, requester, 0)
+                res = AcquireResult(requester, 0)
             elif owners:
                 source = closest_owner(requester, owners, self.machine.proximity)
                 self._admit_locked(requester, key)
                 ds.l2_hits += 1
                 ds.bytes_peer += nbytes
-                res = AcquireResult(HitLevel.L2, source, nbytes)
+                res = AcquireResult(source, nbytes)
             else:
                 self._admit_locked(requester, key)
                 ds.host_fetches += 1
                 ds.bytes_host += nbytes
-                res = AcquireResult(HitLevel.MISS, HOST, nbytes)
+                res = AcquireResult(HOST, nbytes)
             self._pins[requester][key] += 1
             return res
 

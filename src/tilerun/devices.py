@@ -11,6 +11,7 @@ pretending to model real silicon.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from numbers import Integral
 from typing import Iterable, Sequence
@@ -61,11 +62,11 @@ class DeviceSpec:
                 raise ConfigError(f"{name} must be an integer, got {v!r}")
         if self.device_id < 0:
             raise ConfigError(f"device_id must be >= 0, got {self.device_id}")
-        # written as not (x > 0) so that NaN fails too
-        if not self.flops_per_unit > 0:
-            raise ConfigError("flops_per_unit must be > 0")
-        if not self.host_bandwidth > 0:
-            raise ConfigError("host_bandwidth must be > 0")
+        # written as not (0 < x < inf) so that NaN fails too
+        if not 0 < self.flops_per_unit < math.inf:
+            raise ConfigError("flops_per_unit must be finite and > 0")
+        if not 0 < self.host_bandwidth < math.inf:
+            raise ConfigError("host_bandwidth must be finite and > 0")
         if self.slots < 1:
             raise ConfigError("slots must be >= 1")
         if self.subtile_factor < 1:
@@ -96,7 +97,10 @@ class ProximityMatrix:
     peer_bandwidth: np.ndarray
 
     def __post_init__(self):
-        self.hops = np.asarray(self.hops, dtype=np.int64)
+        hops = np.asarray(self.hops, dtype=object)
+        if not all(isinstance(v, Integral) and not isinstance(v, bool) for v in hops.flat):
+            raise ConfigError(f"hop counts must be integers, got {self.hops!r}")
+        self.hops = hops.astype(np.int64)
         self.peer_bandwidth = np.asarray(self.peer_bandwidth, dtype=np.float64)
         h, bw = self.hops, self.peer_bandwidth
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -111,8 +115,8 @@ class ProximityMatrix:
             raise ConfigError("hops must be symmetric")
         n = h.shape[0]
         off = ~np.eye(n, dtype=bool)
-        if n > 1 and not (bw[off] > 0).all():
-            raise ConfigError("peer bandwidths must be > 0")
+        if n > 1 and not ((0 < bw[off]) & (bw[off] < np.inf)).all():
+            raise ConfigError("peer bandwidths must be finite and > 0")
 
     @property
     def n_devices(self) -> int:
@@ -148,8 +152,8 @@ class Machine:
                 f"proximity is {self.proximity.n_devices}x{self.proximity.n_devices} "
                 f"but there are {len(self.devices)} devices"
             )
-        if not self.transfer_latency >= 0:
-            raise ConfigError("transfer_latency must be >= 0")
+        if not 0 <= self.transfer_latency < math.inf:
+            raise ConfigError("transfer_latency must be finite and >= 0")
         if self.dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
             raise ConfigError(f"unsupported element dtype {self.dtype}")
 
@@ -222,7 +226,7 @@ class Machine:
             )
         except ConfigError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed machine config: {exc}") from exc
 
 

@@ -56,12 +56,3 @@ class MichaelScottQueue:
     def is_empty(self) -> bool:
         with self._head_lock:
             return self._head.next is None
-
-    def drain(self) -> list:
-        """Dequeue everything currently visible (single-threaded helper)."""
-        out = []
-        while True:
-            v = self.dequeue()
-            if v is None:
-                return out
-            out.append(v)

@@ -60,7 +60,6 @@ class Completion:
 
     def __init__(self, n_tasks: int):
         self.ran_on: list[int | None] = [None] * n_tasks
-        self._count = 0
         self._lock = threading.Lock()
 
     def mark(self, task_id: int, device: int) -> None:
@@ -68,16 +67,9 @@ class Completion:
             if self.ran_on[task_id] is not None:
                 raise RuntimeError(f"task {task_id} executed twice")
             self.ran_on[task_id] = device
-            self._count += 1
 
     def all_done(self) -> bool:
-        with self._lock:
-            return self._count == len(self.ran_on)
-
-    @property
-    def done_count(self) -> int:
-        with self._lock:
-            return self._count
+        return None not in self.ran_on
 
 
 @dataclass
@@ -537,7 +529,8 @@ class Runtime:
         wall = time.perf_counter() - t0
         if not plan_.completion.all_done():
             raise RuntimeError(
-                f"run incomplete: {plan_.completion.done_count}/{plan_.total_tasks} tasks"
+                f"run incomplete: {plan_.completion.ran_on.count(None)} of "
+                f"{plan_.total_tasks} tasks not run"
             )
         cache_after = self.directory.stats_per_device()
         cache_per_device = {d: cache_after[d] - cache_before[d] for d in cache_after}

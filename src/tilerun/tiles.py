@@ -1,4 +1,4 @@
-"""Tile partitioning, task-id codec, and the fixed-order GEMM kernels.
+"""Tile partitioning, task-id decoding, and the fixed-order GEMM kernels.
 
 A matrix here is a plain 2-D float numpy array.  Partitioning slices it
 into a grid of views without copying; edge tiles are smaller when the
@@ -22,11 +22,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-
-
-class TileCoord(NamedTuple):
-    row: int
-    col: int
 
 
 class TileKey(NamedTuple):
@@ -75,35 +70,12 @@ class TiledMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    @property
-    def grid_shape(self) -> tuple[int, int]:
-        return (self.grid_rows, self.grid_cols)
-
-    @property
-    def total_tiles(self) -> int:
-        return self.grid_rows * self.grid_cols
-
-    @property
-    def full_tile_count(self) -> int:
-        """Number of tiles that are exactly tile_size x tile_size."""
-        return (self.rows // self.tile_size) * (self.cols // self.tile_size)
-
-    @property
-    def ragged_tile_count(self) -> int:
-        return self.total_tiles - self.full_tile_count
-
     def tile(self, row: int, col: int) -> np.ndarray:
         if not (0 <= row < self.grid_rows and 0 <= col < self.grid_cols):
-            raise IndexError(f"tile ({row},{col}) outside {self.grid_shape} grid")
+            raise IndexError(
+                f"tile ({row},{col}) outside {self.grid_rows}x{self.grid_cols} grid"
+            )
         return self._tiles[row][col]
-
-    def tile_shape(self, row: int, col: int) -> tuple[int, int]:
-        return self.tile(row, col).shape
-
-    def coords(self):
-        for r in range(self.grid_rows):
-            for c in range(self.grid_cols):
-                yield TileCoord(r, c)
 
 
 def partition(matrix, tile_size: int) -> TiledMatrix:
@@ -121,17 +93,10 @@ def reassemble(tm: TiledMatrix) -> np.ndarray:
     return np.vstack(rows)
 
 
-def encode_task(row: int, col: int, grid_cols: int) -> int:
-    """Row-major task id for output tile (row, col)."""
-    if grid_cols < 1:
-        raise ValueError(f"grid_cols must be >= 1, got {grid_cols}")
-    if row < 0 or col < 0 or col >= grid_cols:
-        raise ValueError(f"tile coord ({row},{col}) invalid for grid_cols={grid_cols}")
-    return row * grid_cols + col
-
-
-def decode_task(task_id: int, grid_cols: int, grid_rows: int | None = None) -> TileCoord:
-    """Invert ``encode_task``.  Rejects ids outside the grid when its row
+def decode_task(task_id: int, grid_cols: int,
+                grid_rows: int | None = None) -> tuple[int, int]:
+    """The output tile ``(row, col)`` of a row-major task id, which is
+    ``row * grid_cols + col``.  Rejects ids outside the grid when its row
     count is supplied."""
     if grid_cols < 1:
         raise ValueError(f"grid_cols must be >= 1, got {grid_cols}")
@@ -141,7 +106,7 @@ def decode_task(task_id: int, grid_cols: int, grid_rows: int | None = None) -> T
         raise ValueError(
             f"task id {task_id} out of range for a {grid_rows}x{grid_cols} grid"
         )
-    return TileCoord(*divmod(task_id, grid_cols))
+    return divmod(task_id, grid_cols)
 
 
 def _block_ranges(n: int, parts: int) -> list[tuple[int, int]]:
@@ -205,21 +170,6 @@ def accumulate_product(a, b, out, sub_blocks: int = 1) -> np.ndarray:
                     out=part[1:])
         np.add.reduce(part, axis=0, out=out, initial=-0.0)
     return out
-
-
-def gemm_tile(a, b, c) -> np.ndarray:
-    """Return ``c + a @ b`` without mutating any input (fixed-order kernel)."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    c = np.asarray(c)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    if c.shape != (a.shape[0], b.shape[1]):
-        raise ValueError(
-            f"accumulator shape {c.shape}, expected {(a.shape[0], b.shape[1])}"
-        )
-    out = np.array(c, dtype=np.result_type(a, b, c), copy=True)
-    return accumulate_product(a, b, out)
 
 
 def reference_gemm(a, b) -> np.ndarray:

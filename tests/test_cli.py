@@ -118,8 +118,24 @@ def test_gemm_missing_input_is_io_error(tmp_path):
     '{"devices": [{"id": 0}, {"id": 1}], '
     '"proximity": {"hops": [[0, 1], [1, 0]], "peer_bandwidth": [[0, NaN], [1, 0]]}}',
     '{"devices": [{"id": 0}], "transfer_latency": NaN}',
+    '{"devices": [{"id": 0, "flops_per_unit": Infinity}]}',
+    '{"devices": [{"id": 0, "host_bandwidth": Infinity}]}',
+    '{"devices": [{"id": 0}, {"id": 1}], '
+    '"proximity": {"hops": [[0, 1], [1, 0]], "peer_bandwidth": [[0, Infinity], [1, 0]]}}',
+    '{"devices": [{"id": 0}], "transfer_latency": Infinity}',
+    '{"devices": [{"id": 0}, {"id": 1}], '
+    '"proximity": {"hops": [[0, 1.7], [1.7, 0]], "peer_bandwidth": [[0, 1], [1, 0]]}}',
+    '{"devices": [{"id": 0}, {"id": 1}], '
+    '"proximity": {"hops": [[0, true], [true, 0]], "peer_bandwidth": [[0, 1], [1, 0]]}}',
+    '{"devices": [{"id": 0}, {"id": 1}], '
+    '"proximity": {"hops": [[0, 1e400], [1e400, 0]], "peer_bandwidth": [[0, 1], [1, 0]]}}',
+    '{"devices": [{"id": 0}, {"id": 1}], "proximity": '
+    '{"hops": [[0, 100000000000000000000], [100000000000000000000, 0]], '
+    '"peer_bandwidth": [[0, 1], [1, 0]]}}',
 ], ids=["capacity-below-3", "capacity-float", "id-float", "latency-str", "dtype-bogus",
-        "flops-nan", "bandwidth-nan", "peer-bandwidth-nan", "latency-nan"])
+        "flops-nan", "bandwidth-nan", "peer-bandwidth-nan", "latency-nan",
+        "flops-inf", "bandwidth-inf", "peer-bandwidth-inf", "latency-inf",
+        "hops-float", "hops-bool", "hops-inf", "hops-beyond-int64"])
 def test_gemm_bad_device_config_is_config_error(tmp_path, capsys, config):
     pa = gen(tmp_path, "a.txt", 4, 4)
     pb = gen(tmp_path, "b.txt", 4, 4)

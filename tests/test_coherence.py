@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tilerun.coherence import CacheDirectory, CapacityError, HitLevel
+from tilerun.coherence import CacheDirectory, CapacityError
 from tilerun.devices import HOST, DeviceSpec, Machine, ProximityMatrix, homogeneous_machine
 from tilerun.tiles import TileKey
 
@@ -24,14 +24,15 @@ def touch(d, device, k, nbytes=8):
 def test_lookup_levels():
     d = CacheDirectory(cap_machine(3))
     k = key("a")
+    # the source gives the level: HOST a miss, a peer L2, the requester L1
     res = touch(d, 2, k)
-    assert res.level is HitLevel.MISS and res.source == HOST
+    assert (res.source, res.nbytes_moved) == (HOST, 8)
     res = touch(d, 0, k)
-    assert res.level is HitLevel.L2 and res.source == 2
+    assert (res.source, res.nbytes_moved) == (2, 8)
     # a peer hit copies the tile: the owner keeps it, bystanders see nothing
     assert d.residents(2) == [k] and d.residents(1) == []
     res = touch(d, 0, k)
-    assert res.level is HitLevel.L1 and res.source == 0
+    assert (res.source, res.nbytes_moved) == (0, 0)
 
 
 def test_lookup_l2_picks_closest_owner():
@@ -58,7 +59,7 @@ def test_admit_evicts_lru_first():
     ka, kb, kc, kd = (key(n) for n in "abcd")
     for k in (ka, kb, kc):
         touch(d, 0, k)
-    assert touch(d, 0, ka).level is HitLevel.L1  # refresh a: now b is least recent
+    assert touch(d, 0, ka).source == 0  # L1 refresh of a: now b is least recent
     touch(d, 0, kd)
     assert set(d.residents(0)) == {ka, kc, kd}
     assert d.stats().evictions == 1
@@ -119,11 +120,11 @@ def test_acquire_counts_and_admits():
     d = CacheDirectory(cap_machine(2))
     k = key("a")
     r = touch(d, 0, k, 100)
-    assert r.level is HitLevel.MISS and r.nbytes_moved == 100
+    assert r.source == HOST and r.nbytes_moved == 100
     r = touch(d, 0, k, 100)
-    assert r.level is HitLevel.L1 and r.nbytes_moved == 0
+    assert r.source == 0 and r.nbytes_moved == 0
     r = touch(d, 1, k, 100)
-    assert r.level is HitLevel.L2 and r.source == 0
+    assert r.source == 0 and r.nbytes_moved == 100
     s = d.stats()
     assert (s.l1_hits, s.l2_hits, s.host_fetches) == (1, 1, 1)
     assert (s.bytes_host, s.bytes_peer) == (100, 100)
@@ -151,7 +152,7 @@ def test_bypass_mode_always_host():
     k = key("a")
     for _ in range(5):
         r = d.acquire_input(0, k, 10)
-        assert r.level is HitLevel.MISS
+        assert r.source == HOST and r.nbytes_moved == 10
         d.release_input(0, k)
     s = d.stats()
     assert s.host_fetches == 5 and s.bytes_host == 50
@@ -165,7 +166,7 @@ def test_host_worker_requests_are_free_host_fetches():
     d = CacheDirectory(m)
     touch(d, 0, key("a"))  # resident on the accelerator
     r = d.acquire_input(1, key("a"), 999)
-    assert r.level is HitLevel.MISS and r.nbytes_moved == 0
+    assert r.source == HOST and r.nbytes_moved == 0
     s = d.stats_per_device()[1]
     assert s.host_fetches == 1 and s.bytes_host == 0
     assert d.residents(1) == []  # host workers never enter the directory
@@ -233,7 +234,7 @@ def test_model_based_directory_agreement():
             k = universe[int(rng.integers(0, len(universe)))]
             if rng.integers(0, 2) == 0:
                 if model.lookup_local(k):
-                    want = HitLevel.L1
+                    want = (0, 0)  # L1: from the requester, nothing moved
                 else:
                     try:
                         model.admit(k)
@@ -241,9 +242,10 @@ def test_model_based_directory_agreement():
                         with pytest.raises(CapacityError):
                             d.acquire_input(0, k, 8)
                         continue
-                    want = HitLevel.MISS
+                    want = (HOST, 8)  # miss
                 model.pin(k)
-                assert d.acquire_input(0, k, 8).level is want
+                r = d.acquire_input(0, k, 8)
+                assert (r.source, r.nbytes_moved) == want
             elif model.pins.get(k, 0) > 0:
                 model.unpin(k)
                 d.release_input(0, k)

@@ -136,6 +136,8 @@ def test_cost_homogeneity():
     pytest.param({"subtile_factor": "2"}, id="subtile-str"),
     pytest.param({"flops_per_unit": float("nan")}, id="flops-nan"),
     pytest.param({"host_bandwidth": float("nan")}, id="bandwidth-nan"),
+    pytest.param({"flops_per_unit": float("inf")}, id="flops-inf"),
+    pytest.param({"host_bandwidth": float("inf")}, id="bandwidth-inf"),
 ])
 def test_device_spec_validation(bad):
     with pytest.raises(ConfigError):
@@ -154,6 +156,15 @@ def test_proximity_validation():
         ProximityMatrix(np.zeros((2, 2), dtype=int) , np.zeros((2, 2)))  # bw <= 0
     with pytest.raises(ConfigError):
         ProximityMatrix(np.array([[0, 1], [1, 0]]), np.array([[0, np.nan], [1, 0]]))
+    with pytest.raises(ConfigError):
+        ProximityMatrix(np.array([[0, 1], [1, 0]]), np.array([[0, np.inf], [np.inf, 0]]))
+    # hop counts follow DeviceSpec's integer rule: no truncation, no bools
+    for hops in ([[0, 1.7], [1.7, 0]], [[0, 1.0], [1.0, 0]], [[0, True], [True, 0]],
+                 np.array([[0, 2.5], [2.5, 0]]), np.array([[False, True], [True, False]])):
+        with pytest.raises(ConfigError):
+            ProximityMatrix(hops, np.ones((2, 2)))
+    prox = ProximityMatrix(np.array([[0, 2], [2, 0]], dtype=np.int32), np.ones((2, 2)))
+    assert prox.hops.dtype == np.int64 and prox.hops.tolist() == [[0, 2], [2, 0]]
 
 
 def test_machine_validation():
@@ -165,6 +176,8 @@ def test_machine_validation():
         Machine([DeviceSpec(0)], ProximityMatrix.uniform(2))  # size mismatch
     with pytest.raises(ConfigError):
         Machine([DeviceSpec(0)], ProximityMatrix.uniform(1), transfer_latency=float("nan"))
+    with pytest.raises(ConfigError):
+        Machine([DeviceSpec(0)], ProximityMatrix.uniform(1), transfer_latency=float("inf"))
 
 
 def test_machine_config_roundtrip(tmp_path):

@@ -45,7 +45,7 @@ def test_matches_plain_list_model():
             got = q.dequeue()
             expect = model.pop(0) if model else None
             assert got == expect
-    assert q.drain() == model
+    assert list(iter(q.dequeue, None)) == model
 
 
 def _stress(n_producers, n_consumers, per_producer):

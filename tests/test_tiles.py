@@ -10,8 +10,6 @@ from tilerun.tiles import (
     accumulate_product,
     as_matrix,
     decode_task,
-    encode_task,
-    gemm_tile,
     partition,
     reassemble,
     reference_gemm,
@@ -21,32 +19,31 @@ from tilerun.tiles import (
 def test_partition_exact_division():
     m = np.arange(16, dtype=float).reshape(4, 4)
     tm = partition(m, 2)
-    assert tm.grid_shape == (2, 2)
-    for i, j in tm.coords():
-        assert tm.tile_shape(i, j) == (2, 2)
-    assert tm.full_tile_count == 4
-    assert tm.ragged_tile_count == 0
+    assert (tm.grid_rows, tm.grid_cols) == (2, 2)
+    for i in range(2):
+        for j in range(2):
+            assert tm.tile(i, j).shape == (2, 2)
 
 
 def test_partition_ragged_edges():
     m = np.arange(25, dtype=float).reshape(5, 5)
     tm = partition(m, 2)
-    assert tm.grid_shape == (3, 3)
+    assert (tm.grid_rows, tm.grid_cols) == (3, 3)
     # 4 square 2x2 tiles, 5 ragged ones on the edges
-    assert tm.full_tile_count == 4
-    assert tm.ragged_tile_count == 5
-    assert tm.tile_shape(0, 2) == (2, 1)
-    assert tm.tile_shape(2, 0) == (1, 2)
-    assert tm.tile_shape(2, 2) == (1, 1)
+    shapes = [tm.tile(i, j).shape for i in range(3) for j in range(3)]
+    assert shapes.count((2, 2)) == 4
+    assert tm.tile(0, 2).shape == (2, 1)
+    assert tm.tile(2, 0).shape == (1, 2)
+    assert tm.tile(2, 2).shape == (1, 1)
 
 
 def test_partition_rectangular_and_reassemble():
     m = np.arange(21, dtype=float).reshape(3, 7)
     tm = partition(m, 3)
-    assert tm.grid_shape == (1, 3)
-    assert tm.tile_shape(0, 0) == (3, 3)
-    assert tm.tile_shape(0, 1) == (3, 3)
-    assert tm.tile_shape(0, 2) == (3, 1)
+    assert (tm.grid_rows, tm.grid_cols) == (1, 3)
+    assert tm.tile(0, 0).shape == (3, 3)
+    assert tm.tile(0, 1).shape == (3, 3)
+    assert tm.tile(0, 2).shape == (3, 1)
     assert np.array_equal(reassemble(tm), m)
 
 
@@ -59,10 +56,11 @@ def test_partition_preserves_values():
     rng = np.random.default_rng(7)
     m = rng.standard_normal((11, 13))
     tm = partition(m, 4)
-    for i, j in tm.coords():
-        r0, c0 = i * 4, j * 4
-        t = tm.tile(i, j)
-        assert np.array_equal(t, m[r0 : r0 + t.shape[0], c0 : c0 + t.shape[1]])
+    for i in range(tm.grid_rows):
+        for j in range(tm.grid_cols):
+            r0, c0 = i * 4, j * 4
+            t = tm.tile(i, j)
+            assert np.array_equal(t, m[r0 : r0 + t.shape[0], c0 : c0 + t.shape[1]])
 
 
 def test_reassemble_identity_roundtrip():
@@ -90,41 +88,45 @@ def test_roundtrip_many_shapes_and_sizes():
         m = rng.standard_normal((rows, cols))
         tm = partition(m, t)
         assert np.array_equal(reassemble(tm), m)
-        assert tm.total_tiles == tm.grid_rows * tm.grid_cols
-        assert tm.full_tile_count == (rows // t) * (cols // t)
+        assert (tm.grid_rows, tm.grid_cols) == (-(-rows // t), -(-cols // t))
 
 
 def test_tile_census_square_matrices():
-    # ceil(n/t)^2 - floor(n/t)^2 ragged tiles on an n x n matrix
+    # ceil(n/t)^2 - floor(n/t)^2 ragged tiles on an n x n matrix, each as
+    # wide as what is left of the matrix past its grid position
     for n in range(1, 20):
         for t in range(1, n + 2):
             tm = partition(np.zeros((n, n)), t)
             floor, ceil = n // t, -(-n // t)
-            assert tm.full_tile_count == floor * floor
-            assert tm.ragged_tile_count == ceil * ceil - floor * floor
+            assert (tm.grid_rows, tm.grid_cols) == (ceil, ceil)
+            shapes = [tm.tile(i, j).shape for i in range(ceil) for j in range(ceil)]
+            assert shapes == [(min(t, n - i * t), min(t, n - j * t))
+                              for i in range(ceil) for j in range(ceil)]
+            assert shapes.count((t, t)) == floor * floor
+            assert len(shapes) - shapes.count((t, t)) == ceil * ceil - floor * floor
 
 
 def test_encode_decode_origin():
-    assert encode_task(0, 0, 1) == 0
-    assert tuple(decode_task(0, 1)) == (0, 0)
+    # task ids are row-major: tile (row, col) is task row * grid_cols + col
+    assert decode_task(0, 1) == (0, 0)
+    assert decode_task(0, 1, grid_rows=1) == (0, 0)
 
 
 def test_encode_decode_2x3_grid():
-    assert encode_task(1, 2, 3) == 5
-    assert tuple(decode_task(5, 3, grid_rows=2)) == (1, 2)
+    assert decode_task(5, 3, grid_rows=2) == (1, 2)
     seen = set()
     for i in range(2):
         for j in range(3):
-            tid = encode_task(i, j, 3)
-            assert tuple(decode_task(tid, 3, grid_rows=2)) == (i, j)
+            tid = i * 3 + j
+            assert decode_task(tid, 3, grid_rows=2) == (i, j)
             seen.add(tid)
     assert seen == set(range(6))
 
 
 def test_encode_decode_exhaustive_4x4():
-    assert tuple(decode_task(15, 4, grid_rows=4)) == (3, 3)
-    ids = {encode_task(i, j, 4) for i in range(4) for j in range(4)}
-    assert ids == set(range(16))
+    assert decode_task(15, 4, grid_rows=4) == (3, 3)
+    cells = {decode_task(tid, 4, grid_rows=4) for tid in range(16)}
+    assert cells == {(i, j) for i in range(4) for j in range(4)}
 
 
 def test_decode_rejects_out_of_range():
@@ -141,40 +143,42 @@ def test_encode_decode_bijection_random_grids():
     for _ in range(30):
         gr = int(rng.integers(1, 12))
         gc = int(rng.integers(1, 12))
-        ids = [encode_task(i, j, gc) for i in range(gr) for j in range(gc)]
+        ids = [i * gc + j for i in range(gr) for j in range(gc)]
         assert sorted(ids) == list(range(gr * gc))
         for tid in ids:
             i, j = decode_task(tid, gc, grid_rows=gr)
-            assert encode_task(i, j, gc) == tid
+            assert 0 <= i < gr and 0 <= j < gc
+            assert i * gc + j == tid
 
 
-def test_gemm_tile_identity():
+def test_accumulate_product_identity():
     a = np.eye(2)
     b = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(gemm_tile(a, b, np.zeros((2, 2))), b)
+    assert np.array_equal(accumulate_product(a, b, np.zeros((2, 2))), b)
 
 
-def test_gemm_tile_hand_computed():
+def test_accumulate_product_hand_computed():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     b = np.array([[5.0, 6.0], [7.0, 8.0]])
     expected = np.array([[19.0, 22.0], [43.0, 50.0]])
-    assert np.array_equal(gemm_tile(a, b, np.zeros((2, 2))), expected)
+    assert np.array_equal(accumulate_product(a, b, np.zeros((2, 2))), expected)
 
 
-def test_gemm_tile_accumulates_without_mutating():
+def test_accumulate_product_accumulates_in_place():
     a = np.array([[1.0, 1.0]])
     b = np.array([[2.0], [3.0]])
     c = np.array([[10.0]])
-    out = gemm_tile(a, b, c)
-    assert np.array_equal(out, [[15.0]])
-    assert np.array_equal(c, [[10.0]])  # pure
+    assert accumulate_product(a, b, c) is c
+    assert np.array_equal(c, [[15.0]])
+    # the operands are only read
+    assert np.array_equal(a, [[1.0, 1.0]]) and np.array_equal(b, [[2.0], [3.0]])
 
 
-def test_gemm_tile_rejects_mismatch():
+def test_accumulate_product_rejects_mismatch():
     with pytest.raises(ValueError):
-        gemm_tile(np.ones((2, 3)), np.ones((2, 3)), np.zeros((2, 3)))
+        accumulate_product(np.ones((2, 3)), np.ones((2, 3)), np.zeros((2, 3)))
     with pytest.raises(ValueError):
-        gemm_tile(np.ones((2, 3)), np.ones((3, 2)), np.zeros((3, 3)))
+        accumulate_product(np.ones((2, 3)), np.ones((3, 2)), np.zeros((3, 3)))
 
 
 def test_reference_gemm_identity_and_zeros():

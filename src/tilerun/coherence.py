@@ -24,6 +24,7 @@ from __future__ import annotations
 import threading
 from collections import Counter, OrderedDict, defaultdict
 from dataclasses import dataclass, fields
+from itertools import filterfalse, islice
 
 from .devices import HOST, Machine, closest_owner
 from .tiles import TileKey
@@ -112,24 +113,29 @@ class CacheDirectory:
             raise ValueError(f"{key} already resident on device {device}")
         cap = self._capacity[device]
         if cap is not None and len(order) >= cap:
-            pins = self._pins[device]
             need = len(order) + 1 - cap
-            victims = [k for k in order if pins[k] == 0][:need]
+            # _unpin_locked deletes zero counts, so absence means unpinned;
+            # the scan stops at the last victim
+            victims = list(islice(filterfalse(self._pins[device].__contains__, order), need))
             if len(victims) < need:
                 raise CapacityError(
                     f"device {device}: capacity {cap} exhausted and all resident "
                     f"tiles pinned; working set does not fit"
                 )
             for v in victims:
-                del order[v]
-                self._residency[v].discard(device)
-                if not self._residency[v]:
-                    del self._residency[v]
+                self._drop_locked(device, v)
             self._dev_stats[device].evictions += len(victims)
         order[key] = None
         self._residency[key].add(device)
         if self.debug:
             self._check_invariants_locked()
+
+    def _drop_locked(self, device: int, key: TileKey) -> None:
+        del self._order[device][key]
+        owners = self._residency[key]
+        owners.discard(device)
+        if not owners:
+            del self._residency[key]
 
     def _unpin_locked(self, device: int, key: TileKey) -> None:
         pins = self._pins[device]
@@ -207,13 +213,21 @@ class CacheDirectory:
             return
         with self._lock:
             self._unpin_locked(device, key)
-            del self._order[device][key]
-            self._residency[key].discard(device)
-            if not self._residency[key]:
-                del self._residency[key]
+            self._drop_locked(device, key)
             ds = self._dev_stats[device]
             ds.writebacks += 1
             ds.bytes_writeback += nbytes
+            if self.debug:
+                self._check_invariants_locked()
+
+    def abort_output(self, device: int, key: TileKey) -> None:
+        """Output tile of a failed task: unpin it and drop its residency.
+        Nothing was written back, so no counter moves."""
+        if not self.enabled or self.machine.device(device).is_host_worker:
+            return
+        with self._lock:
+            self._unpin_locked(device, key)
+            self._drop_locked(device, key)
             if self.debug:
                 self._check_invariants_locked()
 

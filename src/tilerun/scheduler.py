@@ -1,11 +1,14 @@
 """Task planning and the two execution engines.
 
-One task per output tile; the task's inner loop walks the contraction
-dimension in ascending order, resolving each input tile through the
-cache directory and accumulating with the fixed-order kernel.  Because
-every output tile has exactly one owner and the accumulation order is
-fixed, the numerical result is bit-identical across device counts,
-steal interleavings, and engine choice.
+One task per output tile.  The task's inner loop walks the contraction
+dimension in ascending order and only does accounting: it resolves each
+input tile through the cache directory and prices the fetch and the
+compute.  The data never passes through the directory, so the task then
+makes one call to the fixed-order kernel, which multiplies the A row
+panel by the B column panel in the same ascending order.  Because every
+output tile has exactly one owner and the accumulation order is fixed,
+the numerical result is bit-identical across device counts, steal
+interleavings, and engine choice.
 
 Engines:
 
@@ -104,6 +107,18 @@ class Operand:
         if self.transposed:
             return self.tiled.tile(j, i).T
         return self.tiled.tile(i, j)
+
+    def row_panel(self, i: int) -> np.ndarray:
+        """Tile row ``i`` as one view: the ``hstack`` of its tiles."""
+        t = self.tiled.tile_size
+        m = self.tiled.base
+        return m[:, i * t : (i + 1) * t].T if self.transposed else m[i * t : (i + 1) * t]
+
+    def col_panel(self, j: int) -> np.ndarray:
+        """Tile column ``j`` as one view: the ``vstack`` of its tiles."""
+        t = self.tiled.tile_size
+        m = self.tiled.base
+        return m[j * t : (j + 1) * t].T if self.transposed else m[:, j * t : (j + 1) * t]
 
     def key(self, i: int, j: int) -> TileKey:
         r, c = (j, i) if self.transposed else (i, j)
@@ -335,10 +350,17 @@ def _execute_task(machine: Machine, plan_: Plan, directory: CacheDirectory,
                   dev: DeviceSpec, task_id: int):
     """Run one task to completion on ``dev``.
 
-    Per contraction step: resolve both input tiles through the directory
-    (pinning them for the duration of the step), accumulate into the
-    output tile, unpin.  The output tile stays pinned on the device for
-    the whole task, then is written back to host and released.
+    Each contraction step is accounting only: resolve both input tiles
+    through the directory (pinning them for the step), price the fetch
+    and the compute, unpin.  The directory returns no data, and every
+    view comes from the plan, so after the steps one kernel call
+    multiplies the A row panel by the B column panel into the output
+    tile; the kernel's ascending order makes that bit-identical to one
+    call per step.  The output tile stays pinned on the device for the
+    whole task, then is written back to host and released.  If anything
+    raises before the writeback, the task releases the inputs it holds
+    and aborts the output tile, so it leaves no pin and no residency
+    behind.
 
     Returns ``(steps, writeback)`` where ``steps`` is a list of
     (fetch_time, compute_time) pairs and ``writeback`` the final
@@ -352,18 +374,28 @@ def _execute_task(machine: Machine, plan_: Plan, directory: CacheDirectory,
     directory.admit_output(did, c_key)
     sub = dev.subtile_factor if dev.is_host_worker else 1
     steps = []
-    for k in range(plan_.k_steps):
-        a_key, b_key = plan_.a.key(i, k), plan_.b.key(k, j)
-        a_view, b_view = plan_.a.tile_view(i, k), plan_.b.tile_view(k, j)
-        ra = directory.acquire_input(did, a_key, a_view.size * eb)
-        rb = directory.acquire_input(did, b_key, b_view.size * eb)
-        fetch = (transfer_cost(machine, ra.source, did, ra.nbytes_moved)
-                 + transfer_cost(machine, rb.source, did, rb.nbytes_moved))
-        accumulate_product(a_view, b_view, c_view, sub_blocks=sub)
-        compute = compute_cost(dev, a_view.shape, b_view.shape)
-        directory.release_input(did, a_key)
-        directory.release_input(did, b_key)
-        steps.append((fetch, compute))
+    held: list[TileKey] = []  # inputs pinned by this task
+    try:
+        for k in range(plan_.k_steps):
+            a_key, b_key = plan_.a.key(i, k), plan_.b.key(k, j)
+            a_view, b_view = plan_.a.tile_view(i, k), plan_.b.tile_view(k, j)
+            ra = directory.acquire_input(did, a_key, a_view.size * eb)
+            held.append(a_key)
+            rb = directory.acquire_input(did, b_key, b_view.size * eb)
+            held.append(b_key)
+            fetch = (transfer_cost(machine, ra.source, did, ra.nbytes_moved)
+                     + transfer_cost(machine, rb.source, did, rb.nbytes_moved))
+            compute = compute_cost(dev, a_view.shape, b_view.shape)
+            while held:
+                directory.release_input(did, held.pop(0))
+            steps.append((fetch, compute))
+        accumulate_product(plan_.a.row_panel(i), plan_.b.col_panel(j), c_view,
+                           sub_blocks=sub)
+    except BaseException:
+        for key in held:
+            directory.release_input(did, key)
+        directory.abort_output(did, c_key)
+        raise
     wb_bytes = c_view.size * eb
     writeback = transfer_cost(machine, did, HOST, wb_bytes)
     directory.release_output(did, c_key, wb_bytes)
@@ -410,7 +442,7 @@ def _run_sim(machine, plan_, directory, clocks, events, steal_enabled):
         for fetch, compute in steps:
             tr += fetch
             co = max(co, tr) + compute  # fetch k+1 overlaps compute k
-        tr = max(tr, co) + wb  # writeback waits for the last accumulate
+        tr = max(tr, co) + wb  # writeback waits for the last compute
         clocks[did] = [co, tr]
         heapq.heappush(heap, (co, did))
 

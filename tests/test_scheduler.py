@@ -1,14 +1,18 @@
+import itertools
 import json
 import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tilerun.coherence import CacheDirectory, CacheStats
 from tilerun.devices import DeviceSpec, Machine, ProximityMatrix, homogeneous_machine
 from tilerun.msqueue import MichaelScottQueue
 from tilerun.scheduler import (
+    Operand,
     ReservationStation,
     Runtime,
     _claim,
@@ -19,7 +23,7 @@ from tilerun.scheduler import (
     write_report_csv,
     write_report_json,
 )
-from tilerun.tiles import partition, reassemble, reference_gemm
+from tilerun.tiles import accumulate_product, partition, reassemble, reference_gemm
 
 
 def int_matrix(rng, rows, cols, lo=-4, hi=4):
@@ -267,6 +271,67 @@ def test_exactly_once_under_threaded_stress():
         sys.setswitchinterval(interval)
 
 
+# -- panels: one kernel call per task ---------------------------------------
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+def test_operand_panels_are_stacks_of_tile_views(transposed):
+    stored = np.arange(7 * 11, dtype=np.float64).reshape(7, 11)
+    op = Operand(partition(stored, 3), "X", transposed)
+    for i in range(op.grid_rows):
+        row = np.hstack([op.tile_view(i, k) for k in range(op.grid_cols)])
+        panel = op.row_panel(i)
+        assert panel.shape == row.shape and np.array_equal(panel, row)
+        assert np.shares_memory(panel, stored)  # a view, never a copy
+    for j in range(op.grid_cols):
+        col = np.vstack([op.tile_view(k, j) for k in range(op.grid_rows)])
+        panel = op.col_panel(j)
+        assert panel.shape == col.shape and np.array_equal(panel, col)
+        assert np.shares_memory(panel, stored)
+
+
+def _float_operand(rng, shape, dtype, tile, transposed):
+    # stored as the transpose when the operand reads it transposed
+    x = rng.standard_normal(shape[::-1] if transposed else shape)
+    x *= 10.0 ** rng.integers(-6, 7, size=x.shape)
+    x[rng.random(x.shape) < 0.1] = -0.0
+    return Operand(partition(x.astype(dtype), tile), "X", transposed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    # t <= 2 and t >= 91 take the kernel's rank-1 loop for every step
+    tile=st.one_of(st.integers(1, 2), st.integers(3, 48), st.integers(91, 96)),
+    grid=st.tuples(*[st.integers(1, 4)] * 3),
+    ragged=st.tuples(*[st.integers(0, 95)] * 3),
+    dtypes=st.tuples(*[st.sampled_from([np.float32, np.float64])] * 2),
+    transposes=st.tuples(st.booleans(), st.booleans()),
+    sub_blocks=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(tile=40, grid=(1, 4, 1), ragged=(39, 39, 39), dtypes=(np.float64, np.float64),
+         transposes=(False, False), sub_blocks=1, seed=0)  # several chunks per panel
+def test_task_panel_product_matches_per_step_loop_bitwise(tile, grid, ragged, dtypes,
+                                                          transposes, sub_blocks, seed):
+    # One kernel call on the row and column panels must give every output
+    # tile the bits of one call per contraction step.
+    m, k, n = (tile * (g - 1) + 1 + r % tile for g, r in zip(grid, ragged))
+    rng = np.random.default_rng(seed)
+    a = _float_operand(rng, (m, k), dtypes[0], tile, transposes[0])
+    b = _float_operand(rng, (k, n), dtypes[1], tile, transposes[1])
+    # the output takes A's dtype, as plan() allocates it
+    c = _float_operand(rng, (m, n), dtypes[0], tile, False).tiled
+    expected = partition(c.base.copy(), tile)
+    for i in range(c.grid_rows):
+        for j in range(c.grid_cols):
+            for kk in range(a.grid_cols):
+                accumulate_product(a.tile_view(i, kk), b.tile_view(kk, j),
+                                   expected.tile(i, j), sub_blocks=sub_blocks)
+            accumulate_product(a.row_panel(i), b.col_panel(j), c.tile(i, j),
+                               sub_blocks=sub_blocks)
+    assert c.base.tobytes() == expected.base.tobytes()
+
+
 # -- cache behaviour through full runs ---------------------------------------
 
 
@@ -451,7 +516,7 @@ def test_threaded_worker_failure_is_raised_and_workers_stop(monkeypatch):
     import tilerun.scheduler as scheduler
 
     kernel = scheduler.accumulate_product
-    for fail_at in (1, 7, 20):
+    for fail_at in (1, 4, 9):
         calls = 0
 
         def flaky(*args, **kwargs):
@@ -467,6 +532,56 @@ def test_threaded_worker_failure_is_raised_and_workers_stop(monkeypatch):
         with pytest.raises(ArithmeticError, match=f"call {fail_at}$"):
             run(homogeneous_machine(3), a, b, tile_size=4, mode="threaded")
         assert not [t for t in threading.enumerate() if t.name.startswith("device-")]
+
+
+def _fail_at(real, n, counted=lambda *args: True):
+    """``real`` wrapped to raise at its ``n``-th counted call."""
+    calls = itertools.count(1)
+
+    def wrapper(*args, **kwargs):
+        if counted(*args) and next(calls) == n:
+            raise ArithmeticError(f"injected fault at call {n}")
+        return real(*args, **kwargs)
+
+    return wrapper
+
+
+@pytest.mark.parametrize("mode", ["sim", "threaded"])
+@pytest.mark.parametrize("site", ["kernel", "both-inputs-held", "a-held"])
+def test_failed_task_leaves_no_pins_or_output_tile(monkeypatch, mode, site):
+    import tilerun.scheduler as scheduler
+
+    rng = np.random.default_rng(24)
+    a, b = int_matrix(rng, 12, 12), int_matrix(rng, 12, 12)
+    # capacity 3 holds exactly one task's A, B and C: one leaked pin and
+    # the next product cannot fit
+    rt = Runtime(homogeneous_machine(2, capacity_tiles=3), tile_size=4, mode=mode,
+                 directory_debug=True)
+    d = rt.directory
+    done = []  # kernel calls that returned
+    if site == "kernel":
+        kernel = _fail_at(scheduler.accumulate_product, 5)
+        monkeypatch.setattr(scheduler, "accumulate_product",
+                            lambda *a_, **kw: done.append(kernel(*a_, **kw)))
+    elif site == "both-inputs-held":
+        monkeypatch.setattr(scheduler, "compute_cost", _fail_at(scheduler.compute_cost, 5))
+    else:  # B's acquire fails while A is pinned
+        monkeypatch.setattr(d, "acquire_input", _fail_at(
+            d.acquire_input, 5, counted=lambda dev, key, nbytes: key.matrix == "W"))
+    with pytest.raises(ArithmeticError, match="call 5$"):
+        rt.multiply(a, b, a_uid="X", b_uid="W", c_uid="C1")
+    monkeypatch.undo()
+    assert not [t for t in threading.enumerate() if t.name.startswith("device-")]
+    d.check_invariants()
+    assert not any(d._pins.values())
+    assert not [k for dev in (0, 1) for k in d.residents(dev) if k.matrix == "C1"]
+    if site == "kernel":
+        assert d.stats().writebacks == len(done)  # the failed task wrote nothing back
+    x, y = int_matrix(rng, 12, 12), int_matrix(rng, 12, 12)
+    c, stats = rt.multiply(x, y)
+    assert np.array_equal(c, reference_gemm(x, y))
+    assert stats.cache.writebacks == stats.total_tasks
+    assert not any(d._pins.values())
 
 
 # -- session reuse and reports -------------------------------------------------

@@ -9,7 +9,7 @@
 
 import numpy as np
 
-from tilerun import homogeneous_machine, reference_gemm, run
+from tilerun import Runtime, homogeneous_machine, reference_gemm, run
 
 rng = np.random.default_rng(0)
 g, tile = 8, 8
@@ -35,7 +35,9 @@ print(f"the directory removes a {g}x factor of redundant host traffic")
 print()
 print("== squeezing through capacity_tiles=3 (one A + one B + one C) ==")
 tight = homogeneous_machine(2, capacity_tiles=3)
-c, stats = run(tight, a, b, tile_size=tile, mode="sim", directory_debug=True)
+rt = Runtime(tight, tile_size=tile, mode="sim")
+c, stats = rt.multiply(a, b)
+rt.directory.check_invariants()  # no pin left behind, no device over capacity
 print(f"result exact: {np.array_equal(c, reference_gemm(a, b))}, "
       f"evictions: {stats.cache.evictions}, "
       f"host_fetches: {stats.cache.host_fetches} (reuse mostly gone)")

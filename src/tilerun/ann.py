@@ -82,11 +82,8 @@ class TiledBackend:
     products of one training step reuse each other's cached tiles.
     """
 
-    def __init__(self, machine: Machine, tile_size: int, mode: str = "sim",
-                 steal: bool = True, coherence: bool = True,
-                 directory_debug: bool = False):
-        self.runtime = Runtime(machine, tile_size, mode=mode, steal=steal,
-                               coherence=coherence, directory_debug=directory_debug)
+    def __init__(self, machine: Machine, tile_size: int, mode: str = "sim"):
+        self.runtime = Runtime(machine, tile_size, mode=mode)
         self.call_stats = []
 
     def multiply(self, a, b, transpose_a=False, transpose_b=False,

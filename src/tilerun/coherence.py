@@ -1,10 +1,12 @@
-"""Two-level tile cache: per-device residency with LRU eviction, a global
-directory for peer (L2) hits, host fallback, and transfer statistics.
+"""Two-level tile cache: per-device residency with LRU eviction, peer (L2)
+hits, host fallback, and transfer statistics.
 
 Input tiles are immutable, so there is nothing to invalidate; "coherence"
-reduces to a residency directory.  The directory is one logically shared
-structure; a single lock makes every public operation atomic with respect
-to every other, which is all the runtime's correctness argument needs.
+reduces to residency.  Each cached device keeps one LRU set of the tiles
+it holds (its L1), and the L2 "directory" is simply the union of those
+sets: a tile's owners are the devices whose set holds it.  A single lock
+makes every public operation atomic with respect to every other, which
+is all the runtime's correctness argument needs.
 
 Hit taxonomy for a requesting accelerator:
 
@@ -13,16 +15,17 @@ Hit taxonomy for a requesting accelerator:
   count into the requester's cache (peer bytes).
 * miss    -- tile resident nowhere; fetched from host memory (host bytes).
 
-Host workers never appear in the directory: their tiles are host tiles,
-so every request they make is a free host fetch.  With ``enabled=False``
-the directory degrades to "always fetch from host", which is the
-baseline for measuring how much traffic the protocol removes.
+Which devices cache is decided when the directory is built.  Host
+workers have no set: their tiles are host tiles, so every request they
+make is a free host fetch.  With ``enabled=False`` no device has a set,
+and every accelerator request is a host fetch, which is the baseline for
+measuring how much traffic the protocol removes.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import Counter, OrderedDict, defaultdict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, fields
 from itertools import filterfalse, islice
 
@@ -79,29 +82,26 @@ class CacheStats:
 
 
 class CacheDirectory:
-    """Global tile residency map plus per-device LRU order and pin counts.
+    """Per-device LRU residency sets and pin counts; their union is the
+    L2 directory.
 
-    Every hit refreshes the tile's recency; the victim is always the least
-    recently used unpinned tile.  The counters are kept per device only;
-    :meth:`stats` is their sum.  ``debug=True`` re-checks the structural
-    invariants after every mutating operation.
+    Which devices cache is fixed at construction: every accelerator when
+    ``enabled``, none otherwise.  Only those devices have an LRU set, so
+    an uncached device fetches every tile from host.  Every hit refreshes
+    the tile's recency; the victim is always the least recently used
+    unpinned tile.  The counters are kept per device only; :meth:`stats`
+    is their sum.
     """
 
-    def __init__(self, machine: Machine, enabled: bool = True, debug: bool = False):
+    def __init__(self, machine: Machine, enabled: bool = True):
         self.machine = machine
-        self.enabled = enabled
-        self.debug = debug
         self._lock = threading.Lock()
-        self._residency: dict[TileKey, set[int]] = defaultdict(set)
-        self._order: dict[int, OrderedDict] = {}   # per device: key -> None, LRU last
-        self._pins: dict[int, Counter] = {}
-        self._capacity: dict[int, int | None] = {}
-        self._dev_stats: dict[int, CacheStats] = {}
-        for d in machine.devices:
-            self._order[d.device_id] = OrderedDict()
-            self._pins[d.device_id] = Counter()
-            self._capacity[d.device_id] = d.capacity_tiles
-            self._dev_stats[d.device_id] = CacheStats()
+        cached = [d for d in machine.devices if enabled and not d.is_host_worker]
+        self._order: dict[int, OrderedDict] = {d.device_id: OrderedDict() for d in cached}
+        self._pins: dict[int, Counter] = {d.device_id: Counter() for d in cached}
+        self._capacity: dict[int, int | None] = {d.device_id: d.capacity_tiles for d in cached}
+        self._host_workers = frozenset(d.device_id for d in machine.devices if d.is_host_worker)
+        self._dev_stats = {d.device_id: CacheStats() for d in machine.devices}
 
     def _admit_locked(self, device: int, key: TileKey) -> None:
         """Make ``key`` resident on ``device``, evicting least recently used
@@ -123,19 +123,9 @@ class CacheDirectory:
                     f"tiles pinned; working set does not fit"
                 )
             for v in victims:
-                self._drop_locked(device, v)
+                del order[v]
             self._dev_stats[device].evictions += len(victims)
         order[key] = None
-        self._residency[key].add(device)
-        if self.debug:
-            self._check_invariants_locked()
-
-    def _drop_locked(self, device: int, key: TileKey) -> None:
-        del self._order[device][key]
-        owners = self._residency[key]
-        owners.discard(device)
-        if not owners:
-            del self._residency[key]
 
     def _unpin_locked(self, device: int, key: TileKey) -> None:
         pins = self._pins[device]
@@ -148,7 +138,7 @@ class CacheDirectory:
     def residents(self, device: int) -> list[TileKey]:
         """Keys resident on ``device``, least recently used first."""
         with self._lock:
-            return list(self._order[device])
+            return list(self._order.get(device, ()))
 
     # -- the runtime-facing operations ----------------------------------
     #
@@ -161,46 +151,45 @@ class CacheDirectory:
     def acquire_input(self, requester: int, key: TileKey, nbytes: int) -> AcquireResult:
         """Resolve ``key`` for ``requester`` and pin it there until
         :meth:`release_input`."""
-        dev = self.machine.device(requester)
         with self._lock:
             ds = self._dev_stats[requester]
-            if dev.is_host_worker:
-                # host tiles are already local: a fetch in name only,
-                # coherence on or off
+            order = self._order.get(requester)
+            if order is None:
+                # host workers' tiles are already local: a fetch in name only
+                moved = 0 if requester in self._host_workers else nbytes
                 ds.host_fetches += 1
-                return AcquireResult(HOST, 0)
-            if not self.enabled:
-                ds.host_fetches += 1
-                ds.bytes_host += nbytes
-                return AcquireResult(HOST, nbytes)
-            owners = self._residency.get(key)
-            if owners and requester in owners:
+                ds.bytes_host += moved
+                return AcquireResult(HOST, moved)
+            if key in order:
                 ds.l1_hits += 1
-                self._order[requester].move_to_end(key)
+                order.move_to_end(key)
                 res = AcquireResult(requester, 0)
-            elif owners:
-                source = closest_owner(requester, owners, self.machine.proximity)
-                self._admit_locked(requester, key)
-                ds.l2_hits += 1
-                ds.bytes_peer += nbytes
-                res = AcquireResult(source, nbytes)
             else:
+                # owners are collected before the admit, so the requester
+                # is never its own source
+                owners = [d for d, o in self._order.items() if key in o]
                 self._admit_locked(requester, key)
-                ds.host_fetches += 1
-                ds.bytes_host += nbytes
-                res = AcquireResult(HOST, nbytes)
+                if owners:
+                    ds.l2_hits += 1
+                    ds.bytes_peer += nbytes
+                    res = AcquireResult(closest_owner(requester, owners, self.machine.proximity),
+                                        nbytes)
+                else:
+                    ds.host_fetches += 1
+                    ds.bytes_host += nbytes
+                    res = AcquireResult(HOST, nbytes)
             self._pins[requester][key] += 1
             return res
 
     def release_input(self, device: int, key: TileKey) -> None:
-        if not self.enabled or self.machine.device(device).is_host_worker:
+        if device not in self._pins:
             return
         with self._lock:
             self._unpin_locked(device, key)
 
     def admit_output(self, device: int, key: TileKey) -> None:
         """Reserve a pinned residency slot for an output tile being built."""
-        if not self.enabled or self.machine.device(device).is_host_worker:
+        if device not in self._pins:
             return
         with self._lock:
             self._admit_locked(device, key)
@@ -208,28 +197,27 @@ class CacheDirectory:
 
     def release_output(self, device: int, key: TileKey, nbytes: int) -> None:
         """Output tile written back to host: unpin, drop residency, count
-        the writeback traffic.  Not an eviction (it is a completion)."""
-        if not self.enabled or self.machine.device(device).is_host_worker:
+        the writeback traffic.  Not an eviction (it is a completion).  An
+        uncached accelerator writes back too; a host worker's output is
+        already in host memory."""
+        if device in self._host_workers:
             return
         with self._lock:
-            self._unpin_locked(device, key)
-            self._drop_locked(device, key)
+            if device in self._pins:
+                self._unpin_locked(device, key)
+                del self._order[device][key]
             ds = self._dev_stats[device]
             ds.writebacks += 1
             ds.bytes_writeback += nbytes
-            if self.debug:
-                self._check_invariants_locked()
 
     def abort_output(self, device: int, key: TileKey) -> None:
         """Output tile of a failed task: unpin it and drop its residency.
         Nothing was written back, so no counter moves."""
-        if not self.enabled or self.machine.device(device).is_host_worker:
+        if device not in self._pins:
             return
         with self._lock:
             self._unpin_locked(device, key)
-            self._drop_locked(device, key)
-            if self.debug:
-                self._check_invariants_locked()
+            del self._order[device][key]
 
     # -- observability ---------------------------------------------------
 
@@ -244,23 +232,13 @@ class CacheDirectory:
 
     def used_tiles(self, device: int) -> int:
         with self._lock:
-            return len(self._order[device])
+            return len(self._order.get(device, ()))
 
     def check_invariants(self) -> None:
         with self._lock:
-            self._check_invariants_locked()
-
-    def _check_invariants_locked(self) -> None:
-        per_dev = Counter()
-        for key, owners in self._residency.items():
-            assert owners, f"{key} has an empty owner set"
-            for d in owners:
-                per_dev[d] += 1
-                assert key in self._order[d], f"{key} in residency but not in order[{d}]"
-        for d, order in self._order.items():
-            assert len(order) == per_dev[d], f"order/residency disagree on device {d}"
-            cap = self._capacity[d]
-            assert cap is None or len(order) <= cap, f"device {d} over capacity"
-            for key, count in self._pins[d].items():
-                assert count > 0, f"non-positive pin count for {key} on {d}"
-                assert key in order, f"pinned tile {key} not resident on {d}"
+            for d, order in self._order.items():
+                cap = self._capacity[d]
+                assert cap is None or len(order) <= cap, f"device {d} over capacity"
+                for key, count in self._pins[d].items():
+                    assert count > 0, f"non-positive pin count for {key} on {d}"
+                    assert key in order, f"pinned tile {key} not resident on {d}"

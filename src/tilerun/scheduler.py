@@ -509,8 +509,7 @@ class Runtime:
     """
 
     def __init__(self, machine: Machine, tile_size: int, mode: str = "sim",
-                 steal: bool = True, coherence: bool = True, seed: int | None = None,
-                 directory_debug: bool = False):
+                 steal: bool = True, coherence: bool = True, seed: int | None = None):
         if mode not in ("sim", "threaded"):
             raise ValueError(f"unknown mode {mode!r}")
         if tile_size < 1:
@@ -521,7 +520,7 @@ class Runtime:
         self.steal = steal
         self.coherence = coherence
         self.seed = seed
-        self.directory = CacheDirectory(machine, enabled=coherence, debug=directory_debug)
+        self.directory = CacheDirectory(machine, enabled=coherence)
         # per device: [compute, transfer] engine time of the sim engine
         self.clocks = {d.device_id: [0.0, 0.0] for d in machine.devices}
         self._uid_n = 0
@@ -534,22 +533,15 @@ class Runtime:
         return max(max(c) for c in self.clocks.values())
 
     def operand(self, m, uid: str | None = None, transposed: bool = False) -> Operand:
-        tiled = m if isinstance(m, TiledMatrix) else partition(m, self.tile_size)
-        return Operand(tiled, uid or self.fresh_uid(), transposed)
+        return Operand(partition(m, self.tile_size), uid or self.fresh_uid(), transposed)
 
     def multiply(self, a, b, transpose_a: bool = False, transpose_b: bool = False,
                  a_uid: str | None = None, b_uid: str | None = None,
                  c_uid: str | None = None):
-        """Full scheduled product; returns ``(result, RunStats)``.
-
-        Operands may be dense arrays, :class:`TiledMatrix`, or prebuilt
-        :class:`Operand` values (which already carry their transposition).
-        """
-        if isinstance(a, Operand) and transpose_a or isinstance(b, Operand) and transpose_b:
-            raise ValueError("transposition of an Operand is fixed at construction")
-        a_op = a if isinstance(a, Operand) else self.operand(a, a_uid, transpose_a)
-        b_op = b if isinstance(b, Operand) else self.operand(b, b_uid, transpose_b)
-        plan_ = plan(a_op, b_op, c_uid=c_uid or self.fresh_uid("c"))
+        """Full scheduled product of two dense arrays, each optionally
+        transposed; returns ``(result, RunStats)``."""
+        plan_ = plan(self.operand(a, a_uid, transpose_a), self.operand(b, b_uid, transpose_b),
+                     c_uid=c_uid or self.fresh_uid("c"))
         events: list[StealEvent] = []
         cache_before = self.directory.stats_per_device()
         sim_before = self.sim_now()
@@ -587,9 +579,7 @@ class Runtime:
 
 
 def run(machine: Machine, a, b, tile_size: int, mode: str = "sim",
-        steal: bool = True, coherence: bool = True, seed: int | None = None,
-        directory_debug: bool = False):
+        steal: bool = True, coherence: bool = True, seed: int | None = None):
     """One-shot product of two dense matrices through the full runtime."""
-    rt = Runtime(machine, tile_size, mode=mode, steal=steal, coherence=coherence,
-                 seed=seed, directory_debug=directory_debug)
+    rt = Runtime(machine, tile_size, mode=mode, steal=steal, coherence=coherence, seed=seed)
     return rt.multiply(a, b, a_uid="A", b_uid="B", c_uid="C")

@@ -219,6 +219,7 @@ def test_c5_queue_contract():
 
 
 @criterion(6, "100 randomized threaded runs execute every task exactly once")
+@pytest.mark.usefixtures("directory_invariants")
 def test_c6_exactly_once_scheduling():
     rng = np.random.default_rng(6)
     for trial in range(100):
@@ -227,10 +228,10 @@ def test_c6_exactly_once_scheduling():
         size = tile * grid
         ndev = int(rng.integers(2, 5))
         a, b = int_matrix(rng, size, size), int_matrix(rng, size, size)
-        # directory_debug re-checks directory invariants after every admit;
-        # the completion bitmap raises on any double execution
+        # the directory_invariants fixture re-checks the directory after
+        # every mutation; the completion bitmap raises on any double execution
         c, stats = run(homogeneous_machine(ndev), a, b, tile_size=tile,
-                       mode="threaded", steal=True, directory_debug=True)
+                       mode="threaded", steal=True)
         assert np.array_equal(c, reference_gemm(a, b)), f"trial {trial}"
         assert sum(stats.tasks_by_device.values()) == stats.total_tasks
         for did, ds in stats.devices.items():
@@ -280,14 +281,14 @@ def test_c7_ann_gradients_and_backend_equivalence():
 
 
 @criterion(8, "capacity 3 per device still yields exact results, with evictions")
+@pytest.mark.usefixtures("directory_invariants")
 def test_c8_constrained_capacity():
     rng = np.random.default_rng(8)
     size, tile = 40, 5  # 8x8x8 grid of tasks and k-steps
     a, b = int_matrix(rng, size, size), int_matrix(rng, size, size)
     machine = homogeneous_machine(2, capacity_tiles=3)
     for mode in ("sim", "threaded"):
-        c, stats = run(machine, a, b, tile_size=tile, mode=mode,
-                       directory_debug=True)
+        c, stats = run(machine, a, b, tile_size=tile, mode=mode)
         assert np.array_equal(c, reference_gemm(a, b)), mode
         assert stats.cache.evictions > 0
         assert stats.cache.input_requests == 2 * stats.total_tasks * stats.k_steps

@@ -9,8 +9,11 @@ the benchmark's own smoke run.
 import importlib
 from pathlib import Path
 
+import numpy as np
+
 import tilerun.scheduler
 import tilerun.tiles
+from tilerun import DeviceSpec, Machine, ProximityMatrix, Runtime, homogeneous_machine
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -25,3 +28,24 @@ def test_benchmark_tracer_finds_every_wrapped_name(monkeypatch):
     # built, not installed: tilerun still runs its own functions
     assert tilerun.scheduler.accumulate_product is tilerun.tiles.accumulate_product
     assert not hasattr(tilerun.scheduler.Runtime.multiply, "__wrapped__")
+
+
+def test_benchmark_probe_counts_resident_keys_over_every_device(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    layers = importlib.import_module("layers")
+    rng = np.random.default_rng(0)
+    a, b = (rng.integers(-4, 5, (12, 12)).astype(float) for _ in range(2))
+    hetero = Machine([DeviceSpec(0), DeviceSpec(1, kind="host-worker")],
+                     ProximityMatrix.uniform(2, bandwidth=1e6))
+    for machine, coherence in ((hetero, True), (homogeneous_machine(2), False)):
+        rt = Runtime(machine, tile_size=4, coherence=coherence)
+        _, stats = rt.multiply(a, b)
+        probes = layers.Probes()
+        probes.on_multiply((rt,), None)  # asks every device, host worker included
+        if coherence:
+            # no capacity bound: the accelerator keeps each input tile it
+            # admitted (one per host fetch) and drops its output tiles
+            assert stats.devices[1].tasks_completed > 0
+            assert probes.resident_keys == stats.cache_per_device[0].host_fetches > 0
+        else:
+            assert probes.resident_keys == 0

@@ -72,8 +72,9 @@ def test_admit_rejects_duplicate():
         d.admit_output(0, key("a"))
 
 
+@pytest.mark.usefixtures("directory_invariants")
 def test_pinned_tiles_never_evicted():
-    d = CacheDirectory(cap_machine(1, capacity=3), debug=True)
+    d = CacheDirectory(cap_machine(1, capacity=3))
     ka, kb, kc, kd = (key(n) for n in "abcd")
     d.acquire_input(0, ka, 8)  # held: pinned
     touch(d, 0, kb)
@@ -133,8 +134,9 @@ def test_acquire_counts_and_admits():
     assert s == per[0] + per[1]
 
 
+@pytest.mark.usefixtures("directory_invariants")
 def test_acquire_pins_until_release():
-    d = CacheDirectory(cap_machine(1, capacity=3), debug=True)
+    d = CacheDirectory(cap_machine(1, capacity=3))
     ka = key("a")
     d.acquire_input(0, ka, 8)
     for n in "bcde":
@@ -154,26 +156,36 @@ def test_bypass_mode_always_host():
         r = d.acquire_input(0, k, 10)
         assert r.source == HOST and r.nbytes_moved == 10
         d.release_input(0, k)
+    d.admit_output(0, key("c"))
+    d.release_output(0, key("c"), 64)  # written back, though never cached
     s = d.stats()
     assert s.host_fetches == 5 and s.bytes_host == 50
     assert s.l1_hits == 0 and s.l2_hits == 0
-    assert d.residents(0) == []
+    assert (s.writebacks, s.bytes_writeback) == (1, 64)
+    assert d.residents(0) == [] and d.used_tiles(0) == 0
 
 
 def test_host_worker_requests_are_free_host_fetches():
     devs = [DeviceSpec(0), DeviceSpec(1, kind="host-worker")]
     m = Machine(devs, ProximityMatrix.uniform(2, bandwidth=10.0))
-    d = CacheDirectory(m)
-    touch(d, 0, key("a"))  # resident on the accelerator
-    r = d.acquire_input(1, key("a"), 999)
-    assert r.source == HOST and r.nbytes_moved == 0
-    s = d.stats_per_device()[1]
-    assert s.host_fetches == 1 and s.bytes_host == 0
-    assert d.residents(1) == []  # host workers never enter the directory
+    for enabled in (True, False):
+        d = CacheDirectory(m, enabled=enabled)
+        touch(d, 0, key("a"))  # resident on the accelerator when enabled
+        r = d.acquire_input(1, key("a"), 999)
+        assert r.source == HOST and r.nbytes_moved == 0
+        d.release_input(1, key("a"))
+        d.admit_output(1, key("c"))
+        d.release_output(1, key("c"), 64)  # its output is already in host memory
+        s = d.stats_per_device()[1]
+        assert s.host_fetches == 1 and s.bytes_host == 0
+        assert (s.writebacks, s.bytes_writeback) == (0, 0)
+        # host workers have no residency set
+        assert d.residents(1) == [] and d.used_tiles(1) == 0
 
 
+@pytest.mark.usefixtures("directory_invariants")
 def test_output_tiles_pinned_then_released():
-    d = CacheDirectory(cap_machine(1, capacity=3), debug=True)
+    d = CacheDirectory(cap_machine(1, capacity=3))
     ck = key("c")
     d.admit_output(0, ck)
     for n in "abde":
@@ -186,69 +198,105 @@ def test_output_tiles_pinned_then_released():
     assert s.evictions == 2  # inputs only: completion is not an eviction
 
 
-class ModelDirectory:
-    """Dead-simple single-device reference: list in insertion order,
-    recency refreshed by moving to the back."""
+def test_invariants_fixture_checks_after_a_test_undo(directory_invariants, monkeypatch):
+    d = CacheDirectory(cap_machine(1, capacity=3))
+    monkeypatch.setattr(d, "residents", lambda device: [])
+    monkeypatch.undo()  # the test's own undo keeps the checks in place
+    d._pins[0][key("ghost")] += 1  # pinned but not resident
+    with pytest.raises(AssertionError, match="not resident"):
+        touch(d, 0, key("a"))
 
-    def __init__(self, capacity):
+
+class ModelDirectory:
+    """Dead-simple multi-device reference: one list per device in insertion
+    order, recency refreshed by moving to the back.  A local miss copies
+    from the closest device whose list holds the key (ties to the lowest
+    id), or from host when none does."""
+
+    def __init__(self, hops, capacity):
+        self.hops = hops
         self.capacity = capacity
-        self.keys = []
-        self.pins = {}
+        self.keys = [[] for _ in hops]
+        self.pins = [{} for _ in hops]
         self.evictions = 0
 
-    def lookup_local(self, k):
-        if k in self.keys:
-            self.keys.remove(k)
-            self.keys.append(k)
+    def lookup_local(self, dev, k):
+        if k in self.keys[dev]:
+            self.keys[dev].remove(k)
+            self.keys[dev].append(k)
             return True
         return False
 
-    def admit(self, k):
-        assert k not in self.keys
-        if self.capacity is not None and len(self.keys) >= self.capacity:
-            for cand in list(self.keys):
-                if self.pins.get(cand, 0) == 0:
-                    self.keys.remove(cand)
+    def source(self, dev, k):
+        owners = [o for o in range(len(self.keys)) if k in self.keys[o]]
+        if not owners:
+            return HOST
+        return min(owners, key=lambda o: (self.hops[dev][o], o))
+
+    def admit(self, dev, k):
+        keys, pins = self.keys[dev], self.pins[dev]
+        assert k not in keys
+        if len(keys) >= self.capacity:
+            for cand in list(keys):
+                if pins.get(cand, 0) == 0:
+                    keys.remove(cand)
                     self.evictions += 1
                     break
             else:
                 raise CapacityError("model: all pinned")
-        self.keys.append(k)
+        keys.append(k)
 
-    def pin(self, k):
-        self.pins[k] = self.pins.get(k, 0) + 1
+    def pin(self, dev, k):
+        self.pins[dev][k] = self.pins[dev].get(k, 0) + 1
 
-    def unpin(self, k):
-        self.pins[k] -= 1
+    def unpin(self, dev, k):
+        self.pins[dev][k] -= 1
 
 
+@pytest.mark.usefixtures("directory_invariants")
 def test_model_based_directory_agreement():
-    # acquire = refresh-or-admit, then pin; release = unpin
+    # acquire = refresh, or take the source and then admit; then pin.
+    # release = unpin.  Device 0 is closer to 2 than to 1; device 1 is
+    # equally far from 0 and 2, so ties go to the lower id.
+    hops = [[0, 2, 1], [2, 0, 2], [1, 2, 0]]
     rng = np.random.default_rng(99)
+    peer_hits = refetched = 0
     for trial in range(20):
+        n = 2 + trial % 2
         cap = int(rng.integers(3, 7))
-        d = CacheDirectory(cap_machine(1, capacity=cap), debug=True)
-        model = ModelDirectory(cap)
+        m = Machine([DeviceSpec(i, capacity_tiles=cap) for i in range(n)],
+                    ProximityMatrix(np.array(hops)[:n, :n], np.full((n, n), 10.0)))
+        d = CacheDirectory(m)
+        model = ModelDirectory([row[:n] for row in hops[:n]], cap)
         universe = [key(f"t{i}") for i in range(12)]
+        seen = set()  # keys that were resident somewhere before
         for _ in range(300):
+            dev = int(rng.integers(0, n))
             k = universe[int(rng.integers(0, len(universe)))]
             if rng.integers(0, 2) == 0:
-                if model.lookup_local(k):
-                    want = (0, 0)  # L1: from the requester, nothing moved
+                if model.lookup_local(dev, k):
+                    want = (dev, 0)  # L1: from the requester, nothing moved
                 else:
+                    src = model.source(dev, k)
                     try:
-                        model.admit(k)
+                        model.admit(dev, k)
                     except CapacityError:
                         with pytest.raises(CapacityError):
-                            d.acquire_input(0, k, 8)
+                            d.acquire_input(dev, k, 8)
                         continue
-                    want = (HOST, 8)  # miss
-                model.pin(k)
-                r = d.acquire_input(0, k, 8)
+                    want = (src, 8)  # L2 from the closest owner, or a host miss
+                    peer_hits += src != HOST
+                    refetched += src == HOST and k in seen
+                    seen.add(k)
+                model.pin(dev, k)
+                r = d.acquire_input(dev, k, 8)
                 assert (r.source, r.nbytes_moved) == want
-            elif model.pins.get(k, 0) > 0:
-                model.unpin(k)
-                d.release_input(0, k)
-            assert d.residents(0) == model.keys
+            elif model.pins[dev].get(k, 0) > 0:
+                model.unpin(dev, k)
+                d.release_input(dev, k)
+            for o in range(n):
+                assert d.residents(o) == model.keys[o]
             assert d.stats().evictions == model.evictions
-
+    # the walk reached peer copies, and tiles evicted from every owner
+    # came back as host misses
+    assert peer_hits > 0 and refetched > 0

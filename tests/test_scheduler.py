@@ -223,11 +223,12 @@ def test_sim_mode_fully_reproducible():
     assert s1.tasks_by_device == s2.tasks_by_device
 
 
+@pytest.mark.usefixtures("directory_invariants")
 def test_constrained_capacity_still_exact_with_evictions():
     rng = np.random.default_rng(5)
     a, b = int_matrix(rng, 16, 16), int_matrix(rng, 16, 16)
     m = homogeneous_machine(2, capacity_tiles=3)
-    c, stats = run(m, a, b, tile_size=4, mode="sim", directory_debug=True)
+    c, stats = run(m, a, b, tile_size=4, mode="sim")
     assert np.array_equal(c, reference_gemm(a, b))
     assert stats.cache.evictions > 0
 
@@ -252,6 +253,7 @@ def test_host_worker_participates_and_subtiling_is_bitwise_neutral():
     assert np.array_equal(outs[0], outs[2])
 
 
+@pytest.mark.usefixtures("directory_invariants")
 def test_exactly_once_under_threaded_stress():
     rng = np.random.default_rng(7)
     interval = sys.getswitchinterval()
@@ -261,7 +263,7 @@ def test_exactly_once_under_threaded_stress():
             a, b = int_matrix(rng, 12, 12), int_matrix(rng, 12, 12)
             n = int(rng.integers(2, 5))
             c, stats = run(homogeneous_machine(n, slots=1 + trial % 3), a, b, tile_size=3,
-                           mode="threaded", directory_debug=True)
+                           mode="threaded")
             assert np.array_equal(c, reference_gemm(a, b))
             assert sum(stats.tasks_by_device.values()) == stats.total_tasks == 16
             assert (sum(d.steals_performed for d in stats.devices.values())
@@ -367,6 +369,9 @@ def test_bypass_counts_every_request_as_host_fetch():
     stats = grid_gemm_stats(2, g, 4, coherence=False)
     assert stats.cache.host_fetches == 2 * g**3
     assert stats.cache.l1_hits == 0 and stats.cache.l2_hits == 0
+    # every output tile is still written back, cached or not
+    assert stats.cache.writebacks == g * g
+    assert stats.cache.bytes_writeback == g * g * 4 * 4 * 8
 
 
 def test_peer_preference_bytes():
@@ -484,12 +489,13 @@ def test_makespan_monotone_in_identical_devices():
             last = stats.makespan
 
 
+@pytest.mark.usefixtures("directory_invariants")
 def test_execute_task_and_double_execution_guard():
     rng = np.random.default_rng(16)
     a, b = int_matrix(rng, 8, 8), int_matrix(rng, 8, 8)
     machine = homogeneous_machine(1)
     p = plan(partition(a, 4), partition(b, 4))
-    directory = CacheDirectory(machine, debug=True)
+    directory = CacheDirectory(machine)
     stations = {0: ReservationStation(4)}
     while (tid := _claim(0, stations, p.queue, steal_enabled=True)[0]) is not None:
         assert not p.completion.all_done()
@@ -548,6 +554,7 @@ def _fail_at(real, n, counted=lambda *args: True):
 
 @pytest.mark.parametrize("mode", ["sim", "threaded"])
 @pytest.mark.parametrize("site", ["kernel", "both-inputs-held", "a-held"])
+@pytest.mark.usefixtures("directory_invariants")
 def test_failed_task_leaves_no_pins_or_output_tile(monkeypatch, mode, site):
     import tilerun.scheduler as scheduler
 
@@ -555,8 +562,7 @@ def test_failed_task_leaves_no_pins_or_output_tile(monkeypatch, mode, site):
     a, b = int_matrix(rng, 12, 12), int_matrix(rng, 12, 12)
     # capacity 3 holds exactly one task's A, B and C: one leaked pin and
     # the next product cannot fit
-    rt = Runtime(homogeneous_machine(2, capacity_tiles=3), tile_size=4, mode=mode,
-                 directory_debug=True)
+    rt = Runtime(homogeneous_machine(2, capacity_tiles=3), tile_size=4, mode=mode)
     d = rt.directory
     done = []  # kernel calls that returned
     if site == "kernel":

@@ -83,6 +83,8 @@ def cmd_ann(args) -> int:
     sizes = [int(s) for s in args.layers.split(",") if s.strip()]
     if len(sizes) < 2:
         raise ConfigError(f"--layers needs at least two sizes, got {args.layers!r}")
+    if args.steps < 0:
+        raise ConfigError(f"--steps must be >= 0, got {args.steps}")
     rng = np.random.default_rng(args.seed)
     net = ann_mod.Network.from_sizes(sizes, rng, activation=args.activation)
     if args.data == "xor":

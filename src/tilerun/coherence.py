@@ -25,7 +25,7 @@ measuring how much traffic the protocol removes.
 from __future__ import annotations
 
 import threading
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from dataclasses import dataclass, fields
 from itertools import filterfalse, islice
 
@@ -98,7 +98,8 @@ class CacheDirectory:
         self._lock = threading.Lock()
         cached = [d for d in machine.devices if enabled and not d.is_host_worker]
         self._order: dict[int, OrderedDict] = {d.device_id: OrderedDict() for d in cached}
-        self._pins: dict[int, Counter] = {d.device_id: Counter() for d in cached}
+        # pin counts; a tile with no pin has no entry
+        self._pins: dict[int, dict] = {d.device_id: {} for d in cached}
         self._capacity: dict[int, int | None] = {d.device_id: d.capacity_tiles for d in cached}
         self._host_workers = frozenset(d.device_id for d in machine.devices if d.is_host_worker)
         self._dev_stats = {d.device_id: CacheStats() for d in machine.devices}
@@ -114,7 +115,7 @@ class CacheDirectory:
         cap = self._capacity[device]
         if cap is not None and len(order) >= cap:
             need = len(order) + 1 - cap
-            # _unpin_locked deletes zero counts, so absence means unpinned;
+            # absence from the pin counts means unpinned;
             # the scan stops at the last victim
             victims = list(islice(filterfalse(self._pins[device].__contains__, order), need))
             if len(victims) < need:
@@ -129,11 +130,13 @@ class CacheDirectory:
 
     def _unpin_locked(self, device: int, key: TileKey) -> None:
         pins = self._pins[device]
-        if pins[key] < 1:
+        n = pins.get(key, 0)
+        if n < 1:
             raise ValueError(f"unpin below zero for {key} on device {device}")
-        pins[key] -= 1
-        if pins[key] == 0:
+        if n == 1:
             del pins[key]
+        else:
+            pins[key] = n - 1
 
     def residents(self, device: int) -> list[TileKey]:
         """Keys resident on ``device``, least recently used first."""
@@ -143,57 +146,82 @@ class CacheDirectory:
     # -- the runtime-facing operations ----------------------------------
     #
     # Resolving an input tile is lookup + transfer accounting + admit +
-    # pin.  Doing it under one lock acquisition makes the whole step
-    # linearizable, which is what keeps the hit counters exact even with
-    # racing worker threads (e.g. two devices missing on the same tile at
-    # the same instant still produce exactly one host fetch).
+    # pin.  A contraction step resolves its tiles as one batch under one
+    # lock acquisition, which makes the whole step linearizable: the hit
+    # counters stay exact even with racing worker threads (e.g. two
+    # devices missing on the same tile at the same instant still produce
+    # exactly one host fetch).
 
-    def acquire_input(self, requester: int, key: TileKey, nbytes: int) -> AcquireResult:
-        """Resolve ``key`` for ``requester`` and pin it there until
-        :meth:`release_input`."""
+    def acquire_input(self, requester: int, requests) -> list[AcquireResult]:
+        """Resolve each ``(key, nbytes)`` of the sequence ``requests``, in
+        order, for ``requester`` and pin it there until
+        :meth:`release_input`.
+
+        Each tile is pinned as soon as it is resolved, so a later
+        admission in the batch cannot evict an earlier tile.  If a request
+        raises, the pins the batch took are dropped before the error
+        propagates; residency and counters are left as acquiring the
+        tiles one at a time, then releasing the ones acquired, would
+        leave them.
+        """
         with self._lock:
             ds = self._dev_stats[requester]
             order = self._order.get(requester)
+            results = []
             if order is None:
                 # host workers' tiles are already local: a fetch in name only
-                moved = 0 if requester in self._host_workers else nbytes
-                ds.host_fetches += 1
-                ds.bytes_host += moved
-                return AcquireResult(HOST, moved)
-            if key in order:
-                ds.l1_hits += 1
-                order.move_to_end(key)
-                res = AcquireResult(requester, 0)
-            else:
-                # owners are collected before the admit, so the requester
-                # is never its own source
-                owners = [d for d, o in self._order.items() if key in o]
-                self._admit_locked(requester, key)
-                if owners:
-                    ds.l2_hits += 1
-                    ds.bytes_peer += nbytes
-                    res = AcquireResult(closest_owner(requester, owners, self.machine.proximity),
-                                        nbytes)
-                else:
+                free = requester in self._host_workers
+                for _key, nbytes in requests:
+                    moved = 0 if free else nbytes
                     ds.host_fetches += 1
-                    ds.bytes_host += nbytes
-                    res = AcquireResult(HOST, nbytes)
-            self._pins[requester][key] += 1
-            return res
+                    ds.bytes_host += moved
+                    results.append(AcquireResult(HOST, moved))
+                return results
+            pins = self._pins[requester]
+            try:
+                for key, nbytes in requests:
+                    if key in order:
+                        ds.l1_hits += 1
+                        order.move_to_end(key)
+                        res = AcquireResult(requester, 0)
+                    else:
+                        # owners are collected before the admit, so the
+                        # requester is never its own source
+                        owners = [d for d, o in self._order.items() if key in o]
+                        self._admit_locked(requester, key)
+                        if owners:
+                            ds.l2_hits += 1
+                            ds.bytes_peer += nbytes
+                            res = AcquireResult(
+                                closest_owner(requester, owners, self.machine.proximity),
+                                nbytes)
+                        else:
+                            ds.host_fetches += 1
+                            ds.bytes_host += nbytes
+                            res = AcquireResult(HOST, nbytes)
+                    pins[key] = pins.get(key, 0) + 1
+                    results.append(res)
+            except BaseException:
+                for key, _nbytes in requests[:len(results)]:
+                    self._unpin_locked(requester, key)
+                raise
+            return results
 
-    def release_input(self, device: int, key: TileKey) -> None:
+    def release_input(self, device: int, keys) -> None:
+        """Unpin each of ``keys`` on ``device`` under one lock hold."""
         if device not in self._pins:
             return
         with self._lock:
-            self._unpin_locked(device, key)
+            for key in keys:
+                self._unpin_locked(device, key)
 
     def admit_output(self, device: int, key: TileKey) -> None:
         """Reserve a pinned residency slot for an output tile being built."""
         if device not in self._pins:
             return
         with self._lock:
-            self._admit_locked(device, key)
-            self._pins[device][key] += 1
+            self._admit_locked(device, key)  # raises unless key was absent, so unpinned
+            self._pins[device][key] = 1
 
     def release_output(self, device: int, key: TileKey, nbytes: int) -> None:
         """Output tile written back to host: unpin, drop residency, count

@@ -1,8 +1,9 @@
 """Task planning and the two execution engines.
 
 One task per output tile.  The task's inner loop walks the contraction
-dimension in ascending order and only does accounting: it resolves each
-input tile through the cache directory and prices the fetch and the
+dimension in ascending order and only does accounting: each step
+resolves its two input tiles, read from a step table the plan builds
+once, in one cache-directory transaction, and prices the fetch and the
 compute.  The data never passes through the directory, so the task then
 makes one call to the fixed-order kernel, which multiplies the A row
 panel by the B column panel in the same ascending order.  Because every
@@ -133,6 +134,13 @@ def _as_operand(x, uid: str) -> Operand:
 
 @dataclass
 class Plan:
+    """The tasks of one product.
+
+    ``a_rows[i]`` lists tile row ``i`` of A and ``b_cols[j]`` tile column
+    ``j`` of B, in contraction order, as ``(key, elements, shape)``: the
+    step table task ``(i, j)`` reads its inputs from.
+    """
+
     a: Operand
     b: Operand
     c: Operand
@@ -142,6 +150,8 @@ class Plan:
     k_steps: int
     queue: MichaelScottQueue
     completion: Completion
+    a_rows: list
+    b_cols: list
 
     @property
     def total_tasks(self) -> int:
@@ -174,10 +184,17 @@ def plan(a, b, a_uid: str = "A", b_uid: str = "B", c_uid: str = "C") -> Plan:
     queue = MichaelScottQueue()
     for tid in range(n_tasks):
         queue.enqueue(tid)
+
+    def entry(op: Operand, i: int, j: int):
+        view = op.tile_view(i, j)
+        return op.key(i, j), view.size, view.shape
+
     return Plan(
         a=a, b=b, c=c, tile_size=t,
         grid_rows=grid_rows, grid_cols=grid_cols, k_steps=k_steps,
         queue=queue, completion=Completion(n_tasks),
+        a_rows=[[entry(a, i, k) for k in range(k_steps)] for i in range(grid_rows)],
+        b_cols=[[entry(b, k, j) for k in range(k_steps)] for j in range(grid_cols)],
     )
 
 
@@ -350,17 +367,17 @@ def _execute_task(machine: Machine, plan_: Plan, directory: CacheDirectory,
                   dev: DeviceSpec, task_id: int):
     """Run one task to completion on ``dev``.
 
-    Each contraction step is accounting only: resolve both input tiles
-    through the directory (pinning them for the step), price the fetch
-    and the compute, unpin.  The directory returns no data, and every
-    view comes from the plan, so after the steps one kernel call
-    multiplies the A row panel by the B column panel into the output
-    tile; the kernel's ascending order makes that bit-identical to one
-    call per step.  The output tile stays pinned on the device for the
-    whole task, then is written back to host and released.  If anything
-    raises before the writeback, the task releases the inputs it holds
-    and aborts the output tile, so it leaves no pin and no residency
-    behind.
+    Each contraction step is accounting only, read from the plan's step
+    table: one directory transaction resolves and pins both input tiles,
+    the step prices the fetch and the compute, then one call unpins them.
+    The directory returns no data, and every view comes from the plan,
+    so after the steps one kernel call multiplies the A row panel by the
+    B column panel into the output tile; the kernel's ascending order
+    makes that bit-identical to one call per step.  The output tile
+    stays pinned on the device for the whole task, then is written back
+    to host and released.  If anything raises before the writeback, the
+    task releases the inputs it holds and aborts the output tile, so it
+    leaves no pin and no residency behind.
 
     Returns ``(steps, writeback)`` where ``steps`` is a list of
     (fetch_time, compute_time) pairs and ``writeback`` the final
@@ -374,26 +391,20 @@ def _execute_task(machine: Machine, plan_: Plan, directory: CacheDirectory,
     directory.admit_output(did, c_key)
     sub = dev.subtile_factor if dev.is_host_worker else 1
     steps = []
-    held: list[TileKey] = []  # inputs pinned by this task
     try:
-        for k in range(plan_.k_steps):
-            a_key, b_key = plan_.a.key(i, k), plan_.b.key(k, j)
-            a_view, b_view = plan_.a.tile_view(i, k), plan_.b.tile_view(k, j)
-            ra = directory.acquire_input(did, a_key, a_view.size * eb)
-            held.append(a_key)
-            rb = directory.acquire_input(did, b_key, b_view.size * eb)
-            held.append(b_key)
-            fetch = (transfer_cost(machine, ra.source, did, ra.nbytes_moved)
-                     + transfer_cost(machine, rb.source, did, rb.nbytes_moved))
-            compute = compute_cost(dev, a_view.shape, b_view.shape)
-            while held:
-                directory.release_input(did, held.pop(0))
+        for (a_key, a_n, a_shape), (b_key, b_n, b_shape) in zip(plan_.a_rows[i],
+                                                                plan_.b_cols[j]):
+            ra, rb = directory.acquire_input(did, ((a_key, a_n * eb), (b_key, b_n * eb)))
+            try:
+                fetch = (transfer_cost(machine, ra.source, did, ra.nbytes_moved)
+                         + transfer_cost(machine, rb.source, did, rb.nbytes_moved))
+                compute = compute_cost(dev, a_shape, b_shape)
+            finally:
+                directory.release_input(did, (a_key, b_key))
             steps.append((fetch, compute))
         accumulate_product(plan_.a.row_panel(i), plan_.b.col_panel(j), c_view,
                            sub_blocks=sub)
     except BaseException:
-        for key in held:
-            directory.release_input(did, key)
         directory.abort_output(did, c_key)
         raise
     wb_bytes = c_view.size * eb

@@ -190,6 +190,19 @@ def test_ann_bad_layers_is_config_error():
     assert run_cli("ann", "--layers", "5", "--steps", 1) == cli.EXIT_CONFIG
 
 
+def test_ann_negative_steps_is_config_error(tmp_path, capsys):
+    report = tmp_path / "ann.json"
+    assert run_cli("ann", "--layers", "2,4,1", "--data", "xor", "--steps", -3,
+                   "--backend", "dense", "--report", report) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not report.exists()
+    # no steps is a valid run: the report says so
+    assert run_cli("ann", "--layers", "2,4,1", "--data", "xor", "--steps", 0,
+                   "--backend", "dense", "--report", report) == cli.EXIT_OK
+    assert json.loads(report.read_text())["steps"] == 0
+
+
 def test_sweep_csv_shape_and_speedup_baseline(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run_cli("sweep", "--sizes", "8,16", "--device-counts", "1,2",

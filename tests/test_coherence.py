@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tilerun.coherence import CacheDirectory, CapacityError
+from tilerun.coherence import CacheDirectory, CacheStats, CapacityError
 from tilerun.devices import HOST, DeviceSpec, Machine, ProximityMatrix, homogeneous_machine
 from tilerun.tiles import TileKey
 
@@ -16,8 +16,8 @@ def cap_machine(n=1, capacity=None, **kw):
 
 def touch(d, device, k, nbytes=8):
     """Acquire and release at once: the tile ends resident and unpinned."""
-    res = d.acquire_input(device, k, nbytes)
-    d.release_input(device, k)
+    res, = d.acquire_input(device, ((k, nbytes),))
+    d.release_input(device, (k,))
     return res
 
 
@@ -76,7 +76,7 @@ def test_admit_rejects_duplicate():
 def test_pinned_tiles_never_evicted():
     d = CacheDirectory(cap_machine(1, capacity=3))
     ka, kb, kc, kd = (key(n) for n in "abcd")
-    d.acquire_input(0, ka, 8)  # held: pinned
+    d.acquire_input(0, ((ka, 8),))  # held: pinned
     touch(d, 0, kb)
     touch(d, 0, kc)
     touch(d, 0, kd)
@@ -86,27 +86,49 @@ def test_pinned_tiles_never_evicted():
 def test_admit_fails_when_everything_pinned():
     d = CacheDirectory(cap_machine(1, capacity=3))
     for n in "abc":
-        d.acquire_input(0, key(n), 8)
+        d.acquire_input(0, ((key(n), 8),))
     before = d.stats()
     with pytest.raises(CapacityError):
-        d.acquire_input(0, key("d"), 8)
+        d.acquire_input(0, ((key("d"), 8),))
     # directory and counters unchanged by the failed acquire
     assert set(d.residents(0)) == {key("a"), key("b"), key("c")}
     assert d.stats() == before
     d.check_invariants()
 
 
+@pytest.mark.usefixtures("directory_invariants")
+def test_failed_batch_drops_its_pins_and_keeps_what_sequential_acquires_keep():
+    ka, kb, kc, kd = (key(n) for n in "abcd")
+    batched, sequential = (CacheDirectory(cap_machine(1, capacity=3)) for _ in range(2))
+    for d in (batched, sequential):
+        d.acquire_input(0, ((ka, 8), (kb, 8)))  # held: a and b pinned
+    # c fits; d does not, because a, b and the batch's own c are pinned
+    with pytest.raises(CapacityError):
+        batched.acquire_input(0, ((kc, 8), (kd, 8)))
+    sequential.acquire_input(0, ((kc, 8),))
+    with pytest.raises(CapacityError):
+        sequential.acquire_input(0, ((kd, 8),))
+    sequential.release_input(0, (kc,))
+    assert batched.residents(0) == sequential.residents(0) == [ka, kb, kc]
+    assert batched.stats() == sequential.stats()
+    assert (batched.stats().host_fetches, batched.stats().bytes_host) == (3, 24)
+    assert batched._pins[0] == sequential._pins[0] == {ka: 1, kb: 1}
+    batched.release_input(0, (ka, kb))
+    touch(batched, 0, kd)  # nothing is pinned now: a, the least recent, goes
+    assert batched.residents(0) == [kb, kc, kd]
+
+
 def test_pin_unpin_restores_evictability():
     d = CacheDirectory(cap_machine(1, capacity=3))
     ka, kb, kc = key("a"), key("b"), key("c")
-    d.acquire_input(0, ka, 8)
-    d.acquire_input(0, ka, 8)  # an L1 hit pins again
-    d.release_input(0, ka)  # double pin, single unpin: still pinned
-    d.acquire_input(0, kb, 8)
-    d.acquire_input(0, kc, 8)
+    d.acquire_input(0, ((ka, 8),))
+    d.acquire_input(0, ((ka, 8),))  # an L1 hit pins again
+    d.release_input(0, (ka,))  # double pin, single unpin: still pinned
+    d.acquire_input(0, ((kb, 8),))
+    d.acquire_input(0, ((kc, 8),))
     with pytest.raises(CapacityError):
-        d.acquire_input(0, key("d"), 8)
-    d.release_input(0, ka)
+        d.acquire_input(0, ((key("d"), 8),))
+    d.release_input(0, (ka,))
     touch(d, 0, key("d"))
     assert ka not in d.residents(0)
 
@@ -138,24 +160,24 @@ def test_acquire_counts_and_admits():
 def test_acquire_pins_until_release():
     d = CacheDirectory(cap_machine(1, capacity=3))
     ka = key("a")
-    d.acquire_input(0, ka, 8)
+    d.acquire_input(0, ((ka, 8),))
     for n in "bcde":
         touch(d, 0, key(n))
         assert ka in d.residents(0)
-    d.release_input(0, ka)
+    d.release_input(0, (ka,))
     touch(d, 0, key("f"))  # a is now the least recent unpinned tile
     assert ka not in d.residents(0)
     with pytest.raises(ValueError):
-        d.release_input(0, key("f"))  # released already: no pin below zero
+        d.release_input(0, (key("f"),))  # released already: no pin below zero
 
 
 def test_bypass_mode_always_host():
     d = CacheDirectory(cap_machine(2), enabled=False)
     k = key("a")
     for _ in range(5):
-        r = d.acquire_input(0, k, 10)
+        r, = d.acquire_input(0, ((k, 10),))
         assert r.source == HOST and r.nbytes_moved == 10
-        d.release_input(0, k)
+        d.release_input(0, (k,))
     d.admit_output(0, key("c"))
     d.release_output(0, key("c"), 64)  # written back, though never cached
     s = d.stats()
@@ -171,9 +193,9 @@ def test_host_worker_requests_are_free_host_fetches():
     for enabled in (True, False):
         d = CacheDirectory(m, enabled=enabled)
         touch(d, 0, key("a"))  # resident on the accelerator when enabled
-        r = d.acquire_input(1, key("a"), 999)
+        r, = d.acquire_input(1, ((key("a"), 999),))
         assert r.source == HOST and r.nbytes_moved == 0
-        d.release_input(1, key("a"))
+        d.release_input(1, (key("a"),))
         d.admit_output(1, key("c"))
         d.release_output(1, key("c"), 64)  # its output is already in host memory
         s = d.stats_per_device()[1]
@@ -202,7 +224,7 @@ def test_invariants_fixture_checks_after_a_test_undo(directory_invariants, monke
     d = CacheDirectory(cap_machine(1, capacity=3))
     monkeypatch.setattr(d, "residents", lambda device: [])
     monkeypatch.undo()  # the test's own undo keeps the checks in place
-    d._pins[0][key("ghost")] += 1  # pinned but not resident
+    d._pins[0][key("ghost")] = 1  # pinned but not resident
     with pytest.raises(AssertionError, match="not resident"):
         touch(d, 0, key("a"))
 
@@ -211,14 +233,14 @@ class ModelDirectory:
     """Dead-simple multi-device reference: one list per device in insertion
     order, recency refreshed by moving to the back.  A local miss copies
     from the closest device whose list holds the key (ties to the lowest
-    id), or from host when none does."""
+    id), or from host when none does.  It resolves one tile at a time."""
 
     def __init__(self, hops, capacity):
         self.hops = hops
         self.capacity = capacity
         self.keys = [[] for _ in hops]
         self.pins = [{} for _ in hops]
-        self.evictions = 0
+        self.stats = [CacheStats() for _ in hops]
 
     def lookup_local(self, dev, k):
         if k in self.keys[dev]:
@@ -240,14 +262,31 @@ class ModelDirectory:
             for cand in list(keys):
                 if pins.get(cand, 0) == 0:
                     keys.remove(cand)
-                    self.evictions += 1
+                    self.stats[dev].evictions += 1
                     break
             else:
                 raise CapacityError("model: all pinned")
         keys.append(k)
 
-    def pin(self, dev, k):
+    def acquire(self, dev, k, nbytes):
+        """Resolve and pin one tile; returns (source, bytes moved).  A tile
+        that cannot be admitted raises before any counter moves."""
+        st = self.stats[dev]
+        if self.lookup_local(dev, k):
+            st.l1_hits += 1
+            res = (dev, 0)
+        else:
+            src = self.source(dev, k)
+            self.admit(dev, k)
+            if src == HOST:
+                st.host_fetches += 1
+                st.bytes_host += nbytes
+            else:
+                st.l2_hits += 1
+                st.bytes_peer += nbytes
+            res = (src, nbytes)
         self.pins[dev][k] = self.pins[dev].get(k, 0) + 1
+        return res
 
     def unpin(self, dev, k):
         self.pins[dev][k] -= 1
@@ -255,12 +294,15 @@ class ModelDirectory:
 
 @pytest.mark.usefixtures("directory_invariants")
 def test_model_based_directory_agreement():
-    # acquire = refresh, or take the source and then admit; then pin.
-    # release = unpin.  Device 0 is closer to 2 than to 1; device 1 is
-    # equally far from 0 and 2, so ties go to the lower id.
+    # acquire = a batch of 1-3 tiles, each resolved in order as a lone
+    # acquire would (refresh, or take the source and then admit; then pin),
+    # with the batch's earlier tiles pinned.  A batch that fails drops the
+    # pins it took.  release = unpin one earlier batch.  Device 0 is closer
+    # to 2 than to 1; device 1 is equally far from 0 and 2, so ties go to
+    # the lower id.
     hops = [[0, 2, 1], [2, 0, 2], [1, 2, 0]]
     rng = np.random.default_rng(99)
-    peer_hits = refetched = 0
+    peer_hits = refetched = failed_after_a_pin = 0
     for trial in range(20):
         n = 2 + trial % 2
         cap = int(rng.integers(3, 7))
@@ -270,33 +312,41 @@ def test_model_based_directory_agreement():
         model = ModelDirectory([row[:n] for row in hops[:n]], cap)
         universe = [key(f"t{i}") for i in range(12)]
         seen = set()  # keys that were resident somewhere before
+        held = [[] for _ in range(n)]  # per device: batches not yet released
         for _ in range(300):
             dev = int(rng.integers(0, n))
-            k = universe[int(rng.integers(0, len(universe)))]
             if rng.integers(0, 2) == 0:
-                if model.lookup_local(dev, k):
-                    want = (dev, 0)  # L1: from the requester, nothing moved
+                batch = [universe[int(i)]
+                         for i in rng.integers(0, len(universe), int(rng.integers(1, 4)))]
+                want = []
+                try:
+                    for k in batch:
+                        src, moved = model.acquire(dev, k, 8)
+                        want.append((src, moved))
+                        if src != dev:  # not an L1 hit
+                            peer_hits += src != HOST
+                            refetched += src == HOST and k in seen
+                            seen.add(k)
+                except CapacityError:
+                    for k in batch[:len(want)]:
+                        model.unpin(dev, k)
+                    with pytest.raises(CapacityError):
+                        d.acquire_input(dev, [(k, 8) for k in batch])
+                    failed_after_a_pin += len(want) > 0
                 else:
-                    src = model.source(dev, k)
-                    try:
-                        model.admit(dev, k)
-                    except CapacityError:
-                        with pytest.raises(CapacityError):
-                            d.acquire_input(dev, k, 8)
-                        continue
-                    want = (src, 8)  # L2 from the closest owner, or a host miss
-                    peer_hits += src != HOST
-                    refetched += src == HOST and k in seen
-                    seen.add(k)
-                model.pin(dev, k)
-                r = d.acquire_input(dev, k, 8)
-                assert (r.source, r.nbytes_moved) == want
-            elif model.pins[dev].get(k, 0) > 0:
-                model.unpin(dev, k)
-                d.release_input(dev, k)
+                    got = d.acquire_input(dev, [(k, 8) for k in batch])
+                    assert [(r.source, r.nbytes_moved) for r in got] == want
+                    held[dev].append(batch)
+            elif held[dev]:
+                batch = held[dev].pop(int(rng.integers(0, len(held[dev]))))
+                for k in batch:
+                    model.unpin(dev, k)
+                d.release_input(dev, batch)
             for o in range(n):
                 assert d.residents(o) == model.keys[o]
-            assert d.stats().evictions == model.evictions
-    # the walk reached peer copies, and tiles evicted from every owner
-    # came back as host misses
-    assert peer_hits > 0 and refetched > 0
+            assert d.stats_per_device() == dict(enumerate(model.stats))
+            assert d._pins == {o: {k: c for k, c in model.pins[o].items() if c}
+                               for o in range(n)}
+    # the walk reached peer copies, tiles evicted from every owner came back
+    # as host misses, and batches failed after pinning an earlier tile
+    assert peer_hits > 0 and refetched > 0 and failed_after_a_pin > 0

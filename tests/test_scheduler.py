@@ -565,18 +565,27 @@ def test_failed_task_leaves_no_pins_or_output_tile(monkeypatch, mode, site):
     rt = Runtime(homogeneous_machine(2, capacity_tiles=3), tile_size=4, mode=mode)
     d = rt.directory
     done = []  # kernel calls that returned
+    a_pinned = []  # at each admission of a B tile: is an A tile pinned there?
     if site == "kernel":
         kernel = _fail_at(scheduler.accumulate_product, 5)
         monkeypatch.setattr(scheduler, "accumulate_product",
                             lambda *a_, **kw: done.append(kernel(*a_, **kw)))
     elif site == "both-inputs-held":
         monkeypatch.setattr(scheduler, "compute_cost", _fail_at(scheduler.compute_cost, 5))
-    else:  # B's acquire fails while A is pinned
-        monkeypatch.setattr(d, "acquire_input", _fail_at(
-            d.acquire_input, 5, counted=lambda dev, key, nbytes: key.matrix == "W"))
+    else:  # B's admission fails inside the step's transaction, with A pinned
+        admit = _fail_at(d._admit_locked, 5, counted=lambda dev, key: key.matrix == "W")
+
+        def admit_watching_a(dev, key):
+            if key.matrix == "W":
+                a_pinned.append(any(k.matrix == "X" for k in d._pins[dev]))
+            admit(dev, key)
+
+        monkeypatch.setattr(d, "_admit_locked", admit_watching_a)
     with pytest.raises(ArithmeticError, match="call 5$"):
         rt.multiply(a, b, a_uid="X", b_uid="W", c_uid="C1")
     monkeypatch.undo()
+    if site == "a-held":
+        assert len(a_pinned) >= 5 and all(a_pinned)
     assert not [t for t in threading.enumerate() if t.name.startswith("device-")]
     d.check_invariants()
     assert not any(d._pins.values())
@@ -588,6 +597,30 @@ def test_failed_task_leaves_no_pins_or_output_tile(monkeypatch, mode, site):
     assert np.array_equal(c, reference_gemm(x, y))
     assert stats.cache.writebacks == stats.total_tasks
     assert not any(d._pins.values())
+
+
+@pytest.mark.parametrize("mode", ["sim", "threaded"])
+def test_one_directory_transaction_per_contraction_step(monkeypatch, mode):
+    batches = {"acquire_input": [], "release_input": []}  # each call's batch size
+
+    def counted(name):
+        real, seen = getattr(CacheDirectory, name), batches[name]
+
+        def wrapper(self, device, batch):
+            seen.append(len(batch))
+            return real(self, device, batch)
+
+        return wrapper
+
+    for name in batches:
+        monkeypatch.setattr(CacheDirectory, name, counted(name))
+    rng = np.random.default_rng(25)
+    a, b = int_matrix(rng, 10, 7), int_matrix(rng, 7, 9)  # ragged: 3x3 tasks, 2 steps
+    c, stats = run(homogeneous_machine(2), a, b, tile_size=4, mode=mode)
+    assert np.array_equal(c, reference_gemm(a, b))
+    assert stats.total_tasks * stats.k_steps == 9 * 2
+    for seen in batches.values():
+        assert seen == [2] * (stats.total_tasks * stats.k_steps)
 
 
 # -- session reuse and reports -------------------------------------------------

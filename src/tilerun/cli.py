@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 
@@ -85,6 +86,8 @@ def cmd_ann(args) -> int:
         raise ConfigError(f"--layers needs at least two sizes, got {args.layers!r}")
     if args.steps < 0:
         raise ConfigError(f"--steps must be >= 0, got {args.steps}")
+    if not math.isfinite(args.lr):
+        raise ConfigError(f"--lr must be finite, got {args.lr}")
     rng = np.random.default_rng(args.seed)
     net = ann_mod.Network.from_sizes(sizes, rng, activation=args.activation)
     if args.data == "xor":

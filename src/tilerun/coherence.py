@@ -27,7 +27,8 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, fields
-from itertools import filterfalse, islice
+from itertools import filterfalse
+from typing import NamedTuple
 
 from .devices import HOST, Machine, closest_owner
 from .tiles import TileKey
@@ -37,8 +38,7 @@ class CapacityError(RuntimeError):
     """A device cannot hold a task's working set (everything is pinned)."""
 
 
-@dataclass(frozen=True)
-class AcquireResult:
+class AcquireResult(NamedTuple):
     """Outcome of resolving one input tile for one device.
 
     ``source`` gives the hit level: the requester itself is an L1 hit,
@@ -105,38 +105,37 @@ class CacheDirectory:
         self._dev_stats = {d.device_id: CacheStats() for d in machine.devices}
 
     def _admit_locked(self, device: int, key: TileKey) -> None:
-        """Make ``key`` resident on ``device``, evicting least recently used
-        unpinned tiles until it fits.  Raises :class:`CapacityError`
-        (leaving the directory unchanged) when every resident tile is
-        pinned."""
+        """Make ``key`` resident on ``device``, evicting the least recently
+        used unpinned tile if the device is full.  Raises
+        :class:`CapacityError` (leaving the directory unchanged) when every
+        resident tile is pinned."""
         order = self._order[device]
         if key in order:
             raise ValueError(f"{key} already resident on device {device}")
         cap = self._capacity[device]
-        if cap is not None and len(order) >= cap:
-            need = len(order) + 1 - cap
+        if cap is not None and len(order) >= cap:  # never above cap: one victim
             # absence from the pin counts means unpinned;
-            # the scan stops at the last victim
-            victims = list(islice(filterfalse(self._pins[device].__contains__, order), need))
-            if len(victims) < need:
+            # the scan stops at the victim
+            victim = next(filterfalse(self._pins[device].__contains__, order), None)
+            if victim is None:
                 raise CapacityError(
                     f"device {device}: capacity {cap} exhausted and all resident "
                     f"tiles pinned; working set does not fit"
                 )
-            for v in victims:
-                del order[v]
-            self._dev_stats[device].evictions += len(victims)
+            del order[victim]
+            self._dev_stats[device].evictions += 1
         order[key] = None
 
-    def _unpin_locked(self, device: int, key: TileKey) -> None:
+    def _unpin_locked(self, device: int, keys) -> None:
         pins = self._pins[device]
-        n = pins.get(key, 0)
-        if n < 1:
-            raise ValueError(f"unpin below zero for {key} on device {device}")
-        if n == 1:
-            del pins[key]
-        else:
-            pins[key] = n - 1
+        for key in keys:
+            n = pins.get(key, 0)
+            if n < 1:
+                raise ValueError(f"unpin below zero for {key} on device {device}")
+            if n == 1:
+                del pins[key]
+            else:
+                pins[key] = n - 1
 
     def residents(self, device: int) -> list[TileKey]:
         """Keys resident on ``device``, least recently used first."""
@@ -146,74 +145,86 @@ class CacheDirectory:
     # -- the runtime-facing operations ----------------------------------
     #
     # Resolving an input tile is lookup + transfer accounting + admit +
-    # pin.  A contraction step resolves its tiles as one batch under one
-    # lock acquisition, which makes the whole step linearizable: the hit
-    # counters stay exact even with racing worker threads (e.g. two
-    # devices missing on the same tile at the same instant still produce
-    # exactly one host fetch).
+    # pin.  A task resolves all of its contraction steps as one call under
+    # one lock acquisition, which makes the whole task's input accounting
+    # linearizable: the hit counters stay exact even with racing worker
+    # threads (e.g. two devices missing on the same tile at the same
+    # instant still produce exactly one host fetch).
 
-    def acquire_input(self, requester: int, requests) -> list[AcquireResult]:
-        """Resolve each ``(key, nbytes)`` of the sequence ``requests``, in
-        order, for ``requester`` and pin it there until
-        :meth:`release_input`.
+    def acquire_input(self, requester: int, steps) -> list[list[AcquireResult]]:
+        """Resolve a task's input tiles for ``requester`` under one lock
+        hold.  ``steps`` is a sequence of steps, each a sequence of
+        ``(key, nbytes)``; returns one list of :class:`AcquireResult` per
+        step.
 
-        Each tile is pinned as soon as it is resolved, so a later
-        admission in the batch cannot evict an earlier tile.  If a request
-        raises, the pins the batch took are dropped before the error
-        propagates; residency and counters are left as acquiring the
-        tiles one at a time, then releasing the ones acquired, would
-        leave them.
+        Steps resolve in order, and so do the tiles of a step.  Each tile
+        is pinned as soon as it is resolved, so a later admission in the
+        same step cannot evict an earlier tile.  A step's pins are dropped
+        when the next step begins; the last step's tiles stay pinned until
+        :meth:`release_input`.  Residency, counters and pins therefore end
+        as a one-step call per step would leave them, each step released
+        before the next begins.  If a request raises, the pins its step
+        took are dropped before the error propagates.
         """
         with self._lock:
             ds = self._dev_stats[requester]
             order = self._order.get(requester)
-            results = []
+            out = []
             if order is None:
                 # host workers' tiles are already local: a fetch in name only
                 free = requester in self._host_workers
-                for _key, nbytes in requests:
-                    moved = 0 if free else nbytes
-                    ds.host_fetches += 1
-                    ds.bytes_host += moved
-                    results.append(AcquireResult(HOST, moved))
-                return results
+                for step in steps:
+                    results = []
+                    for _key, nbytes in step:
+                        moved = 0 if free else nbytes
+                        ds.host_fetches += 1
+                        ds.bytes_host += moved
+                        results.append(AcquireResult(HOST, moved))
+                    out.append(results)
+                return out
             pins = self._pins[requester]
+            l1_hit = AcquireResult(requester, 0)
+            held = []  # keys the current step has pinned
             try:
-                for key, nbytes in requests:
-                    if key in order:
-                        ds.l1_hits += 1
-                        order.move_to_end(key)
-                        res = AcquireResult(requester, 0)
-                    else:
-                        # owners are collected before the admit, so the
-                        # requester is never its own source
-                        owners = [d for d, o in self._order.items() if key in o]
-                        self._admit_locked(requester, key)
-                        if owners:
-                            ds.l2_hits += 1
-                            ds.bytes_peer += nbytes
-                            res = AcquireResult(
-                                closest_owner(requester, owners, self.machine.proximity),
-                                nbytes)
+                for step in steps:
+                    self._unpin_locked(requester, held)  # the previous step's pins
+                    held = []
+                    results = []
+                    for key, nbytes in step:
+                        if key in order:
+                            ds.l1_hits += 1
+                            order.move_to_end(key)
+                            res = l1_hit
                         else:
-                            ds.host_fetches += 1
-                            ds.bytes_host += nbytes
-                            res = AcquireResult(HOST, nbytes)
-                    pins[key] = pins.get(key, 0) + 1
-                    results.append(res)
+                            # owners are collected before the admit, so the
+                            # requester is never its own source
+                            owners = [d for d, o in self._order.items() if key in o]
+                            self._admit_locked(requester, key)
+                            if owners:
+                                ds.l2_hits += 1
+                                ds.bytes_peer += nbytes
+                                res = AcquireResult(
+                                    closest_owner(requester, owners, self.machine.proximity),
+                                    nbytes)
+                            else:
+                                ds.host_fetches += 1
+                                ds.bytes_host += nbytes
+                                res = AcquireResult(HOST, nbytes)
+                        pins[key] = pins.get(key, 0) + 1
+                        held.append(key)
+                        results.append(res)
+                    out.append(results)
             except BaseException:
-                for key, _nbytes in requests[:len(results)]:
-                    self._unpin_locked(requester, key)
+                self._unpin_locked(requester, held)
                 raise
-            return results
+            return out
 
     def release_input(self, device: int, keys) -> None:
         """Unpin each of ``keys`` on ``device`` under one lock hold."""
         if device not in self._pins:
             return
         with self._lock:
-            for key in keys:
-                self._unpin_locked(device, key)
+            self._unpin_locked(device, keys)
 
     def admit_output(self, device: int, key: TileKey) -> None:
         """Reserve a pinned residency slot for an output tile being built."""
@@ -232,7 +243,7 @@ class CacheDirectory:
             return
         with self._lock:
             if device in self._pins:
-                self._unpin_locked(device, key)
+                self._unpin_locked(device, (key,))
                 del self._order[device][key]
             ds = self._dev_stats[device]
             ds.writebacks += 1
@@ -244,7 +255,7 @@ class CacheDirectory:
         if device not in self._pins:
             return
         with self._lock:
-            self._unpin_locked(device, key)
+            self._unpin_locked(device, (key,))
             del self._order[device][key]
 
     # -- observability ---------------------------------------------------

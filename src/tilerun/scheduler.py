@@ -1,14 +1,14 @@
 """Task planning and the two execution engines.
 
-One task per output tile.  The task's inner loop walks the contraction
-dimension in ascending order and only does accounting: each step
-resolves its two input tiles, read from a step table the plan builds
-once, in one cache-directory transaction, and prices the fetch and the
-compute.  The data never passes through the directory, so the task then
-makes one call to the fixed-order kernel, which multiplies the A row
-panel by the B column panel in the same ascending order.  Because every
-output tile has exactly one owner and the accumulation order is fixed,
-the numerical result is bit-identical across device counts, steal
+One task per output tile.  The task's contraction steps, in ascending
+order, are accounting only: one cache-directory transaction resolves the
+input tiles of all of them, read from a step table the plan builds once,
+and the task then prices each step's fetch and compute.  The data never
+passes through the directory, so after the steps the task makes one
+call to the fixed-order kernel, which multiplies the A row panel by the
+B column panel in the same ascending order.  Because every output tile
+has exactly one owner and the accumulation order is fixed, the
+numerical result is bit-identical across device counts, steal
 interleavings, and engine choice.
 
 Engines:
@@ -367,17 +367,18 @@ def _execute_task(machine: Machine, plan_: Plan, directory: CacheDirectory,
                   dev: DeviceSpec, task_id: int):
     """Run one task to completion on ``dev``.
 
-    Each contraction step is accounting only, read from the plan's step
-    table: one directory transaction resolves and pins both input tiles,
-    the step prices the fetch and the compute, then one call unpins them.
-    The directory returns no data, and every view comes from the plan,
-    so after the steps one kernel call multiplies the A row panel by the
-    B column panel into the output tile; the kernel's ascending order
-    makes that bit-identical to one call per step.  The output tile
-    stays pinned on the device for the whole task, then is written back
-    to host and released.  If anything raises before the writeback, the
-    task releases the inputs it holds and aborts the output tile, so it
-    leaves no pin and no residency behind.
+    The contraction steps are accounting only, read from the plan's step
+    table.  One directory transaction resolves the inputs of every step
+    in order: each step's A and B tiles are pinned while the step
+    resolves, and the last step's stay pinned until one call unpins them
+    after the steps are priced.  The directory returns no data, and every
+    view comes from the plan, so one kernel call then multiplies the A
+    row panel by the B column panel into the output tile; the kernel's
+    ascending order makes that bit-identical to one call per step.  The
+    output tile stays pinned on the device for the whole task, then is
+    written back to host and released.  If anything raises before the
+    writeback, the task releases the inputs it holds and aborts the
+    output tile, so it leaves no pin and no residency behind.
 
     Returns ``(steps, writeback)`` where ``steps`` is a list of
     (fetch_time, compute_time) pairs and ``writeback`` the final
@@ -386,22 +387,23 @@ def _execute_task(machine: Machine, plan_: Plan, directory: CacheDirectory,
     did = dev.device_id
     eb = machine.element_bytes
     i, j = decode_task(task_id, plan_.grid_cols, plan_.grid_rows)
+    a_row, b_col = plan_.a_rows[i], plan_.b_cols[j]
     c_key = plan_.c.key(i, j)
     c_view = plan_.c.tile_view(i, j)
     directory.admit_output(did, c_key)
     sub = dev.subtile_factor if dev.is_host_worker else 1
     steps = []
     try:
-        for (a_key, a_n, a_shape), (b_key, b_n, b_shape) in zip(plan_.a_rows[i],
-                                                                plan_.b_cols[j]):
-            ra, rb = directory.acquire_input(did, ((a_key, a_n * eb), (b_key, b_n * eb)))
-            try:
+        got = directory.acquire_input(did, [((a_key, a_n * eb), (b_key, b_n * eb))
+                                            for (a_key, a_n, _), (b_key, b_n, _)
+                                            in zip(a_row, b_col)])
+        try:
+            for (ra, rb), (_, _, a_shape), (_, _, b_shape) in zip(got, a_row, b_col):
                 fetch = (transfer_cost(machine, ra.source, did, ra.nbytes_moved)
                          + transfer_cost(machine, rb.source, did, rb.nbytes_moved))
-                compute = compute_cost(dev, a_shape, b_shape)
-            finally:
-                directory.release_input(did, (a_key, b_key))
-            steps.append((fetch, compute))
+                steps.append((fetch, compute_cost(dev, a_shape, b_shape)))
+        finally:
+            directory.release_input(did, (a_row[-1][0], b_col[-1][0]))
         accumulate_product(plan_.a.row_panel(i), plan_.b.col_panel(j), c_view,
                            sub_blocks=sub)
     except BaseException:

@@ -203,6 +203,16 @@ def test_ann_negative_steps_is_config_error(tmp_path, capsys):
     assert json.loads(report.read_text())["steps"] == 0
 
 
+@pytest.mark.parametrize("lr", ["nan", "inf", "-inf"])
+def test_ann_non_finite_lr_is_config_error(tmp_path, capsys, lr):
+    report = tmp_path / "ann.json"
+    assert run_cli("ann", "--layers", "2,4,1", "--data", "xor", "--steps", 2,
+                   f"--lr={lr}", "--backend", "dense", "--report", report) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not report.exists()
+
+
 def test_sweep_csv_shape_and_speedup_baseline(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run_cli("sweep", "--sizes", "8,16", "--device-counts", "1,2",

@@ -16,7 +16,7 @@ def cap_machine(n=1, capacity=None, **kw):
 
 def touch(d, device, k, nbytes=8):
     """Acquire and release at once: the tile ends resident and unpinned."""
-    res, = d.acquire_input(device, ((k, nbytes),))
+    (res,), = d.acquire_input(device, [((k, nbytes),)])
     d.release_input(device, (k,))
     return res
 
@@ -76,7 +76,7 @@ def test_admit_rejects_duplicate():
 def test_pinned_tiles_never_evicted():
     d = CacheDirectory(cap_machine(1, capacity=3))
     ka, kb, kc, kd = (key(n) for n in "abcd")
-    d.acquire_input(0, ((ka, 8),))  # held: pinned
+    d.acquire_input(0, [((ka, 8),)])  # held: pinned
     touch(d, 0, kb)
     touch(d, 0, kc)
     touch(d, 0, kd)
@@ -86,10 +86,10 @@ def test_pinned_tiles_never_evicted():
 def test_admit_fails_when_everything_pinned():
     d = CacheDirectory(cap_machine(1, capacity=3))
     for n in "abc":
-        d.acquire_input(0, ((key(n), 8),))
+        d.acquire_input(0, [((key(n), 8),)])
     before = d.stats()
     with pytest.raises(CapacityError):
-        d.acquire_input(0, ((key("d"), 8),))
+        d.acquire_input(0, [((key("d"), 8),)])
     # directory and counters unchanged by the failed acquire
     assert set(d.residents(0)) == {key("a"), key("b"), key("c")}
     assert d.stats() == before
@@ -101,13 +101,13 @@ def test_failed_batch_drops_its_pins_and_keeps_what_sequential_acquires_keep():
     ka, kb, kc, kd = (key(n) for n in "abcd")
     batched, sequential = (CacheDirectory(cap_machine(1, capacity=3)) for _ in range(2))
     for d in (batched, sequential):
-        d.acquire_input(0, ((ka, 8), (kb, 8)))  # held: a and b pinned
+        d.acquire_input(0, [((ka, 8), (kb, 8))])  # held: a and b pinned
     # c fits; d does not, because a, b and the batch's own c are pinned
     with pytest.raises(CapacityError):
-        batched.acquire_input(0, ((kc, 8), (kd, 8)))
-    sequential.acquire_input(0, ((kc, 8),))
+        batched.acquire_input(0, [((kc, 8), (kd, 8))])
+    sequential.acquire_input(0, [((kc, 8),)])
     with pytest.raises(CapacityError):
-        sequential.acquire_input(0, ((kd, 8),))
+        sequential.acquire_input(0, [((kd, 8),)])
     sequential.release_input(0, (kc,))
     assert batched.residents(0) == sequential.residents(0) == [ka, kb, kc]
     assert batched.stats() == sequential.stats()
@@ -118,16 +118,51 @@ def test_failed_batch_drops_its_pins_and_keeps_what_sequential_acquires_keep():
     assert batched.residents(0) == [kb, kc, kd]
 
 
+def stepwise_acquire(d, device, steps):
+    """The oracle of a task's call: each step a one-step call, released
+    before the next one begins."""
+    out = []
+    for s, step in enumerate(steps):
+        out += d.acquire_input(device, [step])
+        if s < len(steps) - 1:
+            d.release_input(device, [k for k, _ in step])
+    return out
+
+
+@pytest.mark.usefixtures("directory_invariants")
+def test_task_call_keeps_only_its_last_step_pinned_as_stepwise_calls_do():
+    ka, kb, kc, kd, ke = (key(n) for n in "abcde")
+    task, stepwise = (CacheDirectory(cap_machine(1, capacity=3)) for _ in range(2))
+    # at capacity 3, d fits only once a and b are unpinned
+    steps = [[(ka, 8), (kb, 8)], [(kc, 8), (kd, 8)], [(ka, 8), (ke, 8)]]
+    got = task.acquire_input(0, steps)
+    assert [[r.source for r in step] for step in got] == [[HOST] * 2] * 3
+    assert got == stepwise_acquire(stepwise, 0, steps)
+    assert task.residents(0) == stepwise.residents(0) == [kd, ka, ke]
+    assert task.stats() == stepwise.stats()
+    assert task._pins[0] == stepwise._pins[0] == {ka: 1, ke: 1}
+    # a failure in a later step: the first step's pin went when the second
+    # began, and the second drops the pin on c before d raises
+    steps = [[(kb, 8)], [(kc, 8), (kd, 8)]]
+    with pytest.raises(CapacityError):
+        task.acquire_input(0, steps)
+    with pytest.raises(CapacityError):
+        stepwise_acquire(stepwise, 0, steps)
+    assert task.residents(0) == stepwise.residents(0) == [ka, ke, kc]
+    assert task.stats() == stepwise.stats()
+    assert task._pins[0] == stepwise._pins[0] == {ka: 1, ke: 1}
+
+
 def test_pin_unpin_restores_evictability():
     d = CacheDirectory(cap_machine(1, capacity=3))
     ka, kb, kc = key("a"), key("b"), key("c")
-    d.acquire_input(0, ((ka, 8),))
-    d.acquire_input(0, ((ka, 8),))  # an L1 hit pins again
+    d.acquire_input(0, [((ka, 8),)])
+    d.acquire_input(0, [((ka, 8),)])  # an L1 hit pins again
     d.release_input(0, (ka,))  # double pin, single unpin: still pinned
-    d.acquire_input(0, ((kb, 8),))
-    d.acquire_input(0, ((kc, 8),))
+    d.acquire_input(0, [((kb, 8),)])
+    d.acquire_input(0, [((kc, 8),)])
     with pytest.raises(CapacityError):
-        d.acquire_input(0, ((key("d"), 8),))
+        d.acquire_input(0, [((key("d"), 8),)])
     d.release_input(0, (ka,))
     touch(d, 0, key("d"))
     assert ka not in d.residents(0)
@@ -160,7 +195,7 @@ def test_acquire_counts_and_admits():
 def test_acquire_pins_until_release():
     d = CacheDirectory(cap_machine(1, capacity=3))
     ka = key("a")
-    d.acquire_input(0, ((ka, 8),))
+    d.acquire_input(0, [((ka, 8),)])
     for n in "bcde":
         touch(d, 0, key(n))
         assert ka in d.residents(0)
@@ -175,7 +210,7 @@ def test_bypass_mode_always_host():
     d = CacheDirectory(cap_machine(2), enabled=False)
     k = key("a")
     for _ in range(5):
-        r, = d.acquire_input(0, ((k, 10),))
+        (r,), = d.acquire_input(0, [((k, 10),)])
         assert r.source == HOST and r.nbytes_moved == 10
         d.release_input(0, (k,))
     d.admit_output(0, key("c"))
@@ -193,7 +228,7 @@ def test_host_worker_requests_are_free_host_fetches():
     for enabled in (True, False):
         d = CacheDirectory(m, enabled=enabled)
         touch(d, 0, key("a"))  # resident on the accelerator when enabled
-        r, = d.acquire_input(1, ((key("a"), 999),))
+        (r,), = d.acquire_input(1, [((key("a"), 999),)])
         assert r.source == HOST and r.nbytes_moved == 0
         d.release_input(1, (key("a"),))
         d.admit_output(1, key("c"))
@@ -294,59 +329,69 @@ class ModelDirectory:
 
 @pytest.mark.usefixtures("directory_invariants")
 def test_model_based_directory_agreement():
-    # acquire = a batch of 1-3 tiles, each resolved in order as a lone
-    # acquire would (refresh, or take the source and then admit; then pin),
-    # with the batch's earlier tiles pinned.  A batch that fails drops the
-    # pins it took.  release = unpin one earlier batch.  Device 0 is closer
-    # to 2 than to 1; device 1 is equally far from 0 and 2, so ties go to
-    # the lower id.
+    # acquire = one call of 1-4 steps of 1-3 tiles.  The model resolves
+    # each step as a lone acquire of its tiles would (refresh, or take the
+    # source and then admit; then pin), with the step's earlier tiles
+    # pinned, then releases the step unless it is the call's last.  A step
+    # that fails drops the pins it took.  release = unpin the last step of
+    # one earlier call.  Device 0 is closer to 2 than to 1; device 1 is
+    # equally far from 0 and 2, so ties go to the lower id.
     hops = [[0, 2, 1], [2, 0, 2], [1, 2, 0]]
     rng = np.random.default_rng(99)
-    peer_hits = refetched = failed_after_a_pin = 0
-    for trial in range(20):
+    peer_hits = refetched = failed_mid_step = failed_after_a_step = 0
+    for trial in range(24):
         n = 2 + trial % 2
-        cap = int(rng.integers(3, 7))
+        cap = 3 if trial % 3 == 0 else int(rng.integers(4, 7))
         m = Machine([DeviceSpec(i, capacity_tiles=cap) for i in range(n)],
                     ProximityMatrix(np.array(hops)[:n, :n], np.full((n, n), 10.0)))
         d = CacheDirectory(m)
         model = ModelDirectory([row[:n] for row in hops[:n]], cap)
         universe = [key(f"t{i}") for i in range(12)]
         seen = set()  # keys that were resident somewhere before
-        held = [[] for _ in range(n)]  # per device: batches not yet released
-        for _ in range(300):
+        held = [[] for _ in range(n)]  # per device: last steps not yet released
+        for _ in range(200):
             dev = int(rng.integers(0, n))
             if rng.integers(0, 2) == 0:
-                batch = [universe[int(i)]
-                         for i in rng.integers(0, len(universe), int(rng.integers(1, 4)))]
+                steps = [[universe[int(i)]
+                          for i in rng.integers(0, len(universe), int(rng.integers(1, 4)))]
+                         for _ in range(int(rng.integers(1, 5)))]
                 want = []
                 try:
-                    for k in batch:
-                        src, moved = model.acquire(dev, k, 8)
-                        want.append((src, moved))
-                        if src != dev:  # not an L1 hit
-                            peer_hits += src != HOST
-                            refetched += src == HOST and k in seen
-                            seen.add(k)
+                    for s, step in enumerate(steps):
+                        want.append([])
+                        for k in step:
+                            src, moved = model.acquire(dev, k, 8)
+                            want[-1].append((src, moved))
+                            if src != dev:  # not an L1 hit
+                                peer_hits += src != HOST
+                                refetched += src == HOST and k in seen
+                                seen.add(k)
+                        if s < len(steps) - 1:
+                            for k in step:
+                                model.unpin(dev, k)
                 except CapacityError:
-                    for k in batch[:len(want)]:
+                    for k in step[:len(want[-1])]:
                         model.unpin(dev, k)
                     with pytest.raises(CapacityError):
-                        d.acquire_input(dev, [(k, 8) for k in batch])
-                    failed_after_a_pin += len(want) > 0
+                        d.acquire_input(dev, [[(k, 8) for k in step] for step in steps])
+                    failed_mid_step += len(want[-1]) > 0
+                    failed_after_a_step += s > 0
                 else:
-                    got = d.acquire_input(dev, [(k, 8) for k in batch])
-                    assert [(r.source, r.nbytes_moved) for r in got] == want
-                    held[dev].append(batch)
+                    got = d.acquire_input(dev, [[(k, 8) for k in step] for step in steps])
+                    assert [[(r.source, r.nbytes_moved) for r in step] for step in got] == want
+                    held[dev].append(steps[-1])
             elif held[dev]:
-                batch = held[dev].pop(int(rng.integers(0, len(held[dev]))))
-                for k in batch:
+                step = held[dev].pop(int(rng.integers(0, len(held[dev]))))
+                for k in step:
                     model.unpin(dev, k)
-                d.release_input(dev, batch)
+                d.release_input(dev, step)
             for o in range(n):
                 assert d.residents(o) == model.keys[o]
             assert d.stats_per_device() == dict(enumerate(model.stats))
             assert d._pins == {o: {k: c for k, c in model.pins[o].items() if c}
                                for o in range(n)}
     # the walk reached peer copies, tiles evicted from every owner came back
-    # as host misses, and batches failed after pinning an earlier tile
-    assert peer_hits > 0 and refetched > 0 and failed_after_a_pin > 0
+    # as host misses, and calls failed both inside a step that had pinned a
+    # tile and in a step after an earlier one had resolved
+    assert peer_hits > 0 and refetched > 0
+    assert failed_mid_step > 0 and failed_after_a_step > 0

@@ -600,27 +600,30 @@ def test_failed_task_leaves_no_pins_or_output_tile(monkeypatch, mode, site):
 
 
 @pytest.mark.parametrize("mode", ["sim", "threaded"])
-def test_one_directory_transaction_per_contraction_step(monkeypatch, mode):
-    batches = {"acquire_input": [], "release_input": []}  # each call's batch size
+def test_one_directory_transaction_per_task(monkeypatch, mode):
+    calls = {"acquire_input": [], "release_input": []}  # each call's argument
 
     def counted(name):
-        real, seen = getattr(CacheDirectory, name), batches[name]
+        real, seen = getattr(CacheDirectory, name), calls[name]
 
-        def wrapper(self, device, batch):
-            seen.append(len(batch))
-            return real(self, device, batch)
+        def wrapper(self, device, arg):
+            seen.append(arg)
+            return real(self, device, arg)
 
         return wrapper
 
-    for name in batches:
+    for name in calls:
         monkeypatch.setattr(CacheDirectory, name, counted(name))
     rng = np.random.default_rng(25)
     a, b = int_matrix(rng, 10, 7), int_matrix(rng, 7, 9)  # ragged: 3x3 tasks, 2 steps
     c, stats = run(homogeneous_machine(2), a, b, tile_size=4, mode=mode)
     assert np.array_equal(c, reference_gemm(a, b))
-    assert stats.total_tasks * stats.k_steps == 9 * 2
-    for seen in batches.values():
-        assert seen == [2] * (stats.total_tasks * stats.k_steps)
+    assert (stats.total_tasks, stats.k_steps) == (9, 2)
+    # one acquire of both steps' A and B tiles, one release of the last step's
+    assert [[len(step) for step in steps] for steps in calls["acquire_input"]] == [[2, 2]] * 9
+    assert [len(keys) for keys in calls["release_input"]] == [2] * 9
+    assert sorted(calls["release_input"]) == sorted(
+        tuple(k for k, _ in steps[-1]) for steps in calls["acquire_input"])
 
 
 # -- session reuse and reports -------------------------------------------------

@@ -38,9 +38,10 @@ class DeviceSpec:
     one C tile are needed simultaneously to make progress on any task).
     ``slots`` is the reservation-station width; 4 mirrors the point
     where extra per-device concurrency stops paying off.
-    ``subtile_factor`` only matters for host workers, whose kernel
-    further factorizes each tile into that many sub-blocks per
-    dimension.
+    ``subtile_factor`` only matters for host workers under the threaded
+    engine, whose per-task kernel call further factorizes the output
+    tile into that many sub-blocks per dimension; the sim engine makes
+    no per-task call.  The bits are the same either way.
     """
 
     device_id: int

@@ -43,7 +43,8 @@ def load_matrix_text(path) -> np.ndarray:
         raise ValueError(
             f"{path}: expected {rows * cols} values for {rows}x{cols}, got {len(values)}"
         )
-    return np.array([float(v) for v in values], dtype=np.float64).reshape(rows, cols)
+    # numpy parses each token as float() does, bit for bit
+    return np.array(values, dtype=np.float64).reshape(rows, cols)
 
 
 def save_matrix_binary(path, m) -> None:

@@ -4,20 +4,25 @@ One task per output tile.  The task's contraction steps, in ascending
 order, are accounting only: one cache-directory transaction resolves the
 input tiles of all of them, read from a step table the plan builds once,
 and the task then prices each step's fetch and compute.  The data never
-passes through the directory, so after the steps the task makes one
-call to the fixed-order kernel, which multiplies the A row panel by the
-B column panel in the same ascending order.  Because every output tile
-has exactly one owner and the accumulation order is fixed, the
-numerical result is bit-identical across device counts, steal
-interleavings, and engine choice.
+passes through the directory.  The fixed-order kernel accumulates the
+contraction index in ascending order however its operands are blocked,
+so the product's bits do not depend on the schedule: the ``sim`` engine
+computes the whole product with one kernel call before it claims any
+task, and the ``threaded`` engine makes one call per task, which
+multiplies the A row panel by the B column panel into the task's output
+tile.  Because every output tile has exactly one owner and the
+accumulation order is fixed, the numerical result is bit-identical
+across device counts, steal interleavings, and engine choice.
 
 Engines:
 
-* ``sim`` -- deterministic discrete-event replay.  Each device has a
-  compute engine and a transfer engine; within a task the fetch for the
-  next contraction step overlaps the current compute.  The device whose
-  compute engine frees earliest claims the next task (demand-driven
-  work sharing), so faster devices naturally pull more work.
+* ``sim`` -- deterministic discrete-event replay of the model only: its
+  tasks run the directory and the pricing, never the kernel.  Each
+  device has a compute engine and a transfer engine; within a task the
+  fetch for the next contraction step overlaps the current compute.  The
+  device whose compute engine frees earliest claims the next task
+  (demand-driven work sharing), so faster devices naturally pull more
+  work.
 * ``threaded`` -- one real worker thread per device, sharing the global
   queue, the directory, and each other's reservation stations.  Wall
   clock replaces simulated time; all counters stay exact because the
@@ -109,17 +114,20 @@ class Operand:
             return self.tiled.tile(j, i).T
         return self.tiled.tile(i, j)
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """The whole operand as one view of the stored matrix."""
+        return self.tiled.base.T if self.transposed else self.tiled.base
+
     def row_panel(self, i: int) -> np.ndarray:
         """Tile row ``i`` as one view: the ``hstack`` of its tiles."""
         t = self.tiled.tile_size
-        m = self.tiled.base
-        return m[:, i * t : (i + 1) * t].T if self.transposed else m[i * t : (i + 1) * t]
+        return self.matrix[i * t : (i + 1) * t]
 
     def col_panel(self, j: int) -> np.ndarray:
         """Tile column ``j`` as one view: the ``vstack`` of its tiles."""
         t = self.tiled.tile_size
-        m = self.tiled.base
-        return m[j * t : (j + 1) * t].T if self.transposed else m[:, j * t : (j + 1) * t]
+        return self.matrix[:, j * t : (j + 1) * t]
 
     def key(self, i: int, j: int) -> TileKey:
         r, c = (j, i) if self.transposed else (i, j)
@@ -363,57 +371,77 @@ def write_report_csv(stats: RunStats, path) -> None:
 # -- task execution ------------------------------------------------------
 
 
-def _execute_task(machine: Machine, plan_: Plan, directory: CacheDirectory,
-                  dev: DeviceSpec, task_id: int):
-    """Run one task to completion on ``dev``.
+def _begin_task(machine: Machine, plan_: Plan, directory: CacheDirectory,
+                did: int, i: int, j: int) -> list[tuple[float, float]]:
+    """The accounting of task ``(i, j)`` on device ``did`` up to its data.
 
-    The contraction steps are accounting only, read from the plan's step
-    table.  One directory transaction resolves the inputs of every step
-    in order: each step's A and B tiles are pinned while the step
-    resolves, and the last step's stay pinned until one call unpins them
-    after the steps are priced.  The directory returns no data, and every
-    view comes from the plan, so one kernel call then multiplies the A
-    row panel by the B column panel into the output tile; the kernel's
-    ascending order makes that bit-identical to one call per step.  The
-    output tile stays pinned on the device for the whole task, then is
-    written back to host and released.  If anything raises before the
-    writeback, the task releases the inputs it holds and aborts the
-    output tile, so it leaves no pin and no residency behind.
+    The output tile is admitted and stays pinned on the device until
+    ``_end_task`` writes it back.  The contraction steps are accounting
+    only, read from the plan's step table.  One directory transaction
+    resolves the inputs of every step in order: each step's A and B tiles
+    are pinned while the step resolves, and the last step's stay pinned
+    until one call unpins them after the steps are priced.  If anything
+    raises, the task releases the inputs it holds and aborts the output
+    tile, so it leaves no pin and no residency behind.
 
-    Returns ``(steps, writeback)`` where ``steps`` is a list of
-    (fetch_time, compute_time) pairs and ``writeback`` the final
-    transfer time, all in simulated units.
+    Returns the steps as (fetch_time, compute_time) pairs in simulated
+    units.
     """
-    did = dev.device_id
     eb = machine.element_bytes
-    i, j = decode_task(task_id, plan_.grid_cols, plan_.grid_rows)
+    dev = machine.device(did)
     a_row, b_col = plan_.a_rows[i], plan_.b_cols[j]
     c_key = plan_.c.key(i, j)
-    c_view = plan_.c.tile_view(i, j)
     directory.admit_output(did, c_key)
-    sub = dev.subtile_factor if dev.is_host_worker else 1
-    steps = []
     try:
         got = directory.acquire_input(did, [((a_key, a_n * eb), (b_key, b_n * eb))
                                             for (a_key, a_n, _), (b_key, b_n, _)
                                             in zip(a_row, b_col)])
         try:
-            for (ra, rb), (_, _, a_shape), (_, _, b_shape) in zip(got, a_row, b_col):
-                fetch = (transfer_cost(machine, ra.source, did, ra.nbytes_moved)
-                         + transfer_cost(machine, rb.source, did, rb.nbytes_moved))
-                steps.append((fetch, compute_cost(dev, a_shape, b_shape)))
+            return [(transfer_cost(machine, ra.source, did, ra.nbytes_moved)
+                     + transfer_cost(machine, rb.source, did, rb.nbytes_moved),
+                     compute_cost(dev, a_shape, b_shape))
+                    for (ra, rb), (_, _, a_shape), (_, _, b_shape) in zip(got, a_row, b_col)]
         finally:
             directory.release_input(did, (a_row[-1][0], b_col[-1][0]))
-        accumulate_product(plan_.a.row_panel(i), plan_.b.col_panel(j), c_view,
-                           sub_blocks=sub)
     except BaseException:
         directory.abort_output(did, c_key)
         raise
-    wb_bytes = c_view.size * eb
-    writeback = transfer_cost(machine, did, HOST, wb_bytes)
-    directory.release_output(did, c_key, wb_bytes)
+
+
+def _end_task(machine: Machine, plan_: Plan, directory: CacheDirectory,
+              did: int, task_id: int, i: int, j: int) -> float:
+    """Write task ``(i, j)``'s output tile back to host, release it and
+    record the task as run on ``did``; returns the writeback time."""
+    wb_bytes = plan_.c.tile_view(i, j).size * machine.element_bytes
+    directory.release_output(did, plan_.c.key(i, j), wb_bytes)
     plan_.completion.mark(task_id, did)
-    return steps, writeback
+    return transfer_cost(machine, did, HOST, wb_bytes)
+
+
+def _execute_task(machine: Machine, plan_: Plan, directory: CacheDirectory,
+                  dev: DeviceSpec, task_id: int) -> None:
+    """Run one task to completion on ``dev``, data included: the threaded
+    engine's task.  (The ``sim`` engine computes the whole product with
+    one kernel call up front, and its tasks are ``_begin_task`` and
+    ``_end_task`` only.)
+
+    Between the two, while the output tile is pinned, one kernel call
+    multiplies the A row panel by the B column panel into the output
+    tile; the kernel's ascending order makes that bit-identical to one
+    call per step, and to the ``sim`` engine's one call.  A host worker's
+    call is sub-blocked by its ``subtile_factor``.  If the kernel raises,
+    the output tile is aborted as in ``_begin_task``.
+    """
+    did = dev.device_id
+    i, j = decode_task(task_id, plan_.grid_cols, plan_.grid_rows)
+    _begin_task(machine, plan_, directory, did, i, j)
+    try:
+        accumulate_product(plan_.a.row_panel(i), plan_.b.col_panel(j), plan_.c.tile_view(i, j),
+                           sub_blocks=dev.subtile_factor if dev.is_host_worker else 1)
+    except BaseException:
+        directory.abort_output(did, plan_.c.key(i, j))
+        raise
+    _end_task(machine, plan_, directory, did, task_id, i, j)
 
 
 # -- engines --------------------------------------------------------------
@@ -437,8 +465,13 @@ def _claim(did: int, stations: dict[int, ReservationStation], queue: MichaelScot
 
 
 def _run_sim(machine, plan_, directory, clocks, events, steal_enabled):
-    """Both engine times in ``clocks[device]`` only move forward, because
-    every cost is >= 0."""
+    """Compute the product with one kernel call, then replay the model.
+
+    The data step runs before the first claim, so a kernel fault leaves
+    the directory, the clocks and the completion record untouched.  Both
+    engine times in ``clocks[device]`` only move forward, because every
+    cost is >= 0."""
+    accumulate_product(plan_.a.matrix, plan_.b.matrix, plan_.c.tiled.base)
     stations = {d.device_id: ReservationStation(d.slots) for d in machine.devices}
     heap = [(clocks[d.device_id][0], d.device_id) for d in machine.devices]
     heapq.heapify(heap)
@@ -449,7 +482,9 @@ def _run_sim(machine, plan_, directory, clocks, events, steal_enabled):
             continue  # the device retires
         if victim is not None:
             events.append(StealEvent(did, victim, tid, time=t))
-        steps, wb = _execute_task(machine, plan_, directory, machine.device(did), tid)
+        i, j = decode_task(tid, plan_.grid_cols, plan_.grid_rows)
+        steps = _begin_task(machine, plan_, directory, did, i, j)
+        wb = _end_task(machine, plan_, directory, did, tid, i, j)
         co, tr = clocks[did]
         tr = max(tr, t)  # transfers for this task cannot predate claiming it
         for fetch, compute in steps:

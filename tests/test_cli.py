@@ -148,6 +148,17 @@ def test_gemm_bad_device_config_is_config_error(tmp_path, capsys, config):
     assert len(err) == 1 and err[0].startswith("error: "), err
 
 
+@pytest.mark.parametrize("token", ["0x10", "1e", "--1"])
+def test_gemm_malformed_matrix_value_is_config_error(tmp_path, capsys, token):
+    pa = tmp_path / "a.txt"
+    pa.write_text(f"2 2\n1 2\n3 {token}\n")
+    pb = gen(tmp_path, "b.txt", 2, 2)
+    capsys.readouterr()
+    assert run_cli("gemm", "--a", pa, "--b", pb) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
 def test_capacity_error_maps_to_exit_three(tmp_path, monkeypatch):
     pa = gen(tmp_path, "a.txt", 4, 4)
     pb = gen(tmp_path, "b.txt", 4, 4)

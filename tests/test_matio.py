@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tilerun.matio import (
     load_matrix,
@@ -38,6 +40,16 @@ def test_text_rejects_wrong_count(tmp_path):
     p.write_text("2 2\n1 2 3\n")
     with pytest.raises(ValueError):
         load_matrix_text(p)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+def test_text_parse_matches_float_bitwise(tmp_path_factory, values):
+    tokens = [f"{v:.17g}" for v in values]
+    p = tmp_path_factory.mktemp("m") / "m.txt"
+    p.write_text(f"1 {len(tokens)}\n" + " ".join(tokens) + "\n")
+    expected = np.array([float(t) for t in tokens], dtype=np.float64)
+    assert load_matrix_text(p).tobytes() == expected.tobytes()
 
 
 def test_binary_roundtrip_bitwise(tmp_path):

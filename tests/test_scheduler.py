@@ -233,7 +233,9 @@ def test_constrained_capacity_still_exact_with_evictions():
     assert stats.cache.evictions > 0
 
 
-def test_host_worker_participates_and_subtiling_is_bitwise_neutral():
+@pytest.mark.parametrize("mode", ["sim", "threaded"])
+def test_host_worker_participates_and_subtiling_is_bitwise_neutral(mode):
+    # only the threaded engine's tasks call the kernel, sub-blocked on a host worker
     rng = np.random.default_rng(6)
     a, b = int_matrix(rng, 12, 12), int_matrix(rng, 12, 12)
     ref = reference_gemm(a, b)
@@ -245,10 +247,11 @@ def test_host_worker_participates_and_subtiling_is_bitwise_neutral():
                        host_bandwidth=1.0, subtile_factor=f),
         ]
         m = Machine(devs, ProximityMatrix.uniform(2, bandwidth=1e6))
-        c, stats = run(m, a, b, tile_size=4, mode="sim")
+        c, stats = run(m, a, b, tile_size=4, mode=mode)
         outs.append(c)
         assert np.array_equal(c, ref)
-        assert stats.devices[1].tasks_completed > 0  # host worker pulled work
+        if mode == "sim":  # under threads the host worker may pull no task
+            assert stats.devices[1].tasks_completed > 0  # host worker pulled work
     assert np.array_equal(outs[0], outs[1])
     assert np.array_equal(outs[0], outs[2])
 
@@ -316,7 +319,8 @@ def _float_operand(rng, shape, dtype, tile, transposed):
 def test_task_panel_product_matches_per_step_loop_bitwise(tile, grid, ragged, dtypes,
                                                           transposes, sub_blocks, seed):
     # One kernel call on the row and column panels must give every output
-    # tile the bits of one call per contraction step.
+    # tile the bits of one call per contraction step, and so must one call
+    # on the whole operands, as the sim engine makes.
     m, k, n = (tile * (g - 1) + 1 + r % tile for g, r in zip(grid, ragged))
     rng = np.random.default_rng(seed)
     a = _float_operand(rng, (m, k), dtypes[0], tile, transposes[0])
@@ -324,6 +328,7 @@ def test_task_panel_product_matches_per_step_loop_bitwise(tile, grid, ragged, dt
     # the output takes A's dtype, as plan() allocates it
     c = _float_operand(rng, (m, n), dtypes[0], tile, False).tiled
     expected = partition(c.base.copy(), tile)
+    whole = accumulate_product(a.matrix, b.matrix, c.base.copy())
     for i in range(c.grid_rows):
         for j in range(c.grid_cols):
             for kk in range(a.grid_cols):
@@ -332,6 +337,7 @@ def test_task_panel_product_matches_per_step_loop_bitwise(tile, grid, ragged, dt
             accumulate_product(a.row_panel(i), b.col_panel(j), c.tile(i, j),
                                sub_blocks=sub_blocks)
     assert c.base.tobytes() == expected.base.tobytes()
+    assert whole.tobytes() == expected.base.tobytes()
 
 
 # -- cache behaviour through full runs ---------------------------------------
@@ -552,10 +558,14 @@ def _fail_at(real, n, counted=lambda *args: True):
     return wrapper
 
 
-@pytest.mark.parametrize("mode", ["sim", "threaded"])
-@pytest.mark.parametrize("site", ["kernel", "both-inputs-held", "a-held"])
+# a sim kernel fault comes before any task: test_sim_kernel_fault_leaves_model_untouched
+@pytest.mark.parametrize("site,mode", [
+    ("kernel", "threaded"),
+    ("both-inputs-held", "sim"), ("both-inputs-held", "threaded"),
+    ("a-held", "sim"), ("a-held", "threaded"),
+])
 @pytest.mark.usefixtures("directory_invariants")
-def test_failed_task_leaves_no_pins_or_output_tile(monkeypatch, mode, site):
+def test_failed_task_leaves_no_pins_or_output_tile(monkeypatch, site, mode):
     import tilerun.scheduler as scheduler
 
     rng = np.random.default_rng(24)
@@ -597,6 +607,63 @@ def test_failed_task_leaves_no_pins_or_output_tile(monkeypatch, mode, site):
     assert np.array_equal(c, reference_gemm(x, y))
     assert stats.cache.writebacks == stats.total_tasks
     assert not any(d._pins.values())
+
+
+@pytest.mark.usefixtures("directory_invariants")
+def test_sim_kernel_fault_leaves_model_untouched(monkeypatch):
+    import tilerun.scheduler as scheduler
+
+    rng = np.random.default_rng(26)
+    rt = Runtime(homogeneous_machine(2, capacity_tiles=3), tile_size=4, mode="sim")
+    d = rt.directory
+    x, y = int_matrix(rng, 12, 12), int_matrix(rng, 12, 12)
+    rt.multiply(x, y)  # a product before, so that there is a model to keep
+    clocks, stats = [list(c) for c in rt.clocks.values()], d.stats()
+    monkeypatch.setattr(scheduler, "accumulate_product",
+                        _fail_at(scheduler.accumulate_product, 1))
+    a, b = int_matrix(rng, 12, 12), int_matrix(rng, 12, 12)
+    with pytest.raises(ArithmeticError, match="call 1$"):
+        rt.multiply(a, b, a_uid="X", b_uid="W", c_uid="C1")
+    monkeypatch.undo()
+    d.check_invariants()
+    assert not any(d._pins.values())
+    assert not [k for dev in (0, 1) for k in d.residents(dev) if k.matrix in ("X", "W", "C1")]
+    assert [list(c) for c in rt.clocks.values()] == clocks
+    assert d.stats() == stats
+    c, after = rt.multiply(a, b)
+    assert np.array_equal(c, reference_gemm(a, b))
+    assert after.cache.writebacks == after.total_tasks
+
+
+@pytest.mark.parametrize("mode", ["sim", "threaded"])
+def test_kernel_calls_per_engine(monkeypatch, mode):
+    import tilerun.scheduler as scheduler
+
+    log = []  # the names of the kernel calls and claims, in call order
+
+    def logged(name):
+        real = getattr(scheduler, name)
+
+        def wrapper(*args, **kwargs):
+            log.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("accumulate_product", "_claim"):
+        monkeypatch.setattr(scheduler, name, logged(name))
+    rng = np.random.default_rng(27)
+    a, b = int_matrix(rng, 10, 7), int_matrix(rng, 7, 9)  # ragged: 3x3 tasks
+    rt = Runtime(homogeneous_machine(2), tile_size=4, mode=mode)
+    for _ in range(2):
+        log.clear()
+        c, stats = rt.multiply(a, b)
+        assert np.array_equal(c, reference_gemm(a, b))
+        assert stats.total_tasks == 9
+        if mode == "sim":  # the whole product, before the first claim
+            assert log.count("accumulate_product") == 1 and log[0] == "accumulate_product"
+        else:  # one per task
+            assert log.count("accumulate_product") == 9
 
 
 @pytest.mark.parametrize("mode", ["sim", "threaded"])

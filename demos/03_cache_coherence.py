@@ -37,7 +37,7 @@ print("== squeezing through capacity_tiles=3 (one A + one B + one C) ==")
 tight = homogeneous_machine(2, capacity_tiles=3)
 rt = Runtime(tight, tile_size=tile, mode="sim")
 c, stats = rt.multiply(a, b)
-rt.directory.check_invariants()  # no pin left behind, no device over capacity
+rt.directory.check_invariants()  # no output tile left behind, no device over capacity
 print(f"result exact: {np.array_equal(c, reference_gemm(a, b))}, "
       f"evictions: {stats.cache.evictions}, "
       f"host_fetches: {stats.cache.host_fetches} (reuse mostly gone)")
@@ -54,12 +54,11 @@ prox = ProximityMatrix(hops, np.full((3, 3), 1e6))
 m3 = Machine([DeviceSpec(i) for i in range(3)], prox)
 directory = CacheDirectory(m3)
 key = TileKey("A", 0, 0)
-# each call is one transaction over a task's steps, each step a batch of
+# each call is one transaction over a task's steps, each step one or two
 # (key, nbytes) requests; a task sends the A and B tiles of all its
 # contraction steps in one call.  Here every call is one step of one tile
 for holder in (1, 2):
     directory.acquire_input(holder, [((key, 8),)])
-    directory.release_input(holder, (key,))
 (picked,), = directory.acquire_input(0, [((key, 8),)])
 print(f"tile held by devices 1 (3 hops) and 2 (1 hop); device 0 fetches from: "
       f"device {picked.source}")

@@ -19,7 +19,7 @@ from .ann import (
     train_step,
     xor_dataset,
 )
-from .coherence import CacheDirectory, CacheStats, CapacityError
+from .coherence import CacheDirectory, CacheStats
 from .devices import (
     HOST,
     ConfigError,

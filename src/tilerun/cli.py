@@ -3,8 +3,7 @@
 Subcommands: ``gen`` (deterministic matrix files), ``gemm`` (one product
 through the runtime), ``ann`` (train a small network on either backend),
 ``sweep`` (size x device-count scaling table).  ``TILERUN_LOG`` sets the
-log level.  Exit codes: 0 success, 2 configuration error, 3 working set
-does not fit device capacity, 4 I/O error.
+log level.  Exit codes: 0 success, 2 configuration error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import sys
 import numpy as np
 
 from . import ann as ann_mod
-from .coherence import CapacityError
 from .devices import ConfigError, Machine, homogeneous_machine, load_machine
 from .matio import load_matrix, save_matrix
 from .scheduler import run, write_report_csv, write_report_json
@@ -29,7 +27,6 @@ log = logging.getLogger("tilerun")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_CAPACITY = 3
 EXIT_IO = 4
 
 
@@ -259,9 +256,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -34,10 +34,6 @@ from .devices import HOST, Machine, closest_owner
 from .tiles import TileKey
 
 
-class CapacityError(RuntimeError):
-    """A device cannot hold a task's working set (everything is pinned)."""
-
-
 class AcquireResult(NamedTuple):
     """Outcome of resolving one input tile for one device.
 
@@ -82,15 +78,17 @@ class CacheStats:
 
 
 class CacheDirectory:
-    """Per-device LRU residency sets and pin counts; their union is the
-    L2 directory.
+    """Per-device LRU residency sets, whose union is the L2 directory, and
+    the output tile each device is building.
 
     Which devices cache is fixed at construction: every accelerator when
     ``enabled``, none otherwise.  Only those devices have an LRU set, so
     an uncached device fetches every tile from host.  Every hit refreshes
-    the tile's recency; the victim is always the least recently used
-    unpinned tile.  The counters are kept per device only; :meth:`stats`
-    is their sum.
+    the tile's recency.  The victim is the least recently used tile that
+    is neither the device's current output tile nor a tile the admitting
+    step has already resolved.  A step has at most two tiles and a
+    bounded capacity is at least 3, so every admission finds a victim.
+    The counters are kept per device only; :meth:`stats` is their sum.
     """
 
     def __init__(self, machine: Machine, enabled: bool = True):
@@ -98,44 +96,31 @@ class CacheDirectory:
         self._lock = threading.Lock()
         cached = [d for d in machine.devices if enabled and not d.is_host_worker]
         self._order: dict[int, OrderedDict] = {d.device_id: OrderedDict() for d in cached}
-        # pin counts; a tile with no pin has no entry
-        self._pins: dict[int, dict] = {d.device_id: {} for d in cached}
+        # the output tile each cached device is building, or None
+        self._output: dict[int, TileKey | None] = {d.device_id: None for d in cached}
         self._capacity: dict[int, int | None] = {d.device_id: d.capacity_tiles for d in cached}
         self._host_workers = frozenset(d.device_id for d in machine.devices if d.is_host_worker)
         self._dev_stats = {d.device_id: CacheStats() for d in machine.devices}
 
-    def _admit_locked(self, device: int, key: TileKey) -> None:
+    def _admit_locked(self, device: int, key: TileKey, keep=()) -> None:
         """Make ``key`` resident on ``device``, evicting the least recently
-        used unpinned tile if the device is full.  Raises
-        :class:`CapacityError` (leaving the directory unchanged) when every
-        resident tile is pinned."""
+        used tile not in ``keep`` if the device is full."""
         order = self._order[device]
         if key in order:
             raise ValueError(f"{key} already resident on device {device}")
         cap = self._capacity[device]
         if cap is not None and len(order) >= cap:  # never above cap: one victim
-            # absence from the pin counts means unpinned;
-            # the scan stops at the victim
-            victim = next(filterfalse(self._pins[device].__contains__, order), None)
-            if victim is None:
-                raise CapacityError(
-                    f"device {device}: capacity {cap} exhausted and all resident "
-                    f"tiles pinned; working set does not fit"
-                )
+            # the scan stops at the victim, at most len(keep) tiles in
+            victim = next(filterfalse(keep.__contains__, order))
             del order[victim]
             self._dev_stats[device].evictions += 1
         order[key] = None
 
-    def _unpin_locked(self, device: int, keys) -> None:
-        pins = self._pins[device]
-        for key in keys:
-            n = pins.get(key, 0)
-            if n < 1:
-                raise ValueError(f"unpin below zero for {key} on device {device}")
-            if n == 1:
-                del pins[key]
-            else:
-                pins[key] = n - 1
+    def _drop_output_locked(self, device: int, key: TileKey) -> None:
+        if self._output[device] != key:
+            raise ValueError(f"{key} is not the output tile of device {device}")
+        self._output[device] = None
+        del self._order[device][key]
 
     def residents(self, device: int) -> list[TileKey]:
         """Keys resident on ``device``, least recently used first."""
@@ -144,28 +129,29 @@ class CacheDirectory:
 
     # -- the runtime-facing operations ----------------------------------
     #
-    # Resolving an input tile is lookup + transfer accounting + admit +
-    # pin.  A task resolves all of its contraction steps as one call under
-    # one lock acquisition, which makes the whole task's input accounting
+    # Resolving an input tile is lookup + transfer accounting + admit.  A
+    # task resolves all of its contraction steps as one call under one
+    # lock acquisition, which makes the whole task's input accounting
     # linearizable: the hit counters stay exact even with racing worker
     # threads (e.g. two devices missing on the same tile at the same
     # instant still produce exactly one host fetch).
 
     def acquire_input(self, requester: int, steps) -> list[list[AcquireResult]]:
         """Resolve a task's input tiles for ``requester`` under one lock
-        hold.  ``steps`` is a sequence of steps, each a sequence of
-        ``(key, nbytes)``; returns one list of :class:`AcquireResult` per
-        step.
+        hold.  ``steps`` is a sequence of steps, each one or two
+        ``(key, nbytes)`` pairs (a contraction step's A and B tiles);
+        returns one list of :class:`AcquireResult` per step.
 
-        Steps resolve in order, and so do the tiles of a step.  Each tile
-        is pinned as soon as it is resolved, so a later admission in the
-        same step cannot evict an earlier tile.  A step's pins are dropped
-        when the next step begins; the last step's tiles stay pinned until
-        :meth:`release_input`.  Residency, counters and pins therefore end
-        as a one-step call per step would leave them, each step released
-        before the next begins.  If a request raises, the pins its step
-        took are dropped before the error propagates.
+        Steps resolve in order, and so do the tiles of a step.  While a
+        step resolves, its admissions evict neither the tiles it has
+        already resolved nor the device's output tile, so B's admission
+        cannot evict A.  Nothing is held once the call returns: residency
+        and counters end as a one-step call per step would leave them.
+        A step of any other length raises :class:`ValueError` before any
+        counter or residency moves.
         """
+        if any(len(step) not in (1, 2) for step in steps):
+            raise ValueError("each step must be one or two tiles")
         with self._lock:
             ds = self._dev_stats[requester]
             order = self._order.get(requester)
@@ -182,81 +168,77 @@ class CacheDirectory:
                         results.append(AcquireResult(HOST, moved))
                     out.append(results)
                 return out
-            pins = self._pins[requester]
+            c_key = self._output[requester]
             l1_hit = AcquireResult(requester, 0)
-            held = []  # keys the current step has pinned
-            try:
-                for step in steps:
-                    self._unpin_locked(requester, held)  # the previous step's pins
-                    held = []
-                    results = []
-                    for key, nbytes in step:
-                        if key in order:
-                            ds.l1_hits += 1
-                            order.move_to_end(key)
-                            res = l1_hit
+            for step in steps:
+                keep = (c_key,)
+                results = []
+                for key, nbytes in step:
+                    if key in order:
+                        ds.l1_hits += 1
+                        order.move_to_end(key)
+                        res = l1_hit
+                    else:
+                        # owners are collected before the admit, so the
+                        # requester is never its own source
+                        owners = [d for d, o in self._order.items() if key in o]
+                        self._admit_locked(requester, key, keep)
+                        if owners:
+                            ds.l2_hits += 1
+                            ds.bytes_peer += nbytes
+                            res = AcquireResult(
+                                closest_owner(requester, owners, self.machine.proximity),
+                                nbytes)
                         else:
-                            # owners are collected before the admit, so the
-                            # requester is never its own source
-                            owners = [d for d, o in self._order.items() if key in o]
-                            self._admit_locked(requester, key)
-                            if owners:
-                                ds.l2_hits += 1
-                                ds.bytes_peer += nbytes
-                                res = AcquireResult(
-                                    closest_owner(requester, owners, self.machine.proximity),
-                                    nbytes)
-                            else:
-                                ds.host_fetches += 1
-                                ds.bytes_host += nbytes
-                                res = AcquireResult(HOST, nbytes)
-                        pins[key] = pins.get(key, 0) + 1
-                        held.append(key)
-                        results.append(res)
-                    out.append(results)
-            except BaseException:
-                self._unpin_locked(requester, held)
-                raise
+                            ds.host_fetches += 1
+                            ds.bytes_host += nbytes
+                            res = AcquireResult(HOST, nbytes)
+                    keep = (c_key, key)
+                    results.append(res)
+                out.append(results)
             return out
 
     def release_input(self, device: int, keys) -> None:
-        """Unpin each of ``keys`` on ``device`` under one lock hold."""
-        if device not in self._pins:
-            return
-        with self._lock:
-            self._unpin_locked(device, keys)
+        """Does nothing: :meth:`acquire_input` holds no tile once it
+        returns.  Kept only as a name the benchmark's tracer wraps."""
 
     def admit_output(self, device: int, key: TileKey) -> None:
-        """Reserve a pinned residency slot for an output tile being built."""
-        if device not in self._pins:
+        """Make ``key`` resident as the output tile ``device`` is building;
+        no admission evicts it until :meth:`release_output` or
+        :meth:`abort_output`.  Raises :class:`ValueError` while the device
+        still holds an unfinished output tile."""
+        if device not in self._order:
             return
         with self._lock:
-            self._admit_locked(device, key)  # raises unless key was absent, so unpinned
-            self._pins[device][key] = 1
+            if self._output[device] is not None:
+                raise ValueError(
+                    f"device {device} still holds unfinished output tile {self._output[device]}")
+            self._admit_locked(device, key)
+            self._output[device] = key
 
     def release_output(self, device: int, key: TileKey, nbytes: int) -> None:
-        """Output tile written back to host: unpin, drop residency, count
+        """Output tile written back to host: drop its residency and count
         the writeback traffic.  Not an eviction (it is a completion).  An
         uncached accelerator writes back too; a host worker's output is
-        already in host memory."""
+        already in host memory.  Raises :class:`ValueError` if ``key`` is
+        not the device's current output tile."""
         if device in self._host_workers:
             return
         with self._lock:
-            if device in self._pins:
-                self._unpin_locked(device, (key,))
-                del self._order[device][key]
+            if device in self._order:
+                self._drop_output_locked(device, key)
             ds = self._dev_stats[device]
             ds.writebacks += 1
             ds.bytes_writeback += nbytes
 
     def abort_output(self, device: int, key: TileKey) -> None:
-        """Output tile of a failed task: unpin it and drop its residency.
-        Nothing was written back, so no counter moves."""
-        if device not in self._pins:
+        """Output tile of a failed task: drop its residency.  Nothing was
+        written back, so no counter moves.  Raises :class:`ValueError` if
+        ``key`` is not the device's current output tile."""
+        if device not in self._order:
             return
         with self._lock:
-            self._unpin_locked(device, (key,))
-            del self._order[device][key]
+            self._drop_output_locked(device, key)
 
     # -- observability ---------------------------------------------------
 
@@ -278,6 +260,5 @@ class CacheDirectory:
             for d, order in self._order.items():
                 cap = self._capacity[d]
                 assert cap is None or len(order) <= cap, f"device {d} over capacity"
-                for key, count in self._pins[d].items():
-                    assert count > 0, f"non-positive pin count for {key} on {d}"
-                    assert key in order, f"pinned tile {key} not resident on {d}"
+                c_key = self._output[d]
+                assert c_key is None or c_key in order, f"output tile {c_key} not resident on {d}"

@@ -34,8 +34,10 @@ class DeviceSpec:
     """One simulated device.
 
     ``capacity_tiles`` is the L1 tile-cache size; ``None`` means
-    unbounded.  A bounded capacity must be at least 3 (one A, one B and
-    one C tile are needed simultaneously to make progress on any task).
+    unbounded.  A bounded capacity must be at least 3: an admission
+    never evicts the device's output tile or the A tile of the step that
+    admits a B tile, and a third slot is what guarantees every admission
+    a victim.
     ``slots`` is the reservation-station width; 4 mirrors the point
     where extra per-device concurrency stops paying off.
     ``subtile_factor`` only matters for host workers under the threaded

@@ -375,14 +375,13 @@ def _begin_task(machine: Machine, plan_: Plan, directory: CacheDirectory,
                 did: int, i: int, j: int) -> list[tuple[float, float]]:
     """The accounting of task ``(i, j)`` on device ``did`` up to its data.
 
-    The output tile is admitted and stays pinned on the device until
-    ``_end_task`` writes it back.  The contraction steps are accounting
-    only, read from the plan's step table.  One directory transaction
-    resolves the inputs of every step in order: each step's A and B tiles
-    are pinned while the step resolves, and the last step's stay pinned
-    until one call unpins them after the steps are priced.  If anything
-    raises, the task releases the inputs it holds and aborts the output
-    tile, so it leaves no pin and no residency behind.
+    The output tile is admitted as the device's output, which no
+    admission evicts until ``_end_task`` writes it back.  The contraction
+    steps are accounting only, read from the plan's step table.  One
+    directory transaction resolves the inputs of every step in order, and
+    B's admission never evicts the step's A; the task holds no input once
+    the transaction returns.  If anything raises, the task aborts the
+    output tile, so it leaves no output tile behind.
 
     Returns the steps as (fetch_time, compute_time) pairs in simulated
     units.
@@ -396,13 +395,10 @@ def _begin_task(machine: Machine, plan_: Plan, directory: CacheDirectory,
         got = directory.acquire_input(did, [((a_key, a_n * eb), (b_key, b_n * eb))
                                             for (a_key, a_n, _), (b_key, b_n, _)
                                             in zip(a_row, b_col)])
-        try:
-            return [(transfer_cost(machine, ra.source, did, ra.nbytes_moved)
-                     + transfer_cost(machine, rb.source, did, rb.nbytes_moved),
-                     compute_cost(dev, a_shape, b_shape))
-                    for (ra, rb), (_, _, a_shape), (_, _, b_shape) in zip(got, a_row, b_col)]
-        finally:
-            directory.release_input(did, (a_row[-1][0], b_col[-1][0]))
+        return [(transfer_cost(machine, ra.source, did, ra.nbytes_moved)
+                 + transfer_cost(machine, rb.source, did, rb.nbytes_moved),
+                 compute_cost(dev, a_shape, b_shape))
+                for (ra, rb), (_, _, a_shape), (_, _, b_shape) in zip(got, a_row, b_col)]
     except BaseException:
         directory.abort_output(did, c_key)
         raise
@@ -425,7 +421,7 @@ def _execute_task(machine: Machine, plan_: Plan, directory: CacheDirectory,
     one kernel call up front, and its tasks are ``_begin_task`` and
     ``_end_task`` only.)
 
-    Between the two, while the output tile is pinned, one kernel call
+    Between the two, while the output tile is held, one kernel call
     multiplies the A row panel by the B column panel into the output
     tile; the kernel's ascending order makes that bit-identical to one
     call per step, and to the ``sim`` engine's one call.  A host worker's

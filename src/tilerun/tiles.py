@@ -93,16 +93,14 @@ def reassemble(tm: TiledMatrix) -> np.ndarray:
     return np.vstack(rows)
 
 
-def decode_task(task_id: int, grid_cols: int,
-                grid_rows: int | None = None) -> tuple[int, int]:
+def decode_task(task_id: int, grid_cols: int, grid_rows: int) -> tuple[int, int]:
     """The output tile ``(row, col)`` of a row-major task id, which is
-    ``row * grid_cols + col``.  Rejects ids outside the grid when its row
-    count is supplied."""
+    ``row * grid_cols + col``.  Rejects ids outside the grid."""
     if grid_cols < 1:
         raise ValueError(f"grid_cols must be >= 1, got {grid_cols}")
     if task_id < 0:
         raise ValueError(f"task id must be >= 0, got {task_id}")
-    if grid_rows is not None and task_id >= grid_rows * grid_cols:
+    if task_id >= grid_rows * grid_cols:
         raise ValueError(
             f"task id {task_id} out of range for a {grid_rows}x{grid_cols} grid"
         )

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from tilerun import cli
-from tilerun.coherence import CapacityError
 from tilerun.devices import homogeneous_machine, save_machine
 from tilerun.matio import load_matrix
 from tilerun.tiles import reference_gemm
@@ -157,17 +156,6 @@ def test_gemm_malformed_matrix_value_is_config_error(tmp_path, capsys, token):
     assert run_cli("gemm", "--a", pa, "--b", pb) == cli.EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
-
-
-def test_capacity_error_maps_to_exit_three(tmp_path, monkeypatch):
-    pa = gen(tmp_path, "a.txt", 4, 4)
-    pb = gen(tmp_path, "b.txt", 4, 4)
-
-    def boom(*a, **k):
-        raise CapacityError("working set does not fit")
-
-    monkeypatch.setattr(cli, "run", boom)
-    assert run_cli("gemm", "--a", pa, "--b", pb) == cli.EXIT_CAPACITY
 
 
 def test_ann_dense_backend_xor(tmp_path):

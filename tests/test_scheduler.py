@@ -570,35 +570,38 @@ def test_failed_task_leaves_no_pins_or_output_tile(monkeypatch, site, mode):
 
     rng = np.random.default_rng(24)
     a, b = int_matrix(rng, 12, 12), int_matrix(rng, 12, 12)
-    # capacity 3 holds exactly one task's A, B and C: one leaked pin and
-    # the next product cannot fit
+    # capacity 3 holds exactly one task's A, B and C: a leaked output tile
+    # and the device's next admit_output raises
     rt = Runtime(homogeneous_machine(2, capacity_tiles=3), tile_size=4, mode=mode)
     d = rt.directory
     done = []  # kernel calls that returned
-    a_pinned = []  # at each admission of a B tile: is an A tile pinned there?
+    a_kept = []  # per admission of a B tile: (was the set full, is the step's A still there)
     if site == "kernel":
         kernel = _fail_at(scheduler.accumulate_product, 5)
         monkeypatch.setattr(scheduler, "accumulate_product",
                             lambda *a_, **kw: done.append(kernel(*a_, **kw)))
     elif site == "both-inputs-held":
         monkeypatch.setattr(scheduler, "compute_cost", _fail_at(scheduler.compute_cost, 5))
-    else:  # B's admission fails inside the step's transaction, with A pinned
-        admit = _fail_at(d._admit_locked, 5, counted=lambda dev, key: key.matrix == "W")
+    else:  # B's admission fails inside the step's transaction, after A's
+        admit = _fail_at(d._admit_locked, 5, counted=lambda dev, key, *_: key.matrix == "W")
 
-        def admit_watching_a(dev, key):
-            if key.matrix == "W":
-                a_pinned.append(any(k.matrix == "X" for k in d._pins[dev]))
-            admit(dev, key)
+        def admit_watching_a(dev, key, *rest):
+            full = len(d._order[dev]) == 3
+            admit(dev, key, *rest)
+            if key.matrix == "W":  # B (k, j) last, the step's A (i, k) just before it
+                *_, a, b = d._order[dev]
+                a_kept.append((full, a.matrix == "X" and a.col == key.row and b == key))
 
         monkeypatch.setattr(d, "_admit_locked", admit_watching_a)
     with pytest.raises(ArithmeticError, match="call 5$"):
         rt.multiply(a, b, a_uid="X", b_uid="W", c_uid="C1")
     monkeypatch.undo()
     if site == "a-held":
-        assert len(a_pinned) >= 5 and all(a_pinned)
+        assert len(a_kept) >= 4 and all(kept for _, kept in a_kept)
+        assert any(full for full, _ in a_kept)  # B's admission had to evict
     assert not [t for t in threading.enumerate() if t.name.startswith("device-")]
     d.check_invariants()
-    assert not any(d._pins.values())
+    assert set(d._output.values()) == {None}
     assert not [k for dev in (0, 1) for k in d.residents(dev) if k.matrix == "C1"]
     if site == "kernel":
         assert d.stats().writebacks == len(done)  # the failed task wrote nothing back
@@ -606,7 +609,7 @@ def test_failed_task_leaves_no_pins_or_output_tile(monkeypatch, site, mode):
     c, stats = rt.multiply(x, y)
     assert np.array_equal(c, reference_gemm(x, y))
     assert stats.cache.writebacks == stats.total_tasks
-    assert not any(d._pins.values())
+    assert set(d._output.values()) == {None}
 
 
 @pytest.mark.usefixtures("directory_invariants")
@@ -626,7 +629,7 @@ def test_sim_kernel_fault_leaves_model_untouched(monkeypatch):
         rt.multiply(a, b, a_uid="X", b_uid="W", c_uid="C1")
     monkeypatch.undo()
     d.check_invariants()
-    assert not any(d._pins.values())
+    assert set(d._output.values()) == {None}
     assert not [k for dev in (0, 1) for k in d.residents(dev) if k.matrix in ("X", "W", "C1")]
     assert [list(c) for c in rt.clocks.values()] == clocks
     assert d.stats() == stats
@@ -686,11 +689,9 @@ def test_one_directory_transaction_per_task(monkeypatch, mode):
     c, stats = run(homogeneous_machine(2), a, b, tile_size=4, mode=mode)
     assert np.array_equal(c, reference_gemm(a, b))
     assert (stats.total_tasks, stats.k_steps) == (9, 2)
-    # one acquire of both steps' A and B tiles, one release of the last step's
+    # one acquire of both steps' A and B tiles, and nothing to release
     assert [[len(step) for step in steps] for steps in calls["acquire_input"]] == [[2, 2]] * 9
-    assert [len(keys) for keys in calls["release_input"]] == [2] * 9
-    assert sorted(calls["release_input"]) == sorted(
-        tuple(k for k, _ in steps[-1]) for steps in calls["acquire_input"])
+    assert calls["release_input"] == []
 
 
 # -- session reuse and reports -------------------------------------------------

@@ -108,8 +108,7 @@ def test_tile_census_square_matrices():
 
 def test_encode_decode_origin():
     # task ids are row-major: tile (row, col) is task row * grid_cols + col
-    assert decode_task(0, 1) == (0, 0)
-    assert decode_task(0, 1, grid_rows=1) == (0, 0)
+    assert decode_task(0, 1, 1) == (0, 0)
 
 
 def test_encode_decode_2x3_grid():
@@ -133,9 +132,9 @@ def test_decode_rejects_out_of_range():
     with pytest.raises(ValueError):
         decode_task(6, 3, grid_rows=2)
     with pytest.raises(ValueError):
-        decode_task(-1, 3)
+        decode_task(-1, 3, 2)
     with pytest.raises(ValueError):
-        decode_task(0, 0)
+        decode_task(0, 0, 1)
 
 
 def test_encode_decode_bijection_random_grids():

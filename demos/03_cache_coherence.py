@@ -54,11 +54,11 @@ prox = ProximityMatrix(hops, np.full((3, 3), 1e6))
 m3 = Machine([DeviceSpec(i) for i in range(3)], prox)
 directory = CacheDirectory(m3)
 key = TileKey("A", 0, 0)
-# each call is one transaction over a task's steps, each step one or two
-# (key, nbytes) requests; a task sends the A and B tiles of all its
-# contraction steps in one call.  Here every call is one step of one tile
+# each call is one transaction over an ordered list of (key, nbytes)
+# requests; a task sends the A and B tiles of each of its contraction
+# steps in turn in one call.  Here every call is one tile
 for holder in (1, 2):
-    directory.acquire_input(holder, [((key, 8),)])
-(picked,), = directory.acquire_input(0, [((key, 8),)])
+    directory.acquire_input(holder, [(key, 8)])
+(picked,) = directory.acquire_input(0, [(key, 8)])
 print(f"tile held by devices 1 (3 hops) and 2 (1 hop); device 0 fetches from: "
       f"device {picked.source}")

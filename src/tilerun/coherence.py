@@ -15,6 +15,12 @@ Hit taxonomy for a requesting accelerator:
   count into the requester's cache (peer bytes).
 * miss    -- tile resident nowhere; fetched from host memory (host bytes).
 
+An admission into a full set evicts the least recently used tile other
+than the device's output tile.  A task's requests come A, B per
+contraction step, and a bounded capacity is at least 3, so when a step's
+B is admitted its A is the most recent tile and some older tile besides
+the output is there to go: LRU alone keeps a step's A beside its B.
+
 Which devices cache is decided when the directory is built.  Host
 workers have no set: their tiles are host tiles, so every request they
 make is a free host fetch.  With ``enabled=False`` no device has a set,
@@ -84,11 +90,11 @@ class CacheDirectory:
     Which devices cache is fixed at construction: every accelerator when
     ``enabled``, none otherwise.  Only those devices have an LRU set, so
     an uncached device fetches every tile from host.  Every hit refreshes
-    the tile's recency.  The victim is the least recently used tile that
-    is neither the device's current output tile nor a tile the admitting
-    step has already resolved.  A step has at most two tiles and a
-    bounded capacity is at least 3, so every admission finds a victim.
-    The counters are kept per device only; :meth:`stats` is their sum.
+    the tile's recency.  The victim is the least recently used tile other
+    than the device's current output tile, the only tile an admission
+    skips; a bounded capacity is at least 3, so every admission finds a
+    victim and LRU keeps a step's A beside its B.  The counters are kept
+    per device only; :meth:`stats` is their sum.
     """
 
     def __init__(self, machine: Machine, enabled: bool = True):
@@ -102,16 +108,16 @@ class CacheDirectory:
         self._host_workers = frozenset(d.device_id for d in machine.devices if d.is_host_worker)
         self._dev_stats = {d.device_id: CacheStats() for d in machine.devices}
 
-    def _admit_locked(self, device: int, key: TileKey, keep=()) -> None:
+    def _admit_locked(self, device: int, key: TileKey) -> None:
         """Make ``key`` resident on ``device``, evicting the least recently
-        used tile not in ``keep`` if the device is full."""
+        used tile other than its output tile if the device is full."""
         order = self._order[device]
         if key in order:
             raise ValueError(f"{key} already resident on device {device}")
         cap = self._capacity[device]
         if cap is not None and len(order) >= cap:  # never above cap: one victim
-            # the scan stops at the victim, at most len(keep) tiles in
-            victim = next(filterfalse(keep.__contains__, order))
+            # the scan stops at the victim, at most the output tile in
+            victim = next(filterfalse((self._output[device],).__contains__, order))
             del order[victim]
             self._dev_stats[device].evictions += 1
         order[key] = None
@@ -130,72 +136,53 @@ class CacheDirectory:
     # -- the runtime-facing operations ----------------------------------
     #
     # Resolving an input tile is lookup + transfer accounting + admit.  A
-    # task resolves all of its contraction steps as one call under one
-    # lock acquisition, which makes the whole task's input accounting
+    # task resolves all of its input tiles as one call under one lock
+    # acquisition, which makes the whole task's input accounting
     # linearizable: the hit counters stay exact even with racing worker
     # threads (e.g. two devices missing on the same tile at the same
     # instant still produce exactly one host fetch).
 
-    def acquire_input(self, requester: int, steps) -> list[list[AcquireResult]]:
+    def acquire_input(self, requester: int, requests) -> list[AcquireResult]:
         """Resolve a task's input tiles for ``requester`` under one lock
-        hold.  ``steps`` is a sequence of steps, each one or two
-        ``(key, nbytes)`` pairs (a contraction step's A and B tiles);
-        returns one list of :class:`AcquireResult` per step.
+        hold.  ``requests`` is an ordered sequence of ``(key, nbytes)``
+        pairs (a task sends A, B for each contraction step in turn);
+        returns one :class:`AcquireResult` per request, in order.
 
-        Steps resolve in order, and so do the tiles of a step.  While a
-        step resolves, its admissions evict neither the tiles it has
-        already resolved nor the device's output tile, so B's admission
-        cannot evict A.  Nothing is held once the call returns: residency
-        and counters end as a one-step call per step would leave them.
-        A step of any other length raises :class:`ValueError` before any
-        counter or residency moves.
+        Requests resolve in order, each exactly as a one-request call
+        would: no admission evicts the device's output tile, and nothing
+        is held once the call returns.
         """
-        if any(len(step) not in (1, 2) for step in steps):
-            raise ValueError("each step must be one or two tiles")
         with self._lock:
             ds = self._dev_stats[requester]
             order = self._order.get(requester)
-            out = []
             if order is None:
                 # host workers' tiles are already local: a fetch in name only
                 free = requester in self._host_workers
-                for step in steps:
-                    results = []
-                    for _key, nbytes in step:
-                        moved = 0 if free else nbytes
-                        ds.host_fetches += 1
-                        ds.bytes_host += moved
-                        results.append(AcquireResult(HOST, moved))
-                    out.append(results)
+                out = [AcquireResult(HOST, 0 if free else nbytes) for _key, nbytes in requests]
+                ds.host_fetches += len(out)
+                ds.bytes_host += sum(res.nbytes_moved for res in out)
                 return out
-            c_key = self._output[requester]
             l1_hit = AcquireResult(requester, 0)
-            for step in steps:
-                keep = (c_key,)
-                results = []
-                for key, nbytes in step:
-                    if key in order:
-                        ds.l1_hits += 1
-                        order.move_to_end(key)
-                        res = l1_hit
-                    else:
-                        # owners are collected before the admit, so the
-                        # requester is never its own source
-                        owners = [d for d, o in self._order.items() if key in o]
-                        self._admit_locked(requester, key, keep)
-                        if owners:
-                            ds.l2_hits += 1
-                            ds.bytes_peer += nbytes
-                            res = AcquireResult(
-                                closest_owner(requester, owners, self.machine.proximity),
-                                nbytes)
-                        else:
-                            ds.host_fetches += 1
-                            ds.bytes_host += nbytes
-                            res = AcquireResult(HOST, nbytes)
-                    keep = (c_key, key)
-                    results.append(res)
-                out.append(results)
+            out = []
+            for key, nbytes in requests:
+                if key in order:
+                    ds.l1_hits += 1
+                    order.move_to_end(key)
+                    out.append(l1_hit)
+                    continue
+                # owners are collected before the admit, so the requester
+                # is never its own source
+                owners = [d for d, o in self._order.items() if key in o]
+                self._admit_locked(requester, key)
+                if owners:
+                    ds.l2_hits += 1
+                    ds.bytes_peer += nbytes
+                    out.append(AcquireResult(
+                        closest_owner(requester, owners, self.machine.proximity), nbytes))
+                else:
+                    ds.host_fetches += 1
+                    ds.bytes_host += nbytes
+                    out.append(AcquireResult(HOST, nbytes))
             return out
 
     def release_input(self, device: int, keys) -> None:

@@ -35,9 +35,9 @@ class DeviceSpec:
 
     ``capacity_tiles`` is the L1 tile-cache size; ``None`` means
     unbounded.  A bounded capacity must be at least 3: an admission
-    never evicts the device's output tile or the A tile of the step that
-    admits a B tile, and a third slot is what guarantees every admission
-    a victim.
+    skips only the device's output tile, so a third slot guarantees
+    every admission a victim, and LRU then keeps a step's A beside its
+    B, since A is the most recent tile when B is admitted.
     ``slots`` is the reservation-station width; 4 mirrors the point
     where extra per-device concurrency stops paying off.
     ``subtile_factor`` only matters for host workers under the threaded

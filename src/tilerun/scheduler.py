@@ -3,16 +3,17 @@
 One task per output tile.  The task's contraction steps, in ascending
 order, are accounting only: one cache-directory transaction resolves the
 input tiles of all of them, read from a step table the plan builds once,
-and the task then prices each step's fetch and compute.  The data never
-passes through the directory.  The fixed-order kernel accumulates the
-contraction index in ascending order however its operands are blocked,
-so the product's bits do not depend on the schedule: the ``sim`` engine
-computes the whole product with one kernel call before it claims any
-task, and the ``threaded`` engine makes one call per task, which
-multiplies the A row panel by the B column panel into the task's output
-tile.  Because every output tile has exactly one owner and the
-accumulation order is fixed, the numerical result is bit-identical
-across device counts, steal interleavings, and engine choice.
+and the ``sim`` engine then prices each step's fetch and compute.  The
+data never passes through the directory.  The fixed-order kernel
+accumulates the contraction index in ascending order however its
+operands are blocked, so the product's bits do not depend on the
+schedule: the ``sim`` engine computes the whole product with one kernel
+call before it claims any task, and the ``threaded`` engine makes one
+call per task, which multiplies the A row panel by the B column panel
+into the task's output tile.  Because every output tile has exactly one
+owner and the accumulation order is fixed, the numerical result is
+bit-identical across device counts, steal interleavings, and engine
+choice.
 
 Engines:
 
@@ -48,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coherence import CacheDirectory, CacheStats
+from .coherence import AcquireResult, CacheDirectory, CacheStats
 from .devices import HOST, DeviceSpec, Machine, compute_cost, transfer_cost
 from .msqueue import MichaelScottQueue
 from .tiles import (
@@ -134,12 +135,6 @@ class Operand:
         return TileKey(self.uid, r, c)
 
 
-def _as_operand(x, uid: str) -> Operand:
-    if isinstance(x, Operand):
-        return x
-    return Operand(x, uid)
-
-
 @dataclass
 class Plan:
     """The tasks of one product.
@@ -166,14 +161,15 @@ class Plan:
         return self.grid_rows * self.grid_cols
 
 
-def plan(a, b, a_uid: str = "A", b_uid: str = "B", c_uid: str = "C") -> Plan:
+def plan(a: Operand, b: Operand, c_uid: str = "C") -> Plan:
     """Build one task per output tile and enqueue them all (row-major).
 
     The output is allocated as zeros and partitioned with the operands'
-    tile size.
+    tile size.  Its uid must differ from both operands', since an output
+    tile and an input tile of the same key cannot both be resident.
     """
-    a = _as_operand(a, a_uid)
-    b = _as_operand(b, b_uid)
+    if c_uid in (a.uid, b.uid):
+        raise ValueError(f"output uid {c_uid!r} is also an operand's uid")
     if a.tiled.tile_size != b.tiled.tile_size:
         raise ValueError(
             f"tile sizes differ: {a.tiled.tile_size} vs {b.tiled.tile_size}"
@@ -372,46 +368,42 @@ def write_report_csv(stats: RunStats, path) -> None:
 
 
 def _begin_task(machine: Machine, plan_: Plan, directory: CacheDirectory,
-                did: int, i: int, j: int) -> list[tuple[float, float]]:
-    """The accounting of task ``(i, j)`` on device ``did`` up to its data.
+                did: int, i: int, j: int) -> list[AcquireResult]:
+    """The directory side of task ``(i, j)`` on device ``did`` up to its
+    data.
 
-    The output tile is admitted as the device's output, which no
+    The output tile is admitted as the device's output, the one tile no
     admission evicts until ``_end_task`` writes it back.  The contraction
-    steps are accounting only, read from the plan's step table.  One
-    directory transaction resolves the inputs of every step in order, and
-    B's admission never evicts the step's A; the task holds no input once
-    the transaction returns.  If anything raises, the task aborts the
-    output tile, so it leaves no output tile behind.
+    steps are accounting only, read from the plan's step table: one
+    directory transaction resolves the requests A, B of each step in
+    turn, so B is admitted while its step's A is the most recent tile,
+    and LRU with a capacity of at least 3 keeps that A beside it.  The
+    task holds no input once the transaction returns.  If anything
+    raises, the task aborts the output tile, so it leaves no output tile
+    behind.
 
-    Returns the steps as (fetch_time, compute_time) pairs in simulated
-    units.
+    Returns the directory's results, A and B per step in step order.
     """
     eb = machine.element_bytes
-    dev = machine.device(did)
-    a_row, b_col = plan_.a_rows[i], plan_.b_cols[j]
     c_key = plan_.c.key(i, j)
     directory.admit_output(did, c_key)
     try:
-        got = directory.acquire_input(did, [((a_key, a_n * eb), (b_key, b_n * eb))
-                                            for (a_key, a_n, _), (b_key, b_n, _)
-                                            in zip(a_row, b_col)])
-        return [(transfer_cost(machine, ra.source, did, ra.nbytes_moved)
-                 + transfer_cost(machine, rb.source, did, rb.nbytes_moved),
-                 compute_cost(dev, a_shape, b_shape))
-                for (ra, rb), (_, _, a_shape), (_, _, b_shape) in zip(got, a_row, b_col)]
+        return directory.acquire_input(did, [(key, n * eb)
+                                             for step in zip(plan_.a_rows[i], plan_.b_cols[j])
+                                             for key, n, _ in step])
     except BaseException:
         directory.abort_output(did, c_key)
         raise
 
 
 def _end_task(machine: Machine, plan_: Plan, directory: CacheDirectory,
-              did: int, task_id: int, i: int, j: int) -> float:
+              did: int, task_id: int, i: int, j: int) -> int:
     """Write task ``(i, j)``'s output tile back to host, release it and
-    record the task as run on ``did``; returns the writeback time."""
+    record the task as run on ``did``; returns the bytes written back."""
     wb_bytes = plan_.c.tile_view(i, j).size * machine.element_bytes
     directory.release_output(did, plan_.c.key(i, j), wb_bytes)
     plan_.completion.mark(task_id, did)
-    return transfer_cost(machine, did, HOST, wb_bytes)
+    return wb_bytes
 
 
 def _execute_task(machine: Machine, plan_: Plan, directory: CacheDirectory,
@@ -464,9 +456,10 @@ def _run_sim(machine, plan_, directory, clocks, events, steal_enabled):
     """Compute the product with one kernel call, then replay the model.
 
     The data step runs before the first claim, so a kernel fault leaves
-    the directory, the clocks and the completion record untouched.  Both
-    engine times in ``clocks[device]`` only move forward, because every
-    cost is >= 0."""
+    the directory, the clocks and the completion record untouched.  Each
+    task's directory results are priced as its device's clocks fold
+    them.  Both engine times in ``clocks[device]`` only move forward,
+    because every cost is >= 0."""
     accumulate_product(plan_.a.matrix, plan_.b.matrix, plan_.c.tiled.base)
     stations = {d.device_id: ReservationStation(d.slots) for d in machine.devices}
     heap = [(clocks[d.device_id][0], d.device_id) for d in machine.devices]
@@ -479,14 +472,19 @@ def _run_sim(machine, plan_, directory, clocks, events, steal_enabled):
         if victim is not None:
             events.append(StealEvent(did, victim, tid, time=t))
         i, j = decode_task(tid, plan_.grid_cols, plan_.grid_rows)
-        steps = _begin_task(machine, plan_, directory, did, i, j)
+        got = iter(_begin_task(machine, plan_, directory, did, i, j))
         wb = _end_task(machine, plan_, directory, did, tid, i, j)
+        dev = machine.device(did)
         co, tr = clocks[did]
         tr = max(tr, t)  # transfers for this task cannot predate claiming it
-        for fetch, compute in steps:
-            tr += fetch
-            co = max(co, tr) + compute  # fetch k+1 overlaps compute k
-        tr = max(tr, co) + wb  # writeback waits for the last compute
+        # zip(got, got) pairs each step's A and B results
+        for ra, rb, (_, _, a_shape), (_, _, b_shape) in zip(got, got, plan_.a_rows[i],
+                                                             plan_.b_cols[j]):
+            tr += (transfer_cost(machine, ra.source, did, ra.nbytes_moved)
+                   + transfer_cost(machine, rb.source, did, rb.nbytes_moved))
+            co = max(co, tr) + compute_cost(dev, a_shape, b_shape)  # fetch k+1 overlaps compute k
+        # the writeback waits for the last compute
+        tr = max(tr, co) + transfer_cost(machine, did, HOST, wb)
         clocks[did] = [co, tr]
         heapq.heappush(heap, (co, did))
 

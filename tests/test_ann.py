@@ -17,7 +17,7 @@ from tilerun.ann import (
     xor_dataset,
 )
 from tilerun.devices import homogeneous_machine
-from tilerun.scheduler import plan
+from tilerun.scheduler import Operand, plan
 from tilerun.tiles import partition, reference_gemm
 
 
@@ -186,7 +186,7 @@ def test_task_grid_tracks_batch_and_neurons():
                                       (9, 2, 2, 8)]:
         x = np.zeros((batch, fan_in))
         w = np.zeros((fan_in, fan_out))
-        p = plan(partition(x, t), partition(w, t))
+        p = plan(Operand(partition(x, t), "X"), Operand(partition(w, t), "W"))
         expected = -(-batch // t) * (-(-fan_out // t))
         assert p.total_tasks == expected
 

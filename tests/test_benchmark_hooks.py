@@ -14,6 +14,8 @@ import numpy as np
 import tilerun.scheduler
 import tilerun.tiles
 from tilerun import DeviceSpec, Machine, ProximityMatrix, Runtime, homogeneous_machine
+from tilerun.scheduler import Operand
+from tilerun.tiles import partition
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -49,3 +51,16 @@ def test_benchmark_probe_counts_resident_keys_over_every_device(monkeypatch):
             assert probes.resident_keys == stats.cache_per_device[0].host_fetches > 0
         else:
             assert probes.resident_keys == 0
+
+
+def test_benchmark_plan_probe_counts_flops_of_straight_and_transposed_operands(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    layers = importlib.import_module("layers")
+    m, k, n = 6, 5, 7
+    a, b = np.ones((m, k)), np.ones((k, n))
+    for transposed in (False, True):
+        a_op = Operand(partition(a.T if transposed else a, 4), "A", transposed)
+        b_op = Operand(partition(b.T if transposed else b, 4), "B", transposed)
+        probes = layers.Probes()
+        probes.on_plan((), tilerun.scheduler.plan(a_op, b_op))
+        assert probes.flops == 2 * m * k * n

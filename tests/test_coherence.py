@@ -19,8 +19,8 @@ def cap_machine(n=1, capacity=None, **kw):
 
 
 def touch(d, device, k, nbytes=8):
-    """Acquire one tile as a one-step task."""
-    (res,), = d.acquire_input(device, [((k, nbytes),)])
+    """Acquire one tile as a one-request call."""
+    (res,) = d.acquire_input(device, [(k, nbytes)])
     return res
 
 
@@ -80,36 +80,18 @@ def test_admit_rejects_duplicate():
 
 
 @pytest.mark.usefixtures("directory_invariants")
-def test_admission_skips_the_output_tile_and_the_step_a():
+def test_admission_skips_only_the_output_tile():
     d = CacheDirectory(cap_machine(1, capacity=3))
     ka, kb, kc, kx, ky = (key(n) for n in "abcxy")
     d.admit_output(0, kc)
     touch(d, 0, kx)
     touch(d, 0, ky)
-    # c is the least recent tile at both admissions and is passed over: x
-    # goes for a, then y for b, which keeps a, the step's A
-    d.acquire_input(0, [((ka, 8), (kb, 8))])
-    assert d.residents(0) == [kc, ka, kb]
-    assert d.stats().evictions == 2
-
-
-@pytest.mark.usefixtures("directory_invariants")
-def test_step_of_three_tiles_rejected_before_anything_moves():
-    ka, kb, kc, kx = (key(n) for n in "abcx")
-    for cap in (3, None):
-        d = CacheDirectory(cap_machine(2, capacity=cap))
-        touch(d, 0, kx)
-        residents, stats = d.residents(0), d.stats()
-        # a good step before the bad one does not resolve either
-        for steps in ([[(ka, 8), (kb, 8)], [(ka, 8), (kb, 8), (kc, 8)]], [[]]):
-            with pytest.raises(ValueError, match="one or two tiles"):
-                d.acquire_input(0, steps)
-            assert d.residents(0) == residents and d.stats() == stats
-    # the check comes before the requester is looked at: uncached too
-    d = CacheDirectory(cap_machine(1), enabled=False)
-    with pytest.raises(ValueError, match="one or two tiles"):
-        d.acquire_input(0, [[(ka, 8), (kb, 8), (kc, 8)]])
-    assert d.stats() == CacheStats()
+    # c is the least recent tile at every admission and is passed over: x
+    # goes for a, y for b, then a, which this call resolved, goes for x
+    got = d.acquire_input(0, [(ka, 8), (kb, 8), (kx, 8)])
+    assert got == [(HOST, 8)] * 3
+    assert d.residents(0) == [kc, kb, kx]
+    assert d.stats().evictions == 3
 
 
 @pytest.mark.usefixtures("directory_invariants")
@@ -146,24 +128,22 @@ def test_release_and_abort_reject_a_key_that_is_not_the_output():
     assert (d.stats().writebacks, d.stats().bytes_writeback) == (1, 64)
 
 
-def stepwise_acquire(d, device, steps):
-    """The oracle of a task's call: each step a one-step call."""
-    return [res for step in steps for res in d.acquire_input(device, [step])]
-
-
 @pytest.mark.usefixtures("directory_invariants")
 def test_task_call_leaves_what_stepwise_calls_leave():
     ka, kb, kc, kd, ke, kout = (key(n) for n in ("a", "b", "c", "d", "e", "out"))
-    task, stepwise = (CacheDirectory(cap_machine(1, capacity=3)) for _ in range(2))
+    task, stepwise = (CacheDirectory(cap_machine(2, capacity=3)) for _ in range(2))
     for d in (task, stepwise):
+        touch(d, 1, kc)  # a peer copy for device 0 to find
         d.admit_output(0, kout)
-    # two slots besides the output: each step evicts the step before it
-    steps = [[(ka, 8), (kb, 8)], [(kc, 8), (kd, 8)], [(ka, 8), (ke, 8)]]
-    got = task.acquire_input(0, steps)
-    assert [[r.source for r in step] for step in got] == [[HOST] * 2] * 3
-    assert got == stepwise_acquire(stepwise, 0, steps)
+    # seven requests through two slots besides the output
+    requests = [(k, 8) for k in (ka, kb, kc, kd, kd, ka, ke)]
+    got = task.acquire_input(0, requests)
+    assert [r.source for r in got] == [HOST, HOST, 1, HOST, 0, HOST, HOST]
+    assert got == [touch(stepwise, 0, k, n) for k, n in requests]
+    # the output is never re-admitted, so still resident means never evicted
     assert task.residents(0) == stepwise.residents(0) == [kout, ka, ke]
-    assert task.stats() == stepwise.stats()
+    assert task.residents(1) == stepwise.residents(1) == [kc]
+    assert task.stats_per_device() == stepwise.stats_per_device()
     assert task.stats().evictions == 4
 
 
@@ -171,10 +151,10 @@ def test_task_call_leaves_what_stepwise_calls_leave():
 def test_inputs_are_evictable_once_the_call_returns():
     d = CacheDirectory(cap_machine(1, capacity=3))
     ka, kb, kc, kd = (key(n) for n in "abcd")
-    d.acquire_input(0, [((ka, 8), (kb, 8))])
+    d.acquire_input(0, [(ka, 8), (kb, 8)])
     d.release_input(0, (ka, kb))  # a no-op: the call held nothing
     touch(d, 0, kc)
-    touch(d, 0, kd)  # a, the last step's A, is the least recent: it goes
+    touch(d, 0, kd)  # a, the call's first tile, is the least recent: it goes
     assert d.residents(0) == [kb, kc, kd]
 
 
@@ -205,7 +185,7 @@ def test_bypass_mode_always_host():
     d = CacheDirectory(cap_machine(2), enabled=False)
     k = key("a")
     for _ in range(5):
-        (r,), = d.acquire_input(0, [((k, 10),)])
+        (r,) = d.acquire_input(0, [(k, 10)])
         assert r.source == HOST and r.nbytes_moved == 10
     d.admit_output(0, key("c"))
     d.release_output(0, key("c"), 64)  # written back, though never cached
@@ -222,7 +202,7 @@ def test_host_worker_requests_are_free_host_fetches():
     for enabled in (True, False):
         d = CacheDirectory(m, enabled=enabled)
         touch(d, 0, key("a"))  # resident on the accelerator when enabled
-        (r,), = d.acquire_input(1, [((key("a"), 999),)])
+        (r,) = d.acquire_input(1, [(key("a"), 999)])
         assert r.source == HOST and r.nbytes_moved == 0
         d.admit_output(1, key("c"))
         d.release_output(1, key("c"), 64)  # its output is already in host memory
@@ -266,8 +246,8 @@ class ModelDirectory:
     order, recency refreshed by moving to the back.  A local miss copies
     from the closest device whose list holds the key (ties to the lowest
     id), or from host when none does.  A full list gives up its first key
-    that is neither the device's output tile nor an earlier tile of the
-    step being resolved.  It resolves one tile at a time."""
+    that is not the device's output tile.  It resolves one tile at a
+    time."""
 
     def __init__(self, hops, capacity):
         self.hops = hops
@@ -283,37 +263,34 @@ class ModelDirectory:
             return HOST
         return min(owners, key=lambda o: (self.hops[dev][o], o))
 
-    def admit(self, dev, k, step_before=()):
+    def admit(self, dev, k):
         keys = self.keys[dev]
         assert k not in keys
         if len(keys) >= self.capacity:
             out = self.output[dev]
-            victim = next(c for c in keys if c not in step_before and c != out)
+            victim = next(c for c in keys if c != out)
             self.output_passed_over += out in keys[:keys.index(victim)]
             keys.remove(victim)
             self.stats[dev].evictions += 1
         keys.append(k)
 
-    def acquire_step(self, dev, step, nbytes):
-        """Resolve one step; returns its (source, bytes moved) pairs."""
-        st, keys, out = self.stats[dev], self.keys[dev], []
-        for n, k in enumerate(step):
-            if k in keys:
-                keys.remove(k)
-                keys.append(k)
-                st.l1_hits += 1
-                out.append((dev, 0))
-                continue
-            src = self.source(dev, k)
-            self.admit(dev, k, step[:n])
-            if src == HOST:
-                st.host_fetches += 1
-                st.bytes_host += nbytes
-            else:
-                st.l2_hits += 1
-                st.bytes_peer += nbytes
-            out.append((src, nbytes))
-        return out
+    def acquire(self, dev, k, nbytes):
+        """Resolve one tile; returns its (source, bytes moved)."""
+        st, keys = self.stats[dev], self.keys[dev]
+        if k in keys:
+            keys.remove(k)
+            keys.append(k)
+            st.l1_hits += 1
+            return dev, 0
+        src = self.source(dev, k)
+        self.admit(dev, k)
+        if src == HOST:
+            st.host_fetches += 1
+            st.bytes_host += nbytes
+        else:
+            st.l2_hits += 1
+            st.bytes_peer += nbytes
+        return src, nbytes
 
     def admit_output(self, dev, k):
         self.admit(dev, k)
@@ -331,15 +308,14 @@ class ModelDirectory:
 @pytest.mark.usefixtures("directory_invariants")
 def test_model_based_directory_agreement():
     # Each call is one of: admit an output tile, on a device without one;
-    # release or abort the device's output tile; a task's acquire, one
-    # call of 1-4 steps of 1-2 tiles, which the model resolves step by
-    # step; or a rejected acquire with a three-tile step, which changes
-    # nothing.  Device 0 is closer to 2 than to 1; device 1 is equally far
-    # from 0 and 2, so ties go to the lower id.
+    # release or abort the device's output tile; or a task's acquire, one
+    # call of 1-8 tiles, which the model resolves one tile at a time.
+    # Device 0 is closer to 2 than to 1; device 1 is equally far from 0
+    # and 2, so ties go to the lower id.
     hops = [[0, 2, 1], [2, 0, 2], [1, 2, 0]]
     rng = np.random.default_rng(99)
     serial = itertools.count()
-    peer_hits = refetched = released = aborted = rejected = 0
+    peer_hits = refetched = released = aborted = 0
     passed_over = 0
     for trial in range(24):
         n = 2 + trial % 2
@@ -367,33 +343,28 @@ def test_model_based_directory_agreement():
                     model.drop_output(dev)
                     d.abort_output(dev, c_key)
                     aborted += 1
-            elif r < 0.25:
-                with pytest.raises(ValueError):
-                    d.acquire_input(dev, [[(universe[0], 8)], [(k, 8) for k in universe[:3]]])
-                rejected += 1
             else:
-                steps = [[universe[int(i)]
-                          for i in rng.integers(0, len(universe), int(rng.integers(1, 3)))]
-                         for _ in range(int(rng.integers(1, 5)))]
+                tiles = [universe[int(i)]
+                         for i in rng.integers(0, len(universe), int(rng.integers(1, 9)))]
                 want = []
-                for step in steps:
-                    want.append(model.acquire_step(dev, step, 8))
-                    for k, (src, _) in zip(step, want[-1]):
-                        if src != dev:  # not an L1 hit
-                            peer_hits += src != HOST
-                            refetched += src == HOST and k in seen
-                            seen.add(k)
-                got = d.acquire_input(dev, [[(k, 8) for k in step] for step in steps])
-                assert [[(r.source, r.nbytes_moved) for r in step] for step in got] == want
+                for k in tiles:
+                    want.append(model.acquire(dev, k, 8))
+                    src = want[-1][0]
+                    if src != dev:  # not an L1 hit
+                        peer_hits += src != HOST
+                        refetched += src == HOST and k in seen
+                        seen.add(k)
+                got = d.acquire_input(dev, [(k, 8) for k in tiles])
+                assert [(r.source, r.nbytes_moved) for r in got] == want
             for o in range(n):
                 assert d.residents(o) == model.keys[o]
             assert d.stats_per_device() == dict(enumerate(model.stats))
         passed_over += model.output_passed_over
     # the walk reached peer copies, tiles evicted from every owner came back
     # as host misses, evictions passed over an output tile that was the
-    # least recent, and outputs were released, aborted and rejected calls made
+    # least recent, and outputs were both released and aborted
     assert peer_hits > 0 and refetched > 0 and passed_over > 0
-    assert released > 0 and aborted > 0 and rejected > 0
+    assert released > 0 and aborted > 0
 
 
 @st.composite
@@ -415,22 +386,22 @@ def machines(draw):
 @settings(max_examples=60, deadline=None)
 @given(machine=machines(), data=st.data())
 def test_every_admission_finds_a_victim(machine, data):
-    # A task is admit_output, one acquire_input of its (A, B) steps, then
-    # release_output or abort_output; the tasks of different devices
-    # interleave, one open task per device.  The directory's admissions
-    # are watched from inside its transaction.
+    # A task is admit_output, one acquire_input of its steps' A and B
+    # tiles in turn, then release_output or abort_output; the tasks of
+    # different devices interleave, one open task per device.  The
+    # directory's admissions are watched from inside its transaction.
     d = CacheDirectory(machine)
     open_tasks = {}  # device -> (i, output key) of its unfinished task
     admit = d._admit_locked
 
-    def watched(dev, k, *rest):
-        admit(dev, k, *rest)
+    def watched(dev, k):
+        admit(dev, k)
         order, cap = d._order[dev], d._capacity[dev]
         assert len(order) <= cap
         if dev in open_tasks:
             i, c_key = open_tasks[dev]
             assert c_key in order  # never evicted mid-task
-            if k.matrix == "B":  # the step's A survives its B
+            if k.matrix == "B":  # LRU keeps the step's A, the most recent tile
                 assert TileKey("A", i, k.row) in order
 
     d._admit_locked = watched
@@ -449,8 +420,8 @@ def test_every_admission_finds_a_victim(machine, data):
             c_key = TileKey("C", next(serial), 0)
             d.admit_output(dev, c_key)
             open_tasks[dev] = (i, c_key)
-            d.acquire_input(dev, [((TileKey("A", i, k), 8), (TileKey("B", k, j), 8))
-                                  for k in ks])
+            d.acquire_input(dev, [(tile, 8) for k in ks
+                                  for tile in (TileKey("A", i, k), TileKey("B", k, j))])
             if dev in d._order:
                 # the output and the last step's two tiles are resident
                 assert {c_key, TileKey("A", i, ks[-1]), TileKey("B", ks[-1], j)} <= \

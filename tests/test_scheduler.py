@@ -2,6 +2,7 @@ import itertools
 import json
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from tilerun.scheduler import (
     write_report_csv,
     write_report_json,
 )
-from tilerun.tiles import accumulate_product, partition, reassemble, reference_gemm
+from tilerun.tiles import TileKey, accumulate_product, partition, reassemble, reference_gemm
 
 
 def int_matrix(rng, rows, cols, lo=-4, hi=4):
@@ -41,19 +42,20 @@ def compute_bound_machine(n, **kw):
 # -- planning ---------------------------------------------------------------
 
 
+def operands(a, b, tile):
+    """Two dense matrices as the planner's operands ``A`` and ``B``."""
+    return Operand(partition(a, tile), "A"), Operand(partition(b, tile), "B")
+
+
 def test_plan_counts_square():
-    a = partition(np.zeros((4, 4)), 2)
-    b = partition(np.zeros((4, 4)), 2)
-    p = plan(a, b)
+    p = plan(*operands(np.zeros((4, 4)), np.zeros((4, 4)), 2))
     assert p.total_tasks == 4
     assert p.k_steps == 2
     assert list(iter(p.queue.dequeue, None)) == [0, 1, 2, 3]
 
 
 def test_plan_counts_rectangular():
-    a = partition(np.zeros((6, 4)), 2)
-    b = partition(np.zeros((4, 6)), 2)
-    p = plan(a, b)
+    p = plan(*operands(np.zeros((6, 4)), np.zeros((4, 6)), 2))
     assert (p.grid_rows, p.grid_cols) == (3, 3)
     assert p.total_tasks == 9
     assert p.k_steps == 2
@@ -61,22 +63,21 @@ def test_plan_counts_rectangular():
 
 
 def test_plan_single_tile_degenerate():
-    a = partition(np.zeros((2, 2)), 4)
-    b = partition(np.zeros((2, 2)), 4)
-    p = plan(a, b)
+    p = plan(*operands(np.zeros((2, 2)), np.zeros((2, 2)), 4))
     assert p.total_tasks == 1
     assert p.k_steps == 1
 
 
 def test_plan_rejects_mismatches():
     with pytest.raises(ValueError):
-        plan(partition(np.zeros((4, 4)), 2), partition(np.zeros((5, 4)), 2))
+        plan(*operands(np.zeros((4, 4)), np.zeros((5, 4)), 2))
     with pytest.raises(ValueError):
-        plan(partition(np.zeros((4, 4)), 2), partition(np.zeros((4, 4)), 3))
+        plan(Operand(partition(np.zeros((4, 4)), 2), "A"),
+             Operand(partition(np.zeros((4, 4)), 3), "B"))
 
 
 def test_plan_output_allocated_as_zeros():
-    p = plan(partition(np.ones((4, 4)), 2), partition(np.ones((4, 4)), 2))
+    p = plan(*operands(np.ones((4, 4)), np.ones((4, 4)), 2))
     assert np.array_equal(p.c.tiled.base, np.zeros((4, 4)))
 
 
@@ -500,7 +501,7 @@ def test_execute_task_and_double_execution_guard():
     rng = np.random.default_rng(16)
     a, b = int_matrix(rng, 8, 8), int_matrix(rng, 8, 8)
     machine = homogeneous_machine(1)
-    p = plan(partition(a, 4), partition(b, 4))
+    p = plan(*operands(a, b, 4))
     directory = CacheDirectory(machine)
     stations = {0: ReservationStation(4)}
     while (tid := _claim(0, stations, p.queue, steal_enabled=True)[0]) is not None:
@@ -580,14 +581,22 @@ def test_failed_task_leaves_no_pins_or_output_tile(monkeypatch, site, mode):
         kernel = _fail_at(scheduler.accumulate_product, 5)
         monkeypatch.setattr(scheduler, "accumulate_product",
                             lambda *a_, **kw: done.append(kernel(*a_, **kw)))
-    elif site == "both-inputs-held":
-        monkeypatch.setattr(scheduler, "compute_cost", _fail_at(scheduler.compute_cost, 5))
-    else:  # B's admission fails inside the step's transaction, after A's
-        admit = _fail_at(d._admit_locked, 5, counted=lambda dev, key, *_: key.matrix == "W")
+    elif site == "both-inputs-held":  # the task's transaction has returned
+        acquire, calls = d.acquire_input, itertools.count(1)
 
-        def admit_watching_a(dev, key, *rest):
+        def acquire_then_fail(*args):
+            got = acquire(*args)
+            if next(calls) == 5:
+                raise ArithmeticError("injected fault at call 5")
+            return got
+
+        monkeypatch.setattr(d, "acquire_input", acquire_then_fail)
+    else:  # B's admission fails inside the task's transaction, after A's
+        admit = _fail_at(d._admit_locked, 5, counted=lambda dev, key: key.matrix == "W")
+
+        def admit_watching_a(dev, key):
             full = len(d._order[dev]) == 3
-            admit(dev, key, *rest)
+            admit(dev, key)
             if key.matrix == "W":  # B (k, j) last, the step's A (i, k) just before it
                 *_, a, b = d._order[dev]
                 a_kept.append((full, a.matrix == "X" and a.col == key.row and b == key))
@@ -671,27 +680,66 @@ def test_kernel_calls_per_engine(monkeypatch, mode):
 
 @pytest.mark.parametrize("mode", ["sim", "threaded"])
 def test_one_directory_transaction_per_task(monkeypatch, mode):
+    import tilerun.scheduler as scheduler
+
     calls = {"acquire_input": [], "release_input": []}  # each call's argument
+    priced = []  # the pricing calls, by name
 
     def counted(name):
         real, seen = getattr(CacheDirectory, name), calls[name]
 
         def wrapper(self, device, arg):
-            seen.append(arg)
+            seen.append(list(arg))
             return real(self, device, arg)
+
+        return wrapper
+
+    def logged(name):
+        real = getattr(scheduler, name)
+
+        def wrapper(*args):
+            priced.append(name)
+            return real(*args)
 
         return wrapper
 
     for name in calls:
         monkeypatch.setattr(CacheDirectory, name, counted(name))
+    for name in ("compute_cost", "transfer_cost"):
+        monkeypatch.setattr(scheduler, name, logged(name))
     rng = np.random.default_rng(25)
     a, b = int_matrix(rng, 10, 7), int_matrix(rng, 7, 9)  # ragged: 3x3 tasks, 2 steps
     c, stats = run(homogeneous_machine(2), a, b, tile_size=4, mode=mode)
     assert np.array_equal(c, reference_gemm(a, b))
     assert (stats.total_tasks, stats.k_steps) == (9, 2)
-    # one acquire of both steps' A and B tiles, and nothing to release
-    assert [[len(step) for step in steps] for steps in calls["acquire_input"]] == [[2, 2]] * 9
+    # one flat acquire of A and B for each step in turn, and nothing to release
+    tasks = sorted([k for k, _ in requests] for requests in calls["acquire_input"])
+    assert tasks == [[TileKey("A", i, 0), TileKey("B", 0, j), TileKey("A", i, 1),
+                      TileKey("B", 1, j)] for i in range(3) for j in range(3)]
     assert calls["release_input"] == []
+    if mode == "sim":  # per task: four fetches, two computes, one writeback
+        assert Counter(priced) == {"transfer_cost": 5 * 9, "compute_cost": 2 * 9}
+    else:  # the threaded engine keeps no clocks, so it prices nothing
+        assert priced == []
+
+
+@pytest.mark.parametrize("mode", ["sim", "threaded"])
+@pytest.mark.usefixtures("directory_invariants")
+def test_output_uid_of_an_operand_rejected_before_anything_runs(mode):
+    rng = np.random.default_rng(28)
+    rt = Runtime(homogeneous_machine(2), tile_size=4, mode=mode)
+    x, y = int_matrix(rng, 8, 8), int_matrix(rng, 8, 8)
+    rt.multiply(x, y, a_uid="X", b_uid="Y")  # a product before: clocks and residency to keep
+    clocks, stats = [list(c) for c in rt.clocks.values()], rt.directory.stats()
+    residents = [rt.directory.residents(dev) for dev in (0, 1)]
+    for c_uid in ("X", "Y"):
+        with pytest.raises(ValueError, match=f"output uid '{c_uid}'"):
+            rt.multiply(x, y, a_uid="X", b_uid="Y", c_uid=c_uid)
+        assert [list(c) for c in rt.clocks.values()] == clocks
+        assert rt.directory.stats() == stats
+        assert [rt.directory.residents(dev) for dev in (0, 1)] == residents
+    c, _ = rt.multiply(x, y, a_uid="X", b_uid="Y", c_uid="Z")
+    assert np.array_equal(c, reference_gemm(x, y))
 
 
 # -- session reuse and reports -------------------------------------------------

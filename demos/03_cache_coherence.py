@@ -37,7 +37,7 @@ print("== squeezing through capacity_tiles=3 (one A + one B + one C) ==")
 tight = homogeneous_machine(2, capacity_tiles=3)
 rt = Runtime(tight, tile_size=tile, mode="sim")
 c, stats = rt.multiply(a, b)
-rt.directory.check_invariants()  # no output tile left behind, no device over capacity
+rt.directory.check_invariants()  # no device holds more inputs than capacity - 1
 print(f"result exact: {np.array_equal(c, reference_gemm(a, b))}, "
       f"evictions: {stats.cache.evictions}, "
       f"host_fetches: {stats.cache.host_fetches} (reuse mostly gone)")

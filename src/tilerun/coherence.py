@@ -2,8 +2,8 @@
 hits, host fallback, and transfer statistics.
 
 Input tiles are immutable, so there is nothing to invalidate; "coherence"
-reduces to residency.  Each cached device keeps one LRU set of the tiles
-it holds (its L1), and the L2 "directory" is simply the union of those
+reduces to residency.  Each cached device keeps one LRU set of the input
+tiles it holds (its L1), and the L2 "directory" is simply the union of those
 sets: a tile's owners are the devices whose set holds it.  A single lock
 makes every public operation atomic with respect to every other, which
 is all the runtime's correctness argument needs.
@@ -15,11 +15,14 @@ Hit taxonomy for a requesting accelerator:
   count into the requester's cache (peer bytes).
 * miss    -- tile resident nowhere; fetched from host memory (host bytes).
 
-An admission into a full set evicts the least recently used tile other
-than the device's output tile.  A task's requests come A, B per
-contraction step, and a bounded capacity is at least 3, so when a step's
-B is admitted its A is the most recent tile and some older tile besides
-the output is there to go: LRU alone keeps a step's A beside its B.
+A bounded device keeps one of its ``capacity_tiles`` slots for the output
+tile it is building, which never enters its set; the set holds input
+tiles only, up to ``capacity_tiles - 1`` of them, and an admission into
+a full set evicts its least recently used tile.  A task's requests come
+A, B per contraction step, and a bounded capacity is at least 3, so when
+a step's B is admitted into a full set its A is the most recent input
+and some older one is there to go: LRU alone keeps a step's A beside
+its B.
 
 Which devices cache is decided when the directory is built.  Host
 workers have no set: their tiles are host tiles, so every request they
@@ -33,7 +36,6 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, fields
-from itertools import filterfalse
 from typing import NamedTuple
 
 from .devices import HOST, Machine, closest_owner
@@ -84,17 +86,18 @@ class CacheStats:
 
 
 class CacheDirectory:
-    """Per-device LRU residency sets, whose union is the L2 directory, and
-    the output tile each device is building.
+    """Per-device LRU sets of input tiles, whose union is the L2
+    directory, and the output tile each device is building.
 
     Which devices cache is fixed at construction: every accelerator when
     ``enabled``, none otherwise.  Only those devices have an LRU set, so
     an uncached device fetches every tile from host.  Every hit refreshes
-    the tile's recency.  The victim is the least recently used tile other
-    than the device's current output tile, the only tile an admission
-    skips; a bounded capacity is at least 3, so every admission finds a
-    victim and LRU keeps a step's A beside its B.  The counters are kept
-    per device only; :meth:`stats` is their sum.
+    the tile's recency.  A bounded set's room is ``capacity_tiles - 1``,
+    the last slot being the output tile's; the victim is the set's least
+    recently used tile, and a bounded capacity is at least 3, so LRU
+    keeps a step's A beside its B.  An output key never enters a set, so
+    it cannot collide with an input tile of the same key.  The counters
+    are kept per device only; :meth:`stats` is their sum.
     """
 
     def __init__(self, machine: Machine, enabled: bool = True):
@@ -102,31 +105,19 @@ class CacheDirectory:
         self._lock = threading.Lock()
         cached = [d for d in machine.devices if enabled and not d.is_host_worker]
         self._order: dict[int, OrderedDict] = {d.device_id: OrderedDict() for d in cached}
-        # the output tile each cached device is building, or None
-        self._output: dict[int, TileKey | None] = {d.device_id: None for d in cached}
-        self._capacity: dict[int, int | None] = {d.device_id: d.capacity_tiles for d in cached}
+        # input tiles a set may hold: one slot of a bounded device is its output's
+        self._room: dict[int, int | None] = {
+            d.device_id: None if d.capacity_tiles is None else d.capacity_tiles - 1
+            for d in cached}
+        # the output tile each device is building, or None
+        self._output: dict[int, TileKey | None] = {d.device_id: None for d in machine.devices}
         self._host_workers = frozenset(d.device_id for d in machine.devices if d.is_host_worker)
         self._dev_stats = {d.device_id: CacheStats() for d in machine.devices}
-
-    def _admit_locked(self, device: int, key: TileKey) -> None:
-        """Make ``key`` resident on ``device``, evicting the least recently
-        used tile other than its output tile if the device is full."""
-        order = self._order[device]
-        if key in order:
-            raise ValueError(f"{key} already resident on device {device}")
-        cap = self._capacity[device]
-        if cap is not None and len(order) >= cap:  # never above cap: one victim
-            # the scan stops at the victim, at most the output tile in
-            victim = next(filterfalse((self._output[device],).__contains__, order))
-            del order[victim]
-            self._dev_stats[device].evictions += 1
-        order[key] = None
 
     def _drop_output_locked(self, device: int, key: TileKey) -> None:
         if self._output[device] != key:
             raise ValueError(f"{key} is not the output tile of device {device}")
         self._output[device] = None
-        del self._order[device][key]
 
     def residents(self, device: int) -> list[TileKey]:
         """Keys resident on ``device``, least recently used first."""
@@ -149,8 +140,7 @@ class CacheDirectory:
         returns one :class:`AcquireResult` per request, in order.
 
         Requests resolve in order, each exactly as a one-request call
-        would: no admission evicts the device's output tile, and nothing
-        is held once the call returns.
+        would, and nothing is held once the call returns.
         """
         with self._lock:
             ds = self._dev_stats[requester]
@@ -162,6 +152,7 @@ class CacheDirectory:
                 ds.host_fetches += len(out)
                 ds.bytes_host += sum(res.nbytes_moved for res in out)
                 return out
+            room = self._room[requester]
             l1_hit = AcquireResult(requester, 0)
             out = []
             for key, nbytes in requests:
@@ -173,7 +164,10 @@ class CacheDirectory:
                 # owners are collected before the admit, so the requester
                 # is never its own source
                 owners = [d for d, o in self._order.items() if key in o]
-                self._admit_locked(requester, key)
+                if room is not None and len(order) >= room:  # never above room: one victim
+                    order.popitem(last=False)
+                    ds.evictions += 1
+                order[key] = None
                 if owners:
                     ds.l2_hits += 1
                     ds.bytes_peer += nbytes
@@ -190,40 +184,34 @@ class CacheDirectory:
         returns.  Kept only as a name the benchmark's tracer wraps."""
 
     def admit_output(self, device: int, key: TileKey) -> None:
-        """Make ``key`` resident as the output tile ``device`` is building;
-        no admission evicts it until :meth:`release_output` or
-        :meth:`abort_output`.  Raises :class:`ValueError` while the device
+        """Start building ``key`` as ``device``'s output tile, in the slot
+        its set leaves free.  Raises :class:`ValueError` while the device
         still holds an unfinished output tile."""
-        if device not in self._order:
-            return
         with self._lock:
             if self._output[device] is not None:
                 raise ValueError(
                     f"device {device} still holds unfinished output tile {self._output[device]}")
-            self._admit_locked(device, key)
             self._output[device] = key
 
     def release_output(self, device: int, key: TileKey, nbytes: int) -> None:
-        """Output tile written back to host: drop its residency and count
-        the writeback traffic.  Not an eviction (it is a completion).  An
-        uncached accelerator writes back too; a host worker's output is
-        already in host memory.  Raises :class:`ValueError` if ``key`` is
-        not the device's current output tile."""
-        if device in self._host_workers:
-            return
+        """Output tile written back to host: free the device's output slot
+        and count the writeback traffic.  Not an eviction (it is a
+        completion).  An uncached accelerator writes back too; a host
+        worker's output is already in host memory.  Raises
+        :class:`ValueError` if ``key`` is not the device's current output
+        tile."""
         with self._lock:
-            if device in self._order:
-                self._drop_output_locked(device, key)
-            ds = self._dev_stats[device]
-            ds.writebacks += 1
-            ds.bytes_writeback += nbytes
+            self._drop_output_locked(device, key)
+            if device not in self._host_workers:
+                ds = self._dev_stats[device]
+                ds.writebacks += 1
+                ds.bytes_writeback += nbytes
 
     def abort_output(self, device: int, key: TileKey) -> None:
-        """Output tile of a failed task: drop its residency.  Nothing was
-        written back, so no counter moves.  Raises :class:`ValueError` if
-        ``key`` is not the device's current output tile."""
-        if device not in self._order:
-            return
+        """Output tile of a failed task: free the device's output slot.
+        Nothing was written back, so no counter moves.  Raises
+        :class:`ValueError` if ``key`` is not the device's current output
+        tile."""
         with self._lock:
             self._drop_output_locked(device, key)
 
@@ -245,7 +233,5 @@ class CacheDirectory:
     def check_invariants(self) -> None:
         with self._lock:
             for d, order in self._order.items():
-                cap = self._capacity[d]
-                assert cap is None or len(order) <= cap, f"device {d} over capacity"
-                c_key = self._output[d]
-                assert c_key is None or c_key in order, f"output tile {c_key} not resident on {d}"
+                room = self._room[d]
+                assert room is None or len(order) <= room, f"device {d} over capacity"

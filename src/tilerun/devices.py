@@ -34,10 +34,11 @@ class DeviceSpec:
     """One simulated device.
 
     ``capacity_tiles`` is the L1 tile-cache size; ``None`` means
-    unbounded.  A bounded capacity must be at least 3: an admission
-    skips only the device's output tile, so a third slot guarantees
-    every admission a victim, and LRU then keeps a step's A beside its
-    B, since A is the most recent tile when B is admitted.
+    unbounded.  One slot is reserved for the output tile the device is
+    building, and the rest hold input tiles under plain LRU.  A bounded
+    capacity must be at least 3, so the inputs have room for two: LRU
+    then keeps a step's A beside its B, since A is the most recent input
+    when B is admitted.
     ``slots`` is the reservation-station width; 4 mirrors the point
     where extra per-device concurrency stops paying off.
     ``subtile_factor`` only matters for host workers under the threaded
@@ -126,8 +127,9 @@ class ProximityMatrix:
         return self.hops.shape[0]
 
     @classmethod
-    def uniform(cls, n: int, hop: int = 1, bandwidth: float = 1.0) -> "ProximityMatrix":
-        hops = np.full((n, n), hop, dtype=np.int64)
+    def uniform(cls, n: int, bandwidth: float = 1.0) -> "ProximityMatrix":
+        """``n`` devices, each one hop from every other."""
+        hops = np.ones((n, n), dtype=np.int64)
         np.fill_diagonal(hops, 0)
         bw = np.full((n, n), bandwidth, dtype=np.float64)
         return cls(hops, bw)

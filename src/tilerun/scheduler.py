@@ -164,12 +164,11 @@ class Plan:
 def plan(a: Operand, b: Operand, c_uid: str = "C") -> Plan:
     """Build one task per output tile and enqueue them all (row-major).
 
-    The output is allocated as zeros and partitioned with the operands'
-    tile size.  Its uid must differ from both operands', since an output
-    tile and an input tile of the same key cannot both be resident.
+    The output is allocated as zeros of the operands' result dtype and
+    partitioned with their tile size.  Its uid may be any string, an
+    operand's included: an output tile takes its device's reserved slot
+    and never enters a residency set, so its key meets no input's.
     """
-    if c_uid in (a.uid, b.uid):
-        raise ValueError(f"output uid {c_uid!r} is also an operand's uid")
     if a.tiled.tile_size != b.tiled.tile_size:
         raise ValueError(
             f"tile sizes differ: {a.tiled.tile_size} vs {b.tiled.tile_size}"
@@ -179,7 +178,7 @@ def plan(a: Operand, b: Operand, c_uid: str = "C") -> Plan:
     if ak != bk:
         raise ValueError(f"inner dimensions differ: {a.element_shape} x {b.element_shape}")
     t = a.tiled.tile_size
-    out = partition(np.zeros((am, bn), dtype=a.tiled.base.dtype), t)
+    out = partition(np.zeros((am, bn), dtype=np.result_type(a.tiled.base, b.tiled.base)), t)
     c = Operand(out, c_uid)
     grid_rows, grid_cols = c.grid_rows, c.grid_cols
     k_steps = a.grid_cols
@@ -372,15 +371,15 @@ def _begin_task(machine: Machine, plan_: Plan, directory: CacheDirectory,
     """The directory side of task ``(i, j)`` on device ``did`` up to its
     data.
 
-    The output tile is admitted as the device's output, the one tile no
-    admission evicts until ``_end_task`` writes it back.  The contraction
-    steps are accounting only, read from the plan's step table: one
-    directory transaction resolves the requests A, B of each step in
-    turn, so B is admitted while its step's A is the most recent tile,
-    and LRU with a capacity of at least 3 keeps that A beside it.  The
-    task holds no input once the transaction returns.  If anything
-    raises, the task aborts the output tile, so it leaves no output tile
-    behind.
+    The output tile takes the device's reserved output slot until
+    ``_end_task`` writes it back; the device's set holds input tiles
+    only.  The contraction steps are accounting only, read from the
+    plan's step table: one directory transaction resolves the requests
+    A, B of each step in turn, so B is admitted while its step's A is
+    the most recent input, and LRU with room for at least two inputs
+    keeps that A beside it.  The task holds no input once the
+    transaction returns.  If anything raises, the task aborts the output
+    tile, so it leaves no output tile behind.
 
     Returns the directory's results, A and B per step in step order.
     """

@@ -1,9 +1,10 @@
 """Tile partitioning, task-id decoding, and the fixed-order GEMM kernels.
 
-A matrix here is a plain 2-D float numpy array.  Partitioning slices it
-into a grid of views without copying; edge tiles are smaller when the
-tile size does not divide the matrix evenly (no zero padding, so byte
-accounting downstream stays honest).
+A matrix here is a plain 2-D float numpy array.  Partitioning splits it
+into a grid of tiles, each a view sliced without copying when asked
+for; edge tiles are smaller when the tile size does not divide the
+matrix evenly (no zero padding, so byte accounting downstream stays
+honest).
 
 Every kernel in this module accumulates over the contraction index in
 strictly ascending order.  ``accumulate_product`` folds a chunk of
@@ -43,12 +44,13 @@ def as_matrix(x, dtype=np.float64) -> np.ndarray:
 
 
 class TiledMatrix:
-    """A matrix logically split into a grid of tile views.
+    """A matrix logically split into a grid of tiles.
 
     Interior tiles are ``tile_size`` square; the last row/column of tiles
     is ragged when the dimensions are not multiples of ``tile_size``.
-    Tiles are views into one backing array, so no element is copied and
-    writing through a tile writes the backing store.
+    :meth:`tile` slices a view of the one backing array when called, so
+    no element is copied and writing through a tile writes the backing
+    store.
     """
 
     def __init__(self, matrix, tile_size: int):
@@ -60,11 +62,6 @@ class TiledMatrix:
         self.rows, self.cols = m.shape
         self.grid_rows = math.ceil(self.rows / tile_size)
         self.grid_cols = math.ceil(self.cols / tile_size)
-        t = tile_size
-        self._tiles = [
-            [m[r * t : (r + 1) * t, c * t : (c + 1) * t] for c in range(self.grid_cols)]
-            for r in range(self.grid_rows)
-        ]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -75,7 +72,8 @@ class TiledMatrix:
             raise IndexError(
                 f"tile ({row},{col}) outside {self.grid_rows}x{self.grid_cols} grid"
             )
-        return self._tiles[row][col]
+        t = self.tile_size
+        return self.base[row * t : (row + 1) * t, col * t : (col + 1) * t]
 
 
 def partition(matrix, tile_size: int) -> TiledMatrix:
@@ -89,7 +87,8 @@ def reassemble(tm: TiledMatrix) -> np.ndarray:
     Built from the tiles themselves (not the backing array) so it doubles
     as the round-trip oracle for ``partition``.
     """
-    rows = [np.hstack(tm._tiles[r]) for r in range(tm.grid_rows)]
+    rows = [np.hstack([tm.tile(r, c) for c in range(tm.grid_cols)])
+            for r in range(tm.grid_rows)]
     return np.vstack(rows)
 
 

@@ -50,47 +50,54 @@ def test_lookup_l2_picks_closest_owner():
 
 
 def test_admit_within_capacity_no_eviction():
+    # capacity 3 leaves room for two inputs: the third slot is the output's
     d = CacheDirectory(cap_machine(1, capacity=3))
-    for n in "abc":
+    for n in "ab":
         touch(d, 0, key(n))
-    assert d.used_tiles(0) == 3
+    assert d.used_tiles(0) == 2
     assert d.stats().evictions == 0
 
 
 def test_admit_evicts_lru_first():
-    d = CacheDirectory(cap_machine(1, capacity=3))
+    d = CacheDirectory(cap_machine(1, capacity=4))
     ka, kb, kc, kd = (key(n) for n in "abcd")
     for k in (ka, kb, kc):
         touch(d, 0, k)
     assert touch(d, 0, ka).source == 0  # L1 refresh of a: now b is least recent
     touch(d, 0, kd)
-    assert set(d.residents(0)) == {ka, kc, kd}
+    assert d.residents(0) == [kc, ka, kd]
     assert d.stats().evictions == 1
 
 
 @pytest.mark.usefixtures("directory_invariants")
-def test_admit_rejects_duplicate():
-    d = CacheDirectory(cap_machine(1))
-    touch(d, 0, key("a"))
-    with pytest.raises(ValueError, match="already resident"):
-        d.admit_output(0, key("a"))
-    # the failed admission set no output tile: another can be admitted
-    d.admit_output(0, key("c"))
-    assert d.residents(0) == [key("a"), key("c")]
+def test_output_key_never_enters_the_set():
+    d = CacheDirectory(cap_machine(2, capacity=3))
+    ka, kb = key("a"), key("b")
+    touch(d, 0, ka)
+    d.admit_output(0, ka)  # the key of a resident input: no collision
+    d.admit_output(1, kb)  # the key of no tile anywhere
+    assert d.residents(0) == [ka] and d.residents(1) == []
+    # the output is not an owner: its key is still a miss, and an L1 hit
+    # refreshes the input
+    assert touch(d, 1, kb).source == HOST and touch(d, 0, ka).source == 0
+    d.release_output(0, ka, 64)
+    d.abort_output(1, kb)
+    assert d.residents(0) == [ka] and d.residents(1) == [kb]
+    assert d.stats().evictions == 0
 
 
 @pytest.mark.usefixtures("directory_invariants")
-def test_admission_skips_only_the_output_tile():
+def test_output_slot_is_reserved_and_inputs_evict_lru():
     d = CacheDirectory(cap_machine(1, capacity=3))
     ka, kb, kc, kx, ky = (key(n) for n in "abcxy")
     d.admit_output(0, kc)
     touch(d, 0, kx)
     touch(d, 0, ky)
-    # c is the least recent tile at every admission and is passed over: x
-    # goes for a, y for b, then a, which this call resolved, goes for x
+    # two inputs fill the room the output slot leaves: a goes for x, b
+    # for y, then x, which this call resolved, goes for a
     got = d.acquire_input(0, [(ka, 8), (kb, 8), (kx, 8)])
     assert got == [(HOST, 8)] * 3
-    assert d.residents(0) == [kc, kb, kx]
+    assert d.residents(0) == [kb, kx]
     assert d.stats().evictions == 3
 
 
@@ -101,11 +108,13 @@ def test_admit_output_rejected_while_an_output_is_unfinished():
     d.admit_output(0, c1)
     with pytest.raises(ValueError, match="unfinished output tile"):
         d.admit_output(0, c2)
-    assert d.residents(0) == [c1]
     d.admit_output(1, c2)  # another device builds its own
     d.release_output(0, c1, 64)
     d.admit_output(0, c2)  # once finished, the device takes the next
-    assert d.residents(0) == d.residents(1) == [c2]
+    with pytest.raises(ValueError, match="unfinished output tile"):
+        d.admit_output(1, c1)
+    assert d.residents(0) == d.residents(1) == []
+    assert d.stats().writebacks == 1
 
 
 @pytest.mark.usefixtures("directory_invariants")
@@ -119,7 +128,6 @@ def test_release_and_abort_reject_a_key_that_is_not_the_output():
         d.admit_output(0, kc)
         with pytest.raises(ValueError, match="not the output tile"):
             finish(ka)  # resident, but as an input
-        assert d.residents(0) == [ka, kc]
         finish(kc)
         with pytest.raises(ValueError, match="not the output tile"):
             finish(kc)  # finished already
@@ -135,13 +143,12 @@ def test_task_call_leaves_what_stepwise_calls_leave():
     for d in (task, stepwise):
         touch(d, 1, kc)  # a peer copy for device 0 to find
         d.admit_output(0, kout)
-    # seven requests through two slots besides the output
+    # seven requests through the two slots the output leaves
     requests = [(k, 8) for k in (ka, kb, kc, kd, kd, ka, ke)]
     got = task.acquire_input(0, requests)
     assert [r.source for r in got] == [HOST, HOST, 1, HOST, 0, HOST, HOST]
     assert got == [touch(stepwise, 0, k, n) for k, n in requests]
-    # the output is never re-admitted, so still resident means never evicted
-    assert task.residents(0) == stepwise.residents(0) == [kout, ka, ke]
+    assert task.residents(0) == stepwise.residents(0) == [ka, ke]
     assert task.residents(1) == stepwise.residents(1) == [kc]
     assert task.stats_per_device() == stepwise.stats_per_device()
     assert task.stats().evictions == 4
@@ -150,12 +157,11 @@ def test_task_call_leaves_what_stepwise_calls_leave():
 @pytest.mark.usefixtures("directory_invariants")
 def test_inputs_are_evictable_once_the_call_returns():
     d = CacheDirectory(cap_machine(1, capacity=3))
-    ka, kb, kc, kd = (key(n) for n in "abcd")
+    ka, kb, kc = (key(n) for n in "abc")
     d.acquire_input(0, [(ka, 8), (kb, 8)])
     d.release_input(0, (ka, kb))  # a no-op: the call held nothing
-    touch(d, 0, kc)
-    touch(d, 0, kd)  # a, the call's first tile, is the least recent: it goes
-    assert d.residents(0) == [kb, kc, kd]
+    touch(d, 0, kc)  # a, the call's first tile, is the least recent: it goes
+    assert d.residents(0) == [kb, kc]
 
 
 def test_fresh_directory_stats_zero():
@@ -220,9 +226,9 @@ def test_output_tiles_pinned_then_released():
     d.admit_output(0, ck)
     for n in "abde":
         touch(d, 0, key(n))
-        assert ck in d.residents(0)  # kept for the whole task
+        # held in the reserved slot, never in the set of inputs
+        assert ck not in d.residents(0) and d.used_tiles(0) <= 2
     d.release_output(0, ck, 64)
-    assert ck not in d.residents(0)
     s = d.stats()
     assert s.writebacks == 1 and s.bytes_writeback == 64
     assert s.evictions == 2  # inputs only: completion is not an eviction
@@ -232,30 +238,28 @@ def test_invariants_fixture_checks_after_a_test_undo(directory_invariants, monke
     d = CacheDirectory(cap_machine(1, capacity=3))
     monkeypatch.setattr(d, "residents", lambda device: [])
     monkeypatch.undo()  # the test's own undo keeps the checks in place
-    d._output[0] = key("ghost")  # an output tile that is not resident
-    with pytest.raises(AssertionError, match="not resident"):
-        touch(d, 0, key("a"))
-    d._output[0] = None
-    d._order[0].update(dict.fromkeys(key(n) for n in "xyz"))  # a, x, y and z
+    d._order[0].update(dict.fromkeys(key(n) for n in "xyz"))  # three inputs in room for two
     with pytest.raises(AssertionError, match="over capacity"):
-        d.admit_output(0, key("c"))  # one victim: four tiles remain
+        touch(d, 0, key("a"))  # one victim: three tiles remain
+    with pytest.raises(AssertionError, match="over capacity"):
+        d.admit_output(0, key("c"))  # a call that admits no input is checked too
 
 
 class ModelDirectory:
-    """Dead-simple multi-device reference: one list per device in insertion
-    order, recency refreshed by moving to the back.  A local miss copies
-    from the closest device whose list holds the key (ties to the lowest
-    id), or from host when none does.  A full list gives up its first key
-    that is not the device's output tile.  It resolves one tile at a
+    """Dead-simple multi-device reference: one list of input keys per
+    device in insertion order, recency refreshed by moving to the back.
+    A local miss copies from the closest device whose list holds the key
+    (ties to the lowest id), or from host when none does.  A list holds
+    at most ``capacity - 1`` keys, the last slot being the output tile's,
+    and a full list gives up its first key.  It resolves one tile at a
     time."""
 
     def __init__(self, hops, capacity):
         self.hops = hops
-        self.capacity = capacity
+        self.room = capacity - 1
         self.keys = [[] for _ in hops]
         self.output = [None for _ in hops]
         self.stats = [CacheStats() for _ in hops]
-        self.output_passed_over = 0  # evictions that skipped the output tile
 
     def source(self, dev, k):
         owners = [o for o in range(len(self.keys)) if k in self.keys[o]]
@@ -266,11 +270,8 @@ class ModelDirectory:
     def admit(self, dev, k):
         keys = self.keys[dev]
         assert k not in keys
-        if len(keys) >= self.capacity:
-            out = self.output[dev]
-            victim = next(c for c in keys if c != out)
-            self.output_passed_over += out in keys[:keys.index(victim)]
-            keys.remove(victim)
+        if len(keys) >= self.room:
+            keys.pop(0)
             self.stats[dev].evictions += 1
         keys.append(k)
 
@@ -293,12 +294,10 @@ class ModelDirectory:
         return src, nbytes
 
     def admit_output(self, dev, k):
-        self.admit(dev, k)
         self.output[dev] = k
 
     def drop_output(self, dev, nbytes=None):
         """Release (``nbytes`` written back) or abort the output tile."""
-        self.keys[dev].remove(self.output[dev])
         self.output[dev] = None
         if nbytes is not None:
             self.stats[dev].writebacks += 1
@@ -307,7 +306,8 @@ class ModelDirectory:
 
 @pytest.mark.usefixtures("directory_invariants")
 def test_model_based_directory_agreement():
-    # Each call is one of: admit an output tile, on a device without one;
+    # Each call is one of: admit an output tile, on a device without one
+    # (its key sometimes that of an input tile);
     # release or abort the device's output tile; or a task's acquire, one
     # call of 1-8 tiles, which the model resolves one tile at a time.
     # Device 0 is closer to 2 than to 1; device 1 is equally far from 0
@@ -315,8 +315,7 @@ def test_model_based_directory_agreement():
     hops = [[0, 2, 1], [2, 0, 2], [1, 2, 0]]
     rng = np.random.default_rng(99)
     serial = itertools.count()
-    peer_hits = refetched = released = aborted = 0
-    passed_over = 0
+    peer_hits = refetched = released = aborted = evicted_mid_task = 0
     for trial in range(24):
         n = 2 + trial % 2
         cap = 3 if trial % 3 == 0 else int(rng.integers(4, 7))
@@ -331,7 +330,9 @@ def test_model_based_directory_agreement():
             c_key = model.output[dev]
             r = rng.random()
             if r < 0.2 and c_key is None:
-                c_key = TileKey("C", next(serial), 0)
+                # some output keys name input tiles: they must not collide
+                c_key = (universe[int(rng.integers(0, len(universe)))] if r < 0.05
+                         else TileKey("C", next(serial), 0))
                 model.admit_output(dev, c_key)
                 d.admit_output(dev, c_key)
             elif r < 0.2:
@@ -346,7 +347,7 @@ def test_model_based_directory_agreement():
             else:
                 tiles = [universe[int(i)]
                          for i in rng.integers(0, len(universe), int(rng.integers(1, 9)))]
-                want = []
+                evictions, want = model.stats[dev].evictions, []
                 for k in tiles:
                     want.append(model.acquire(dev, k, 8))
                     src = want[-1][0]
@@ -356,14 +357,14 @@ def test_model_based_directory_agreement():
                         seen.add(k)
                 got = d.acquire_input(dev, [(k, 8) for k in tiles])
                 assert [(r.source, r.nbytes_moved) for r in got] == want
+                evicted_mid_task += c_key is not None and model.stats[dev].evictions > evictions
             for o in range(n):
                 assert d.residents(o) == model.keys[o]
             assert d.stats_per_device() == dict(enumerate(model.stats))
-        passed_over += model.output_passed_over
     # the walk reached peer copies, tiles evicted from every owner came back
-    # as host misses, evictions passed over an output tile that was the
-    # least recent, and outputs were both released and aborted
-    assert peer_hits > 0 and refetched > 0 and passed_over > 0
+    # as host misses, inputs were evicted while an output tile was held,
+    # and outputs were both released and aborted
+    assert peer_hits > 0 and refetched > 0 and evicted_mid_task > 0
     assert released > 0 and aborted > 0
 
 
@@ -388,42 +389,44 @@ def machines(draw):
 def test_every_admission_finds_a_victim(machine, data):
     # A task is admit_output, one acquire_input of its steps' A and B
     # tiles in turn, then release_output or abort_output; the tasks of
-    # different devices interleave, one open task per device.  The
-    # directory's admissions are watched from inside its transaction.
-    d = CacheDirectory(machine)
-    open_tasks = {}  # device -> (i, output key) of its unfinished task
-    admit = d._admit_locked
-
-    def watched(dev, k):
-        admit(dev, k)
-        order, cap = d._order[dev], d._capacity[dev]
-        assert len(order) <= cap
-        if dev in open_tasks:
-            i, c_key = open_tasks[dev]
-            assert c_key in order  # never evicted mid-task
-            if k.matrix == "B":  # LRU keeps the step's A, the most recent tile
-                assert TileKey("A", i, k.row) in order
-
-    d._admit_locked = watched
+    # different devices interleave, one open task per device.  A twin
+    # directory runs each task's steps as one call per step, which
+    # resolves exactly as the task's one call does, and is looked at
+    # after each step's B is admitted.
+    d, twin = CacheDirectory(machine), CacheDirectory(machine)
+    open_tasks = {}  # device -> output key of its unfinished task
     serial = itertools.count()
     n_devices = len(machine.devices)
+    room = {dev.device_id: dev.capacity_tiles and dev.capacity_tiles - 1
+            for dev in machine.devices}
     for dev in data.draw(st.lists(st.integers(0, n_devices - 1), min_size=1, max_size=40)):
         if dev in open_tasks:
-            c_key = open_tasks.pop(dev)[1]
-            if data.draw(st.booleans()):
-                d.release_output(dev, c_key, 8)
-            else:
-                d.abort_output(dev, c_key)
+            c_key, release = open_tasks.pop(dev), data.draw(st.booleans())
+            for x in (d, twin):
+                if release:
+                    x.release_output(dev, c_key, 8)
+                else:
+                    x.abort_output(dev, c_key)
         else:
             i, j = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
             ks = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
             c_key = TileKey("C", next(serial), 0)
+            open_tasks[dev] = c_key
+            steps = [[(TileKey("A", i, k), 8), (TileKey("B", k, j), 8)] for k in ks]
             d.admit_output(dev, c_key)
-            open_tasks[dev] = (i, c_key)
-            d.acquire_input(dev, [(tile, 8) for k in ks
-                                  for tile in (TileKey("A", i, k), TileKey("B", k, j))])
-            if dev in d._order:
-                # the output and the last step's two tiles are resident
-                assert {c_key, TileKey("A", i, ks[-1]), TileKey("B", ks[-1], j)} <= \
-                    set(d.residents(dev))
-        d.check_invariants()
+            got = d.acquire_input(dev, [r for step in steps for r in step])
+            twin.admit_output(dev, c_key)
+            stepwise = []
+            for step in steps:
+                stepwise += twin.acquire_input(dev, step)
+                if room[dev] is not None:  # LRU keeps the step's A beside its B
+                    assert twin.residents(dev)[-2:] == [k for k, _ in step]
+            assert got == stepwise
+            # the output sits in its reserved slot, never among the inputs
+            assert c_key not in d.residents(dev)
+        for x in (d, twin):
+            x.check_invariants()
+        assert [d.residents(o) for o in range(n_devices)] == \
+            [twin.residents(o) for o in range(n_devices)]
+        assert d.stats_per_device() == twin.stats_per_device()
+        assert all(room[o] is None or d.used_tiles(o) <= room[o] for o in range(n_devices))

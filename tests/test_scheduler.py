@@ -257,6 +257,21 @@ def test_host_worker_participates_and_subtiling_is_bitwise_neutral(mode):
     assert np.array_equal(outs[0], outs[2])
 
 
+@pytest.mark.parametrize("mode", ["sim", "threaded"])
+def test_mixed_dtype_product_matches_reference_bitwise(mode):
+    # the output takes the operands' result dtype, as the reference does
+    rng = np.random.default_rng(29)
+    a64, b64 = rng.standard_normal((10, 7)), rng.standard_normal((7, 9))
+    hetero = Machine([DeviceSpec(0), DeviceSpec(1, kind="host-worker", subtile_factor=2)],
+                     ProximityMatrix.uniform(2))
+    for a_t, b_t in itertools.product((np.float32, np.float64), repeat=2):
+        a, b = a64.astype(a_t), b64.astype(b_t)
+        ref = reference_gemm(a, b)
+        for machine in (homogeneous_machine(2), hetero):
+            c, _ = run(machine, a, b, tile_size=4, mode=mode)
+            assert c.dtype == ref.dtype and np.array_equal(c, ref), (a_t, b_t)
+
+
 @pytest.mark.usefixtures("directory_invariants")
 def test_exactly_once_under_threaded_stress():
     rng = np.random.default_rng(7)
@@ -592,16 +607,23 @@ def test_failed_task_leaves_no_pins_or_output_tile(monkeypatch, site, mode):
 
         monkeypatch.setattr(d, "acquire_input", acquire_then_fail)
     else:  # B's admission fails inside the task's transaction, after A's
-        admit = _fail_at(d._admit_locked, 5, counted=lambda dev, key: key.matrix == "W")
+        # The transaction is replayed one request per call, which resolves
+        # exactly as the one call does, so the set can be looked at
+        # between a step's A and its B.
+        acquire, b_seen = d.acquire_input, itertools.count(1)
 
-        def admit_watching_a(dev, key):
-            full = len(d._order[dev]) == 3
-            admit(dev, key)
-            if key.matrix == "W":  # B (k, j) last, the step's A (i, k) just before it
-                *_, a, b = d._order[dev]
-                a_kept.append((full, a.matrix == "X" and a.col == key.row and b == key))
+        def acquire_watching_a(dev, requests):
+            got = []
+            for a_req, b_req in zip(requests[::2], requests[1::2]):
+                got += acquire(dev, [a_req])
+                if next(b_seen) == 5:
+                    raise ArithmeticError("injected fault at call 5")
+                full = len(d.residents(dev)) == 2  # capacity 3 has room for two inputs
+                got += acquire(dev, [b_req])
+                a_kept.append((full, d.residents(dev)[-2:] == [a_req[0], b_req[0]]))
+            return got
 
-        monkeypatch.setattr(d, "_admit_locked", admit_watching_a)
+        monkeypatch.setattr(d, "acquire_input", acquire_watching_a)
     with pytest.raises(ArithmeticError, match="call 5$"):
         rt.multiply(a, b, a_uid="X", b_uid="W", c_uid="C1")
     monkeypatch.undo()
@@ -723,23 +745,30 @@ def test_one_directory_transaction_per_task(monkeypatch, mode):
         assert priced == []
 
 
+@pytest.mark.parametrize("capacity", [None, 3, 5])
 @pytest.mark.parametrize("mode", ["sim", "threaded"])
 @pytest.mark.usefixtures("directory_invariants")
-def test_output_uid_of_an_operand_rejected_before_anything_runs(mode):
+def test_output_uid_may_name_any_operand(mode, capacity):
+    # A session multiplies X·Y, then P·Q into an output whose uid names an
+    # operand of the earlier product, an operand of its own, or nothing.
+    # Threaded task placement races on more than one device, so that
+    # engine runs on one.
     rng = np.random.default_rng(28)
-    rt = Runtime(homogeneous_machine(2), tile_size=4, mode=mode)
-    x, y = int_matrix(rng, 8, 8), int_matrix(rng, 8, 8)
-    rt.multiply(x, y, a_uid="X", b_uid="Y")  # a product before: clocks and residency to keep
-    clocks, stats = [list(c) for c in rt.clocks.values()], rt.directory.stats()
-    residents = [rt.directory.residents(dev) for dev in (0, 1)]
-    for c_uid in ("X", "Y"):
-        with pytest.raises(ValueError, match=f"output uid '{c_uid}'"):
-            rt.multiply(x, y, a_uid="X", b_uid="Y", c_uid=c_uid)
-        assert [list(c) for c in rt.clocks.values()] == clocks
-        assert rt.directory.stats() == stats
-        assert [rt.directory.residents(dev) for dev in (0, 1)] == residents
-    c, _ = rt.multiply(x, y, a_uid="X", b_uid="Y", c_uid="Z")
-    assert np.array_equal(c, reference_gemm(x, y))
+    x, y, p, q = (int_matrix(rng, 12, 12) for _ in range(4))
+
+    def session(c_uid):
+        rt = Runtime(homogeneous_machine(2 if mode == "sim" else 1, capacity_tiles=capacity),
+                     tile_size=4, mode=mode)
+        rt.multiply(x, y, a_uid="X", b_uid="Y")
+        c, stats = rt.multiply(p, q, a_uid="P", b_uid="Q", c_uid=c_uid)
+        assert np.array_equal(c, reference_gemm(p, q))
+        n = len(rt.machine.devices)
+        return (stats.cache_per_device, stats.makespan, stats.tasks_by_device,
+                [rt.directory.residents(dev) for dev in range(n)])
+
+    fresh = session("Z")
+    for c_uid in ("X", "Y", "P", "Q"):
+        assert session(c_uid) == fresh, c_uid
 
 
 # -- session reuse and reports -------------------------------------------------

@@ -26,7 +26,6 @@ from .devices import (
     DeviceSpec,
     Machine,
     ProximityMatrix,
-    closest_owner,
     compute_cost,
     homogeneous_machine,
     load_machine,

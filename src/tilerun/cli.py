@@ -117,7 +117,8 @@ def cmd_ann(args) -> int:
             "steps": args.steps,
             "lr": args.lr,
             "seed": args.seed,
-            "final_loss": losses[-1] if losses else None,
+            # null when there is no finite loss: no step, or a diverged run
+            "final_loss": losses[-1] if losses and math.isfinite(losses[-1]) else None,
         }
         if args.backend == "tiled":
             report["cache"] = backend.runtime.directory.stats().as_dict()

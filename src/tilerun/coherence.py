@@ -15,6 +15,12 @@ Hit taxonomy for a requesting accelerator:
   count into the requester's cache (peer bytes).
 * miss    -- tile resident nowhere; fetched from host memory (host bytes).
 
+"Closest" is fixed when the directory is built: each cached device keeps
+its peers' sets ranked by ``(hops, device id)``, itself left out, so a
+miss's source is the first peer in its ranking whose set holds the tile,
+and ``HOST`` when none does.  The fewest hops win, and a tie goes to the
+lowest id.
+
 A bounded device keeps one of its ``capacity_tiles`` slots for the output
 tile it is building, which never enters its set; the set holds input
 tiles only, up to ``capacity_tiles - 1`` of them, and an admission into
@@ -38,7 +44,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
-from .devices import HOST, Machine, closest_owner
+from .devices import HOST, Machine
 from .tiles import TileKey
 
 
@@ -96,12 +102,17 @@ class CacheDirectory:
     the last slot being the output tile's; the victim is the set's least
     recently used tile, and a bounded capacity is at least 3, so LRU
     keeps a step's A beside its B.  An output key never enters a set, so
-    it cannot collide with an input tile of the same key.  The counters
-    are kept per device only; :meth:`stats` is their sum.
+    it cannot collide with an input tile of the same key.
+
+    Each cached device ranks its peers once, from the machine's hop
+    counts: the other cached devices' sets, fewest hops first, then the
+    lowest id.  A local miss is served by the first peer in that ranking
+    whose set holds the tile, or by host.  The counters are kept per
+    device only, and a transaction adds to them once; :meth:`stats` is
+    their sum.
     """
 
     def __init__(self, machine: Machine, enabled: bool = True):
-        self.machine = machine
         self._lock = threading.Lock()
         cached = [d for d in machine.devices if enabled and not d.is_host_worker]
         self._order: dict[int, OrderedDict] = {d.device_id: OrderedDict() for d in cached}
@@ -109,6 +120,12 @@ class CacheDirectory:
         self._room: dict[int, int | None] = {
             d.device_id: None if d.capacity_tiles is None else d.capacity_tiles - 1
             for d in cached}
+        # per cached device: (peer, peer's set), fewest hops first, then lowest id
+        hops = machine.proximity.hops
+        self._peers: dict[int, list[tuple[int, OrderedDict]]] = {
+            d: [(p, self._order[p])
+                for p in sorted(self._order, key=lambda p: (hops[d, p], p)) if p != d]
+            for d in self._order}
         # the output tile each device is building, or None
         self._output: dict[int, TileKey | None] = {d.device_id: None for d in machine.devices}
         self._host_workers = frozenset(d.device_id for d in machine.devices if d.is_host_worker)
@@ -153,30 +170,37 @@ class CacheDirectory:
                 ds.bytes_host += sum(res.nbytes_moved for res in out)
                 return out
             room = self._room[requester]
+            peers = self._peers[requester]
             l1_hit = AcquireResult(requester, 0)
             out = []
-            for key, nbytes in requests:
-                if key in order:
-                    ds.l1_hits += 1
-                    order.move_to_end(key)
-                    out.append(l1_hit)
-                    continue
-                # owners are collected before the admit, so the requester
-                # is never its own source
-                owners = [d for d, o in self._order.items() if key in o]
-                if room is not None and len(order) >= room:  # never above room: one victim
-                    order.popitem(last=False)
-                    ds.evictions += 1
-                order[key] = None
-                if owners:
-                    ds.l2_hits += 1
-                    ds.bytes_peer += nbytes
-                    out.append(AcquireResult(
-                        closest_owner(requester, owners, self.machine.proximity), nbytes))
-                else:
-                    ds.host_fetches += 1
-                    ds.bytes_host += nbytes
-                    out.append(AcquireResult(HOST, nbytes))
+            l1 = l2 = bytes_peer = bytes_host = evictions = 0
+            try:
+                for key, nbytes in requests:
+                    if key in order:
+                        l1 += 1
+                        order.move_to_end(key)
+                        out.append(l1_hit)
+                        continue
+                    for peer, held in peers:
+                        if key in held:
+                            l2 += 1
+                            bytes_peer += nbytes
+                            out.append(AcquireResult(peer, nbytes))
+                            break
+                    else:
+                        bytes_host += nbytes
+                        out.append(AcquireResult(HOST, nbytes))
+                    if room is not None and len(order) >= room:  # never above room: one victim
+                        order.popitem(last=False)
+                        evictions += 1
+                    order[key] = None
+            finally:  # the requests resolved so far, even if one raised
+                ds.l1_hits += l1
+                ds.l2_hits += l2
+                ds.host_fetches += len(out) - l1 - l2
+                ds.bytes_peer += bytes_peer
+                ds.bytes_host += bytes_host
+                ds.evictions += evictions
             return out
 
     def release_input(self, device: int, keys) -> None:

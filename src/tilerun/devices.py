@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from numbers import Integral
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -300,11 +300,3 @@ def transfer_cost(machine: Machine, src, dst, nbytes: float) -> float:
     d = machine.device(dst).device_id
     return nbytes / machine.proximity.peer_bandwidth[s, d] + machine.transfer_latency
 
-
-def closest_owner(requester: int, owners: Iterable[int], prox: ProximityMatrix) -> int:
-    """Owner with the fewest hops from the requester; ties break to the
-    lowest device id."""
-    owners = list(owners)
-    if not owners:
-        raise ValueError("owner set is empty")
-    return min(owners, key=lambda o: (prox.hops[requester, o], o))

@@ -3,7 +3,8 @@
 One task per output tile.  The task's contraction steps, in ascending
 order, are accounting only: one cache-directory transaction resolves the
 input tiles of all of them, read from a step table the plan builds once,
-and the ``sim`` engine then prices each step's fetch and compute.  The
+and the ``sim`` engine then prices each step's fetch and compute from
+per-device tables that the session fills as prices are first met.  The
 data never passes through the directory.  The fixed-order kernel
 accumulates the contraction index in ascending order however its
 operands are blocked, so the product's bits do not depend on the
@@ -451,12 +452,42 @@ def _claim(did: int, stations: dict[int, ReservationStation], queue: MichaelScot
     return tid, None
 
 
-def _run_sim(machine, plan_, directory, clocks, events, steal_enabled):
+class _PriceTable(dict):
+    """Prices memoised by their arguments: a missing key is priced once,
+    by ``price(*key)``, and kept."""
+
+    def __init__(self, price):
+        super().__init__()
+        self.price = price
+
+    def __missing__(self, key):
+        cost = self[key] = self.price(*key)
+        return cost
+
+
+def _price_tables(machine: Machine) -> dict[int, tuple[_PriceTable, _PriceTable]]:
+    """Per device: its transfer prices by ``(source, nbytes)`` (an
+    :class:`AcquireResult` is that key) and its compute prices by
+    ``(a_shape, b_shape)``.  ``transfer_cost`` and ``compute_cost`` are
+    looked up when a price is first missed, and a table only stores what
+    they return, so every price is the float they give."""
+    return {
+        d.device_id: (
+            _PriceTable(lambda src, nbytes, did=d.device_id:
+                        transfer_cost(machine, src, did, nbytes)),
+            _PriceTable(lambda a_shape, b_shape, dev=d: compute_cost(dev, a_shape, b_shape)),
+        )
+        for d in machine.devices
+    }
+
+
+def _run_sim(machine, plan_, directory, clocks, prices, events, steal_enabled):
     """Compute the product with one kernel call, then replay the model.
 
     The data step runs before the first claim, so a kernel fault leaves
     the directory, the clocks and the completion record untouched.  Each
-    task's directory results are priced as its device's clocks fold
+    task's directory results are priced from its device's tables in
+    ``prices`` (see :func:`_price_tables`) as the device's clocks fold
     them.  Both engine times in ``clocks[device]`` only move forward,
     because every cost is >= 0."""
     accumulate_product(plan_.a.matrix, plan_.b.matrix, plan_.c.tiled.base)
@@ -473,17 +504,17 @@ def _run_sim(machine, plan_, directory, clocks, events, steal_enabled):
         i, j = decode_task(tid, plan_.grid_cols, plan_.grid_rows)
         got = iter(_begin_task(machine, plan_, directory, did, i, j))
         wb = _end_task(machine, plan_, directory, did, tid, i, j)
-        dev = machine.device(did)
+        fetch, compute = prices[did]
         co, tr = clocks[did]
         tr = max(tr, t)  # transfers for this task cannot predate claiming it
         # zip(got, got) pairs each step's A and B results
         for ra, rb, (_, _, a_shape), (_, _, b_shape) in zip(got, got, plan_.a_rows[i],
                                                              plan_.b_cols[j]):
-            tr += (transfer_cost(machine, ra.source, did, ra.nbytes_moved)
-                   + transfer_cost(machine, rb.source, did, rb.nbytes_moved))
-            co = max(co, tr) + compute_cost(dev, a_shape, b_shape)  # fetch k+1 overlaps compute k
-        # the writeback waits for the last compute
-        tr = max(tr, co) + transfer_cost(machine, did, HOST, wb)
+            tr += fetch[ra] + fetch[rb]
+            co = max(co, tr) + compute[a_shape, b_shape]  # fetch k+1 overlaps compute k
+        # the writeback waits for the last compute; a host link costs the
+        # same either way, so it is priced as a host fetch of its bytes
+        tr = max(tr, co) + fetch[HOST, wb]
         clocks[did] = [co, tr]
         heapq.heappush(heap, (co, did))
 
@@ -547,6 +578,15 @@ class Runtime:
     so back-to-back products (e.g. the passes of a training step) see
     each other's cached tiles.  Per-call statistics are deltas against
     the session counters.
+
+    A session prices and ranks peers from the machine it was built with.
+    The directory fixes each device's capacity and peer ranking at
+    construction, and the sim engine's price tables keep each transfer
+    and compute price from the first time it is asked for, so the
+    machine must not change during a session.  A table holds one price
+    per distinct ``(source, bytes)`` or ``(a_shape, b_shape)`` its device
+    has met, which a session of same-shaped products keeps at a fixed
+    size.
     """
 
     def __init__(self, machine: Machine, tile_size: int, mode: str = "sim",
@@ -562,8 +602,10 @@ class Runtime:
         self.coherence = coherence
         self.seed = seed
         self.directory = CacheDirectory(machine, enabled=coherence)
-        # per device: [compute, transfer] engine time of the sim engine
+        # per device: [compute, transfer] engine time of the sim engine,
+        # and the price tables it folds into them
         self.clocks = {d.device_id: [0.0, 0.0] for d in machine.devices}
+        self.prices = _price_tables(machine)
         self._uid_n = 0
 
     def fresh_uid(self, prefix: str = "m") -> str:
@@ -588,7 +630,8 @@ class Runtime:
         sim_before = self.sim_now()
         t0 = time.perf_counter()
         if self.mode == "sim":
-            _run_sim(self.machine, plan_, self.directory, self.clocks, events, self.steal)
+            _run_sim(self.machine, plan_, self.directory, self.clocks, self.prices, events,
+                     self.steal)
         else:
             _run_threaded(self.machine, plan_, self.directory, events, self.steal)
         wall = time.perf_counter() - t0

@@ -178,6 +178,28 @@ def test_backward_pass_reuses_forward_tiles():
     assert stats.l1_hits > 0
 
 
+def test_session_price_tables_and_peer_ranking_stay_bounded():
+    # The price tables hold one entry per distinct price a device meets,
+    # and the peer ranking is built once: a long XOR session meets nothing
+    # new after its first steps, so neither grows with the session.
+    rng = np.random.default_rng(0)
+    net = Network.from_sizes([2, 8, 1], rng, activation="sigmoid")
+    x, target = xor_dataset()
+    backend = tiled_backend(2, 2)
+    rt = backend.runtime
+
+    def entries():
+        return (sum(len(fetch) + len(compute) for fetch, compute in rt.prices.values())
+                + sum(len(peers) for peers in rt.directory._peers.values()))
+
+    counts = {}
+    for step in range(1, 1001):
+        train_step(net, x, target, 0.5, backend)
+        if step in (10, 1000):
+            counts[step] = entries()
+    assert counts[1000] == counts[10] > 0
+
+
 # -- planning scale and benchmarking -------------------------------------------
 
 

@@ -169,7 +169,7 @@ def test_ann_dense_backend_xor(tmp_path):
     assert len(rows) == 50
     losses = [float(r["loss"]) for r in rows]
     assert losses[-1] < losses[0]
-    doc = json.loads(report.read_text())
+    doc = strict_json(report.read_text())
     assert doc["final_loss"] == losses[-1]
 
 
@@ -183,6 +183,29 @@ def test_ann_backends_agree_via_cli(tmp_path):
                        "--loss-csv", loss_csv) == 0
         out[backend] = loss_csv.read_text()
     assert out["dense"] == out["tiled"]
+
+
+def strict_json(text):
+    """Parse JSON as strict readers do: ``NaN`` and ``Infinity`` are errors."""
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("backend", ["dense", "tiled"])
+def test_ann_report_of_a_diverged_run_is_strict_json(tmp_path, backend):
+    report, loss_csv = tmp_path / "ann.json", tmp_path / "loss.csv"
+    assert run_cli("ann", "--layers", "2,8,1", "--lr", 1e200, "--steps", 5,
+                   "--backend", backend, "--activation", "identity", "--tile-size", 2,
+                   "--report", report, "--loss-csv", loss_csv) == cli.EXIT_OK
+    last = list(csv.DictReader(loss_csv.read_text().splitlines()))[-1]
+    assert not np.isfinite(float(last["loss"]))  # the run diverged
+    doc = strict_json(report.read_text())
+    assert doc["final_loss"] is None  # no finite loss
+    assert doc["steps"] == 5 and doc["lr"] == 1e200
 
 
 def test_ann_bad_layers_is_config_error():

@@ -38,15 +38,49 @@ def test_lookup_levels():
     assert (res.source, res.nbytes_moved) == (0, 0)
 
 
+def ranked_directory(hops):
+    n = len(hops)
+    return CacheDirectory(Machine([DeviceSpec(i) for i in range(n)],
+                                  ProximityMatrix(np.array(hops), np.full((n, n), 10.0))))
+
+
 def test_lookup_l2_picks_closest_owner():
-    hops = np.array([[0, 2, 1], [2, 0, 1], [1, 1, 0]])
-    prox = ProximityMatrix(hops, np.full((3, 3), 10.0))
-    m = Machine([DeviceSpec(i) for i in range(3)], prox)
-    d = CacheDirectory(m)
+    d = ranked_directory([[0, 2, 1], [2, 0, 1], [1, 1, 0]])
     k = key("a")
     touch(d, 1, k)
     touch(d, 2, k)
-    assert touch(d, 0, k).source == 2  # 1 hop beats 2
+    assert touch(d, 0, k).source == 2  # 1 hop beats 2, though 1 has the lower id
+
+
+def test_l2_source_prefers_fewer_hops():
+    d = ranked_directory([[0, 2, 1, 1], [2, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]])
+    k = key("a")
+    for owner in (1, 3):
+        touch(d, owner, k)
+    assert touch(d, 0, k).source == 3  # 1 hop beats 2, though 1 has the lower id
+
+
+def test_l2_source_tie_goes_to_the_lowest_id():
+    d = ranked_directory([[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]])
+    k = key("a")
+    for owner in (3, 2):
+        touch(d, owner, k)
+    assert touch(d, 0, k).source == 2
+    assert touch(d, 1, k).source == 0  # 0, 2 and 3 are one hop away
+
+
+def test_l2_source_is_a_singleton_owner():
+    d = ranked_directory([[0, 1, 3, 2], [1, 0, 1, 1], [3, 1, 0, 1], [2, 1, 1, 0]])
+    k = key("a")
+    touch(d, 2, k)  # the farthest peer of device 0 is the only owner
+    assert touch(d, 0, k) == (2, 8)
+
+
+def test_l2_source_without_an_owner_is_host():
+    d = ranked_directory([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    touch(d, 1, key("b"))
+    assert touch(d, 0, key("a")) == (HOST, 8)  # peers hold other tiles only
+    assert d.stats_per_device()[0].host_fetches == 1
 
 
 def test_admit_within_capacity_no_eviction():
@@ -310,19 +344,22 @@ def test_model_based_directory_agreement():
     # (its key sometimes that of an input tile);
     # release or abort the device's output tile; or a task's acquire, one
     # call of 1-8 tiles, which the model resolves one tile at a time.
-    # Device 0 is closer to 2 than to 1; device 1 is equally far from 0
-    # and 2, so ties go to the lower id.
-    hops = [[0, 2, 1], [2, 0, 2], [1, 2, 0]]
+    # Each trial draws its own symmetric hop matrix of 1s and 2s, so hop
+    # ties are common and the model's min over (hops, id) checks the
+    # directory's peer ranking.
     rng = np.random.default_rng(99)
     serial = itertools.count()
     peer_hits = refetched = released = aborted = evicted_mid_task = 0
+    tied_sources = 0  # L2 sources chosen among owners at equal hops
     for trial in range(24):
-        n = 2 + trial % 2
+        n = 2 + trial % 3
         cap = 3 if trial % 3 == 0 else int(rng.integers(4, 7))
+        hops = np.triu(rng.integers(1, 3, (n, n)), 1)
+        hops += hops.T
         m = Machine([DeviceSpec(i, capacity_tiles=cap) for i in range(n)],
-                    ProximityMatrix(np.array(hops)[:n, :n], np.full((n, n), 10.0)))
+                    ProximityMatrix(hops, np.full((n, n), 10.0)))
         d = CacheDirectory(m)
-        model = ModelDirectory([row[:n] for row in hops[:n]], cap)
+        model = ModelDirectory(hops.tolist(), cap)
         universe = [key(f"t{i}") for i in range(12)]
         seen = set()  # keys that were resident somewhere before
         for _ in range(200):
@@ -349,10 +386,13 @@ def test_model_based_directory_agreement():
                          for i in rng.integers(0, len(universe), int(rng.integers(1, 9)))]
                 evictions, want = model.stats[dev].evictions, []
                 for k in tiles:
+                    owners = [o for o in range(n) if o != dev and k in model.keys[o]]
                     want.append(model.acquire(dev, k, 8))
                     src = want[-1][0]
                     if src != dev:  # not an L1 hit
                         peer_hits += src != HOST
+                        tied_sources += (src != HOST and
+                                         sum(hops[dev, o] == hops[dev, src] for o in owners) > 1)
                         refetched += src == HOST and k in seen
                         seen.add(k)
                 got = d.acquire_input(dev, [(k, 8) for k in tiles])
@@ -362,9 +402,9 @@ def test_model_based_directory_agreement():
                 assert d.residents(o) == model.keys[o]
             assert d.stats_per_device() == dict(enumerate(model.stats))
     # the walk reached peer copies, tiles evicted from every owner came back
-    # as host misses, inputs were evicted while an output tile was held,
-    # and outputs were both released and aborted
-    assert peer_hits > 0 and refetched > 0 and evicted_mid_task > 0
+    # as host misses, hop ties were broken, inputs were evicted while an
+    # output tile was held, and outputs were both released and aborted
+    assert peer_hits > 0 and refetched > 0 and tied_sources > 0 and evicted_mid_task > 0
     assert released > 0 and aborted > 0
 
 
@@ -430,3 +470,16 @@ def test_every_admission_finds_a_victim(machine, data):
             [twin.residents(o) for o in range(n_devices)]
         assert d.stats_per_device() == twin.stats_per_device()
         assert all(room[o] is None or d.used_tiles(o) <= room[o] for o in range(n_devices))
+
+
+def test_a_request_that_raises_keeps_the_counters_of_those_before_it():
+    # A transaction counts in locals and adds them to the device's counters
+    # once; a request that raises must not lose the counts of the requests
+    # already admitted.
+    d = CacheDirectory(cap_machine(2))
+    touch(d, 1, key("p"))
+    with pytest.raises(TypeError):
+        d.acquire_input(0, [(key("a"), 8), (key("p"), 8), (key("a"), 8), ([], 8)])
+    assert d.residents(0) == [key("p"), key("a")]  # the L1 hit refreshed a
+    assert d.stats_per_device()[0] == CacheStats(l1_hits=1, l2_hits=1, host_fetches=1,
+                                                 bytes_host=8, bytes_peer=8)

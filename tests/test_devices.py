@@ -7,7 +7,6 @@ from tilerun.devices import (
     DeviceSpec,
     Machine,
     ProximityMatrix,
-    closest_owner,
     compute_cost,
     homogeneous_machine,
     load_machine,
@@ -79,27 +78,6 @@ def test_host_worker_transfers_are_free():
     assert transfer_cost(m, HOST, 1, 1000) == 0.0
     assert transfer_cost(m, 1, HOST, 1000) == 0.0
     assert transfer_cost(m, HOST, 0, 1000) == 100.0
-
-
-def test_closest_owner_singleton():
-    prox = ProximityMatrix.uniform(4)
-    assert closest_owner(0, {2}, prox) == 2
-
-
-def test_closest_owner_min_hops():
-    hops = np.array([[0, 2, 1, 1], [2, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]])
-    prox = ProximityMatrix(hops, np.full((4, 4), 10.0))
-    assert closest_owner(0, {1, 3}, prox) == 3
-
-
-def test_closest_owner_tie_breaks_to_lowest_id():
-    prox = ProximityMatrix.uniform(3)
-    assert closest_owner(0, {1, 2}, prox) == 1
-
-
-def test_closest_owner_rejects_empty():
-    with pytest.raises(ValueError):
-        closest_owner(0, set(), ProximityMatrix.uniform(2))
 
 
 def test_cost_homogeneity():

@@ -10,7 +10,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tilerun.coherence import CacheDirectory, CacheStats
-from tilerun.devices import DeviceSpec, Machine, ProximityMatrix, homogeneous_machine
+from tilerun.devices import (
+    HOST,
+    DeviceSpec,
+    Machine,
+    ProximityMatrix,
+    compute_cost,
+    homogeneous_machine,
+    transfer_cost,
+)
 from tilerun.msqueue import MichaelScottQueue
 from tilerun.scheduler import (
     Operand,
@@ -705,7 +713,7 @@ def test_one_directory_transaction_per_task(monkeypatch, mode):
     import tilerun.scheduler as scheduler
 
     calls = {"acquire_input": [], "release_input": []}  # each call's argument
-    priced = []  # the pricing calls, by name
+    priced = []  # the pricing calls, as (name, device, what is priced)
 
     def counted(name):
         real, seen = getattr(CacheDirectory, name), calls[name]
@@ -716,33 +724,134 @@ def test_one_directory_transaction_per_task(monkeypatch, mode):
 
         return wrapper
 
-    def logged(name):
-        real = getattr(scheduler, name)
+    def transfer_logged(machine, src, dst, nbytes):
+        priced.append(("transfer_cost", dst, (src, nbytes)))
+        return transfer_cost(machine, src, dst, nbytes)
 
-        def wrapper(*args):
-            priced.append(name)
-            return real(*args)
-
-        return wrapper
+    def compute_logged(dev, a_shape, b_shape):
+        priced.append(("compute_cost", dev.device_id, (a_shape, b_shape)))
+        return compute_cost(dev, a_shape, b_shape)
 
     for name in calls:
         monkeypatch.setattr(CacheDirectory, name, counted(name))
-    for name in ("compute_cost", "transfer_cost"):
-        monkeypatch.setattr(scheduler, name, logged(name))
+    monkeypatch.setattr(scheduler, "transfer_cost", transfer_logged)
+    monkeypatch.setattr(scheduler, "compute_cost", compute_logged)
     rng = np.random.default_rng(25)
     a, b = int_matrix(rng, 10, 7), int_matrix(rng, 7, 9)  # ragged: 3x3 tasks, 2 steps
-    c, stats = run(homogeneous_machine(2), a, b, tile_size=4, mode=mode)
-    assert np.array_equal(c, reference_gemm(a, b))
-    assert (stats.total_tasks, stats.k_steps) == (9, 2)
-    # one flat acquire of A and B for each step in turn, and nothing to release
-    tasks = sorted([k for k, _ in requests] for requests in calls["acquire_input"])
-    assert tasks == [[TileKey("A", i, 0), TileKey("B", 0, j), TileKey("A", i, 1),
-                      TileKey("B", 1, j)] for i in range(3) for j in range(3)]
-    assert calls["release_input"] == []
-    if mode == "sim":  # per task: four fetches, two computes, one writeback
-        assert Counter(priced) == {"transfer_cost": 5 * 9, "compute_cost": 2 * 9}
-    else:  # the threaded engine keeps no clocks, so it prices nothing
-        assert priced == []
+    for n_devices in (2, 1):
+        rt = Runtime(homogeneous_machine(n_devices), tile_size=4, mode=mode)
+        session = Counter()
+        for product in (1, 2):  # the same product twice, same uids
+            for seen in calls.values():
+                seen.clear()
+            priced.clear()
+            c, stats = rt.multiply(a, b, a_uid="A", b_uid="B", c_uid="C")
+            assert np.array_equal(c, reference_gemm(a, b))
+            assert (stats.total_tasks, stats.k_steps) == (9, 2)
+            # one flat acquire of A and B for each step in turn, and nothing to release
+            tasks = sorted([k for k, _ in requests] for requests in calls["acquire_input"])
+            assert tasks == [[TileKey("A", i, 0), TileKey("B", 0, j), TileKey("A", i, 1),
+                              TileKey("B", 1, j)] for i in range(3) for j in range(3)]
+            assert calls["release_input"] == []
+            if mode == "threaded":  # the threaded engine keeps no clocks: it prices nothing
+                assert priced == []
+                continue
+            # a device prices each (source, bytes) and each pair of shapes
+            # once per session: its tables keep every price they are asked
+            session.update(priced)
+            assert max(session.values()) == 1, product
+            if product == 1:
+                assert {name for name, *_ in priced} == {"transfer_cost", "compute_cost"}
+            elif n_devices == 1:
+                # all L1 hits, the same shapes and the same writebacks: no
+                # price is new.  (On two devices, a task may land on the
+                # other device this time and meet prices new to it.)
+                assert priced == []
+
+
+@st.composite
+def priced_machines(draw):
+    """1-4 accelerators, or 1-3 and a host worker, with unequal flops and
+    bandwidths, a latency > 0, bounded capacities >= 3 and a symmetric
+    hop matrix of 1s and 2s, so hop ties are common."""
+    n = draw(st.integers(1, 4))
+    host_worker = n > 1 and draw(st.booleans())
+    speed = st.floats(10.0, 5000.0)
+    devs = [DeviceSpec(i, capacity_tiles=draw(st.integers(3, 8)), flops_per_unit=draw(speed),
+                       host_bandwidth=draw(speed))
+            for i in range(n - host_worker)]
+    if host_worker:
+        devs.append(DeviceSpec(n - 1, kind="host-worker", flops_per_unit=draw(speed)))
+    hops = np.zeros((n, n), dtype=int)
+    bandwidth = np.zeros((n, n))
+    for i, j in itertools.permutations(range(n), 2):
+        if i < j:
+            hops[i, j] = hops[j, i] = draw(st.integers(1, 2))
+        bandwidth[i, j] = draw(speed)
+    return Machine(devs, ProximityMatrix(hops, bandwidth),
+                   transfer_latency=draw(st.floats(0.01, 5.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(machine=priced_machines(), tile=st.integers(2, 4),
+       shapes=st.lists(st.tuples(*[st.integers(1, 9)] * 3), min_size=2, max_size=3))
+def test_sim_clocks_equal_a_direct_replay(machine, tile, shapes):
+    # A session of 2-3 ragged products back to back.  Each task's device,
+    # directory results and writeback bytes are recorded through its
+    # directory; the clocks are then refolded here with the cost functions
+    # called directly, and must match the session's to the bit.  The claim
+    # time is the device's compute clock, so max(tr, co) opens each task.
+    rt = Runtime(machine, tile_size=tile)
+    d = rt.directory
+    tasks = []  # (device, requests, results, writeback bytes), in run order
+    real_acquire, real_release = d.acquire_input, d.release_output
+
+    def acquire(device, requests):
+        results = real_acquire(device, requests)
+        tasks.append([device, requests, results, None])
+        return results
+
+    def release(device, key, nbytes):
+        real_release(device, key, nbytes)
+        assert tasks[-1][0] == device and tasks[-1][3] is None
+        tasks[-1][3] = nbytes
+
+    d.acquire_input, d.release_output = acquire, release
+    rng = np.random.default_rng(0)
+    arrays = {}  # same-shaped operands share a uid, so products reuse tiles
+
+    def operand(name, rows, cols):
+        uid = f"{name}{rows}x{cols}"
+        if uid not in arrays:
+            arrays[uid] = int_matrix(rng, rows, cols)
+        return arrays[uid], uid
+
+    def tile_shape(key):
+        rows, cols = arrays[key.matrix].shape
+        return min(tile, rows - key.row * tile), min(tile, cols - key.col * tile)
+
+    clocks = {dev.device_id: [0.0, 0.0] for dev in machine.devices}
+    for m, k, n in shapes:
+        (a, a_uid), (b, b_uid) = operand("A", m, k), operand("B", k, n)
+        tasks.clear()
+        c, stats = rt.multiply(a, b, a_uid=a_uid, b_uid=b_uid)
+        assert np.array_equal(c, reference_gemm(a, b))
+        assert len(tasks) == stats.total_tasks
+        before = max(max(cl) for cl in clocks.values())
+        for did, requests, results, wb in tasks:
+            dev = machine.device(did)
+            co, tr = clocks[did]
+            tr = max(tr, co)
+            for s in range(0, len(results), 2):
+                ra, rb = results[s], results[s + 1]
+                tr += (transfer_cost(machine, ra.source, did, ra.nbytes_moved)
+                       + transfer_cost(machine, rb.source, did, rb.nbytes_moved))
+                co = max(co, tr) + compute_cost(dev, tile_shape(requests[s][0]),
+                                                tile_shape(requests[s + 1][0]))
+            tr = max(tr, co) + transfer_cost(machine, did, HOST, wb)
+            clocks[did] = [co, tr]
+        assert stats.makespan == max(max(cl) for cl in clocks.values()) - before
+        assert rt.clocks == clocks
 
 
 @pytest.mark.parametrize("capacity", [None, 3, 5])

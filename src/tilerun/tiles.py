@@ -75,6 +75,11 @@ class TiledMatrix:
         t = self.tile_size
         return self.base[row * t : (row + 1) * t, col * t : (col + 1) * t]
 
+    def tile_shape(self, row: int, col: int) -> tuple[int, int]:
+        """The shape of tile ``(row, col)`` of the grid, without slicing it."""
+        t = self.tile_size
+        return min(t, self.rows - row * t), min(t, self.cols - col * t)
+
 
 def partition(matrix, tile_size: int) -> TiledMatrix:
     """Split a matrix into its tiled representation (views, no copies)."""

@@ -20,7 +20,9 @@ from tilerun.devices import (
     transfer_cost,
 )
 from tilerun.msqueue import MichaelScottQueue
+import tilerun.scheduler
 from tilerun.scheduler import (
+    DeviceStats,
     Operand,
     ReservationStation,
     Runtime,
@@ -317,6 +319,32 @@ def test_operand_panels_are_stacks_of_tile_views(transposed):
         panel = op.col_panel(j)
         assert panel.shape == col.shape and np.array_equal(panel, col)
         assert np.shares_memory(panel, stored)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tile=st.integers(1, 5), grid=st.tuples(*[st.integers(1, 4)] * 3),
+       ragged=st.tuples(*[st.integers(0, 4)] * 3),
+       transposes=st.tuples(st.booleans(), st.booleans()))
+def test_step_table_matches_tile_views(tile, grid, ragged, transposes):
+    # plan() builds its step table from tile_shape, not from tile views;
+    # the views stay the oracle, for straight and transposed operands.
+    m, k, n = (tile * (g - 1) + 1 + r % tile for g, r in zip(grid, ragged))
+    a, b = (Operand(partition(np.zeros(shape[::-1] if t else shape), tile), uid, t)
+            for shape, uid, t in (((m, k), "A", transposes[0]), ((k, n), "B", transposes[1])))
+    p = plan(a, b)
+    for tm in (a.tiled, b.tiled, p.c.tiled):
+        for r in range(tm.grid_rows):
+            for c in range(tm.grid_cols):
+                assert tm.tile_shape(r, c) == tm.tile(r, c).shape
+
+    def entry(op, i, j):
+        view = op.tile_view(i, j)
+        return op.key(i, j), view.size, view.shape
+
+    assert p.a_rows == [[entry(a, i, kk) for kk in range(p.k_steps)]
+                        for i in range(p.grid_rows)]
+    assert p.b_cols == [[entry(b, kk, j) for kk in range(p.k_steps)]
+                        for j in range(p.grid_cols)]
 
 
 def _float_operand(rng, shape, dtype, tile, transposed):
@@ -800,7 +828,9 @@ def test_sim_clocks_equal_a_direct_replay(machine, tile, shapes):
     # directory results and writeback bytes are recorded through its
     # directory; the clocks are then refolded here with the cost functions
     # called directly, and must match the session's to the bit.  The claim
-    # time is the device's compute clock, so max(tr, co) opens each task.
+    # time is the device's compute clock co, and every task ends with
+    # tr = max(tr, co) + writeback, so tr >= co opens each task: the max
+    # that opens the refold never binds, and the engine keeps no clamp.
     rt = Runtime(machine, tile_size=tile)
     d = rt.directory
     tasks = []  # (device, requests, results, writeback bytes), in run order
@@ -841,6 +871,7 @@ def test_sim_clocks_equal_a_direct_replay(machine, tile, shapes):
         for did, requests, results, wb in tasks:
             dev = machine.device(did)
             co, tr = clocks[did]
+            assert tr >= co
             tr = max(tr, co)
             for s in range(0, len(results), 2):
                 ra, rb = results[s], results[s + 1]
@@ -899,6 +930,33 @@ def test_runtime_session_reuses_cached_tiles():
     assert s2.cache.l1_hits == s2.cache.input_requests
 
 
+@pytest.mark.parametrize("mode", ["sim", "threaded"])
+def test_multiply_returns_a_fresh_output_array_the_caller_owns(mode):
+    # multiply returns the array plan() zeroed for the call, not a copy of
+    # it: exact, C-contiguous, sharing memory with no operand and no other
+    # result, and writing into it changes no later product of the session.
+    rng = np.random.default_rng(29)
+    x, xt = int_matrix(rng, 10, 7), int_matrix(rng, 7, 10)  # ragged for tile 4
+    w, wt = int_matrix(rng, 7, 9), int_matrix(rng, 9, 7)
+    products = [((x, "X"), (w, "W"), False, False), ((xt, "XT"), (w, "W"), True, False),
+                ((x, "X"), (wt, "WT"), False, True), ((xt, "XT"), (wt, "WT"), True, True)]
+    rt = Runtime(homogeneous_machine(2), tile_size=4, mode=mode)
+    results, first = [], []
+    for session_pass in range(2):
+        for (a, a_uid), (b, b_uid), ta, tb in products:
+            c, _ = rt.multiply(a, b, transpose_a=ta, transpose_b=tb, a_uid=a_uid, b_uid=b_uid)
+            want = reference_gemm(a.T if ta else a, b.T if tb else b)
+            assert c.dtype == want.dtype and c.shape == want.shape
+            assert c.tobytes() == want.tobytes()
+            assert c.flags.c_contiguous
+            assert not any(np.shares_memory(c, other) for other in (x, xt, w, wt, *results))
+            results.append(c)
+            if session_pass == 0:
+                first.append(c.tobytes())
+                c[...] = np.nan  # the caller's array: the session must not read it
+    assert [c.tobytes() for c in results[len(products):]] == first
+
+
 def test_runtime_transpose_views_share_tile_identity():
     rng = np.random.default_rng(18)
     x = rng.standard_normal((12, 8))
@@ -946,6 +1004,52 @@ def test_report_json_schema_and_identity(tmp_path):
         per_session = rt.directory.stats_per_device()
         assert rt.directory.stats() == sum(per_session.values(), CacheStats())
     assert cache["evictions"] > 0 and stats.tasks_by_device[2] > 0
+
+
+@pytest.mark.parametrize("mode", ["sim", "threaded"])
+def test_per_call_stats_add_up_to_the_session(monkeypatch, mode):
+    # Over a session of mixed products on a machine with a host worker and
+    # bounded caches: the per-call cache deltas sum to the directory's
+    # session counters, each call's total is the sum of its devices, and
+    # the device counts match the Counter formula kept here as the oracle.
+    seen = []  # (ran_on, steal events, device stats) of each call
+
+    def spy(machine, completion, events):
+        out = real(machine, completion, events)
+        seen.append((completion.ran_on, events, out))
+        return out
+
+    real = tilerun.scheduler._device_stats
+    monkeypatch.setattr(tilerun.scheduler, "_device_stats", spy)
+    machine = Machine(
+        [DeviceSpec(0, capacity_tiles=3, flops_per_unit=10.0),
+         DeviceSpec(1, capacity_tiles=5, flops_per_unit=1000.0),
+         DeviceSpec(2, kind="host-worker", subtile_factor=2)],
+        ProximityMatrix.uniform(3, bandwidth=4.0),
+    )
+    rng = np.random.default_rng(30)
+    x, w, y = int_matrix(rng, 12, 10), int_matrix(rng, 10, 9), int_matrix(rng, 12, 5)
+    rt = Runtime(machine, tile_size=4, mode=mode)
+    total = {d.device_id: CacheStats() for d in machine.devices}
+    for a, b, ta, tb in [(x, w, False, False), (x, y, True, False), (y, x, True, False),
+                         (w, w, False, True), (x, w, False, False)]:
+        _, stats = rt.multiply(a, b, transpose_a=ta, transpose_b=tb)
+        assert stats.cache == sum(stats.cache_per_device.values(), CacheStats())
+        for d, cs in stats.cache_per_device.items():
+            total[d] = total[d] + cs
+        ran_on, events, devices = seen[-1]
+        assert stats.devices is devices and stats.steal_events is events
+        tasks = Counter(ran_on)
+        performed = Counter(ev.thief for ev in events)
+        suffered = Counter(ev.victim for ev in events)
+        assert devices == {
+            d.device_id: DeviceStats(d.device_id, d.kind, tasks[d.device_id],
+                                     performed[d.device_id], suffered[d.device_id])
+            for d in machine.devices}
+    assert total == rt.directory.stats_per_device()
+    if mode == "sim":  # threaded placement and steals depend on thread timing
+        assert total[0].evictions > 0 and total[2].host_fetches > 0
+        assert any(events for _, events, _ in seen)
 
 
 def test_report_csv_row_count(tmp_path):

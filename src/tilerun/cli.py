@@ -63,8 +63,7 @@ def cmd_gemm(args) -> int:
     a = load_matrix(args.a)
     b = load_matrix(args.b)
     c, stats = run(machine, a, b, tile_size=args.tile_size, mode=args.mode,
-                   steal=args.steal == "on", coherence=not args.no_coherence,
-                   seed=args.seed)
+                   steal=args.steal == "on", coherence=not args.no_coherence)
     if args.out:
         save_matrix(args.out, c)
     if args.report:
@@ -138,17 +137,19 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep needs --sizes and --device-counts")
     if 1 not in counts:
         counts = [1] + counts  # speedup baseline
-    template = load_machine(args.devices).devices[0] if args.devices else None
+    template = load_machine(args.devices) if args.devices else None
 
     def build(n: int) -> Machine:
         if template is None:
             return homogeneous_machine(n)
+        dev = template.devices[0]
         return homogeneous_machine(
             n,
-            flops_per_unit=template.flops_per_unit,
-            host_bandwidth=template.host_bandwidth,
-            capacity_tiles=template.capacity_tiles,
-            slots=template.slots,
+            flops_per_unit=dev.flops_per_unit,
+            host_bandwidth=dev.host_bandwidth,
+            capacity_tiles=dev.capacity_tiles,
+            slots=dev.slots,
+            transfer_latency=template.transfer_latency,
         )
 
     fields = ["size", "devices", "tile_size", "makespan", "speedup",
@@ -214,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--tile-size", type=int, default=64)
     m.add_argument("--devices", default=None, help="machine config JSON")
     m.add_argument("--mode", choices=["sim", "threaded"], default="sim")
-    m.add_argument("--seed", type=int, default=None)
     m.add_argument("--report", default=None, help="JSON report path")
     m.add_argument("--csv", default=None, help="per-device CSV report path")
     m.add_argument("--no-coherence", action="store_true",
@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--device-counts", required=True, help="comma list, e.g. 1,2,4")
     s.add_argument("--tile-size", type=int, default=16)
     s.add_argument("--devices", default=None,
-                   help="machine config whose first device is the template")
+                   help="machine config: its first device and transfer_latency are the template")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--no-coherence", action="store_true")
     s.add_argument("--out", required=True, help="CSV output path")

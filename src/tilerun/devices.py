@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral
 from typing import Sequence
 
@@ -137,16 +137,14 @@ class ProximityMatrix:
 
 @dataclass
 class Machine:
-    """The full simulated platform: devices, interconnect, element width."""
+    """The full simulated platform: devices and interconnect."""
 
     devices: Sequence[DeviceSpec]
     proximity: ProximityMatrix
     transfer_latency: float = 0.0
-    dtype: np.dtype = field(default=np.dtype(np.float64))
 
     def __post_init__(self):
         self.devices = tuple(self.devices)
-        self.dtype = np.dtype(self.dtype)
         if not self.devices:
             raise ConfigError("machine needs at least one device")
         ids = [d.device_id for d in self.devices]
@@ -159,16 +157,10 @@ class Machine:
             )
         if not 0 <= self.transfer_latency < math.inf:
             raise ConfigError("transfer_latency must be finite and >= 0")
-        if self.dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-            raise ConfigError(f"unsupported element dtype {self.dtype}")
 
     @property
     def n_devices(self) -> int:
         return len(self.devices)
-
-    @property
-    def element_bytes(self) -> int:
-        return self.dtype.itemsize
 
     def device(self, device_id: int) -> DeviceSpec:
         try:
@@ -191,19 +183,19 @@ class Machine:
                 for d in self.devices
             ],
             "proximity": {
-                "hops": self.hops_list(),
+                "hops": self.proximity.hops.tolist(),
                 "peer_bandwidth": self.proximity.peer_bandwidth.tolist(),
             },
             "transfer_latency": self.transfer_latency,
-            "dtype": self.dtype.name,
         }
-
-    def hops_list(self) -> list[list[int]]:
-        return [[int(v) for v in row] for row in self.proximity.hops]
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "Machine":
+        """Load a config; a key it does not know is a :class:`ConfigError`."""
         try:
+            _check_keys("machine config", cfg, {"devices", "proximity", "transfer_latency"})
+            for d in cfg["devices"]:
+                _check_keys("device", d, _DEVICE_KEYS)
             devices = [
                 DeviceSpec(
                     device_id=d["id"],
@@ -222,17 +214,27 @@ class Machine:
                     len(devices), bandwidth=max(d.host_bandwidth for d in devices)
                 )
             else:
+                _check_keys("proximity", prox, {"hops", "peer_bandwidth"})
                 proximity = ProximityMatrix(prox["hops"], prox["peer_bandwidth"])
             return cls(
                 devices=devices,
                 proximity=proximity,
                 transfer_latency=cfg.get("transfer_latency", 0.0),
-                dtype=np.dtype(cfg.get("dtype", "float64")),
             )
         except ConfigError:
             raise
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed machine config: {exc}") from exc
+
+
+_DEVICE_KEYS = {"id", "kind", "capacity_tiles", "flops_per_unit", "host_bandwidth", "slots",
+                "subtile_factor"}
+
+
+def _check_keys(what: str, cfg, known: set) -> None:
+    unknown = set(cfg) - known  # a config that is not an object fails here or on lookup
+    if unknown:
+        raise ConfigError(f"unknown {what} key(s): {sorted(map(str, unknown))}")
 
 
 def load_machine(path) -> Machine:
@@ -254,7 +256,6 @@ def homogeneous_machine(
     capacity_tiles: int | None = None,
     slots: int = 4,
     transfer_latency: float = 0.0,
-    dtype=np.float64,
 ) -> Machine:
     """n identical accelerators on a flat one-hop interconnect."""
     devices = [
@@ -268,7 +269,7 @@ def homogeneous_machine(
         for i in range(n_devices)
     ]
     prox = ProximityMatrix.uniform(n_devices, bandwidth=peer_bandwidth)
-    return Machine(devices, prox, transfer_latency=transfer_latency, dtype=dtype)
+    return Machine(devices, prox, transfer_latency=transfer_latency)
 
 
 def compute_cost(dev: DeviceSpec, a_shape, b_shape) -> float:

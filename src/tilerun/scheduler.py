@@ -67,7 +67,7 @@ from .tiles import (
 # tests/test_benchmark_hooks.py looks them up.  Their removal waits for
 # ROADMAP #1.
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class Completion:
@@ -146,14 +146,14 @@ class Plan:
     """The tasks of one product.
 
     ``a_rows[i]`` lists tile row ``i`` of A and ``b_cols[j]`` tile column
-    ``j`` of B, in contraction order, as ``(key, elements, shape)``: the
-    step table task ``(i, j)`` reads its inputs from.
+    ``j`` of B, in contraction order, as ``(key, nbytes, shape)``: the
+    step table task ``(i, j)`` reads its inputs from.  A tile's bytes are
+    its elements times its operand's itemsize.
     """
 
     a: Operand
     b: Operand
     c: Operand
-    tile_size: int
     grid_rows: int
     grid_cols: int
     k_steps: int
@@ -183,8 +183,8 @@ def plan(a: Operand, b: Operand, c_uid: str = "C") -> Plan:
     bk, bn = b.element_shape
     if ak != bk:
         raise ValueError(f"inner dimensions differ: {a.element_shape} x {b.element_shape}")
-    t = a.tiled.tile_size
-    out = partition(np.zeros((am, bn), dtype=np.result_type(a.tiled.base, b.tiled.base)), t)
+    out = partition(np.zeros((am, bn), dtype=np.result_type(a.tiled.base, b.tiled.base)),
+                    a.tiled.tile_size)
     c = Operand(out, c_uid)
     grid_rows, grid_cols = c.grid_rows, c.grid_cols
     k_steps = a.grid_cols
@@ -197,10 +197,11 @@ def plan(a: Operand, b: Operand, c_uid: str = "C") -> Plan:
     def entry(op: Operand, i: int, j: int):
         key = op.key(i, j)
         rows, cols = op.tiled.tile_shape(key.row, key.col)
-        return key, rows * cols, (cols, rows) if op.transposed else (rows, cols)
+        return (key, rows * cols * op.tiled.base.itemsize,
+                (cols, rows) if op.transposed else (rows, cols))
 
     return Plan(
-        a=a, b=b, c=c, tile_size=t,
+        a=a, b=b, c=c,
         grid_rows=grid_rows, grid_cols=grid_cols, k_steps=k_steps,
         queue=queue, completion=Completion(n_tasks),
         a_rows=[[entry(a, i, k) for k in range(k_steps)] for i in range(grid_rows)],
@@ -286,7 +287,6 @@ class RunStats:
     total_tasks: int
     steal_enabled: bool
     coherence_enabled: bool
-    seed: int | None
     devices: dict[int, DeviceStats]
     cache: CacheStats
     cache_per_device: dict[int, CacheStats]
@@ -311,7 +311,6 @@ class RunStats:
             "total_tasks": self.total_tasks,
             "steal": self.steal_enabled,
             "coherence": self.coherence_enabled,
-            "seed": self.seed,
             "makespan": self.makespan,
             "wall_elapsed": self.wall_elapsed,
             "steals": len(self.steal_events),
@@ -353,27 +352,26 @@ def write_report_csv(stats: RunStats, path) -> None:
         w = csv.DictWriter(f, fieldnames=_CSV_FIELDS)
         w.writeheader()
         for did, ds in sorted(stats.devices.items()):
-            cs = stats.cache_per_device.get(did, CacheStats())
             w.writerow({
                 "device_id": did, "kind": ds.kind,
                 "tasks_completed": ds.tasks_completed,
                 "steals_performed": ds.steals_performed,
                 "steals_suffered": ds.steals_suffered,
-                **{k: v for k, v in cs.as_dict().items() if k in _CSV_FIELDS},
+                **stats.cache_per_device[did].as_dict(),
             })
         w.writerow({
             "device_id": "total", "kind": "",
             "tasks_completed": sum(d.tasks_completed for d in stats.devices.values()),
             "steals_performed": sum(d.steals_performed for d in stats.devices.values()),
             "steals_suffered": sum(d.steals_suffered for d in stats.devices.values()),
-            **{k: v for k, v in stats.cache.as_dict().items() if k in _CSV_FIELDS},
+            **stats.cache.as_dict(),
         })
 
 
 # -- task execution ------------------------------------------------------
 
 
-def _begin_task(machine: Machine, plan_: Plan, directory: CacheDirectory,
+def _begin_task(plan_: Plan, directory: CacheDirectory,
                 did: int, i: int, j: int) -> list[AcquireResult]:
     """The directory side of task ``(i, j)`` on device ``did`` up to its
     data.
@@ -390,31 +388,30 @@ def _begin_task(machine: Machine, plan_: Plan, directory: CacheDirectory,
 
     Returns the directory's results, A and B per step in step order.
     """
-    eb = machine.element_bytes
     c_key = plan_.c.key(i, j)
     directory.admit_output(did, c_key)
     try:
-        return directory.acquire_input(did, [(key, n * eb)
+        return directory.acquire_input(did, [(key, nbytes)
                                              for step in zip(plan_.a_rows[i], plan_.b_cols[j])
-                                             for key, n, _ in step])
+                                             for key, nbytes, _ in step])
     except BaseException:
         directory.abort_output(did, c_key)
         raise
 
 
-def _end_task(machine: Machine, plan_: Plan, directory: CacheDirectory,
+def _end_task(plan_: Plan, directory: CacheDirectory,
               did: int, task_id: int, i: int, j: int) -> int:
     """Write task ``(i, j)``'s output tile back to host, release it and
     record the task as run on ``did``; returns the bytes written back."""
     rows, cols = plan_.c.tiled.tile_shape(i, j)
-    wb_bytes = rows * cols * machine.element_bytes
+    wb_bytes = rows * cols * plan_.c.tiled.base.itemsize
     directory.release_output(did, plan_.c.key(i, j), wb_bytes)
     plan_.completion.mark(task_id, did)
     return wb_bytes
 
 
-def _execute_task(machine: Machine, plan_: Plan, directory: CacheDirectory,
-                  dev: DeviceSpec, task_id: int) -> None:
+def _execute_task(plan_: Plan, directory: CacheDirectory, dev: DeviceSpec,
+                  task_id: int) -> None:
     """Run one task to completion on ``dev``, data included: the threaded
     engine's task.  (The ``sim`` engine computes the whole product with
     one kernel call up front, and its tasks are ``_begin_task`` and
@@ -429,14 +426,14 @@ def _execute_task(machine: Machine, plan_: Plan, directory: CacheDirectory,
     """
     did = dev.device_id
     i, j = decode_task(task_id, plan_.grid_cols, plan_.grid_rows)
-    _begin_task(machine, plan_, directory, did, i, j)
+    _begin_task(plan_, directory, did, i, j)
     try:
         accumulate_product(plan_.a.row_panel(i), plan_.b.col_panel(j), plan_.c.tile_view(i, j),
                            sub_blocks=dev.subtile_factor if dev.is_host_worker else 1)
     except BaseException:
         directory.abort_output(did, plan_.c.key(i, j))
         raise
-    _end_task(machine, plan_, directory, did, task_id, i, j)
+    _end_task(plan_, directory, did, task_id, i, j)
 
 
 # -- engines --------------------------------------------------------------
@@ -509,8 +506,8 @@ def _run_sim(machine, plan_, directory, clocks, prices, events, steal_enabled):
         if victim is not None:
             events.append(StealEvent(did, victim, tid, time=t))
         i, j = decode_task(tid, plan_.grid_cols, plan_.grid_rows)
-        got = iter(_begin_task(machine, plan_, directory, did, i, j))
-        wb = _end_task(machine, plan_, directory, did, tid, i, j)
+        got = iter(_begin_task(plan_, directory, did, i, j))
+        wb = _end_task(plan_, directory, did, tid, i, j)
         fetch, compute = prices[did]
         # no transfer of this task predates its claim: the claim time t is
         # co, and every task ends with tr = max(tr, co) + writeback >= co
@@ -543,7 +540,7 @@ def _run_threaded(machine, plan_, directory, events, steal_enabled):
                 with shared_lock:
                     events.append(StealEvent(did, victim, tid))
             try:
-                _execute_task(machine, plan_, directory, dev, tid)
+                _execute_task(plan_, directory, dev, tid)
             except BaseException as exc:  # surface worker failures to the caller
                 with shared_lock:
                     errors.append(exc)
@@ -597,7 +594,7 @@ class Runtime:
     """
 
     def __init__(self, machine: Machine, tile_size: int, mode: str = "sim",
-                 steal: bool = True, coherence: bool = True, seed: int | None = None):
+                 steal: bool = True, coherence: bool = True):
         if mode not in ("sim", "threaded"):
             raise ValueError(f"unknown mode {mode!r}")
         if tile_size < 1:
@@ -607,7 +604,6 @@ class Runtime:
         self.mode = mode
         self.steal = steal
         self.coherence = coherence
-        self.seed = seed
         self.directory = CacheDirectory(machine, enabled=coherence)
         # per device: [compute, transfer] engine time of the sim engine,
         # and the price tables it folds into them
@@ -662,7 +658,6 @@ class Runtime:
             total_tasks=plan_.total_tasks,
             steal_enabled=self.steal,
             coherence_enabled=self.coherence,
-            seed=self.seed,
             devices=_device_stats(self.machine, plan_.completion, events),
             cache=sum(cache_per_device.values(), CacheStats()),
             cache_per_device=cache_per_device,
@@ -674,7 +669,7 @@ class Runtime:
 
 
 def run(machine: Machine, a, b, tile_size: int, mode: str = "sim",
-        steal: bool = True, coherence: bool = True, seed: int | None = None):
+        steal: bool = True, coherence: bool = True):
     """One-shot product of two dense matrices through the full runtime."""
-    rt = Runtime(machine, tile_size, mode=mode, steal=steal, coherence=coherence, seed=seed)
+    rt = Runtime(machine, tile_size, mode=mode, steal=steal, coherence=coherence)
     return rt.multiply(a, b, a_uid="A", b_uid="B", c_uid="C")

@@ -13,6 +13,7 @@ import pytest
 from tilerun import cli
 from tilerun.devices import homogeneous_machine, save_machine
 from tilerun.matio import load_matrix
+from tilerun.scheduler import run
 from tilerun.tiles import reference_gemm
 
 
@@ -68,7 +69,7 @@ def test_gemm_end_to_end(tmp_path):
     c = load_matrix(out)
     assert np.array_equal(c, reference_gemm(load_matrix(pa), load_matrix(pb)))
     doc = json.loads(report.read_text())
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["cache"]["host_fetches"] > 0
     rows = list(csv.DictReader(csv_path.read_text().splitlines()))
     assert len(rows) == 3  # 2 devices + total
@@ -131,10 +132,16 @@ def test_gemm_missing_input_is_io_error(tmp_path):
     '{"devices": [{"id": 0}, {"id": 1}], "proximity": '
     '{"hops": [[0, 100000000000000000000], [100000000000000000000, 0]], '
     '"peer_bandwidth": [[0, 1], [1, 0]]}}',
+    '{"devices": [{"id": 0, "capacity_tile": 3}]}',
+    '{"devices": [{"id": 0}], "transfer_latncy": 5}',
+    '{"devices": [{"id": 0}, {"id": 1}], '
+    '"proximity": {"hops": [[0, 1], [1, 0]], "peer_bandwidth": [[0, 1], [1, 0]], "hop": 1}}',
+    '{"devices": [{"id": 0}], "dtype": "float64"}',
 ], ids=["capacity-below-3", "capacity-float", "id-float", "latency-str", "dtype-bogus",
         "flops-nan", "bandwidth-nan", "peer-bandwidth-nan", "latency-nan",
         "flops-inf", "bandwidth-inf", "peer-bandwidth-inf", "latency-inf",
-        "hops-float", "hops-bool", "hops-inf", "hops-beyond-int64"])
+        "hops-float", "hops-bool", "hops-inf", "hops-beyond-int64",
+        "device-key-typo", "top-level-key-typo", "proximity-key-typo", "dtype-float64"])
 def test_gemm_bad_device_config_is_config_error(tmp_path, capsys, config):
     pa = gen(tmp_path, "a.txt", 4, 4)
     pb = gen(tmp_path, "b.txt", 4, 4)
@@ -254,6 +261,28 @@ def test_sweep_no_coherence_counts(tmp_path):
     for r in csv.DictReader(out.read_text().splitlines()):
         g = 16 // 4
         assert int(r["host_fetches"]) == 2 * g**3
+
+
+def test_sweep_template_carries_transfer_latency(tmp_path):
+    # every cell's machine takes the template's first device and its latency
+    makespans = {}
+    for latency in (0.0, 50.0):
+        template = homogeneous_machine(1, flops_per_unit=1000.0, host_bandwidth=256.0,
+                                       transfer_latency=latency)
+        devcfg, out = tmp_path / "template.json", tmp_path / "sweep.csv"
+        save_machine(devcfg, template)
+        assert run_cli("sweep", "--sizes", 16, "--device-counts", "1,2", "--tile-size", 4,
+                       "--seed", 3, "--devices", devcfg, "--out", out) == 0
+        rng = np.random.default_rng(3)
+        a, b = rng.uniform(0.0, 1.0, size=(16, 16)), rng.uniform(0.0, 1.0, size=(16, 16))
+        for r in csv.DictReader(out.read_text().splitlines()):
+            n = int(r["devices"])
+            _, want = run(homogeneous_machine(n, flops_per_unit=1000.0, host_bandwidth=256.0,
+                                              transfer_latency=latency), a, b, tile_size=4)
+            assert r["makespan"] == f"{want.makespan:.9g}"
+            makespans[latency, n] = float(r["makespan"])
+    for n in (1, 2):
+        assert makespans[50.0, n] > makespans[0.0, n]
 
 
 def test_sweep_failing_cell_keeps_partial_results(tmp_path, monkeypatch):

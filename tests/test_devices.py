@@ -169,15 +169,6 @@ def test_machine_config_roundtrip(tmp_path):
         assert d == e
     assert np.array_equal(loaded.proximity.hops, m.proximity.hops)
     assert np.array_equal(loaded.proximity.peer_bandwidth, m.proximity.peer_bandwidth)
-    assert loaded.element_bytes == 8
-
-
-def test_machine_config_f32_mode(tmp_path):
-    m = homogeneous_machine(1, dtype=np.float32)
-    assert m.element_bytes == 4
-    path = tmp_path / "devices.json"
-    save_machine(path, m)
-    assert load_machine(path).element_bytes == 4
 
 
 def test_malformed_config_rejected(tmp_path):

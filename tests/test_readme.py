@@ -1,0 +1,41 @@
+"""The README's examples stay in step with the code they describe."""
+
+import argparse
+import json
+import re
+from pathlib import Path
+
+import numpy as np
+
+from tilerun.cli import build_parser
+from tilerun.devices import Machine, homogeneous_machine
+from tilerun.scheduler import run
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _block_after(heading: str) -> str:
+    """The first fenced code block after ``heading``."""
+    rest = README[README.index(heading):]
+    return re.search(r"```[a-z]*\n(.*?)```", rest, re.S).group(1)
+
+
+def test_readme_examples_match_the_code():
+    # the device config example loads as it is shown
+    machine = Machine.from_dict(json.loads(_block_after("### Device configuration")))
+    assert machine.n_devices == 2
+
+    # the report example has the report's top-level keys
+    _, stats = run(homogeneous_machine(1), np.ones((2, 2)), np.ones((2, 2)), tile_size=2)
+    example = json.loads(_block_after("### Run report"))
+    assert example.keys() == stats.to_report_dict().keys()
+    assert example["schema_version"] == stats.to_report_dict()["schema_version"]
+
+    # the gemm synopsis lists exactly the flags the parser takes
+    synopsis = _block_after("## CLI")
+    gemm = synopsis[synopsis.index("tilerun gemm"):]
+    gemm = gemm[:gemm.index("\ntilerun ")]
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    flags = {opt for a in subparsers.choices["gemm"]._actions for opt in a.option_strings}
+    assert set(re.findall(r"--[a-z][a-z-]*", gemm)) == flags - {"-h", "--help"}

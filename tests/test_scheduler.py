@@ -282,6 +282,22 @@ def test_mixed_dtype_product_matches_reference_bitwise(mode):
             assert c.dtype == ref.dtype and np.array_equal(c, ref), (a_t, b_t)
 
 
+@pytest.mark.parametrize("mode", ["sim", "threaded"])
+def test_tile_bytes_follow_the_data(mode):
+    # a tile moves its elements times its own array's itemsize: 8x8 at
+    # tile 4 on one device fetches each of A's and B's 4 tiles once and
+    # writes C's 4 tiles back once, 16 elements each
+    for a_t, b_t, host, writeback in ((np.float32, np.float32, 512, 256),
+                                      (np.float64, np.float64, 1024, 512),
+                                      (np.float32, np.float64, 768, 512),
+                                      (np.float64, np.float32, 768, 512)):
+        a, b = np.ones((8, 8), dtype=a_t), np.ones((8, 8), dtype=b_t)
+        _, stats = run(homogeneous_machine(1), a, b, tile_size=4, mode=mode)
+        assert stats.cache.host_fetches == 8 and stats.cache.writebacks == 4
+        assert (stats.cache.bytes_host, stats.cache.bytes_writeback) == (host, writeback), \
+            (a_t, b_t)
+
+
 @pytest.mark.usefixtures("directory_invariants")
 def test_exactly_once_under_threaded_stress():
     rng = np.random.default_rng(7)
@@ -324,13 +340,16 @@ def test_operand_panels_are_stacks_of_tile_views(transposed):
 @settings(max_examples=100, deadline=None)
 @given(tile=st.integers(1, 5), grid=st.tuples(*[st.integers(1, 4)] * 3),
        ragged=st.tuples(*[st.integers(0, 4)] * 3),
-       transposes=st.tuples(st.booleans(), st.booleans()))
-def test_step_table_matches_tile_views(tile, grid, ragged, transposes):
-    # plan() builds its step table from tile_shape, not from tile views;
-    # the views stay the oracle, for straight and transposed operands.
+       transposes=st.tuples(st.booleans(), st.booleans()),
+       dtypes=st.tuples(*[st.sampled_from([np.float32, np.float64])] * 2))
+def test_step_table_matches_tile_views(tile, grid, ragged, transposes, dtypes):
+    # plan() builds its step table from tile_shape and the operand's
+    # itemsize, not from tile views; the views stay the oracle, for
+    # straight and transposed operands of either width.
     m, k, n = (tile * (g - 1) + 1 + r % tile for g, r in zip(grid, ragged))
-    a, b = (Operand(partition(np.zeros(shape[::-1] if t else shape), tile), uid, t)
-            for shape, uid, t in (((m, k), "A", transposes[0]), ((k, n), "B", transposes[1])))
+    a, b = (Operand(partition(np.zeros(shape[::-1] if t else shape, dtype=dt), tile), uid, t)
+            for shape, uid, t, dt in (((m, k), "A", transposes[0], dtypes[0]),
+                                      ((k, n), "B", transposes[1], dtypes[1])))
     p = plan(a, b)
     for tm in (a.tiled, b.tiled, p.c.tiled):
         for r in range(tm.grid_rows):
@@ -339,7 +358,7 @@ def test_step_table_matches_tile_views(tile, grid, ragged, transposes):
 
     def entry(op, i, j):
         view = op.tile_view(i, j)
-        return op.key(i, j), view.size, view.shape
+        return op.key(i, j), view.nbytes, view.shape
 
     assert p.a_rows == [[entry(a, i, kk) for kk in range(p.k_steps)]
                         for i in range(p.grid_rows)]
@@ -557,7 +576,7 @@ def test_execute_task_and_double_execution_guard():
     stations = {0: ReservationStation(4)}
     while (tid := _claim(0, stations, p.queue, steal_enabled=True)[0]) is not None:
         assert not p.completion.all_done()
-        _execute_task(machine, p, directory, machine.device(0), tid)
+        _execute_task(p, directory, machine.device(0), tid)
     assert p.completion.all_done()
     assert p.completion.ran_on == [0] * p.total_tasks
     assert np.array_equal(reassemble(p.c.tiled), reference_gemm(a, b))
@@ -989,7 +1008,7 @@ def test_report_json_schema_and_identity(tmp_path):
         path = tmp_path / "report.json"
         write_report_json(stats, path)
         doc = json.loads(path.read_text())
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         for k in ("mode", "tile_size", "grid", "total_tasks", "makespan",
                   "wall_elapsed", "devices", "cache"):
             assert k in doc

@@ -138,6 +138,18 @@ def cmd_sweep(args) -> int:
     if 1 not in counts:
         counts = [1] + counts  # speedup baseline
     template = load_machine(args.devices) if args.devices else None
+    peer = {}  # a one-device template keeps homogeneous_machine's peer bandwidth
+    if template is not None:
+        if template.devices[0].is_host_worker:
+            raise ConfigError("sweep --devices: the template's first device is a host worker; "
+                              "a sweep builds accelerators")
+        bw = template.proximity.peer_bandwidth
+        off = bw[~np.eye(len(bw), dtype=bool)]
+        if (off != off[:1]).any():
+            raise ConfigError("sweep --devices: the template's peer bandwidths differ; "
+                              "a sweep builds one flat interconnect")
+        if off.size:
+            peer["peer_bandwidth"] = float(off[0])
 
     def build(n: int) -> Machine:
         if template is None:
@@ -150,6 +162,7 @@ def cmd_sweep(args) -> int:
             capacity_tiles=dev.capacity_tiles,
             slots=dev.slots,
             transfer_latency=template.transfer_latency,
+            **peer,
         )
 
     fields = ["size", "devices", "tile_size", "makespan", "speedup",

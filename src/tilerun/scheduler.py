@@ -20,11 +20,14 @@ Engines:
 
 * ``sim`` -- deterministic discrete-event replay of the model only: its
   tasks run the directory and the pricing, never the kernel.  Each
-  device has a compute engine and a transfer engine; within a task the
-  fetch for the next contraction step overlaps the current compute.  The
-  device whose compute engine frees earliest claims the next task
-  (demand-driven work sharing), so faster devices naturally pull more
-  work.
+  device has three clocks: compute, fetch (host->device and
+  peer->device) and writeback (device->host, a full-duplex host link).
+  Within a task the fetch for the next contraction step overlaps the
+  current compute; across tasks a device fetches one task ahead, so a
+  task from its own station moves its data while the previous task
+  computes.  Prefetched tiles take no extra capacity.  The device whose
+  compute engine frees earliest claims the next task (demand-driven work
+  sharing), so faster devices naturally pull more work.
 * ``threaded`` -- one real worker thread per device, sharing the global
   queue, the directory, and each other's reservation stations.  Wall
   clock replaces simulated time; all counters stay exact because the
@@ -492,12 +495,28 @@ def _run_sim(machine, plan_, directory, clocks, prices, events, steal_enabled):
     the directory, the clocks and the completion record untouched.  Each
     task's directory results are priced from its device's tables in
     ``prices`` (see :func:`_price_tables`) as the device's clocks fold
-    them.  Both engine times in ``clocks[device]`` only move forward,
-    because every cost is >= 0."""
+    them.
+
+    ``clocks[device]`` is ``[compute, fetch, writeback]``.  A device
+    claims when its compute clock is the earliest, so the claim time is
+    its compute clock.  Host->device and peer->device fetches run on the
+    fetch clock; the device->host writeback has its own clock, as on a
+    full-duplex host link, and starts once both it and the last compute
+    are done.  A task from the device's own station starts its first
+    fetch at the device's previous claim in this product, or when the
+    fetch clock frees if that is later: one task of lookahead, so its
+    fetches overlap the previous task's compute.  A stolen task, or a
+    device's first task in the product, fetches no earlier than its own
+    claim.  The directory still resolves every task at its claim, in
+    claim order, and a prefetched tile takes no extra capacity; within a
+    task, step k+1's fetch may run any number of steps ahead of compute
+    k on the same terms.  Every clock only moves forward, because every
+    cost is >= 0."""
     accumulate_product(plan_.a.matrix, plan_.b.matrix, plan_.c.tiled.base)
     stations = {d.device_id: ReservationStation(d.slots) for d in machine.devices}
     heap = [(clocks[d.device_id][0], d.device_id) for d in machine.devices]
     heapq.heapify(heap)
+    claimed = {}  # each device's previous claim time in this product
     while heap:
         t, did = heapq.heappop(heap)
         tid, victim = _claim(did, stations, plan_.queue, steal_enabled)
@@ -505,22 +524,24 @@ def _run_sim(machine, plan_, directory, clocks, prices, events, steal_enabled):
             continue  # the device retires
         if victim is not None:
             events.append(StealEvent(did, victim, tid, time=t))
+            lead = t
+        else:
+            lead = claimed.get(did, t)
+        claimed[did] = t
         i, j = decode_task(tid, plan_.grid_cols, plan_.grid_rows)
         got = iter(_begin_task(plan_, directory, did, i, j))
         wb = _end_task(plan_, directory, did, tid, i, j)
         fetch, compute = prices[did]
-        # no transfer of this task predates its claim: the claim time t is
-        # co, and every task ends with tr = max(tr, co) + writeback >= co
-        co, tr = clocks[did]
+        co, tr, wr = clocks[did]
+        tr = max(tr, lead)
         # zip(got, got) pairs each step's A and B results
         for ra, rb, (_, _, a_shape), (_, _, b_shape) in zip(got, got, plan_.a_rows[i],
                                                              plan_.b_cols[j]):
             tr += fetch[ra] + fetch[rb]
             co = max(co, tr) + compute[a_shape, b_shape]  # fetch k+1 overlaps compute k
-        # the writeback waits for the last compute; a host link costs the
-        # same either way, so it is priced as a host fetch of its bytes
-        tr = max(tr, co) + fetch[HOST, wb]
-        clocks[did] = [co, tr]
+        # a host link costs the same either way, so the writeback is priced
+        # as a host fetch of its bytes
+        clocks[did] = [co, tr, max(wr, co) + fetch[HOST, wb]]
         heapq.heappush(heap, (co, did))
 
 
@@ -605,9 +626,9 @@ class Runtime:
         self.steal = steal
         self.coherence = coherence
         self.directory = CacheDirectory(machine, enabled=coherence)
-        # per device: [compute, transfer] engine time of the sim engine,
-        # and the price tables it folds into them
-        self.clocks = {d.device_id: [0.0, 0.0] for d in machine.devices}
+        # per device: [compute, fetch, writeback] engine time of the sim
+        # engine, and the price tables it folds into them
+        self.clocks = {d.device_id: [0.0, 0.0, 0.0] for d in machine.devices}
         self.prices = _price_tables(machine)
         self._uid_n = 0
 
@@ -616,6 +637,7 @@ class Runtime:
         return f"{prefix}#{self._uid_n}"
 
     def sim_now(self) -> float:
+        """The latest compute, fetch or writeback clock of any device."""
         return max(max(c) for c in self.clocks.values())
 
     def operand(self, m, uid: str | None = None, transposed: bool = False) -> Operand:

@@ -285,6 +285,48 @@ def test_sweep_template_carries_transfer_latency(tmp_path):
         assert makespans[50.0, n] > makespans[0.0, n]
 
 
+def test_sweep_template_carries_peer_bandwidth(tmp_path):
+    # every cell's machine takes the template's peer bandwidth: a slow peer
+    # link makes the 2-device cell slower, and each cell matches the
+    # homogeneous machine built with that bandwidth
+    makespans = {}
+    for bw in (1.0, 32768.0):
+        template = homogeneous_machine(2, flops_per_unit=1000.0, host_bandwidth=256.0,
+                                       peer_bandwidth=bw, capacity_tiles=8)
+        devcfg, out = tmp_path / "template.json", tmp_path / "sweep.csv"
+        save_machine(devcfg, template)
+        assert run_cli("sweep", "--sizes", 32, "--device-counts", "1,2", "--tile-size", 4,
+                       "--devices", devcfg, "--out", out) == 0
+        rng = np.random.default_rng(0)
+        a, b = rng.uniform(0.0, 1.0, size=(32, 32)), rng.uniform(0.0, 1.0, size=(32, 32))
+        for r in csv.DictReader(out.read_text().splitlines()):
+            n = int(r["devices"])
+            _, want = run(homogeneous_machine(n, flops_per_unit=1000.0, host_bandwidth=256.0,
+                                              peer_bandwidth=bw, capacity_tiles=8),
+                          a, b, tile_size=4)
+            assert r["makespan"] == f"{want.makespan:.9g}"
+            makespans[bw, n] = float(r["makespan"])
+            if n == 2:
+                assert int(r["bytes_peer"]) > 0
+    assert makespans[1.0, 1] == makespans[32768.0, 1]
+    assert makespans[1.0, 2] > makespans[32768.0, 2]
+
+
+@pytest.mark.parametrize("config", [
+    '{"devices": [{"id": 0}, {"id": 1}, {"id": 2}], "proximity": {"hops": '
+    '[[0, 1, 1], [1, 0, 1], [1, 1, 0]], "peer_bandwidth": [[0, 4, 4], [4, 0, 8], [4, 8, 0]]}}',
+    '{"devices": [{"id": 0, "kind": "host-worker"}, {"id": 1}]}',
+], ids=["unequal-peer-bandwidth", "host-worker-first"])
+def test_sweep_template_not_uniform_accelerators_is_config_error(tmp_path, capsys, config):
+    devcfg, out = tmp_path / "template.json", tmp_path / "sweep.csv"
+    devcfg.write_text(config)
+    assert run_cli("sweep", "--sizes", 8, "--device-counts", "1,2", "--tile-size", 4,
+                   "--devices", devcfg, "--out", out) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: sweep --devices"), err
+    assert not out.exists()
+
+
 def test_sweep_failing_cell_keeps_partial_results(tmp_path, monkeypatch):
     real_run = cli.run
     calls = []

@@ -844,28 +844,35 @@ def priced_machines(draw):
        shapes=st.lists(st.tuples(*[st.integers(1, 9)] * 3), min_size=2, max_size=3))
 def test_sim_clocks_equal_a_direct_replay(machine, tile, shapes):
     # A session of 2-3 ragged products back to back.  Each task's device,
-    # directory results and writeback bytes are recorded through its
-    # directory; the clocks are then refolded here with the cost functions
-    # called directly, and must match the session's to the bit.  The claim
-    # time is the device's compute clock co, and every task ends with
-    # tr = max(tr, co) + writeback, so tr >= co opens each task: the max
-    # that opens the refold never binds, and the engine keeps no clamp.
+    # claim time, output tile, directory results and writeback bytes are
+    # recorded through its directory, and the product's steal events name
+    # the stolen tasks; the [compute, fetch, writeback] clocks are then
+    # refolded here with the cost functions called directly, and must
+    # match the session's to the bit.  The claim time is read from the
+    # session's compute clock as the task's output is admitted.
     rt = Runtime(machine, tile_size=tile)
     d = rt.directory
-    tasks = []  # (device, requests, results, writeback bytes), in run order
-    real_acquire, real_release = d.acquire_input, d.release_output
+    # [device, claim time, output key, requests, results, writeback bytes],
+    # in claim order
+    tasks = []
+    real_admit, real_acquire, real_release = d.admit_output, d.acquire_input, d.release_output
+
+    def admit(device, key):
+        real_admit(device, key)
+        tasks.append([device, rt.clocks[device][0], key, None, None, None])
 
     def acquire(device, requests):
         results = real_acquire(device, requests)
-        tasks.append([device, requests, results, None])
+        assert tasks[-1][0] == device and tasks[-1][4] is None
+        tasks[-1][3:5] = requests, results
         return results
 
     def release(device, key, nbytes):
         real_release(device, key, nbytes)
-        assert tasks[-1][0] == device and tasks[-1][3] is None
-        tasks[-1][3] = nbytes
+        assert tasks[-1][0] == device and tasks[-1][2] == key and tasks[-1][5] is None
+        tasks[-1][5] = nbytes
 
-    d.acquire_input, d.release_output = acquire, release
+    d.admit_output, d.acquire_input, d.release_output = admit, acquire, release
     rng = np.random.default_rng(0)
     arrays = {}  # same-shaped operands share a uid, so products reuse tiles
 
@@ -879,29 +886,60 @@ def test_sim_clocks_equal_a_direct_replay(machine, tile, shapes):
         rows, cols = arrays[key.matrix].shape
         return min(tile, rows - key.row * tile), min(tile, cols - key.col * tile)
 
-    clocks = {dev.device_id: [0.0, 0.0] for dev in machine.devices}
+    clocks = {dev.device_id: [0.0, 0.0, 0.0] for dev in machine.devices}
     for m, k, n in shapes:
         (a, a_uid), (b, b_uid) = operand("A", m, k), operand("B", k, n)
         tasks.clear()
         c, stats = rt.multiply(a, b, a_uid=a_uid, b_uid=b_uid)
         assert np.array_equal(c, reference_gemm(a, b))
         assert len(tasks) == stats.total_tasks
+        steals = {(ev.thief, ev.task_id): ev.time for ev in stats.steal_events}
         before = max(max(cl) for cl in clocks.values())
-        for did, requests, results, wb in tasks:
+        previous = {}  # each device's previous claim time in this product
+        last_claim = -1.0
+        for did, t, c_key, requests, results, wb in tasks:
             dev = machine.device(did)
-            co, tr = clocks[did]
-            assert tr >= co
-            tr = max(tr, co)
+            co, tr, wr = clocks[did]
+            # a device claims when its compute clock is the earliest, so
+            # claims come in time order
+            assert t == co and t >= last_claim
+            last_claim = t
+            steal_time = steals.pop((did, c_key.row * stats.grid_cols + c_key.col), None)
+            assert steal_time in (None, t)  # a steal happens at its claim
+            # the first fetch starts at or after the lead: the device's
+            # previous claim in the product for a task from its own station,
+            # one task ahead; its own claim for a stolen task or its first
+            lead = previous[did] if steal_time is None and did in previous else t
+            assert lead <= t
+            tr = max(tr, lead)
+            assert tr >= lead
+            previous[did] = t
             for s in range(0, len(results), 2):
                 ra, rb = results[s], results[s + 1]
                 tr += (transfer_cost(machine, ra.source, did, ra.nbytes_moved)
                        + transfer_cost(machine, rb.source, did, rb.nbytes_moved))
                 co = max(co, tr) + compute_cost(dev, tile_shape(requests[s][0]),
                                                 tile_shape(requests[s + 1][0]))
-            tr = max(tr, co) + transfer_cost(machine, did, HOST, wb)
-            clocks[did] = [co, tr]
+            wr = max(wr, co) + transfer_cost(machine, did, HOST, wb)
+            clocks[did] = [co, tr, wr]
+        assert not steals  # every steal event names a recorded task
         assert stats.makespan == max(max(cl) for cl in clocks.values()) - before
         assert rt.clocks == clocks
+
+
+@settings(max_examples=60, deadline=None)
+@given(machine=priced_machines(), tile=st.integers(2, 4),
+       shape=st.tuples(*[st.integers(1, 12)] * 3))
+def test_sim_makespan_at_least_the_area_bound(machine, tile, shape):
+    # Each device's computes run one after another, so no schedule beats
+    # all 2mkn flops spread over the summed throughput.  A clock fold that
+    # let one device's computes overlap would fall below it.
+    m, k, n = shape
+    rng = np.random.default_rng(0)
+    a, b = int_matrix(rng, m, k), int_matrix(rng, k, n)
+    c, stats = run(machine, a, b, tile_size=tile)
+    assert np.array_equal(c, reference_gemm(a, b))
+    assert stats.makespan >= 2 * m * k * n / sum(d.flops_per_unit for d in machine.devices)
 
 
 @pytest.mark.parametrize("capacity", [None, 3, 5])

@@ -130,6 +130,11 @@ def cmd_ann(args) -> int:
     return EXIT_OK
 
 
+# a sweep builds every cell from the template's first device, so all must share these
+_SWEEP_DEVICE_FIELDS = ("kind", "flops_per_unit", "host_bandwidth", "capacity_tiles", "slots",
+                        "subtile_factor")
+
+
 def cmd_sweep(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     counts = [int(s) for s in args.device_counts.split(",") if s.strip()]
@@ -140,8 +145,14 @@ def cmd_sweep(args) -> int:
     template = load_machine(args.devices) if args.devices else None
     peer = {}  # a one-device template keeps homogeneous_machine's peer bandwidth
     if template is not None:
-        if template.devices[0].is_host_worker:
-            raise ConfigError("sweep --devices: the template's first device is a host worker; "
+        first = template.devices[0]
+        differ = [f for f in _SWEEP_DEVICE_FIELDS
+                  if any(getattr(d, f) != getattr(first, f) for d in template.devices)]
+        if differ:
+            raise ConfigError(f"sweep --devices: the template's devices differ in "
+                              f"{', '.join(differ)}; a sweep builds equal devices")
+        if first.is_host_worker:
+            raise ConfigError("sweep --devices: the template's devices are host workers; "
                               "a sweep builds accelerators")
         bw = template.proximity.peer_bandwidth
         off = bw[~np.eye(len(bw), dtype=bool)]
@@ -154,7 +165,7 @@ def cmd_sweep(args) -> int:
     def build(n: int) -> Machine:
         if template is None:
             return homogeneous_machine(n)
-        dev = template.devices[0]
+        dev = template.devices[0]  # every device of the template is equal to it
         return homogeneous_machine(
             n,
             flops_per_unit=dev.flops_per_unit,

@@ -35,6 +35,12 @@ workers have no set: their tiles are host tiles, so every request they
 make is a free host fetch.  With ``enabled=False`` no device has a set,
 and every accelerator request is a host fetch, which is the baseline for
 measuring how much traffic the protocol removes.
+
+A request's result is a shared immutable :class:`AcquireResult`: the
+directory builds one per ``(source, bytes moved)`` the first time it
+returns that pair and returns the same object ever after, so resolving a
+request allocates nothing.  A session meets few distinct pairs (one per
+source and tile size), so the tables stay small.
 """
 
 from __future__ import annotations
@@ -58,6 +64,19 @@ class AcquireResult(NamedTuple):
 
     source: object  # device id the bytes came from, or HOST
     nbytes_moved: int
+
+
+class Memo(dict):
+    """A dict that makes a missing value once, by ``make(key)``, and keeps
+    it: the directory's shared results and the sim engine's price tables."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 @dataclass
@@ -123,10 +142,16 @@ class CacheDirectory:
         self._room: dict[int, int | None] = {
             d.device_id: None if d.capacity_tiles is None else d.capacity_tiles - 1
             for d in cached}
-        # per cached device: (peer, peer's set), fewest hops first, then lowest id
+        # _results[source][nbytes]: the one shared result for that pair,
+        # made when first returned and kept for the directory's life
+        self._results: dict[object, Memo] = {
+            src: Memo(lambda nbytes, src=src: AcquireResult(src, nbytes))
+            for src in (HOST, *(d.device_id for d in machine.devices))}
+        # per cached device: (peer's set, peer's results), fewest hops
+        # first, then lowest id
         hops = machine.proximity.hops
-        self._peers: dict[int, list[tuple[int, OrderedDict]]] = {
-            d: [(p, self._order[p])
+        self._peers: dict[int, list[tuple[OrderedDict, Memo]]] = {
+            d: [(self._order[p], self._results[p])
                 for p in sorted(self._order, key=lambda p: (hops[d, p], p)) if p != d]
             for d in self._order}
         # the output tile each device is building, or None
@@ -157,7 +182,9 @@ class CacheDirectory:
         """Resolve a task's input tiles for ``requester`` under one lock
         hold.  ``requests`` is an ordered sequence of ``(key, nbytes)``
         pairs (a task sends A, B for each contraction step in turn);
-        returns one :class:`AcquireResult` per request, in order.
+        returns one :class:`AcquireResult` per request, in order.  A
+        result is shared, not built for the call: every request with the
+        same source and bytes moved gets the same immutable object.
 
         Requests resolve in order, each exactly as a one-request call
         would, and nothing is held once the call returns.
@@ -165,16 +192,17 @@ class CacheDirectory:
         with self._lock:
             ds = self._dev_stats[requester]
             order = self._order.get(requester)
+            from_host = self._results[HOST]
             if order is None:
                 # host workers' tiles are already local: a fetch in name only
                 free = requester in self._host_workers
-                out = [AcquireResult(HOST, 0 if free else nbytes) for _key, nbytes in requests]
+                out = [from_host[0 if free else nbytes] for _key, nbytes in requests]
                 ds.host_fetches += len(out)
                 ds.bytes_host += sum(res.nbytes_moved for res in out)
                 return out
             room = self._room[requester]
             peers = self._peers[requester]
-            l1_hit = AcquireResult(requester, 0)
+            l1_hit = self._results[requester][0]
             out = []
             l1 = l2 = bytes_peer = bytes_host = evictions = 0
             try:
@@ -184,15 +212,15 @@ class CacheDirectory:
                         order.move_to_end(key)
                         out.append(l1_hit)
                         continue
-                    for peer, held in peers:
+                    for held, sent in peers:
                         if key in held:
                             l2 += 1
                             bytes_peer += nbytes
-                            out.append(AcquireResult(peer, nbytes))
+                            out.append(sent[nbytes])
                             break
                     else:
                         bytes_host += nbytes
-                        out.append(AcquireResult(HOST, nbytes))
+                        out.append(from_host[nbytes])
                     if room is not None and len(order) >= room:  # never above room: one victim
                         order.popitem(last=False)
                         evictions += 1

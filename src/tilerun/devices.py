@@ -286,7 +286,8 @@ def transfer_cost(machine: Machine, src, dst, nbytes: float) -> float:
 
     Endpoints are device ids or ``HOST``.  Same endpoint means zero.
     Host workers exchange data with host memory for free: their tiles
-    already live there.
+    already live there.  The price is a Python ``float``, never a numpy
+    scalar, so the clocks it is added to stay plain floats.
     """
     if nbytes < 0:
         raise ValueError("nbytes must be >= 0")
@@ -299,5 +300,5 @@ def transfer_cost(machine: Machine, src, dst, nbytes: float) -> float:
         return nbytes / dev.host_bandwidth + machine.transfer_latency
     s = machine.device(src).device_id
     d = machine.device(dst).device_id
-    return nbytes / machine.proximity.peer_bandwidth[s, d] + machine.transfer_latency
+    return nbytes / float(machine.proximity.peer_bandwidth[s, d]) + machine.transfer_latency
 

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coherence import AcquireResult, CacheDirectory, CacheStats
+from .coherence import AcquireResult, CacheDirectory, CacheStats, Memo
 from .devices import HOST, DeviceSpec, Machine, compute_cost, transfer_cost
 from .msqueue import MichaelScottQueue
 from .tiles import (
@@ -459,20 +459,7 @@ def _claim(did: int, stations: dict[int, ReservationStation], queue: MichaelScot
     return tid, None
 
 
-class _PriceTable(dict):
-    """Prices memoised by their arguments: a missing key is priced once,
-    by ``price(*key)``, and kept."""
-
-    def __init__(self, price):
-        super().__init__()
-        self.price = price
-
-    def __missing__(self, key):
-        cost = self[key] = self.price(*key)
-        return cost
-
-
-def _price_tables(machine: Machine) -> dict[int, tuple[_PriceTable, _PriceTable]]:
+def _price_tables(machine: Machine) -> dict[int, tuple[Memo, Memo]]:
     """Per device: its transfer prices by ``(source, nbytes)`` (an
     :class:`AcquireResult` is that key) and its compute prices by
     ``(a_shape, b_shape)``.  ``transfer_cost`` and ``compute_cost`` are
@@ -480,9 +467,8 @@ def _price_tables(machine: Machine) -> dict[int, tuple[_PriceTable, _PriceTable]
     they return, so every price is the float they give."""
     return {
         d.device_id: (
-            _PriceTable(lambda src, nbytes, did=d.device_id:
-                        transfer_cost(machine, src, did, nbytes)),
-            _PriceTable(lambda a_shape, b_shape, dev=d: compute_cost(dev, a_shape, b_shape)),
+            Memo(lambda key, did=d.device_id: transfer_cost(machine, key[0], did, key[1])),
+            Memo(lambda shapes, dev=d: compute_cost(dev, *shapes)),
         )
         for d in machine.devices
     }
@@ -538,7 +524,9 @@ def _run_sim(machine, plan_, directory, clocks, prices, events, steal_enabled):
         for ra, rb, (_, _, a_shape), (_, _, b_shape) in zip(got, got, plan_.a_rows[i],
                                                              plan_.b_cols[j]):
             tr += fetch[ra] + fetch[rb]
-            co = max(co, tr) + compute[a_shape, b_shape]  # fetch k+1 overlaps compute k
+            if tr > co:  # compute k waits for its data; fetch k+1 overlaps it
+                co = tr
+            co += compute[a_shape, b_shape]
         # a host link costs the same either way, so the writeback is priced
         # as a host fetch of its bytes
         clocks[did] = [co, tr, max(wr, co) + fetch[HOST, wb]]

@@ -200,6 +200,42 @@ def test_session_price_tables_and_peer_ranking_stay_bounded():
     assert counts[1000] == counts[10] > 0
 
 
+def test_session_keeps_one_shared_result_per_source_and_size(monkeypatch):
+    # The directory returns one shared AcquireResult per (source, bytes
+    # moved) and keeps it for the session: a long XOR session meets every
+    # pair in its first steps, so the kept results neither repeat a pair
+    # nor grow with the session.
+    rng = np.random.default_rng(0)
+    net = Network.from_sizes([2, 8, 1], rng, activation="sigmoid")
+    x, target = xor_dataset()
+    backend = tiled_backend(2, 2)
+    directory = backend.runtime.directory
+    returned = {}  # id -> every result object the directory returned
+    acquire = directory.acquire_input
+
+    def recording(requester, requests):
+        out = acquire(requester, requests)
+        returned.update((id(res), res) for res in out)
+        return out
+
+    monkeypatch.setattr(directory, "acquire_input", recording)
+
+    def kept():
+        return sum(len(results) for results in directory._results.values())
+
+    counts = {}
+    for step in range(1, 501):
+        train_step(net, x, target, 0.5, backend)
+        if step in (10, 500):
+            counts[step] = kept()
+    pairs = {(res.source, res.nbytes_moved) for res in returned.values()}
+    assert len(returned) == len(pairs) == counts[500] == counts[10]
+    # an L1 hit on each device, and a peer copy or host fetch of either
+    # tile size the session meets (2x2 and 2x1 float64 tiles)
+    assert pairs == {(0, 0), (1, 0), (0, 16), (0, 32), (1, 16), (1, 32),
+                     ("host", 16), ("host", 32)}
+
+
 # -- planning scale and benchmarking -------------------------------------------
 
 

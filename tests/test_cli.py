@@ -316,7 +316,11 @@ def test_sweep_template_carries_peer_bandwidth(tmp_path):
     '{"devices": [{"id": 0}, {"id": 1}, {"id": 2}], "proximity": {"hops": '
     '[[0, 1, 1], [1, 0, 1], [1, 1, 0]], "peer_bandwidth": [[0, 4, 4], [4, 0, 8], [4, 8, 0]]}}',
     '{"devices": [{"id": 0, "kind": "host-worker"}, {"id": 1}]}',
-], ids=["unequal-peer-bandwidth", "host-worker-first"])
+    '{"devices": [{"id": 0, "kind": "host-worker"}]}',
+    # a sweep would build every cell from device 0 and drop device 1's flops
+    '{"devices": [{"id": 0, "flops_per_unit": 1000, "host_bandwidth": 256}, '
+    '{"id": 1, "flops_per_unit": 4000, "host_bandwidth": 256}]}',
+], ids=["unequal-peer-bandwidth", "host-worker-first", "host-workers-only", "unequal-flops"])
 def test_sweep_template_not_uniform_accelerators_is_config_error(tmp_path, capsys, config):
     devcfg, out = tmp_path / "template.json", tmp_path / "sweep.csv"
     devcfg.write_text(config)

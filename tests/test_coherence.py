@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tilerun.coherence import CacheDirectory, CacheStats
+from tilerun.coherence import AcquireResult, CacheDirectory, CacheStats
 from tilerun.devices import HOST, DeviceSpec, Machine, ProximityMatrix, homogeneous_machine
 from tilerun.tiles import TileKey
 
@@ -281,16 +281,19 @@ def test_invariants_fixture_checks_after_a_test_undo(directory_invariants, monke
 
 class ModelDirectory:
     """Dead-simple multi-device reference: one list of input keys per
-    device in insertion order, recency refreshed by moving to the back.
-    A local miss copies from the closest device whose list holds the key
-    (ties to the lowest id), or from host when none does.  A list holds
-    at most ``capacity - 1`` keys, the last slot being the output tile's,
-    and a full list gives up its first key.  It resolves one tile at a
-    time."""
+    cached device in insertion order, recency refreshed by moving to the
+    back.  A local miss copies from the closest device whose list holds
+    the key (ties to the lowest id), or from host when none does.  A list
+    holds at most ``capacity - 1`` keys, the last slot being the output
+    tile's, and a full list gives up its first key.  An uncached device
+    fetches every tile from host, for free if it is a host worker, whose
+    output needs no writeback.  It resolves one tile at a time."""
 
-    def __init__(self, hops, capacity):
+    def __init__(self, hops, capacity, cached, host_workers):
         self.hops = hops
         self.room = capacity - 1
+        self.cached = cached
+        self.host_workers = host_workers
         self.keys = [[] for _ in hops]
         self.output = [None for _ in hops]
         self.stats = [CacheStats() for _ in hops]
@@ -312,6 +315,11 @@ class ModelDirectory:
     def acquire(self, dev, k, nbytes):
         """Resolve one tile; returns its (source, bytes moved)."""
         st, keys = self.stats[dev], self.keys[dev]
+        if dev not in self.cached:
+            moved = 0 if dev in self.host_workers else nbytes
+            st.host_fetches += 1
+            st.bytes_host += moved
+            return HOST, moved
         if k in keys:
             keys.remove(k)
             keys.append(k)
@@ -333,7 +341,7 @@ class ModelDirectory:
     def drop_output(self, dev, nbytes=None):
         """Release (``nbytes`` written back) or abort the output tile."""
         self.output[dev] = None
-        if nbytes is not None:
+        if nbytes is not None and dev not in self.host_workers:
             self.stats[dev].writebacks += 1
             self.stats[dev].bytes_writeback += nbytes
 
@@ -346,24 +354,35 @@ def test_model_based_directory_agreement():
     # call of 1-8 tiles, which the model resolves one tile at a time.
     # Each trial draws its own symmetric hop matrix of 1s and 2s, so hop
     # ties are common and the model's min over (hops, id) checks the
-    # directory's peer ranking.
+    # directory's peer ranking.  Some trials add a host worker, and some
+    # turn the cache off, so every kind of requester is walked: cached,
+    # uncached and host worker.  Tiles come in three sizes.
     rng = np.random.default_rng(99)
     serial = itertools.count()
     peer_hits = refetched = released = aborted = evicted_mid_task = 0
     tied_sources = 0  # L2 sources chosen among owners at equal hops
-    for trial in range(24):
+    requesters = set()  # the kinds of requester walked
+    for trial in range(30):
         n = 2 + trial % 3
         cap = 3 if trial % 3 == 0 else int(rng.integers(4, 7))
-        hops = np.triu(rng.integers(1, 3, (n, n)), 1)
+        enabled = trial % 5 != 4
+        devs = [DeviceSpec(i, capacity_tiles=cap) for i in range(n)]
+        if trial % 4 == 1:
+            devs.append(DeviceSpec(n, kind="host-worker"))
+        size = len(devs)
+        hops = np.triu(rng.integers(1, 3, (size, size)), 1)
         hops += hops.T
-        m = Machine([DeviceSpec(i, capacity_tiles=cap) for i in range(n)],
-                    ProximityMatrix(hops, np.full((n, n), 10.0)))
-        d = CacheDirectory(m)
-        model = ModelDirectory(hops.tolist(), cap)
+        m = Machine(devs, ProximityMatrix(hops, np.full((size, size), 10.0)))
+        d = CacheDirectory(m, enabled=enabled)
+        cached = set(range(n)) if enabled else set()
+        host_workers = set(range(n, size))
+        model = ModelDirectory(hops.tolist(), cap, cached, host_workers)
         universe = [key(f"t{i}") for i in range(12)]
+        nbytes = {k: 8 * (1 + i % 3) for i, k in enumerate(universe)}
+        shared = {}  # (source, bytes moved) -> the directory's one result for it
         seen = set()  # keys that were resident somewhere before
         for _ in range(200):
-            dev = int(rng.integers(0, n))
+            dev = int(rng.integers(0, size))
             c_key = model.output[dev]
             r = rng.random()
             if r < 0.2 and c_key is None:
@@ -386,19 +405,25 @@ def test_model_based_directory_agreement():
                          for i in rng.integers(0, len(universe), int(rng.integers(1, 9)))]
                 evictions, want = model.stats[dev].evictions, []
                 for k in tiles:
-                    owners = [o for o in range(n) if o != dev and k in model.keys[o]]
-                    want.append(model.acquire(dev, k, 8))
+                    owners = [o for o in range(size) if o != dev and k in model.keys[o]]
+                    want.append(model.acquire(dev, k, nbytes[k]))
                     src = want[-1][0]
-                    if src != dev:  # not an L1 hit
+                    if dev in cached and src != dev:  # not an L1 hit
                         peer_hits += src != HOST
                         tied_sources += (src != HOST and
                                          sum(hops[dev, o] == hops[dev, src] for o in owners) > 1)
                         refetched += src == HOST and k in seen
                         seen.add(k)
-                got = d.acquire_input(dev, [(k, 8) for k in tiles])
-                assert [(r.source, r.nbytes_moved) for r in got] == want
+                got = d.acquire_input(dev, [(k, nbytes[k]) for k in tiles])
+                # each result equals one built afresh, and is the directory's
+                # one shared object for its (source, bytes moved)
+                assert got == [AcquireResult(*w) for w in want]
+                assert all(type(res) is AcquireResult for res in got)
+                assert all(shared.setdefault(tuple(res), res) is res for res in got)
+                requesters.add("host worker" if dev in host_workers
+                               else "cached" if dev in cached else "uncached")
                 evicted_mid_task += c_key is not None and model.stats[dev].evictions > evictions
-            for o in range(n):
+            for o in range(size):
                 assert d.residents(o) == model.keys[o]
             assert d.stats_per_device() == dict(enumerate(model.stats))
     # the walk reached peer copies, tiles evicted from every owner came back
@@ -406,6 +431,7 @@ def test_model_based_directory_agreement():
     # output tile was held, and outputs were both released and aborted
     assert peer_hits > 0 and refetched > 0 and tied_sources > 0 and evicted_mid_task > 0
     assert released > 0 and aborted > 0
+    assert requesters == {"cached", "uncached", "host worker"}
 
 
 @st.composite

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tilerun.ann import Network, TiledBackend, train_step, xor_dataset
 from tilerun.coherence import CacheDirectory, CacheStats
 from tilerun.devices import (
     HOST,
@@ -1125,3 +1126,42 @@ def test_runtime_rejects_bad_configuration():
         Runtime(homogeneous_machine(1), tile_size=0)
     with pytest.raises(ValueError):
         Runtime(homogeneous_machine(1), tile_size=4, mode="warp")
+
+
+def evict_hetero_machine():
+    """The benchmark's ``gemm-evict-hetero`` machine: three bounded
+    accelerators and a host worker on two islands of unequal peer links."""
+    devices = [DeviceSpec(i, capacity_tiles=52, flops_per_unit=f, host_bandwidth=512.0)
+               for i, f in enumerate((250.0, 500.0, 750.0))]
+    devices.append(DeviceSpec(3, kind="host-worker", flops_per_unit=200.0, subtile_factor=2))
+    hops = [[0, 1, 2, 2], [1, 0, 2, 2], [2, 2, 0, 1], [2, 2, 1, 0]]
+    bandwidth = [[0.0 if h == 0 else 4096.0 if h == 1 else 1024.0 for h in row]
+                 for row in hops]
+    return Machine(devices, ProximityMatrix(hops, bandwidth))
+
+
+@pytest.mark.parametrize("machine", [evict_hetero_machine, lambda: homogeneous_machine(2)],
+                         ids=["evict-hetero", "homogeneous-2"])
+def test_simulated_times_are_python_floats(machine):
+    # Prices, clocks and every simulated time the library returns are
+    # Python floats: a numpy scalar read from the peer-bandwidth matrix
+    # must not leak into the clocks once a device copies from a peer.
+    machine = machine()
+    assert type(transfer_cost(machine, 0, 1, 128)) is float  # a peer path
+    assert type(transfer_cost(machine, HOST, 0, 128)) is float
+    rng = np.random.default_rng(0)
+    a, b = rng.uniform(size=(48, 48)), rng.uniform(size=(48, 48))
+    rt = Runtime(machine, tile_size=4)
+    for _ in range(2):
+        _, stats = rt.multiply(a, b)
+        assert stats.cache.l2_hits > 0  # peer prices entered the clocks
+        assert type(stats.makespan) is float
+    assert type(rt.sim_now()) is float
+    assert all(type(t) is float for clocks in rt.clocks.values() for t in clocks)
+    backend = TiledBackend(machine, tile_size=2)
+    x, target = xor_dataset()
+    net = Network.from_sizes([2, 8, 1], rng, activation="sigmoid")
+    for _ in range(3):
+        train_step(net, x, target, 0.5, backend)
+    assert backend.runtime.directory.stats().l2_hits > 0
+    assert type(backend.sim_time()) is float

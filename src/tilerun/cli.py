@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import math
@@ -19,7 +20,7 @@ import sys
 import numpy as np
 
 from . import ann as ann_mod
-from .devices import ConfigError, Machine, homogeneous_machine, load_machine
+from .devices import ConfigError, DeviceSpec, Machine, homogeneous_machine, load_machine
 from .matio import load_matrix, save_matrix
 from .scheduler import run, write_report_csv, write_report_json
 
@@ -130,11 +131,6 @@ def cmd_ann(args) -> int:
     return EXIT_OK
 
 
-# a sweep builds every cell from the template's first device, so all must share these
-_SWEEP_DEVICE_FIELDS = ("kind", "flops_per_unit", "host_bandwidth", "capacity_tiles", "slots",
-                        "subtile_factor")
-
-
 def cmd_sweep(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     counts = [int(s) for s in args.device_counts.split(",") if s.strip()]
@@ -142,39 +138,20 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep needs --sizes and --device-counts")
     if 1 not in counts:
         counts = [1] + counts  # speedup baseline
-    template = load_machine(args.devices) if args.devices else None
-    peer = {}  # a one-device template keeps homogeneous_machine's peer bandwidth
-    if template is not None:
-        first = template.devices[0]
-        differ = [f for f in _SWEEP_DEVICE_FIELDS
-                  if any(getattr(d, f) != getattr(first, f) for d in template.devices)]
-        if differ:
-            raise ConfigError(f"sweep --devices: the template's devices differ in "
-                              f"{', '.join(differ)}; a sweep builds equal devices")
-        if first.is_host_worker:
-            raise ConfigError("sweep --devices: the template's devices are host workers; "
-                              "a sweep builds accelerators")
-        bw = template.proximity.peer_bandwidth
-        off = bw[~np.eye(len(bw), dtype=bool)]
-        if (off != off[:1]).any():
-            raise ConfigError("sweep --devices: the template's peer bandwidths differ; "
-                              "a sweep builds one flat interconnect")
-        if off.size:
-            peer["peer_bandwidth"] = float(off[0])
-
-    def build(n: int) -> Machine:
-        if template is None:
-            return homogeneous_machine(n)
-        dev = template.devices[0]  # every device of the template is equal to it
-        return homogeneous_machine(
-            n,
-            flops_per_unit=dev.flops_per_unit,
-            host_bandwidth=dev.host_bandwidth,
-            capacity_tiles=dev.capacity_tiles,
-            slots=dev.slots,
-            transfer_latency=template.transfer_latency,
-            **peer,
-        )
+    template = _machine_from_args(args)
+    first = template.devices[0]  # each cell is n copies of it
+    differ = [f.name for f in dataclasses.fields(DeviceSpec) if f.name != "device_id"
+              and any(getattr(d, f.name) != getattr(first, f.name) for d in template.devices)]
+    if differ:
+        raise ConfigError(f"sweep --devices: the template's devices differ in "
+                          f"{', '.join(differ)}; a sweep builds equal devices")
+    bw = template.proximity.peer_bandwidth
+    off = bw[~np.eye(len(bw), dtype=bool)]
+    if (off != off[:1]).any():
+        raise ConfigError("sweep --devices: the template's peer bandwidths differ; "
+                          "a sweep builds one flat interconnect")
+    # a one-device template keeps homogeneous_machine's peer bandwidth
+    peer = {"peer_bandwidth": float(off[0])} if off.size else {}
 
     fields = ["size", "devices", "tile_size", "makespan", "speedup",
               "l1_hits", "l2_hits", "host_fetches", "bytes_host", "bytes_peer",
@@ -191,7 +168,11 @@ def cmd_sweep(args) -> int:
                 b = rng.uniform(0.0, 1.0, size=(size, size))
                 base = None
                 for n in sorted(set(counts)):
-                    _, stats = run(build(n), a, b, tile_size=args.tile_size,
+                    machine = dataclasses.replace(
+                        homogeneous_machine(n, **peer),
+                        devices=[dataclasses.replace(first, device_id=i) for i in range(n)],
+                        transfer_latency=template.transfer_latency)
+                    _, stats = run(machine, a, b, tile_size=args.tile_size,
                                    mode="sim", coherence=not args.no_coherence)
                     if n == 1:
                         base = stats.makespan
@@ -267,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--device-counts", required=True, help="comma list, e.g. 1,2,4")
     s.add_argument("--tile-size", type=int, default=16)
     s.add_argument("--devices", default=None,
-                   help="machine config: its first device and transfer_latency are the template")
+                   help="machine config of equal devices; each cell is n copies of its "
+                        "device, with its peer bandwidth and transfer_latency")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--no-coherence", action="store_true")
     s.add_argument("--out", required=True, help="CSV output path")

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from numbers import Integral
+from dataclasses import asdict, dataclass, fields
+from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
@@ -27,6 +27,14 @@ HOST = "host"
 
 class ConfigError(ValueError):
     """Invalid device / machine configuration."""
+
+
+def _real(name: str, v) -> float:
+    """``v`` as a Python float, so no numpy scalar reaches the prices or a
+    saved config; a bool or a non-number is a :class:`ConfigError`."""
+    if not isinstance(v, Real) or isinstance(v, bool):
+        raise ConfigError(f"{name} must be a number, got {v!r}")
+    return float(v)
 
 
 @dataclass(frozen=True)
@@ -64,6 +72,9 @@ class DeviceSpec:
                 continue
             if not isinstance(v, Integral) or isinstance(v, bool):
                 raise ConfigError(f"{name} must be an integer, got {v!r}")
+            object.__setattr__(self, name, int(v))
+        for name in ("flops_per_unit", "host_bandwidth"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if self.device_id < 0:
             raise ConfigError(f"device_id must be >= 0, got {self.device_id}")
         # written as not (0 < x < inf) so that NaN fails too
@@ -155,6 +166,7 @@ class Machine:
                 f"proximity is {self.proximity.n_devices}x{self.proximity.n_devices} "
                 f"but there are {len(self.devices)} devices"
             )
+        self.transfer_latency = _real("transfer_latency", self.transfer_latency)
         if not 0 <= self.transfer_latency < math.inf:
             raise ConfigError("transfer_latency must be finite and >= 0")
 
@@ -163,23 +175,15 @@ class Machine:
         return len(self.devices)
 
     def device(self, device_id: int) -> DeviceSpec:
-        try:
+        if (isinstance(device_id, Integral) and not isinstance(device_id, bool)
+                and 0 <= device_id < len(self.devices)):
             return self.devices[device_id]
-        except (IndexError, TypeError):
-            raise ConfigError(f"unknown device id {device_id!r}") from None
+        raise ConfigError(f"unknown device id {device_id!r}")
 
     def to_dict(self) -> dict:
         return {
             "devices": [
-                {
-                    "id": d.device_id,
-                    "kind": d.kind,
-                    "capacity_tiles": d.capacity_tiles,
-                    "flops_per_unit": d.flops_per_unit,
-                    "host_bandwidth": d.host_bandwidth,
-                    "slots": d.slots,
-                    "subtile_factor": d.subtile_factor,
-                }
+                {"id" if k == "device_id" else k: v for k, v in asdict(d).items()}
                 for d in self.devices
             ],
             "proximity": {
@@ -197,15 +201,7 @@ class Machine:
             for d in cfg["devices"]:
                 _check_keys("device", d, _DEVICE_KEYS)
             devices = [
-                DeviceSpec(
-                    device_id=d["id"],
-                    kind=d.get("kind", KIND_ACCELERATOR),
-                    capacity_tiles=d.get("capacity_tiles"),
-                    flops_per_unit=d.get("flops_per_unit", 1.0),
-                    host_bandwidth=d.get("host_bandwidth", 1.0),
-                    slots=d.get("slots", 4),
-                    subtile_factor=d.get("subtile_factor", 1),
-                )
+                DeviceSpec(device_id=d["id"], **{k: v for k, v in d.items() if k != "id"})
                 for d in cfg["devices"]
             ]
             prox = cfg.get("proximity")
@@ -227,8 +223,8 @@ class Machine:
             raise ConfigError(f"malformed machine config: {exc}") from exc
 
 
-_DEVICE_KEYS = {"id", "kind", "capacity_tiles", "flops_per_unit", "host_bandwidth", "slots",
-                "subtile_factor"}
+# a device is written with its device_id as "id"
+_DEVICE_KEYS = {"id"} | {f.name for f in fields(DeviceSpec)} - {"device_id"}
 
 
 def _check_keys(what: str, cfg, known: set) -> None:

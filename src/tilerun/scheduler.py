@@ -48,7 +48,7 @@ import heapq
 import json
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -317,16 +317,7 @@ class RunStats:
             "makespan": self.makespan,
             "wall_elapsed": self.wall_elapsed,
             "steals": len(self.steal_events),
-            "devices": [
-                {
-                    "device_id": s.device_id,
-                    "kind": s.kind,
-                    "tasks_completed": s.tasks_completed,
-                    "steals_performed": s.steals_performed,
-                    "steals_suffered": s.steals_suffered,
-                }
-                for s in self.devices.values()
-            ],
+            "devices": [asdict(s) for s in self.devices.values()],
             "cache": {
                 **self.cache.as_dict(),
                 "per_device": {
@@ -342,33 +333,21 @@ def write_report_json(stats: RunStats, path) -> None:
         f.write("\n")
 
 
-_CSV_FIELDS = [
-    "device_id", "kind", "tasks_completed", "steals_performed", "steals_suffered",
-    "l1_hits", "l2_hits", "host_fetches", "bytes_host", "bytes_peer",
-    "evictions", "writebacks", "bytes_writeback",
-]
+_CSV_FIELDS = [f.name for f in fields(DeviceStats) + fields(CacheStats)]
 
 
 def write_report_csv(stats: RunStats, path) -> None:
-    """One row per device plus a summary row."""
+    """One row per device plus a summary row, which sums the counters that
+    follow ``device_id`` and ``kind``."""
     with open(path, "w", newline="") as f:
         w = csv.DictWriter(f, fieldnames=_CSV_FIELDS)
         w.writeheader()
-        for did, ds in sorted(stats.devices.items()):
-            w.writerow({
-                "device_id": did, "kind": ds.kind,
-                "tasks_completed": ds.tasks_completed,
-                "steals_performed": ds.steals_performed,
-                "steals_suffered": ds.steals_suffered,
-                **stats.cache_per_device[did].as_dict(),
-            })
-        w.writerow({
-            "device_id": "total", "kind": "",
-            "tasks_completed": sum(d.tasks_completed for d in stats.devices.values()),
-            "steals_performed": sum(d.steals_performed for d in stats.devices.values()),
-            "steals_suffered": sum(d.steals_suffered for d in stats.devices.values()),
-            **stats.cache.as_dict(),
-        })
+        w.writerows({**asdict(ds), **stats.cache_per_device[did].as_dict()}
+                    for did, ds in sorted(stats.devices.items()))
+        w.writerow({"device_id": "total", "kind": "",
+                    **{f.name: sum(getattr(ds, f.name) for ds in stats.devices.values())
+                       for f in fields(DeviceStats)[2:]},
+                    **stats.cache.as_dict()})
 
 
 # -- task execution ------------------------------------------------------

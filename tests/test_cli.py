@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from tilerun import cli
-from tilerun.devices import homogeneous_machine, save_machine
+from tilerun.devices import DeviceSpec, Machine, ProximityMatrix, homogeneous_machine, save_machine
 from tilerun.matio import load_matrix
 from tilerun.scheduler import run
 from tilerun.tiles import reference_gemm
@@ -316,11 +316,10 @@ def test_sweep_template_carries_peer_bandwidth(tmp_path):
     '{"devices": [{"id": 0}, {"id": 1}, {"id": 2}], "proximity": {"hops": '
     '[[0, 1, 1], [1, 0, 1], [1, 1, 0]], "peer_bandwidth": [[0, 4, 4], [4, 0, 8], [4, 8, 0]]}}',
     '{"devices": [{"id": 0, "kind": "host-worker"}, {"id": 1}]}',
-    '{"devices": [{"id": 0, "kind": "host-worker"}]}',
-    # a sweep would build every cell from device 0 and drop device 1's flops
+    # a cell is n copies of device 0, which would drop device 1's flops
     '{"devices": [{"id": 0, "flops_per_unit": 1000, "host_bandwidth": 256}, '
     '{"id": 1, "flops_per_unit": 4000, "host_bandwidth": 256}]}',
-], ids=["unequal-peer-bandwidth", "host-worker-first", "host-workers-only", "unequal-flops"])
+], ids=["unequal-peer-bandwidth", "host-worker-first", "unequal-flops"])
 def test_sweep_template_not_uniform_accelerators_is_config_error(tmp_path, capsys, config):
     devcfg, out = tmp_path / "template.json", tmp_path / "sweep.csv"
     devcfg.write_text(config)
@@ -329,6 +328,35 @@ def test_sweep_template_not_uniform_accelerators_is_config_error(tmp_path, capsy
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: sweep --devices"), err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "host-worker", "flops_per_unit": 200.0, "host_bandwidth": 1.0},
+    {"capacity_tiles": 6, "flops_per_unit": 500.0, "host_bandwidth": 64.0, "slots": 2,
+     "subtile_factor": 2},
+], ids=["host-workers", "subtile-factor-2"])
+def test_sweep_cell_is_n_copies_of_the_template_device(tmp_path, spec):
+    # a template without proximity gets a one-hop interconnect at its host bandwidth
+    devcfg, out = tmp_path / "template.json", tmp_path / "sweep.csv"
+    devcfg.write_text(json.dumps({"devices": [{"id": i, **spec} for i in range(2)],
+                                  "transfer_latency": 0.25}))
+    assert run_cli("sweep", "--sizes", 16, "--device-counts", "1,3", "--tile-size", 4,
+                   "--devices", devcfg, "--out", out) == 0
+    rng = np.random.default_rng(0)
+    a, b = rng.uniform(0.0, 1.0, size=(16, 16)), rng.uniform(0.0, 1.0, size=(16, 16))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [r["devices"] for r in rows] == ["1", "3"]
+    for r in rows:
+        n = int(r["devices"])
+        machine = Machine([DeviceSpec(i, **spec) for i in range(n)],
+                          ProximityMatrix.uniform(n, bandwidth=spec["host_bandwidth"]),
+                          transfer_latency=0.25)
+        _, want = run(machine, a, b, tile_size=4)
+        assert r["makespan"] == f"{want.makespan:.9g}"
+        for k in ("l1_hits", "l2_hits", "host_fetches", "bytes_host", "bytes_peer",
+                  "evictions"):
+            assert int(r[k]) == getattr(want.cache, k), k
+        assert int(r["steals"]) == len(want.steal_events)
 
 
 def test_sweep_failing_cell_keeps_partial_results(tmp_path, monkeypatch):

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tilerun.devices import (
     HOST,
@@ -13,6 +17,7 @@ from tilerun.devices import (
     save_machine,
     transfer_cost,
 )
+from tilerun.scheduler import run
 
 
 def make_machine(n=2, **kw):
@@ -62,6 +67,12 @@ def test_transfer_cost_rejects_unknown_device():
         transfer_cost(m, HOST, 7, 10)
     with pytest.raises(ConfigError):
         transfer_cost(m, 7, 3, 10)
+    with pytest.raises(ConfigError):
+        transfer_cost(m, -1, 0, 100.0)  # not the last device
+    for bad in (-1, 2, True, 1.0, "1", None):
+        with pytest.raises(ConfigError):
+            m.device(bad)
+    assert m.device(np.int64(1)) is m.devices[1]
 
 
 def test_transfer_latency_added_per_transfer():
@@ -116,6 +127,8 @@ def test_cost_homogeneity():
     pytest.param({"host_bandwidth": float("nan")}, id="bandwidth-nan"),
     pytest.param({"flops_per_unit": float("inf")}, id="flops-inf"),
     pytest.param({"host_bandwidth": float("inf")}, id="bandwidth-inf"),
+    pytest.param({"flops_per_unit": True}, id="flops-bool"),
+    pytest.param({"host_bandwidth": True}, id="bandwidth-bool"),
 ])
 def test_device_spec_validation(bad):
     with pytest.raises(ConfigError):
@@ -156,6 +169,8 @@ def test_machine_validation():
         Machine([DeviceSpec(0)], ProximityMatrix.uniform(1), transfer_latency=float("nan"))
     with pytest.raises(ConfigError):
         Machine([DeviceSpec(0)], ProximityMatrix.uniform(1), transfer_latency=float("inf"))
+    with pytest.raises(ConfigError):
+        Machine([DeviceSpec(0)], ProximityMatrix.uniform(1), transfer_latency=True)
 
 
 def test_machine_config_roundtrip(tmp_path):
@@ -169,6 +184,59 @@ def test_machine_config_roundtrip(tmp_path):
         assert d == e
     assert np.array_equal(loaded.proximity.hops, m.proximity.hops)
     assert np.array_equal(loaded.proximity.peer_bandwidth, m.proximity.peer_bandwidth)
+
+
+def test_numpy_scalars_are_stored_as_python_numbers(tmp_path):
+    m = homogeneous_machine(2, host_bandwidth=np.float64(512.0),
+                            flops_per_unit=np.float32(1000.0), slots=np.int64(4),
+                            transfer_latency=np.float64(0.5))
+    _, stats = run(m, np.ones((16, 16)), np.ones((16, 16)), tile_size=4)
+    assert type(stats.makespan) is float
+    path = tmp_path / "devices.json"
+    save_machine(path, m)
+    loaded = load_machine(path)
+    assert loaded.devices == m.devices
+    assert loaded.transfer_latency == m.transfer_latency
+
+
+def _number(lo, hi):
+    """A finite number in [lo, hi], perhaps as a numpy scalar."""
+    return st.tuples(st.sampled_from([float, np.float64, np.float32]),
+                     st.floats(lo, hi)).map(lambda t: t[0](t[1]))
+
+
+@st.composite
+def machines(draw):
+    """1-4 devices of both kinds, bounded or not, on unequal hops and
+    bandwidths."""
+    n = draw(st.integers(1, 4))
+    devices = []
+    for i in range(n):
+        kind = draw(st.sampled_from(["accelerator", "host-worker"]))
+        capacity = None if kind == "host-worker" else draw(st.none() | st.integers(3, 64))
+        devices.append(DeviceSpec(
+            draw(st.sampled_from([int, np.int64]))(i), kind=kind, capacity_tiles=capacity,
+            flops_per_unit=draw(_number(1e-3, 1e9)), host_bandwidth=draw(_number(1e-3, 1e9)),
+            slots=draw(st.integers(1, 8)), subtile_factor=draw(st.integers(1, 4))))
+    hops = np.zeros((n, n), dtype=int)
+    bw = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i < j:
+                hops[i, j] = hops[j, i] = draw(st.integers(1, 4))
+            if i != j:
+                bw[i, j] = draw(st.floats(1e-3, 1e9))
+    return Machine(devices, ProximityMatrix(hops, bw), transfer_latency=draw(_number(0.0, 1e3)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=machines())
+def test_machine_config_roundtrip_any_machine(m):
+    loaded = Machine.from_dict(json.loads(json.dumps(m.to_dict())))
+    assert loaded.devices == m.devices
+    assert np.array_equal(loaded.proximity.hops, m.proximity.hops)
+    assert np.array_equal(loaded.proximity.peer_bandwidth, m.proximity.peer_bandwidth)
+    assert loaded.transfer_latency == m.transfer_latency
 
 
 def test_malformed_config_rejected(tmp_path):

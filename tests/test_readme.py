@@ -31,11 +31,15 @@ def test_readme_examples_match_the_code():
     assert example.keys() == stats.to_report_dict().keys()
     assert example["schema_version"] == stats.to_report_dict()["schema_version"]
 
-    # the gemm synopsis lists exactly the flags the parser takes
+    # each subcommand's synopsis lines list exactly the flags its parser takes
     synopsis = _block_after("## CLI")
-    gemm = synopsis[synopsis.index("tilerun gemm"):]
-    gemm = gemm[:gemm.index("\ntilerun ")]
+    listed = {}
+    for command in re.split(r"\n(?=tilerun )", synopsis.strip()):
+        name = command.split()[1]
+        listed.setdefault(name, set()).update(re.findall(r"--[a-z][a-z-]*", command))
     subparsers = next(a for a in build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
-    flags = {opt for a in subparsers.choices["gemm"]._actions for opt in a.option_strings}
-    assert set(re.findall(r"--[a-z][a-z-]*", gemm)) == flags - {"-h", "--help"}
+    assert listed.keys() == subparsers.choices.keys()
+    for name, parser in subparsers.choices.items():
+        flags = {opt for a in parser._actions for opt in a.option_strings}
+        assert listed[name] == flags - {"-h", "--help"}, name

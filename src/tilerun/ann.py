@@ -136,14 +136,6 @@ class Layer:
     def weight_uid(self) -> str:
         return f"{self.tag}.w.v{self.version}"
 
-    @classmethod
-    def random(cls, fan_in: int, fan_out: int, rng: np.random.Generator,
-               activation: str = "sigmoid", scale: float = 1.0,
-               bias: bool = True, tag: str = "layer") -> "Layer":
-        w = rng.uniform(-scale, scale, size=(fan_in, fan_out))
-        b = rng.uniform(-scale, scale, size=fan_out) if bias else None
-        return cls(w, b, activation, tag=tag)
-
 
 def forward_layer(layer: Layer, x: np.ndarray, backend, x_uid=None):
     """Returns (pre-activation, activation output)."""
@@ -177,31 +169,33 @@ class Network:
 
     @classmethod
     def from_sizes(cls, sizes: list[int], rng: np.random.Generator,
-                   activation: str = "sigmoid", scale: float = 1.0,
-                   bias: bool = True) -> "Network":
-        """Layer sizes like [2, 8, 1]; every layer uses ``activation``."""
-        if len(sizes) < 2:
-            return cls([])
-        layers = [
-            Layer.random(sizes[i], sizes[i + 1], rng, activation=activation,
-                         scale=scale, bias=bias, tag=f"layer{i}")
-            for i in range(len(sizes) - 1)
-        ]
+                   activation: str = "sigmoid") -> "Network":
+        """Layer sizes like [2, 8, 1]; every layer uses ``activation``.
+
+        Each layer draws its weights, then its bias, uniformly from
+        [-1, 1)."""
+        layers = []
+        for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
+            w = rng.uniform(-1.0, 1.0, size=(fan_in, fan_out))
+            b = rng.uniform(-1.0, 1.0, size=fan_out)
+            layers.append(Layer(w, b, activation, tag=f"layer{i}"))
         return cls(layers)
 
     def forward(self, x: np.ndarray, backend):
-        """Full forward pass; returns (inputs, preacts, acts, uids) per layer."""
+        """Full forward pass; returns (inputs, preacts, acts, uids) per layer.
+
+        Each layer's input gets a fresh uid; the last activation, which no
+        product reads, gets none."""
         xs, ys, acts, uids = [], [], [], []
         cur = x
-        cur_uid = backend.fresh_uid("x")
         for layer in self.layers:
+            cur_uid = backend.fresh_uid("x")
             xs.append(cur)
             uids.append(cur_uid)
             y, a = forward_layer(layer, cur, backend, x_uid=cur_uid)
             ys.append(y)
             acts.append(a)
             cur = a
-            cur_uid = backend.fresh_uid("x")
         return xs, ys, acts, uids
 
     def predict(self, x: np.ndarray, backend=None) -> np.ndarray:

@@ -116,7 +116,10 @@ class ProximityMatrix:
         if not all(isinstance(v, Integral) and not isinstance(v, bool) for v in hops.flat):
             raise ConfigError(f"hop counts must be integers, got {self.hops!r}")
         self.hops = hops.astype(np.int64)
-        self.peer_bandwidth = np.asarray(self.peer_bandwidth, dtype=np.float64)
+        bw = np.asarray(self.peer_bandwidth, dtype=object)
+        if not all(isinstance(v, Real) and not isinstance(v, bool) for v in bw.flat):
+            raise ConfigError(f"peer bandwidths must be numbers, got {self.peer_bandwidth!r}")
+        self.peer_bandwidth = bw.astype(np.float64)
         h, bw = self.hops, self.peer_bandwidth
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ConfigError(f"hops must be square, got shape {h.shape}")

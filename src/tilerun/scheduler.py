@@ -36,7 +36,9 @@ Engines:
 Both engines claim tasks through ``_claim``: refill the device's
 station, run its oldest reservation, and if the station is empty steal
 from the most-loaded peer station (ties to the lowest device id).  A
-device that finds nothing to claim retires.  The engines keep no
+device that finds nothing to claim retires.  Both run each claimed task
+through ``_run_task``, the one task function: the ``sim`` engine passes
+no kernel, the ``threaded`` engine its panel kernel.  The engines keep no
 counters: per-device task counts come from ``Completion``, steal counts
 from the steal events.
 """
@@ -52,7 +54,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .coherence import AcquireResult, CacheDirectory, CacheStats, Memo
+from .coherence import CacheDirectory, CacheStats, Memo
 from .devices import HOST, DeviceSpec, Machine, compute_cost, transfer_cost
 from .msqueue import MichaelScottQueue
 from .tiles import (
@@ -93,13 +95,14 @@ class Completion:
 
 @dataclass
 class Operand:
-    """A tiled matrix as seen by the planner, optionally transposed.
+    """A tiled matrix as a product reads it, optionally transposed.
 
-    Transposition is a view mapping: tile (i, k) of the transposed
-    operand is tile (k, i) of the stored one, and the cache key names the
-    stored coordinates.  The same tiles therefore keep the same identity
-    whether a pass reads the matrix straight or transposed, which is what
-    lets the cache see reuse between the two.
+    ``tiled`` partitions the matrix as read: for a transposed operand,
+    the transpose view of the stored matrix.  Its tile (i, k) is then
+    tile (k, i) of the stored matrix, transposed, and the cache key names
+    the stored coordinates.  The same tiles therefore keep the same
+    identity whether a pass reads the matrix straight or transposed,
+    which is what lets the cache see reuse between the two.
     """
 
     tiled: TiledMatrix
@@ -107,41 +110,19 @@ class Operand:
     transposed: bool = False
 
     @property
-    def grid_rows(self) -> int:
-        return self.tiled.grid_cols if self.transposed else self.tiled.grid_rows
-
-    @property
-    def grid_cols(self) -> int:
-        return self.tiled.grid_rows if self.transposed else self.tiled.grid_cols
-
-    @property
     def element_shape(self) -> tuple[int, int]:
-        r, c = self.tiled.shape
-        return (c, r) if self.transposed else (r, c)
-
-    def tile_view(self, i: int, j: int) -> np.ndarray:
-        if self.transposed:
-            return self.tiled.tile(j, i).T
-        return self.tiled.tile(i, j)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The whole operand as one view of the stored matrix."""
-        return self.tiled.base.T if self.transposed else self.tiled.base
-
-    def row_panel(self, i: int) -> np.ndarray:
-        """Tile row ``i`` as one view: the ``hstack`` of its tiles."""
-        t = self.tiled.tile_size
-        return self.matrix[i * t : (i + 1) * t]
-
-    def col_panel(self, j: int) -> np.ndarray:
-        """Tile column ``j`` as one view: the ``vstack`` of its tiles."""
-        t = self.tiled.tile_size
-        return self.matrix[:, j * t : (j + 1) * t]
+        return self.tiled.shape
 
     def key(self, i: int, j: int) -> TileKey:
-        r, c = (j, i) if self.transposed else (i, j)
-        return TileKey(self.uid, r, c)
+        return TileKey(self.uid, j, i) if self.transposed else TileKey(self.uid, i, j)
+
+
+def _tile(op: Operand, i: int, j: int) -> tuple[TileKey, int, tuple[int, int]]:
+    """Tile ``(i, j)`` of ``op`` as ``(key, nbytes, shape)``: its shape as
+    read, and its bytes, which are its elements times the operand's
+    itemsize.  Input and output tiles alike follow this rule."""
+    rows, cols = op.tiled.tile_shape(i, j)
+    return op.key(i, j), rows * cols * op.tiled.base.itemsize, (rows, cols)
 
 
 @dataclass
@@ -149,9 +130,8 @@ class Plan:
     """The tasks of one product.
 
     ``a_rows[i]`` lists tile row ``i`` of A and ``b_cols[j]`` tile column
-    ``j`` of B, in contraction order, as ``(key, nbytes, shape)``: the
-    step table task ``(i, j)`` reads its inputs from.  A tile's bytes are
-    its elements times its operand's itemsize.
+    ``j`` of B, in contraction order, as :func:`_tile` gives them: the
+    step table task ``(i, j)`` reads its inputs from.
     """
 
     a: Operand
@@ -170,13 +150,13 @@ class Plan:
         return self.grid_rows * self.grid_cols
 
 
-def plan(a: Operand, b: Operand, c_uid: str = "C") -> Plan:
+def plan(a: Operand, b: Operand) -> Plan:
     """Build one task per output tile and enqueue them all (row-major).
 
     The output is allocated as zeros of the operands' result dtype and
-    partitioned with their tile size.  Its uid may be any string, an
-    operand's included: an output tile takes its device's reserved slot
-    and never enters a residency set, so its key meets no input's.
+    partitioned with their tile size.  Its uid is ``"C"``, which an input
+    may share: an output tile takes its device's reserved slot and never
+    enters a residency set, so its key meets no input's.
     """
     if a.tiled.tile_size != b.tiled.tile_size:
         raise ValueError(
@@ -188,27 +168,19 @@ def plan(a: Operand, b: Operand, c_uid: str = "C") -> Plan:
         raise ValueError(f"inner dimensions differ: {a.element_shape} x {b.element_shape}")
     out = partition(np.zeros((am, bn), dtype=np.result_type(a.tiled.base, b.tiled.base)),
                     a.tiled.tile_size)
-    c = Operand(out, c_uid)
-    grid_rows, grid_cols = c.grid_rows, c.grid_cols
-    k_steps = a.grid_cols
-    assert k_steps == b.grid_rows  # forced by equal element dims and tile size
+    grid_rows, grid_cols = out.grid_rows, out.grid_cols
+    k_steps = a.tiled.grid_cols
+    assert k_steps == b.tiled.grid_rows  # forced by equal element dims and tile size
     n_tasks = grid_rows * grid_cols
     queue = MichaelScottQueue()
     for tid in range(n_tasks):
         queue.enqueue(tid)
-
-    def entry(op: Operand, i: int, j: int):
-        key = op.key(i, j)
-        rows, cols = op.tiled.tile_shape(key.row, key.col)
-        return (key, rows * cols * op.tiled.base.itemsize,
-                (cols, rows) if op.transposed else (rows, cols))
-
     return Plan(
-        a=a, b=b, c=c,
+        a=a, b=b, c=Operand(out, "C"),
         grid_rows=grid_rows, grid_cols=grid_cols, k_steps=k_steps,
         queue=queue, completion=Completion(n_tasks),
-        a_rows=[[entry(a, i, k) for k in range(k_steps)] for i in range(grid_rows)],
-        b_cols=[[entry(b, k, j) for k in range(k_steps)] for j in range(grid_cols)],
+        a_rows=[[_tile(a, i, k) for k in range(k_steps)] for i in range(grid_rows)],
+        b_cols=[[_tile(b, k, j) for k in range(k_steps)] for j in range(grid_cols)],
     )
 
 
@@ -353,69 +325,41 @@ def write_report_csv(stats: RunStats, path) -> None:
 # -- task execution ------------------------------------------------------
 
 
-def _begin_task(plan_: Plan, directory: CacheDirectory,
-                did: int, i: int, j: int) -> list[AcquireResult]:
-    """The directory side of task ``(i, j)`` on device ``did`` up to its
-    data.
+def _run_task(plan_: Plan, directory: CacheDirectory, did: int, task_id: int,
+              kernel=None) -> tuple[int, int, list, int]:
+    """Run task ``task_id`` on device ``did``: the one task of both engines.
 
-    The output tile takes the device's reserved output slot until
-    ``_end_task`` writes it back; the device's set holds input tiles
-    only.  The contraction steps are accounting only, read from the
-    plan's step table: one directory transaction resolves the requests
-    A, B of each step in turn, so B is admitted while its step's A is
-    the most recent input, and LRU with room for at least two inputs
-    keeps that A beside it.  The task holds no input once the
-    transaction returns.  If anything raises, the task aborts the output
-    tile, so it leaves no output tile behind.
+    The output tile takes the device's reserved output slot until it is
+    written back; the device's set holds input tiles only.  The
+    contraction steps are accounting only, read from the plan's step
+    table: one directory transaction resolves the requests A, B of each
+    step in turn, so B is admitted while its step's A is the most recent
+    input, and LRU with room for at least two inputs keeps that A beside
+    it.  The task holds no input once the transaction returns.  Then, if
+    a ``kernel`` is given (the threaded engine's), ``kernel(i, j)``
+    computes output tile ``(i, j)`` while the tile is held.  If anything
+    raises, the task aborts the output tile, so it leaves no output tile
+    behind.  Otherwise the tile is written back and released, and the
+    task is recorded as run on ``did``.
 
-    Returns the directory's results, A and B per step in step order.
+    Returns ``(i, j, results, writeback bytes)``, where ``results`` are
+    the directory's results, A and B per step in step order.
     """
-    c_key = plan_.c.key(i, j)
+    i, j = decode_task(task_id, plan_.grid_cols, plan_.grid_rows)
+    c_key, wb_bytes, _ = _tile(plan_.c, i, j)
     directory.admit_output(did, c_key)
     try:
-        return directory.acquire_input(did, [(key, nbytes)
-                                             for step in zip(plan_.a_rows[i], plan_.b_cols[j])
-                                             for key, nbytes, _ in step])
+        got = directory.acquire_input(did, [(key, nbytes)
+                                            for step in zip(plan_.a_rows[i], plan_.b_cols[j])
+                                            for key, nbytes, _ in step])
+        if kernel is not None:
+            kernel(i, j)
     except BaseException:
         directory.abort_output(did, c_key)
         raise
-
-
-def _end_task(plan_: Plan, directory: CacheDirectory,
-              did: int, task_id: int, i: int, j: int) -> int:
-    """Write task ``(i, j)``'s output tile back to host, release it and
-    record the task as run on ``did``; returns the bytes written back."""
-    rows, cols = plan_.c.tiled.tile_shape(i, j)
-    wb_bytes = rows * cols * plan_.c.tiled.base.itemsize
-    directory.release_output(did, plan_.c.key(i, j), wb_bytes)
+    directory.release_output(did, c_key, wb_bytes)
     plan_.completion.mark(task_id, did)
-    return wb_bytes
-
-
-def _execute_task(plan_: Plan, directory: CacheDirectory, dev: DeviceSpec,
-                  task_id: int) -> None:
-    """Run one task to completion on ``dev``, data included: the threaded
-    engine's task.  (The ``sim`` engine computes the whole product with
-    one kernel call up front, and its tasks are ``_begin_task`` and
-    ``_end_task`` only.)
-
-    Between the two, while the output tile is held, one kernel call
-    multiplies the A row panel by the B column panel into the output
-    tile; the kernel's ascending order makes that bit-identical to one
-    call per step, and to the ``sim`` engine's one call.  A host worker's
-    call is sub-blocked by its ``subtile_factor``.  If the kernel raises,
-    the output tile is aborted as in ``_begin_task``.
-    """
-    did = dev.device_id
-    i, j = decode_task(task_id, plan_.grid_cols, plan_.grid_rows)
-    _begin_task(plan_, directory, did, i, j)
-    try:
-        accumulate_product(plan_.a.row_panel(i), plan_.b.col_panel(j), plan_.c.tile_view(i, j),
-                           sub_blocks=dev.subtile_factor if dev.is_host_worker else 1)
-    except BaseException:
-        directory.abort_output(did, plan_.c.key(i, j))
-        raise
-    _end_task(plan_, directory, did, task_id, i, j)
+    return i, j, got, wb_bytes
 
 
 # -- engines --------------------------------------------------------------
@@ -477,7 +421,7 @@ def _run_sim(machine, plan_, directory, clocks, prices, events, steal_enabled):
     task, step k+1's fetch may run any number of steps ahead of compute
     k on the same terms.  Every clock only moves forward, because every
     cost is >= 0."""
-    accumulate_product(plan_.a.matrix, plan_.b.matrix, plan_.c.tiled.base)
+    accumulate_product(plan_.a.tiled.base, plan_.b.tiled.base, plan_.c.tiled.base)
     stations = {d.device_id: ReservationStation(d.slots) for d in machine.devices}
     heap = [(clocks[d.device_id][0], d.device_id) for d in machine.devices]
     heapq.heapify(heap)
@@ -493,9 +437,8 @@ def _run_sim(machine, plan_, directory, clocks, prices, events, steal_enabled):
         else:
             lead = claimed.get(did, t)
         claimed[did] = t
-        i, j = decode_task(tid, plan_.grid_cols, plan_.grid_rows)
-        got = iter(_begin_task(plan_, directory, did, i, j))
-        wb = _end_task(plan_, directory, did, tid, i, j)
+        i, j, got, wb = _run_task(plan_, directory, did, tid)
+        got = iter(got)
         fetch, compute = prices[did]
         co, tr, wr = clocks[did]
         tr = max(tr, lead)
@@ -518,8 +461,20 @@ def _run_threaded(machine, plan_, directory, events, steal_enabled):
     abort = threading.Event()
     errors: list[BaseException] = []
 
+    a, b, c = plan_.a.tiled.base, plan_.b.tiled.base, plan_.c.tiled
+    t = c.tile_size
+
     def worker(dev: DeviceSpec):
         did = dev.device_id
+        sub_blocks = dev.subtile_factor if dev.is_host_worker else 1
+
+        def kernel(i, j):
+            # A's tile row i times B's tile column j, one view each: the
+            # kernel's ascending order makes one call bit-identical to one
+            # call per step, and to the sim engine's one call
+            accumulate_product(a[i * t : (i + 1) * t], b[:, j * t : (j + 1) * t], c.tile(i, j),
+                               sub_blocks=sub_blocks)
+
         while not abort.is_set():
             tid, victim = _claim(did, stations, plan_.queue, steal_enabled)
             if tid is None:
@@ -528,7 +483,7 @@ def _run_threaded(machine, plan_, directory, events, steal_enabled):
                 with shared_lock:
                     events.append(StealEvent(did, victim, tid))
             try:
-                _execute_task(plan_, directory, dev, tid)
+                _run_task(plan_, directory, did, tid, kernel)
             except BaseException as exc:  # surface worker failures to the caller
                 with shared_lock:
                     errors.append(exc)
@@ -569,7 +524,8 @@ class Runtime:
     Device clocks and cache residency persist across ``multiply`` calls,
     so back-to-back products (e.g. the passes of a training step) see
     each other's cached tiles.  Per-call statistics are deltas against
-    the session counters.
+    the session counters.  Either engine runs every task of a product
+    through ``_run_task``.
 
     A session prices and ranks peers from the machine it was built with.
     The directory fixes each device's capacity and peer ranking at
@@ -608,19 +564,19 @@ class Runtime:
         return max(max(c) for c in self.clocks.values())
 
     def operand(self, m, uid: str | None = None, transposed: bool = False) -> Operand:
-        return Operand(partition(m, self.tile_size), uid or self.fresh_uid(), transposed)
+        """``m`` as a product reads it: ``m.T`` when ``transposed``."""
+        return Operand(partition(np.asarray(m).T if transposed else m, self.tile_size),
+                       uid or self.fresh_uid(), transposed)
 
     def multiply(self, a, b, transpose_a: bool = False, transpose_b: bool = False,
-                 a_uid: str | None = None, b_uid: str | None = None,
-                 c_uid: str | None = None):
+                 a_uid: str | None = None, b_uid: str | None = None):
         """Full scheduled product of two dense arrays, each optionally
         transposed; returns ``(C, RunStats)``.
 
         ``C`` is the output array the plan zeroed for this call alone, not
         a copy: the caller owns it, and no later product reads it.  The
         stats are deltas of the session's counters."""
-        plan_ = plan(self.operand(a, a_uid, transpose_a), self.operand(b, b_uid, transpose_b),
-                     c_uid=c_uid or self.fresh_uid("c"))
+        plan_ = plan(self.operand(a, a_uid, transpose_a), self.operand(b, b_uid, transpose_b))
         events: list[StealEvent] = []
         cache_before = self.directory.stats_per_device()
         sim_before = self.sim_now()
@@ -661,4 +617,4 @@ def run(machine: Machine, a, b, tile_size: int, mode: str = "sim",
         steal: bool = True, coherence: bool = True):
     """One-shot product of two dense matrices through the full runtime."""
     rt = Runtime(machine, tile_size, mode=mode, steal=steal, coherence=coherence)
-    return rt.multiply(a, b, a_uid="A", b_uid="B", c_uid="C")
+    return rt.multiply(a, b, a_uid="A", b_uid="B")

@@ -18,7 +18,7 @@ from tilerun.ann import (
 )
 from tilerun.devices import homogeneous_machine
 from tilerun.scheduler import Operand, plan
-from tilerun.tiles import partition, reference_gemm
+from tilerun.tiles import partition
 
 
 def tiled_backend(n_devices=2, tile_size=4, **kw):
@@ -234,6 +234,33 @@ def test_session_keeps_one_shared_result_per_source_and_size(monkeypatch):
     # tile size the session meets (2x2 and 2x1 float64 tiles)
     assert pairs == {(0, 0), (1, 0), (0, 16), (0, 32), (1, 16), (1, 32),
                      ("host", 16), ("host", 32)}
+
+
+def test_train_step_makes_uids_only_for_operands_its_products_read(monkeypatch):
+    # A [2, 8, 1] step multiplies X0·W0, X1·W1, X1ᵀ·dY1, dY1·W1ᵀ, X0ᵀ·dY0
+    # and dY0·W0ᵀ: two layer inputs and two gradients, four uids.
+    rng = np.random.default_rng(0)
+    net = Network.from_sizes([2, 8, 1], rng, activation="sigmoid")
+    x, target = xor_dataset()
+    backend = tiled_backend(2, 2)
+    rt = backend.runtime
+    made, read = [], set()
+    fresh_uid, multiply = rt.fresh_uid, rt.multiply
+
+    def fresh_logged(prefix="m"):
+        made.append(fresh_uid(prefix))
+        return made[-1]
+
+    def multiply_logged(a, b, **kw):
+        read.update((kw["a_uid"], kw["b_uid"]))
+        return multiply(a, b, **kw)
+
+    monkeypatch.setattr(rt, "fresh_uid", fresh_logged)
+    monkeypatch.setattr(rt, "multiply", multiply_logged)
+    train_step(net, x, target, 0.5, backend)
+    assert len(backend.call_stats) == 6
+    assert len(made) == len(set(made)) == 4
+    assert read == set(made) | {"layer0.w.v0", "layer1.w.v0"}
 
 
 # -- planning scale and benchmarking -------------------------------------------

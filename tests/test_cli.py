@@ -122,6 +122,10 @@ def test_gemm_missing_input_is_io_error(tmp_path):
     '{"devices": [{"id": 0, "host_bandwidth": Infinity}]}',
     '{"devices": [{"id": 0}, {"id": 1}], '
     '"proximity": {"hops": [[0, 1], [1, 0]], "peer_bandwidth": [[0, Infinity], [1, 0]]}}',
+    '{"devices": [{"id": 0}, {"id": 1}], '
+    '"proximity": {"hops": [[0, 1], [1, 0]], "peer_bandwidth": [[0, true], [true, 0]]}}',
+    '{"devices": [{"id": 0}, {"id": 1}], '
+    '"proximity": {"hops": [[0, 1], [1, 0]], "peer_bandwidth": [[0, "4"], ["4", 0]]}}',
     '{"devices": [{"id": 0}], "transfer_latency": Infinity}',
     '{"devices": [{"id": 0}, {"id": 1}], '
     '"proximity": {"hops": [[0, 1.7], [1.7, 0]], "peer_bandwidth": [[0, 1], [1, 0]]}}',
@@ -139,7 +143,8 @@ def test_gemm_missing_input_is_io_error(tmp_path):
     '{"devices": [{"id": 0}], "dtype": "float64"}',
 ], ids=["capacity-below-3", "capacity-float", "id-float", "latency-str", "dtype-bogus",
         "flops-nan", "bandwidth-nan", "peer-bandwidth-nan", "latency-nan",
-        "flops-inf", "bandwidth-inf", "peer-bandwidth-inf", "latency-inf",
+        "flops-inf", "bandwidth-inf", "peer-bandwidth-inf", "peer-bandwidth-bool",
+        "peer-bandwidth-str", "latency-inf",
         "hops-float", "hops-bool", "hops-inf", "hops-beyond-int64",
         "device-key-typo", "top-level-key-typo", "proximity-key-typo", "dtype-float64"])
 def test_gemm_bad_device_config_is_config_error(tmp_path, capsys, config):

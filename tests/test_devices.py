@@ -171,6 +171,11 @@ def test_machine_validation():
         Machine([DeviceSpec(0)], ProximityMatrix.uniform(1), transfer_latency=float("inf"))
     with pytest.raises(ConfigError):
         Machine([DeviceSpec(0)], ProximityMatrix.uniform(1), transfer_latency=True)
+    # peer bandwidths are numbers, as hops are integers: no bools, no strings
+    for bw in ([[0, True], [True, 0]], [[0, "4"], ["4", 0]]):
+        with pytest.raises(ConfigError):
+            Machine.from_dict({"devices": [{"id": 0}, {"id": 1}],
+                               "proximity": {"hops": [[0, 1], [1, 0]], "peer_bandwidth": bw}})
 
 
 def test_machine_config_roundtrip(tmp_path):

@@ -43,3 +43,15 @@ def test_readme_examples_match_the_code():
     for name, parser in subparsers.choices.items():
         flags = {opt for a in parser._actions for opt in a.option_strings}
         assert listed[name] == flags - {"-h", "--help"}, name
+
+
+def test_readme_library_examples_run():
+    # the python blocks under "Quick start (library)", in one namespace,
+    # as a reader would paste them one after the other
+    section = README[README.index("## Quick start (library)"):README.index("## CLI")]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(block, namespace)
+    assert namespace["loss"] < 0.05  # the XOR example trains

@@ -28,7 +28,7 @@ from tilerun.scheduler import (
     ReservationStation,
     Runtime,
     _claim,
-    _execute_task,
+    _run_task,
     plan,
     run,
     steal_task,
@@ -319,23 +319,24 @@ def test_exactly_once_under_threaded_stress():
         sys.setswitchinterval(interval)
 
 
-# -- panels: one kernel call per task ---------------------------------------
+# -- tiles as read, and one kernel call per task -------------------------------
 
 
 @pytest.mark.parametrize("transposed", [False, True])
-def test_operand_panels_are_stacks_of_tile_views(transposed):
+def test_read_tile_is_the_stored_tile_its_key_names(transposed):
+    # An operand is tiled as it is read; its key names the stored tile,
+    # whose transpose the read tile is when the operand is transposed.
     stored = np.arange(7 * 11, dtype=np.float64).reshape(7, 11)
-    op = Operand(partition(stored, 3), "X", transposed)
-    for i in range(op.grid_rows):
-        row = np.hstack([op.tile_view(i, k) for k in range(op.grid_cols)])
-        panel = op.row_panel(i)
-        assert panel.shape == row.shape and np.array_equal(panel, row)
-        assert np.shares_memory(panel, stored)  # a view, never a copy
-    for j in range(op.grid_cols):
-        col = np.vstack([op.tile_view(k, j) for k in range(op.grid_rows)])
-        panel = op.col_panel(j)
-        assert panel.shape == col.shape and np.array_equal(panel, col)
-        assert np.shares_memory(panel, stored)
+    op = Runtime(homogeneous_machine(1), tile_size=3).operand(stored, "X", transposed)
+    assert op.element_shape == ((11, 7) if transposed else (7, 11))
+    stored_tiles = partition(stored, 3)
+    for i in range(op.tiled.grid_rows):
+        for j in range(op.tiled.grid_cols):
+            key = op.key(i, j)
+            want = stored_tiles.tile(key.row, key.col)
+            tile = op.tiled.tile(i, j)
+            assert np.array_equal(tile, want.T if transposed else want)
+            assert np.shares_memory(tile, stored)  # a view, never a copy
 
 
 @settings(max_examples=100, deadline=None)
@@ -345,12 +346,14 @@ def test_operand_panels_are_stacks_of_tile_views(transposed):
        dtypes=st.tuples(*[st.sampled_from([np.float32, np.float64])] * 2))
 def test_step_table_matches_tile_views(tile, grid, ragged, transposes, dtypes):
     # plan() builds its step table from tile_shape and the operand's
-    # itemsize, not from tile views; the views stay the oracle, for
-    # straight and transposed operands of either width.
+    # itemsize, not from tile views; the stored tiles the keys name stay
+    # the oracle, for straight and transposed operands of either width.
     m, k, n = (tile * (g - 1) + 1 + r % tile for g, r in zip(grid, ragged))
-    a, b = (Operand(partition(np.zeros(shape[::-1] if t else shape, dtype=dt), tile), uid, t)
-            for shape, uid, t, dt in (((m, k), "A", transposes[0], dtypes[0]),
-                                      ((k, n), "B", transposes[1], dtypes[1])))
+    stored = {uid: partition(np.zeros(shape[::-1] if t else shape, dtype=dt), tile)
+              for shape, uid, t, dt in (((m, k), "A", transposes[0], dtypes[0]),
+                                        ((k, n), "B", transposes[1], dtypes[1]))}
+    a, b = (Operand(partition(stored[uid].base.T if t else stored[uid].base, tile), uid, t)
+            for uid, t in zip("AB", transposes))
     p = plan(a, b)
     for tm in (a.tiled, b.tiled, p.c.tiled):
         for r in range(tm.grid_rows):
@@ -358,8 +361,9 @@ def test_step_table_matches_tile_views(tile, grid, ragged, transposes, dtypes):
                 assert tm.tile_shape(r, c) == tm.tile(r, c).shape
 
     def entry(op, i, j):
-        view = op.tile_view(i, j)
-        return op.key(i, j), view.nbytes, view.shape
+        key = op.key(i, j)
+        view = stored[key.matrix].tile(key.row, key.col)
+        return key, view.nbytes, view.T.shape if op.transposed else view.shape
 
     assert p.a_rows == [[entry(a, i, kk) for kk in range(p.k_steps)]
                         for i in range(p.grid_rows)]
@@ -368,11 +372,13 @@ def test_step_table_matches_tile_views(tile, grid, ragged, transposes, dtypes):
 
 
 def _float_operand(rng, shape, dtype, tile, transposed):
-    # stored as the transpose when the operand reads it transposed
+    # stored as the transpose when the operand reads it transposed, and
+    # tiled as read
     x = rng.standard_normal(shape[::-1] if transposed else shape)
     x *= 10.0 ** rng.integers(-6, 7, size=x.shape)
     x[rng.random(x.shape) < 0.1] = -0.0
-    return Operand(partition(x.astype(dtype), tile), "X", transposed)
+    x = x.astype(dtype)
+    return Operand(partition(x.T if transposed else x, tile), "X", transposed)
 
 
 @settings(max_examples=150, deadline=None)
@@ -400,13 +406,16 @@ def test_task_panel_product_matches_per_step_loop_bitwise(tile, grid, ragged, dt
     # the output takes A's dtype, as plan() allocates it
     c = _float_operand(rng, (m, n), dtypes[0], tile, False).tiled
     expected = partition(c.base.copy(), tile)
-    whole = accumulate_product(a.matrix, b.matrix, c.base.copy())
+    a, b = a.tiled, b.tiled
+    whole = accumulate_product(a.base, b.base, c.base.copy())
     for i in range(c.grid_rows):
         for j in range(c.grid_cols):
             for kk in range(a.grid_cols):
-                accumulate_product(a.tile_view(i, kk), b.tile_view(kk, j),
+                accumulate_product(a.tile(i, kk), b.tile(kk, j),
                                    expected.tile(i, j), sub_blocks=sub_blocks)
-            accumulate_product(a.row_panel(i), b.col_panel(j), c.tile(i, j),
+            # A's tile row i and B's tile column j, one view each
+            accumulate_product(a.base[i * tile : (i + 1) * tile],
+                               b.base[:, j * tile : (j + 1) * tile], c.tile(i, j),
                                sub_blocks=sub_blocks)
     assert c.base.tobytes() == expected.base.tobytes()
     assert whole.tobytes() == expected.base.tobytes()
@@ -575,9 +584,16 @@ def test_execute_task_and_double_execution_guard():
     p = plan(*operands(a, b, 4))
     directory = CacheDirectory(machine)
     stations = {0: ReservationStation(4)}
+
+    def kernel(i, j):  # A's tile row i times B's tile column j
+        accumulate_product(a[i * 4 : (i + 1) * 4], b[:, j * 4 : (j + 1) * 4],
+                           p.c.tiled.tile(i, j))
+
     while (tid := _claim(0, stations, p.queue, steal_enabled=True)[0]) is not None:
         assert not p.completion.all_done()
-        _execute_task(p, directory, machine.device(0), tid)
+        i, j, got, wb = _run_task(p, directory, 0, tid, kernel)
+        assert (i, j) == divmod(tid, 2) and len(got) == 2 * p.k_steps
+        assert wb == 4 * 4 * 8  # one float64 output tile
     assert p.completion.all_done()
     assert p.completion.ran_on == [0] * p.total_tasks
     assert np.array_equal(reassemble(p.c.tiled), reference_gemm(a, b))
@@ -681,7 +697,7 @@ def test_failed_task_leaves_no_pins_or_output_tile(monkeypatch, site, mode):
 
         monkeypatch.setattr(d, "acquire_input", acquire_watching_a)
     with pytest.raises(ArithmeticError, match="call 5$"):
-        rt.multiply(a, b, a_uid="X", b_uid="W", c_uid="C1")
+        rt.multiply(a, b, a_uid="X", b_uid="W")
     monkeypatch.undo()
     if site == "a-held":
         assert len(a_kept) >= 4 and all(kept for _, kept in a_kept)
@@ -689,7 +705,7 @@ def test_failed_task_leaves_no_pins_or_output_tile(monkeypatch, site, mode):
     assert not [t for t in threading.enumerate() if t.name.startswith("device-")]
     d.check_invariants()
     assert set(d._output.values()) == {None}
-    assert not [k for dev in (0, 1) for k in d.residents(dev) if k.matrix == "C1"]
+    assert not [k for dev in (0, 1) for k in d.residents(dev) if k.matrix == "C"]
     if site == "kernel":
         assert d.stats().writebacks == len(done)  # the failed task wrote nothing back
     x, y = int_matrix(rng, 12, 12), int_matrix(rng, 12, 12)
@@ -713,11 +729,11 @@ def test_sim_kernel_fault_leaves_model_untouched(monkeypatch):
                         _fail_at(scheduler.accumulate_product, 1))
     a, b = int_matrix(rng, 12, 12), int_matrix(rng, 12, 12)
     with pytest.raises(ArithmeticError, match="call 1$"):
-        rt.multiply(a, b, a_uid="X", b_uid="W", c_uid="C1")
+        rt.multiply(a, b, a_uid="X", b_uid="W")
     monkeypatch.undo()
     d.check_invariants()
     assert set(d._output.values()) == {None}
-    assert not [k for dev in (0, 1) for k in d.residents(dev) if k.matrix in ("X", "W", "C1")]
+    assert not [k for dev in (0, 1) for k in d.residents(dev) if k.matrix in ("X", "W", "C")]
     assert [list(c) for c in rt.clocks.values()] == clocks
     assert d.stats() == stats
     c, after = rt.multiply(a, b)
@@ -793,7 +809,7 @@ def test_one_directory_transaction_per_task(monkeypatch, mode):
             for seen in calls.values():
                 seen.clear()
             priced.clear()
-            c, stats = rt.multiply(a, b, a_uid="A", b_uid="B", c_uid="C")
+            c, stats = rt.multiply(a, b, a_uid="A", b_uid="B")
             assert np.array_equal(c, reference_gemm(a, b))
             assert (stats.total_tasks, stats.k_steps) == (9, 2)
             # one flat acquire of A and B for each step in turn, and nothing to release
@@ -947,26 +963,30 @@ def test_sim_makespan_at_least_the_area_bound(machine, tile, shape):
 @pytest.mark.parametrize("mode", ["sim", "threaded"])
 @pytest.mark.usefixtures("directory_invariants")
 def test_output_uid_may_name_any_operand(mode, capacity):
-    # A session multiplies X·Y, then P·Q into an output whose uid names an
-    # operand of the earlier product, an operand of its own, or nothing.
+    # A session multiplies X·Y, then P·Q.  Every output's uid is "C", and
+    # naming any one operand "C" too changes nothing but that name.
     # Threaded task placement races on more than one device, so that
     # engine runs on one.
     rng = np.random.default_rng(28)
     x, y, p, q = (int_matrix(rng, 12, 12) for _ in range(4))
 
-    def session(c_uid):
+    def session(uids):
         rt = Runtime(homogeneous_machine(2 if mode == "sim" else 1, capacity_tiles=capacity),
                      tile_size=4, mode=mode)
-        rt.multiply(x, y, a_uid="X", b_uid="Y")
-        c, stats = rt.multiply(p, q, a_uid="P", b_uid="Q", c_uid=c_uid)
+        rt.multiply(x, y, a_uid=uids[0], b_uid=uids[1])
+        c, stats = rt.multiply(p, q, a_uid=uids[2], b_uid=uids[3])
         assert np.array_equal(c, reference_gemm(p, q))
         n = len(rt.machine.devices)
+        # residents by the operand's position, whatever its name
         return (stats.cache_per_device, stats.makespan, stats.tasks_by_device,
-                [rt.directory.residents(dev) for dev in range(n)])
+                [[(uids.index(k.matrix), k.row, k.col) for k in rt.directory.residents(dev)]
+                 for dev in range(n)])
 
-    fresh = session("Z")
-    for c_uid in ("X", "Y", "P", "Q"):
-        assert session(c_uid) == fresh, c_uid
+    named = ["X", "Y", "P", "Q"]
+    fresh = session(named)
+    for at in range(4):
+        uids = named[:at] + ["C"] + named[at + 1 :]
+        assert session(uids) == fresh, uids
 
 
 # -- session reuse and reports -------------------------------------------------

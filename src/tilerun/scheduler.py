@@ -2,19 +2,19 @@
 
 One task per output tile.  The task's contraction steps, in ascending
 order, are accounting only: one cache-directory transaction resolves the
-input tiles of all of them, read from a step table the plan builds once,
-and the ``sim`` engine then prices each step's fetch and compute from
-per-device tables that the session fills as prices are first met.  The
-data never passes through the directory.  The fixed-order kernel
-accumulates the contraction index in ascending order however its
-operands are blocked, so the product's bits do not depend on the
-schedule: the ``sim`` engine computes the whole product with one kernel
-call before it claims any task, and the ``threaded`` engine makes one
-call per task, which multiplies the A row panel by the B column panel
-into the task's output tile.  Because every output tile has exactly one
-owner and the accumulation order is fixed, the numerical result is
-bit-identical across device counts, steal interleavings, and engine
-choice.
+input tiles of all of them, read from a step table that a session builds
+once per product shape and binds to each call's uids, and the ``sim``
+engine then prices each step's fetch and compute from per-device tables
+that the session fills as prices are first met.  The data never passes
+through the directory.  The fixed-order kernel accumulates the
+contraction index in ascending order however its operands are blocked,
+so the product's bits do not depend on the schedule: the ``sim`` engine
+computes the whole product with one kernel call before it claims any
+task, and the ``threaded`` engine makes one call per task, which
+multiplies the A row panel by the B column panel into the task's output
+tile.  Because every output tile has exactly one owner and the
+accumulation order is fixed, the numerical result is bit-identical
+across device counts, steal interleavings, and engine choice.
 
 Engines:
 
@@ -61,6 +61,7 @@ from .tiles import (
     TiledMatrix,
     TileKey,
     accumulate_product,
+    as_tile_size,
     decode_task,
     partition,
     reassemble,  # noqa: F401 -- see below
@@ -75,15 +76,21 @@ from .tiles import (
 SCHEMA_VERSION = 2
 
 
+def _check_task_id(task_id: int, n_tasks: int) -> None:
+    if not 0 <= task_id < n_tasks:
+        raise ValueError(f"task id {task_id} outside 0..{n_tasks - 1}")
+
+
 class Completion:
     """Exactly-once execution record: the device that ran each task.
-    Marking a task twice is an error."""
+    Marking a task twice, or an id outside the tasks, is an error."""
 
     def __init__(self, n_tasks: int):
         self.ran_on: list[int | None] = [None] * n_tasks
         self._lock = threading.Lock()
 
     def mark(self, task_id: int, device: int) -> None:
+        _check_task_id(task_id, len(self.ran_on))
         with self._lock:
             if self.ran_on[task_id] is not None:
                 raise RuntimeError(f"task {task_id} executed twice")
@@ -113,25 +120,80 @@ class Operand:
     def element_shape(self) -> tuple[int, int]:
         return self.tiled.shape
 
-    def key(self, i: int, j: int) -> TileKey:
-        return TileKey(self.uid, j, i) if self.transposed else TileKey(self.uid, i, j)
+
+def _extents(n: int, t: int) -> list[int]:
+    """The extents of the tiles that split ``n`` elements by ``t``: ``t``
+    each, and what is left in a ragged last tile."""
+    return [min(t, n - s) for s in range(0, n, t)]
 
 
-def _tile(op: Operand, i: int, j: int) -> tuple[TileKey, int, tuple[int, int]]:
-    """Tile ``(i, j)`` of ``op`` as ``(key, nbytes, shape)``: its shape as
-    read, and its bytes, which are its elements times the operand's
-    itemsize.  Input and output tiles alike follow this rule."""
-    rows, cols = op.tiled.tile_shape(i, j)
-    return op.key(i, j), rows * cols * op.tiled.base.itemsize, (rows, cols)
+@dataclass(frozen=True)
+class PlanTemplate:
+    """What the plan of a product derives from its shapes alone.
+
+    ``a_rows[i]`` lists tile row ``i`` of A and ``b_cols[j]`` tile column
+    ``j`` of B, in contraction order, as ``(row, col, nbytes, shape)``:
+    the tile's stored coordinates (swapped, once, for a transposed
+    operand), and its bytes and shape as read.  Its bytes are its
+    elements times the operand's itemsize; input and output tiles alike
+    follow this rule.  ``tasks[task_id]`` is ``(i, j, output key,
+    writeback bytes)``; every output's uid is ``"C"``, so its keys are
+    known before any uid is.
+    """
+
+    grid_rows: int
+    grid_cols: int
+    k_steps: int
+    out_shape: tuple[int, int]
+    out_dtype: np.dtype
+    a_rows: list
+    b_cols: list
+    tasks: list
+
+
+def _shape_key(a: Operand, b: Operand) -> tuple:
+    """Everything a plan template depends on: the tile size, and per
+    operand its shape as read, whether it is transposed, and its dtype
+    (the output's dtype is their result type)."""
+    return (a.tiled.tile_size,
+            (a.element_shape, a.transposed, a.tiled.base.dtype),
+            (b.element_shape, b.transposed, b.tiled.base.dtype))
+
+
+def _template(key: tuple) -> PlanTemplate:
+    """The template of a :func:`_shape_key`, built from the key alone."""
+    t, (a_shape, a_transposed, a_dtype), (b_shape, b_transposed, b_dtype) = key
+    rows, steps, cols = _extents(a_shape[0], t), _extents(a_shape[1], t), _extents(b_shape[1], t)
+
+    def tile(i, j, height, width, itemsize, transposed):
+        r, c = (j, i) if transposed else (i, j)
+        return r, c, height * width * itemsize, (height, width)
+
+    out_dtype = np.result_type(a_dtype, b_dtype)
+    grid_rows, grid_cols = len(rows), len(cols)
+    tasks = []
+    for tid in range(grid_rows * grid_cols):
+        i, j = decode_task(tid, grid_cols, grid_rows)
+        tasks.append((i, j, TileKey("C", i, j), rows[i] * cols[j] * out_dtype.itemsize))
+    return PlanTemplate(
+        grid_rows=grid_rows, grid_cols=grid_cols, k_steps=len(steps),
+        out_shape=(a_shape[0], b_shape[1]), out_dtype=out_dtype,
+        a_rows=[[tile(i, k, m, s, a_dtype.itemsize, a_transposed) for k, s in enumerate(steps)]
+                for i, m in enumerate(rows)],
+        b_cols=[[tile(k, j, s, n, b_dtype.itemsize, b_transposed) for k, s in enumerate(steps)]
+                for j, n in enumerate(cols)],
+        tasks=tasks,
+    )
 
 
 @dataclass
 class Plan:
-    """The tasks of one product.
+    """The tasks of one product: a template bound to its operands' uids.
 
-    ``a_rows[i]`` lists tile row ``i`` of A and ``b_cols[j]`` tile column
-    ``j`` of B, in contraction order, as :func:`_tile` gives them: the
-    step table task ``(i, j)`` reads its inputs from.
+    ``a_rows`` and ``b_cols`` are the template's step tables with each
+    tile's coordinates turned into its :class:`TileKey`, as
+    ``(key, nbytes, shape)``: the table task ``(i, j)`` reads its inputs
+    from.  ``tasks`` is the template's task table.
     """
 
     a: Operand
@@ -144,43 +206,47 @@ class Plan:
     completion: Completion
     a_rows: list
     b_cols: list
+    tasks: list
 
     @property
     def total_tasks(self) -> int:
         return self.grid_rows * self.grid_cols
 
 
-def plan(a: Operand, b: Operand) -> Plan:
+def plan(a: Operand, b: Operand, templates: Memo | None = None) -> Plan:
     """Build one task per output tile and enqueue them all (row-major).
 
-    The output is allocated as zeros of the operands' result dtype and
-    partitioned with their tile size.  Its uid is ``"C"``, which an input
-    may share: an output tile takes its device's reserved slot and never
-    enters a residency set, so its key meets no input's.
+    The template comes from ``templates``, a session's memo of templates
+    by shape key (a :class:`Runtime` passes its own), or is built for this
+    call alone; either way it is bound the same way, so the two give equal
+    plans.  The output is allocated as zeros of the operands' result dtype
+    and partitioned with their tile size.  Its uid is ``"C"``, which an
+    input may share: an output tile takes its device's reserved slot and
+    never enters a residency set, so its key meets no input's.
     """
     if a.tiled.tile_size != b.tiled.tile_size:
         raise ValueError(
             f"tile sizes differ: {a.tiled.tile_size} vs {b.tiled.tile_size}"
         )
-    am, ak = a.element_shape
-    bk, bn = b.element_shape
-    if ak != bk:
+    if a.element_shape[1] != b.element_shape[0]:
         raise ValueError(f"inner dimensions differ: {a.element_shape} x {b.element_shape}")
-    out = partition(np.zeros((am, bn), dtype=np.result_type(a.tiled.base, b.tiled.base)),
-                    a.tiled.tile_size)
-    grid_rows, grid_cols = out.grid_rows, out.grid_cols
-    k_steps = a.tiled.grid_cols
-    assert k_steps == b.tiled.grid_rows  # forced by equal element dims and tile size
-    n_tasks = grid_rows * grid_cols
+    key = _shape_key(a, b)
+    tmpl = _template(key) if templates is None else templates[key]
+    n_tasks = len(tmpl.tasks)
     queue = MichaelScottQueue()
     for tid in range(n_tasks):
         queue.enqueue(tid)
+    a_uid, b_uid = a.uid, b.uid
     return Plan(
-        a=a, b=b, c=Operand(out, "C"),
-        grid_rows=grid_rows, grid_cols=grid_cols, k_steps=k_steps,
+        a=a, b=b,
+        c=Operand(partition(np.zeros(tmpl.out_shape, tmpl.out_dtype), a.tiled.tile_size), "C"),
+        grid_rows=tmpl.grid_rows, grid_cols=tmpl.grid_cols, k_steps=tmpl.k_steps,
         queue=queue, completion=Completion(n_tasks),
-        a_rows=[[_tile(a, i, k) for k in range(k_steps)] for i in range(grid_rows)],
-        b_cols=[[_tile(b, k, j) for k in range(k_steps)] for j in range(grid_cols)],
+        a_rows=[[(TileKey(a_uid, r, c), nbytes, shape) for r, c, nbytes, shape in row]
+                for row in tmpl.a_rows],
+        b_cols=[[(TileKey(b_uid, r, c), nbytes, shape) for r, c, nbytes, shape in col]
+                for col in tmpl.b_cols],
+        tasks=tmpl.tasks,
     )
 
 
@@ -342,11 +408,15 @@ def _run_task(plan_: Plan, directory: CacheDirectory, did: int, task_id: int,
     behind.  Otherwise the tile is written back and released, and the
     task is recorded as run on ``did``.
 
+    The task's output tile, its key and its writeback bytes are read from
+    the plan's task table; an id outside it is a ``ValueError``, raised
+    before the output tile is admitted.
+
     Returns ``(i, j, results, writeback bytes)``, where ``results`` are
     the directory's results, A and B per step in step order.
     """
-    i, j = decode_task(task_id, plan_.grid_cols, plan_.grid_rows)
-    c_key, wb_bytes, _ = _tile(plan_.c, i, j)
+    _check_task_id(task_id, len(plan_.tasks))
+    i, j, c_key, wb_bytes = plan_.tasks[task_id]
     directory.admit_output(did, c_key)
     try:
         got = directory.acquire_input(did, [(key, nbytes)
@@ -535,16 +605,20 @@ class Runtime:
     per distinct ``(source, bytes)`` or ``(a_shape, b_shape)`` its device
     has met, which a session of same-shaped products keeps at a fixed
     size.
+
+    A session plans each product shape once: ``templates`` keeps one
+    :class:`PlanTemplate` per distinct shape key (the tile size, and per
+    operand its shape as read, transposition and dtype), and each
+    ``multiply`` binds the template to its operands' uids.  Like the price
+    tables, it stops growing once the session has met each shape.
     """
 
     def __init__(self, machine: Machine, tile_size: int, mode: str = "sim",
                  steal: bool = True, coherence: bool = True):
         if mode not in ("sim", "threaded"):
             raise ValueError(f"unknown mode {mode!r}")
-        if tile_size < 1:
-            raise ValueError(f"tile_size must be >= 1, got {tile_size}")
+        self.tile_size = as_tile_size(tile_size)
         self.machine = machine
-        self.tile_size = tile_size
         self.mode = mode
         self.steal = steal
         self.coherence = coherence
@@ -553,6 +627,7 @@ class Runtime:
         # engine, and the price tables it folds into them
         self.clocks = {d.device_id: [0.0, 0.0, 0.0] for d in machine.devices}
         self.prices = _price_tables(machine)
+        self.templates = Memo(_template)
         self._uid_n = 0
 
     def fresh_uid(self, prefix: str = "m") -> str:
@@ -576,7 +651,8 @@ class Runtime:
         ``C`` is the output array the plan zeroed for this call alone, not
         a copy: the caller owns it, and no later product reads it.  The
         stats are deltas of the session's counters."""
-        plan_ = plan(self.operand(a, a_uid, transpose_a), self.operand(b, b_uid, transpose_b))
+        plan_ = plan(self.operand(a, a_uid, transpose_a), self.operand(b, b_uid, transpose_b),
+                     self.templates)
         events: list[StealEvent] = []
         cache_before = self.directory.stats_per_device()
         sim_before = self.sim_now()

@@ -20,6 +20,7 @@ product is bit-identical to the dense product computed by
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -31,6 +32,22 @@ class TileKey(NamedTuple):
     matrix: str
     row: int
     col: int
+
+
+def as_tile_size(tile_size) -> int:
+    """``tile_size`` as a Python ``int`` >= 1.  Any integer is accepted,
+    numpy's included; a bool, a float or any other non-integer is a
+    ``TypeError``, so a grid is never sized by one value and sliced by
+    another."""
+    try:
+        if isinstance(tile_size, bool):
+            raise TypeError
+        t = operator.index(tile_size)
+    except TypeError:
+        raise TypeError(f"tile_size must be an integer, got {tile_size!r}") from None
+    if t < 1:
+        raise ValueError(f"tile_size must be >= 1, got {t}")
+    return t
 
 
 def as_matrix(x, dtype=np.float64) -> np.ndarray:
@@ -54,14 +71,12 @@ class TiledMatrix:
     """
 
     def __init__(self, matrix, tile_size: int):
-        if tile_size < 1:
-            raise ValueError(f"tile_size must be >= 1, got {tile_size}")
+        t = self.tile_size = as_tile_size(tile_size)
         m = as_matrix(matrix, dtype=np.asarray(matrix).dtype)
         self.base = m
-        self.tile_size = int(tile_size)
         self.rows, self.cols = m.shape
-        self.grid_rows = math.ceil(self.rows / tile_size)
-        self.grid_cols = math.ceil(self.cols / tile_size)
+        self.grid_rows = math.ceil(self.rows / t)
+        self.grid_cols = math.ceil(self.cols / t)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -74,11 +89,6 @@ class TiledMatrix:
             )
         t = self.tile_size
         return self.base[row * t : (row + 1) * t, col * t : (col + 1) * t]
-
-    def tile_shape(self, row: int, col: int) -> tuple[int, int]:
-        """The shape of tile ``(row, col)`` of the grid, without slicing it."""
-        t = self.tile_size
-        return min(t, self.rows - row * t), min(t, self.cols - col * t)
 
 
 def partition(matrix, tile_size: int) -> TiledMatrix:

@@ -236,6 +236,25 @@ def test_session_keeps_one_shared_result_per_source_and_size(monkeypatch):
                      ("host", 16), ("host", 32)}
 
 
+def test_session_keeps_one_template_per_product_shape():
+    # A [2, 8, 1] step makes six products of six shapes; a session plans
+    # each shape once and binds that template on every later step, so a
+    # long session keeps the same six templates.
+    rng = np.random.default_rng(0)
+    net = Network.from_sizes([2, 8, 1], rng, activation="sigmoid")
+    x, target = xor_dataset()
+    backend = tiled_backend(2, 2)
+    templates = backend.runtime.templates
+    kept = {}
+    for step in range(1, 501):
+        train_step(net, x, target, 0.5, backend)
+        if step in (10, 500):
+            kept[step] = dict(templates)
+    assert len(kept[10]) == len(kept[500]) == 6
+    assert kept[10].keys() == kept[500].keys()
+    assert all(kept[500][key] is template for key, template in kept[10].items())
+
+
 def test_train_step_makes_uids_only_for_operands_its_products_read(monkeypatch):
     # A [2, 8, 1] step multiplies X0·W0, X1·W1, X1ᵀ·dY1, dY1·W1ᵀ, X0ᵀ·dY0
     # and dY0·W0ᵀ: two layer inputs and two gradients, four uids.

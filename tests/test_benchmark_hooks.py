@@ -65,3 +65,27 @@ def test_benchmark_plan_probe_counts_flops_of_straight_and_transposed_operands(m
         probes = layers.Probes()
         probes.on_plan((), tilerun.scheduler.plan(a_op, b_op))
         assert probes.flops == 2 * m * k * n
+
+
+def test_benchmark_plan_probe_sees_every_product_of_a_session(monkeypatch):
+    # A session binds one plan template per shape, but it still calls
+    # tilerun.scheduler.plan once per product, so the tracer that wraps it
+    # counts every product's flops.
+    monkeypatch.syspath_prepend(str(BENCH))
+    layers = importlib.import_module("layers")
+    probes, plans = layers.Probes(), []
+    real_plan = tilerun.scheduler.plan
+
+    def counted(*args):
+        p = real_plan(*args)
+        plans.append(p)
+        probes.on_plan(args, p)
+        return p
+
+    monkeypatch.setattr(tilerun.scheduler, "plan", counted)
+    m, k, n = 6, 5, 7
+    rt = Runtime(homogeneous_machine(2), tile_size=4)
+    for _ in range(3):
+        rt.multiply(np.ones((m, k)), np.ones((k, n)))
+    assert len(plans) == 3 and len(rt.templates) == 1
+    assert probes.flops == 3 * 2 * m * k * n

@@ -324,15 +324,18 @@ def test_exactly_once_under_threaded_stress():
 
 @pytest.mark.parametrize("transposed", [False, True])
 def test_read_tile_is_the_stored_tile_its_key_names(transposed):
-    # An operand is tiled as it is read; its key names the stored tile,
-    # whose transpose the read tile is when the operand is transposed.
+    # An operand is tiled as it is read; the key its plan's step table
+    # gives a tile names the stored tile, whose transpose the read tile is
+    # when the operand is transposed.
     stored = np.arange(7 * 11, dtype=np.float64).reshape(7, 11)
-    op = Runtime(homogeneous_machine(1), tile_size=3).operand(stored, "X", transposed)
+    rt = Runtime(homogeneous_machine(1), tile_size=3)
+    op = rt.operand(stored, "X", transposed)
     assert op.element_shape == ((11, 7) if transposed else (7, 11))
+    p = plan(op, rt.operand(np.zeros((op.element_shape[1], 1)), "Y"))
     stored_tiles = partition(stored, 3)
     for i in range(op.tiled.grid_rows):
         for j in range(op.tiled.grid_cols):
-            key = op.key(i, j)
+            key = p.a_rows[i][j][0]
             want = stored_tiles.tile(key.row, key.col)
             tile = op.tiled.tile(i, j)
             assert np.array_equal(tile, want.T if transposed else want)
@@ -345,9 +348,10 @@ def test_read_tile_is_the_stored_tile_its_key_names(transposed):
        transposes=st.tuples(st.booleans(), st.booleans()),
        dtypes=st.tuples(*[st.sampled_from([np.float32, np.float64])] * 2))
 def test_step_table_matches_tile_views(tile, grid, ragged, transposes, dtypes):
-    # plan() builds its step table from tile_shape and the operand's
-    # itemsize, not from tile views; the stored tiles the keys name stay
-    # the oracle, for straight and transposed operands of either width.
+    # plan() builds its step and task tables from tile extents and the
+    # operands' itemsizes, not from tile views; the stored tiles the keys
+    # name, and the output's tiles, stay the oracle, for straight and
+    # transposed operands of either width.
     m, k, n = (tile * (g - 1) + 1 + r % tile for g, r in zip(grid, ragged))
     stored = {uid: partition(np.zeros(shape[::-1] if t else shape, dtype=dt), tile)
               for shape, uid, t, dt in (((m, k), "A", transposes[0], dtypes[0]),
@@ -355,13 +359,9 @@ def test_step_table_matches_tile_views(tile, grid, ragged, transposes, dtypes):
     a, b = (Operand(partition(stored[uid].base.T if t else stored[uid].base, tile), uid, t)
             for uid, t in zip("AB", transposes))
     p = plan(a, b)
-    for tm in (a.tiled, b.tiled, p.c.tiled):
-        for r in range(tm.grid_rows):
-            for c in range(tm.grid_cols):
-                assert tm.tile_shape(r, c) == tm.tile(r, c).shape
 
     def entry(op, i, j):
-        key = op.key(i, j)
+        key = TileKey(op.uid, j, i) if op.transposed else TileKey(op.uid, i, j)
         view = stored[key.matrix].tile(key.row, key.col)
         return key, view.nbytes, view.T.shape if op.transposed else view.shape
 
@@ -369,6 +369,54 @@ def test_step_table_matches_tile_views(tile, grid, ragged, transposes, dtypes):
                         for i in range(p.grid_rows)]
     assert p.b_cols == [[entry(b, kk, j) for kk in range(p.k_steps)]
                         for j in range(p.grid_cols)]
+    c = p.c.tiled
+    assert c.base.dtype == np.result_type(*dtypes)
+    assert p.tasks == [(i, j, TileKey("C", i, j), c.tile(i, j).nbytes)
+                       for i in range(c.grid_rows) for j in range(c.grid_cols)]
+
+
+def test_session_template_key_names_transposes_and_dtypes(monkeypatch):
+    # Products whose operands have equal shapes as read, and differ only
+    # in which is transposed or in their dtypes, each get a template of
+    # their own: in one session every product's step tables match the
+    # stored tiles its keys name, and its output and counters match the
+    # same product in a fresh session.
+    m, k, n, tile = 7, 5, 8, 3  # ragged in every dimension
+    plans = []
+    real_plan = tilerun.scheduler.plan
+    monkeypatch.setattr(tilerun.scheduler, "plan",
+                        lambda *args: plans.append(real_plan(*args)) or plans[-1])
+    session = Runtime(homogeneous_machine(1), tile_size=tile)
+    dtypes = (np.float32, np.float64, np.int64)
+    for n_call, (ta, tb, da, db) in enumerate(itertools.product(
+            (False, True), (False, True), dtypes, dtypes)):
+        stored = {"A": np.arange(m * k).reshape((k, m) if ta else (m, k)).astype(da),
+                  "B": np.arange(k * n).reshape((n, k) if tb else (k, n)).astype(db)}
+        a, b = (stored[u].T if t else stored[u] for u, t in (("A", ta), ("B", tb)))
+        uids = {"A": f"A{n_call}", "B": f"B{n_call}"}
+        c, stats = session.multiply(stored["A"], stored["B"], ta, tb,
+                                    a_uid=uids["A"], b_uid=uids["B"])
+        fresh_c, fresh = Runtime(homogeneous_machine(1), tile_size=tile).multiply(
+            stored["A"], stored["B"], ta, tb, a_uid="A", b_uid="B")
+        p = plans[-2]  # the session's plan, then the fresh one's
+        tiles = {uids[u]: partition(x, tile) for u, x in stored.items()}
+
+        def entry(uid, transposed, i, j):
+            key = TileKey(uid, j, i) if transposed else TileKey(uid, i, j)
+            view = tiles[uid].tile(key.row, key.col)
+            return key, view.nbytes, view.T.shape if transposed else view.shape
+
+        assert p.a_rows == [[entry(uids["A"], ta, i, kk) for kk in range(p.k_steps)]
+                            for i in range(p.grid_rows)]
+        assert p.b_cols == [[entry(uids["B"], tb, kk, j) for kk in range(p.k_steps)]
+                            for j in range(p.grid_cols)]
+        assert c.dtype == fresh_c.dtype == np.result_type(da, db)
+        assert np.array_equal(c, reference_gemm(a, b))
+        assert stats.cache == fresh.cache and stats.cache.bytes_writeback > 0
+        assert ((stats.grid_rows, stats.grid_cols, stats.k_steps, stats.tasks_by_device)
+                == (fresh.grid_rows, fresh.grid_cols, fresh.k_steps, fresh.tasks_by_device))
+    # one template per transpose pair and dtype pair, none per call
+    assert len(session.templates) == 4 * len(dtypes) ** 2 == n_call + 1
 
 
 def _float_operand(rng, shape, dtype, tile, transposed):
@@ -600,6 +648,23 @@ def test_execute_task_and_double_execution_guard():
     # the completion record refuses a second execution of any task
     with pytest.raises(RuntimeError):
         p.completion.mark(0, 0)
+
+
+@pytest.mark.usefixtures("directory_invariants")
+def test_task_ids_outside_the_grid_are_rejected():
+    # A task table indexed by id would wrap -1 round to the last task;
+    # both the task function and the completion record refuse it, before
+    # an output tile is admitted or a task marked.
+    p = plan(*operands(np.ones((4, 4)), np.ones((4, 4)), 2))
+    directory = CacheDirectory(homogeneous_machine(1))
+    for tid in (-1, p.total_tasks):
+        with pytest.raises(ValueError, match="task id"):
+            _run_task(p, directory, 0, tid)
+        with pytest.raises(ValueError, match="task id"):
+            p.completion.mark(tid, 0)
+    assert directory._output == {0: None}
+    assert directory.stats() == CacheStats()
+    assert p.completion.ran_on == [None] * p.total_tasks
 
 
 def test_threaded_single_task_on_many_devices():
@@ -1146,6 +1211,31 @@ def test_runtime_rejects_bad_configuration():
         Runtime(homogeneous_machine(1), tile_size=0)
     with pytest.raises(ValueError):
         Runtime(homogeneous_machine(1), tile_size=4, mode="warp")
+
+
+@pytest.mark.parametrize("tile_size", [2.5, True, np.float64(2.0), np.int64(2)],
+                         ids=["float", "bool", "np-float64", "np-int64"])
+def test_tile_size_must_be_an_integer(tile_size):
+    # A grid sized by 2.5 but sliced by int(2.5) covered 4 of 5 rows, and
+    # True passed as 1; any integer, numpy's included, is accepted as the
+    # Python int it equals.
+    a = np.arange(25, dtype=np.float64).reshape(5, 5)
+    if not isinstance(tile_size, np.integer):
+        for build in (lambda: partition(a, tile_size),
+                      lambda: Runtime(homogeneous_machine(1), tile_size=tile_size),
+                      lambda: run(homogeneous_machine(1), a, a, tile_size=tile_size)):
+            with pytest.raises(TypeError, match="tile_size must be an integer"):
+                build()
+        return
+    tm = partition(a, tile_size)
+    assert type(tm.tile_size) is int and (tm.grid_rows, tm.grid_cols) == (3, 3)
+    c, stats = run(homogeneous_machine(1), a, a, tile_size=tile_size)
+    _, want = run(homogeneous_machine(1), a, a, tile_size=2)
+    assert np.array_equal(c, reference_gemm(a, a))
+    assert type(stats.tile_size) is int
+    assert stats.to_report_dict() == {**want.to_report_dict(),
+                                      "wall_elapsed": stats.wall_elapsed}
+    assert (stats.k_steps, stats.cache.bytes_host) == (3, 400)
 
 
 def evict_hetero_machine():

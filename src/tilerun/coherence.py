@@ -46,6 +46,7 @@ source and tile size), so the tables stay small.
 from __future__ import annotations
 
 import operator
+import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, fields
@@ -138,9 +139,10 @@ class CacheDirectory:
         self._lock = threading.Lock()
         cached = [d for d in machine.devices if enabled and not d.is_host_worker]
         self._order: dict[int, OrderedDict] = {d.device_id: OrderedDict() for d in cached}
-        # input tiles a set may hold: one slot of a bounded device is its output's
-        self._room: dict[int, int | None] = {
-            d.device_id: None if d.capacity_tiles is None else d.capacity_tiles - 1
+        # input tiles a set may hold: one slot of a bounded device is its
+        # output's, and an unbounded set's room is sys.maxsize
+        self._room: dict[int, int] = {
+            d.device_id: sys.maxsize if d.capacity_tiles is None else d.capacity_tiles - 1
             for d in cached}
         # _results[source][nbytes]: the one shared result for that pair,
         # made when first returned and kept for the directory's life
@@ -204,25 +206,29 @@ class CacheDirectory:
             peers = self._peers[requester]
             l1_hit = self._results[requester][0]
             out = []
+            append, move_to_end, popitem = out.append, order.move_to_end, order.popitem
             l1 = l2 = bytes_peer = bytes_host = evictions = 0
+            fill = len(order)  # len(order), kept as each miss admits its tile
             try:
                 for key, nbytes in requests:
                     if key in order:
                         l1 += 1
-                        order.move_to_end(key)
-                        out.append(l1_hit)
+                        move_to_end(key)
+                        append(l1_hit)
                         continue
                     for held, sent in peers:
                         if key in held:
                             l2 += 1
                             bytes_peer += nbytes
-                            out.append(sent[nbytes])
+                            append(sent[nbytes])
                             break
                     else:
                         bytes_host += nbytes
-                        out.append(from_host[nbytes])
-                    if room is not None and len(order) >= room:  # never above room: one victim
-                        order.popitem(last=False)
+                        append(from_host[nbytes])
+                    if fill < room:
+                        fill += 1
+                    else:  # never above room: one victim
+                        popitem(False)
                         evictions += 1
                     order[key] = None
             finally:  # the requests resolved so far, even if one raised
@@ -288,5 +294,4 @@ class CacheDirectory:
     def check_invariants(self) -> None:
         with self._lock:
             for d, order in self._order.items():
-                room = self._room[d]
-                assert room is None or len(order) <= room, f"device {d} over capacity"
+                assert len(order) <= self._room[d], f"device {d} over capacity"

@@ -2,10 +2,12 @@
 
 One task per output tile.  The task's contraction steps, in ascending
 order, are accounting only: one cache-directory transaction resolves the
-input tiles of all of them, read from a step table that a session builds
-once per product shape and binds to each call's uids, and the ``sim``
-engine then prices each step's fetch and compute from per-device tables
-that the session fills as prices are first met.  The data never passes
+input tiles of all of them, read as ``(key, nbytes)`` requests from a
+step table that a session builds once per product shape and binds to
+each call's uids, and the ``sim`` engine then prices each step's fetch
+and compute from per-device tables that the session fills as prices are
+first met.  Compute is priced per task: the tile extents the template
+keeps give each task's list of step prices.  The data never passes
 through the directory.  The fixed-order kernel accumulates the
 contraction index in ascending order however its operands are blocked,
 so the product's bits do not depend on the schedule: the ``sim`` engine
@@ -36,11 +38,12 @@ Engines:
 Both engines claim tasks through ``_claim``: refill the device's
 station, run its oldest reservation, and if the station is empty steal
 from the most-loaded peer station (ties to the lowest device id).  A
-device that finds nothing to claim retires.  Both run each claimed task
-through ``_run_task``, the one task function: the ``sim`` engine passes
-no kernel, the ``threaded`` engine its panel kernel.  The engines keep no
-counters: per-device task counts come from ``Completion``, steal counts
-from the steal events.
+device that finds nothing to claim retires, and the ``sim`` engine ends a
+product at its last claim, since every claim after it would find
+nothing.  Both run each claimed task through ``_run_task``, the one task
+function: the ``sim`` engine passes no kernel, the ``threaded`` engine
+its panel kernel.  The engines keep no counters: per-device task counts
+come from ``Completion``, steal counts from the steal events.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ import json
 import threading
 import time
 from dataclasses import asdict, dataclass, field, fields
+from itertools import chain
 
 import numpy as np
 
@@ -131,21 +135,25 @@ def _extents(n: int, t: int) -> list[int]:
 class PlanTemplate:
     """What the plan of a product derives from its shapes alone.
 
-    ``a_rows[i]`` lists tile row ``i`` of A and ``b_cols[j]`` tile column
-    ``j`` of B, in contraction order, as ``(row, col, nbytes, shape)``:
-    the tile's stored coordinates (swapped, once, for a transposed
-    operand), and its bytes and shape as read.  Its bytes are its
-    elements times the operand's itemsize; input and output tiles alike
-    follow this rule.  ``tasks[task_id]`` is ``(i, j, output key,
-    writeback bytes)``; every output's uid is ``"C"``, so its keys are
-    known before any uid is.
+    ``row_extents``, ``col_extents`` and ``step_extents`` are the tile
+    extents of the output's rows and columns and of the contraction
+    steps, as read: step ``k`` of task ``(i, j)`` multiplies an
+    ``(row_extents[i], step_extents[k])`` tile of A by a
+    ``(step_extents[k], col_extents[j])`` tile of B.  ``a_rows[i]`` lists
+    tile row ``i`` of A and ``b_cols[j]`` tile column ``j`` of B, in
+    contraction order, as ``(row, col, nbytes)``: the tile's stored
+    coordinates (swapped, once, for a transposed operand) and its bytes.
+    Its bytes are its elements times the operand's itemsize; input and
+    output tiles alike follow this rule.  ``tasks[task_id]`` is ``(i, j,
+    output key, writeback bytes)``; every output's uid is ``"C"``, so its
+    keys are known before any uid is.
     """
 
-    grid_rows: int
-    grid_cols: int
-    k_steps: int
     out_shape: tuple[int, int]
     out_dtype: np.dtype
+    row_extents: list
+    col_extents: list
+    step_extents: list
     a_rows: list
     b_cols: list
     tasks: list
@@ -167,17 +175,16 @@ def _template(key: tuple) -> PlanTemplate:
 
     def tile(i, j, height, width, itemsize, transposed):
         r, c = (j, i) if transposed else (i, j)
-        return r, c, height * width * itemsize, (height, width)
+        return r, c, height * width * itemsize
 
     out_dtype = np.result_type(a_dtype, b_dtype)
-    grid_rows, grid_cols = len(rows), len(cols)
     tasks = []
-    for tid in range(grid_rows * grid_cols):
-        i, j = decode_task(tid, grid_cols, grid_rows)
+    for tid in range(len(rows) * len(cols)):
+        i, j = decode_task(tid, len(cols), len(rows))
         tasks.append((i, j, TileKey("C", i, j), rows[i] * cols[j] * out_dtype.itemsize))
     return PlanTemplate(
-        grid_rows=grid_rows, grid_cols=grid_cols, k_steps=len(steps),
         out_shape=(a_shape[0], b_shape[1]), out_dtype=out_dtype,
+        row_extents=rows, col_extents=cols, step_extents=steps,
         a_rows=[[tile(i, k, m, s, a_dtype.itemsize, a_transposed) for k, s in enumerate(steps)]
                 for i, m in enumerate(rows)],
         b_cols=[[tile(k, j, s, n, b_dtype.itemsize, b_transposed) for k, s in enumerate(steps)]
@@ -192,25 +199,36 @@ class Plan:
 
     ``a_rows`` and ``b_cols`` are the template's step tables with each
     tile's coordinates turned into its :class:`TileKey`, as
-    ``(key, nbytes, shape)``: the table task ``(i, j)`` reads its inputs
-    from.  ``tasks`` is the template's task table.
+    ``(key, nbytes)``: the requests task ``(i, j)`` sends the directory,
+    A then B for each step.  ``template`` is the shape's
+    :class:`PlanTemplate`, whose tile extents price the steps and whose
+    task table gives each task's ``(i, j)`` and output tile.
     """
 
     a: Operand
     b: Operand
     c: Operand
-    grid_rows: int
-    grid_cols: int
-    k_steps: int
+    template: PlanTemplate
     queue: MichaelScottQueue
     completion: Completion
     a_rows: list
     b_cols: list
-    tasks: list
+
+    @property
+    def grid_rows(self) -> int:
+        return len(self.template.row_extents)
+
+    @property
+    def grid_cols(self) -> int:
+        return len(self.template.col_extents)
+
+    @property
+    def k_steps(self) -> int:
+        return len(self.template.step_extents)
 
     @property
     def total_tasks(self) -> int:
-        return self.grid_rows * self.grid_cols
+        return len(self.template.tasks)
 
 
 def plan(a: Operand, b: Operand, templates: Memo | None = None) -> Plan:
@@ -240,13 +258,9 @@ def plan(a: Operand, b: Operand, templates: Memo | None = None) -> Plan:
     return Plan(
         a=a, b=b,
         c=Operand(partition(np.zeros(tmpl.out_shape, tmpl.out_dtype), a.tiled.tile_size), "C"),
-        grid_rows=tmpl.grid_rows, grid_cols=tmpl.grid_cols, k_steps=tmpl.k_steps,
-        queue=queue, completion=Completion(n_tasks),
-        a_rows=[[(TileKey(a_uid, r, c), nbytes, shape) for r, c, nbytes, shape in row]
-                for row in tmpl.a_rows],
-        b_cols=[[(TileKey(b_uid, r, c), nbytes, shape) for r, c, nbytes, shape in col]
-                for col in tmpl.b_cols],
-        tasks=tmpl.tasks,
+        template=tmpl, queue=queue, completion=Completion(n_tasks),
+        a_rows=[[(TileKey(a_uid, r, c), nbytes) for r, c, nbytes in row] for row in tmpl.a_rows],
+        b_cols=[[(TileKey(b_uid, r, c), nbytes) for r, c, nbytes in col] for col in tmpl.b_cols],
     )
 
 
@@ -409,19 +423,19 @@ def _run_task(plan_: Plan, directory: CacheDirectory, did: int, task_id: int,
     task is recorded as run on ``did``.
 
     The task's output tile, its key and its writeback bytes are read from
-    the plan's task table; an id outside it is a ``ValueError``, raised
-    before the output tile is admitted.
+    the template's task table; an id outside it is a ``ValueError``,
+    raised before the output tile is admitted.
 
     Returns ``(i, j, results, writeback bytes)``, where ``results`` are
     the directory's results, A and B per step in step order.
     """
-    _check_task_id(task_id, len(plan_.tasks))
-    i, j, c_key, wb_bytes = plan_.tasks[task_id]
+    tasks = plan_.template.tasks
+    _check_task_id(task_id, len(tasks))
+    i, j, c_key, wb_bytes = tasks[task_id]
     directory.admit_output(did, c_key)
     try:
-        got = directory.acquire_input(did, [(key, nbytes)
-                                            for step in zip(plan_.a_rows[i], plan_.b_cols[j])
-                                            for key, nbytes, _ in step])
+        got = directory.acquire_input(
+            did, list(chain.from_iterable(zip(plan_.a_rows[i], plan_.b_cols[j]))))
         if kernel is not None:
             kernel(i, j)
     except BaseException:
@@ -474,7 +488,12 @@ def _run_sim(machine, plan_, directory, clocks, prices, events, steal_enabled):
     the directory, the clocks and the completion record untouched.  Each
     task's directory results are priced from its device's tables in
     ``prices`` (see :func:`_price_tables`) as the device's clocks fold
-    them.
+    them.  Compute is priced per task: for each ``(device, m, n)`` that
+    an ``m x n`` output tile meets on a device, the product keeps the
+    list of its steps' prices, read from the template's tile extents
+    through the device's compute table.  The product ends at its last
+    claim: once every task is claimed, every later claim would find
+    nothing, so no device claims again.
 
     ``clocks[device]`` is ``[compute, fetch, writeback]``.  A device
     claims when its compute clock is the earliest, so the claim time is
@@ -496,11 +515,17 @@ def _run_sim(machine, plan_, directory, clocks, prices, events, steal_enabled):
     heap = [(clocks[d.device_id][0], d.device_id) for d in machine.devices]
     heapq.heapify(heap)
     claimed = {}  # each device's previous claim time in this product
-    while heap:
+    tmpl = plan_.template
+    row_extents, col_extents, steps = tmpl.row_extents, tmpl.col_extents, tmpl.step_extents
+    # step_prices[did, m, n]: the compute price of each step of an m x n output tile
+    step_prices = Memo(lambda key: [prices[key[0]][1][(key[1], s), (s, key[2])] for s in steps])
+    unclaimed = plan_.total_tasks
+    while unclaimed and heap:  # an empty heap leaves the run incomplete, which multiply reports
         t, did = heapq.heappop(heap)
         tid, victim = _claim(did, stations, plan_.queue, steal_enabled)
         if tid is None:
             continue  # the device retires
+        unclaimed -= 1
         if victim is not None:
             events.append(StealEvent(did, victim, tid, time=t))
             lead = t
@@ -509,16 +534,15 @@ def _run_sim(machine, plan_, directory, clocks, prices, events, steal_enabled):
         claimed[did] = t
         i, j, got, wb = _run_task(plan_, directory, did, tid)
         got = iter(got)
-        fetch, compute = prices[did]
+        fetch = prices[did][0]
         co, tr, wr = clocks[did]
         tr = max(tr, lead)
         # zip(got, got) pairs each step's A and B results
-        for ra, rb, (_, _, a_shape), (_, _, b_shape) in zip(got, got, plan_.a_rows[i],
-                                                             plan_.b_cols[j]):
+        for ra, rb, c in zip(got, got, step_prices[did, row_extents[i], col_extents[j]]):
             tr += fetch[ra] + fetch[rb]
             if tr > co:  # compute k waits for its data; fetch k+1 overlaps it
                 co = tr
-            co += compute[a_shape, b_shape]
+            co += c
         # a host link costs the same either way, so the writeback is priced
         # as a host fetch of its bytes
         clocks[did] = [co, tr, max(wr, co) + fetch[HOST, wb]]

@@ -509,3 +509,52 @@ def test_a_request_that_raises_keeps_the_counters_of_those_before_it():
     assert d.residents(0) == [key("p"), key("a")]  # the L1 hit refreshed a
     assert d.stats_per_device()[0] == CacheStats(l1_hits=1, l2_hits=1, host_fetches=1,
                                                  bytes_host=8, bytes_peer=8)
+
+
+def test_fill_count_matches_the_set():
+    # A transaction counts its set's fill once and keeps it as misses
+    # admit tiles.  Against a plain list LRU that evicts whenever
+    # len(keys) reaches the room, over transactions that mix L1 hits, peer
+    # copies, host misses and evictions, some raising part way through:
+    # after each, the set's size is its residents' count, within room,
+    # and the evictions are the list's.  A set never shrinks, so each
+    # round starts from empty sets, which a long transaction overfills.
+    capacity = 4
+    rng = np.random.default_rng(7)
+    universe = [key(f"t{i}") for i in range(8)]
+    raised = kinds = overfilled = 0
+    for _ in range(30):
+        d = CacheDirectory(cap_machine(2, capacity))
+        model = {0: [], 1: []}
+        evicted = {0: 0, 1: 0}
+        for _ in range(10):
+            dev = int(rng.integers(0, 2))
+            requests = [(universe[int(i)], 8)
+                        for i in rng.integers(0, len(universe), int(rng.integers(1, 9)))]
+            if rng.random() < 0.2:  # an unhashable key raises part way through
+                requests.insert(int(rng.integers(0, len(requests) + 1)), ([], 8))
+            keys, misses = model[dev], 0
+            for k, _ in requests:
+                if not isinstance(k, TileKey):
+                    break
+                if k in keys:
+                    keys.remove(k)
+                else:
+                    misses += 1
+                    if len(keys) >= capacity - 1:
+                        keys.pop(0)
+                        evicted[dev] += 1
+                keys.append(k)
+            overfilled += misses > capacity - 1 - d.used_tiles(dev)
+            try:
+                got = d.acquire_input(dev, requests)
+            except TypeError:
+                raised += 1
+            else:
+                for r in got:  # bit 0 an L1 hit, 1 a peer copy, 2 a host miss
+                    kinds |= 1 << (0 if r.source == dev else 2 if r.source == HOST else 1)
+            for o in (0, 1):
+                assert d.residents(o) == model[o]
+                assert d.used_tiles(o) == len(d.residents(o)) <= capacity - 1
+                assert d.stats_per_device()[o].evictions == evicted[o]
+    assert raised > 0 and kinds == 0b111 and overfilled > 0

@@ -176,6 +176,37 @@ def test_claim_retires_when_nothing_is_claimable():
     assert _claim(0, stations, q, steal_enabled=True) == (None, None)
 
 
+def test_sim_product_ends_at_its_last_claim(monkeypatch):
+    # Once every task of a product is claimed, any later claim finds
+    # nothing, so no device claims again: each product of an XOR
+    # [2, 8, 1] session with steals on makes one claim per task.
+    claims = []
+    real_claim = tilerun.scheduler._claim
+    monkeypatch.setattr(tilerun.scheduler, "_claim",
+                        lambda did, *rest: claims.append(did) or real_claim(did, *rest))
+    backend = TiledBackend(homogeneous_machine(2), tile_size=2)
+    rt = backend.runtime
+    real_multiply = rt.multiply
+    per_product = []  # (claims, tasks, steals) of each product
+
+    def multiply(*args, **kw):
+        claims.clear()
+        c, stats = real_multiply(*args, **kw)
+        per_product.append((len(claims), stats.total_tasks, len(stats.steal_events)))
+        return c, stats
+
+    monkeypatch.setattr(rt, "multiply", multiply)
+    rng = np.random.default_rng(0)
+    net = Network.from_sizes([2, 8, 1], rng, activation="sigmoid")
+    x, target = xor_dataset()
+    for _ in range(3):
+        train_step(net, x, target, 0.5, backend)
+    assert len(per_product) == 18
+    assert all(n_claims == tasks for n_claims, tasks, _ in per_product)
+    assert sum(tasks for _, tasks, _ in per_product) == 3 * 28
+    assert sum(steals for *_, steals in per_product) > 0
+
+
 # -- end-to-end correctness ---------------------------------------------------
 
 
@@ -348,10 +379,10 @@ def test_read_tile_is_the_stored_tile_its_key_names(transposed):
        transposes=st.tuples(st.booleans(), st.booleans()),
        dtypes=st.tuples(*[st.sampled_from([np.float32, np.float64])] * 2))
 def test_step_table_matches_tile_views(tile, grid, ragged, transposes, dtypes):
-    # plan() builds its step and task tables from tile extents and the
-    # operands' itemsizes, not from tile views; the stored tiles the keys
-    # name, and the output's tiles, stay the oracle, for straight and
-    # transposed operands of either width.
+    # plan() builds its step and task tables, and the template its tile
+    # extents, from the operands' shapes and itemsizes, not from tile
+    # views; the stored tiles the keys name, and the output's tiles, stay
+    # the oracle, for straight and transposed operands of either width.
     m, k, n = (tile * (g - 1) + 1 + r % tile for g, r in zip(grid, ragged))
     stored = {uid: partition(np.zeros(shape[::-1] if t else shape, dtype=dt), tile)
               for shape, uid, t, dt in (((m, k), "A", transposes[0], dtypes[0]),
@@ -360,19 +391,39 @@ def test_step_table_matches_tile_views(tile, grid, ragged, transposes, dtypes):
             for uid, t in zip("AB", transposes))
     p = plan(a, b)
 
-    def entry(op, i, j):
+    def stored_tile(op, i, j):
+        """Tile (i, j) of ``op`` as read: its key, and the stored tile the
+        key names."""
         key = TileKey(op.uid, j, i) if op.transposed else TileKey(op.uid, i, j)
-        view = stored[key.matrix].tile(key.row, key.col)
-        return key, view.nbytes, view.T.shape if op.transposed else view.shape
+        return key, stored[key.matrix].tile(key.row, key.col)
+
+    def entry(op, i, j):
+        key, view = stored_tile(op, i, j)
+        return key, view.nbytes
+
+    def read_shape(op, i, j):
+        view = stored_tile(op, i, j)[1]
+        return view.T.shape if op.transposed else view.shape
 
     assert p.a_rows == [[entry(a, i, kk) for kk in range(p.k_steps)]
                         for i in range(p.grid_rows)]
     assert p.b_cols == [[entry(b, kk, j) for kk in range(p.k_steps)]
                         for j in range(p.grid_cols)]
+    # step kk of task (i, j) reads an (m_i, s_kk) tile of A and an
+    # (s_kk, n_j) tile of B, and writes an (m_i, n_j) tile of C
+    tmpl = p.template
+    rows, cols, steps = tmpl.row_extents, tmpl.col_extents, tmpl.step_extents
+    assert (len(rows), len(cols), len(steps)) == (a.tiled.grid_rows, b.tiled.grid_cols,
+                                                  a.tiled.grid_cols)
+    assert all(read_shape(a, i, kk) == (rows[i], steps[kk])
+               for i in range(p.grid_rows) for kk in range(p.k_steps))
+    assert all(read_shape(b, kk, j) == (steps[kk], cols[j])
+               for kk in range(p.k_steps) for j in range(p.grid_cols))
     c = p.c.tiled
     assert c.base.dtype == np.result_type(*dtypes)
-    assert p.tasks == [(i, j, TileKey("C", i, j), c.tile(i, j).nbytes)
-                       for i in range(c.grid_rows) for j in range(c.grid_cols)]
+    assert tmpl.tasks == [(i, j, TileKey("C", i, j), c.tile(i, j).nbytes)
+                          for i in range(c.grid_rows) for j in range(c.grid_cols)]
+    assert all(c.tile(i, j).shape == (rows[i], cols[j]) for i, j, *_ in tmpl.tasks)
 
 
 def test_session_template_key_names_transposes_and_dtypes(monkeypatch):
@@ -401,15 +452,28 @@ def test_session_template_key_names_transposes_and_dtypes(monkeypatch):
         p = plans[-2]  # the session's plan, then the fresh one's
         tiles = {uids[u]: partition(x, tile) for u, x in stored.items()}
 
-        def entry(uid, transposed, i, j):
+        def stored_tile(uid, transposed, i, j):
             key = TileKey(uid, j, i) if transposed else TileKey(uid, i, j)
-            view = tiles[uid].tile(key.row, key.col)
-            return key, view.nbytes, view.T.shape if transposed else view.shape
+            return key, tiles[uid].tile(key.row, key.col)
+
+        def entry(uid, transposed, i, j):
+            key, view = stored_tile(uid, transposed, i, j)
+            return key, view.nbytes
+
+        def read_shape(uid, transposed, i, j):
+            view = stored_tile(uid, transposed, i, j)[1]
+            return view.T.shape if transposed else view.shape
 
         assert p.a_rows == [[entry(uids["A"], ta, i, kk) for kk in range(p.k_steps)]
                             for i in range(p.grid_rows)]
         assert p.b_cols == [[entry(uids["B"], tb, kk, j) for kk in range(p.k_steps)]
                             for j in range(p.grid_cols)]
+        rows, cols, steps = (p.template.row_extents, p.template.col_extents,
+                             p.template.step_extents)
+        assert all(read_shape(uids["A"], ta, i, kk) == (rows[i], steps[kk])
+                   and read_shape(uids["B"], tb, kk, j) == (steps[kk], cols[j])
+                   for i in range(p.grid_rows) for j in range(p.grid_cols)
+                   for kk in range(p.k_steps))
         assert c.dtype == fresh_c.dtype == np.result_type(da, db)
         assert np.array_equal(c, reference_gemm(a, b))
         assert stats.cache == fresh.cache and stats.cache.bytes_writeback > 0
@@ -923,15 +987,19 @@ def priced_machines(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(machine=priced_machines(), tile=st.integers(2, 4),
-       shapes=st.lists(st.tuples(*[st.integers(1, 9)] * 3), min_size=2, max_size=3))
+       shapes=st.lists(st.tuples(*[st.integers(1, 9)] * 3, st.booleans(), st.booleans()),
+                       min_size=2, max_size=3))
 def test_sim_clocks_equal_a_direct_replay(machine, tile, shapes):
-    # A session of 2-3 ragged products back to back.  Each task's device,
+    # A session of 2-3 ragged products back to back, each operand read
+    # straight or transposed.  Each task's device,
     # claim time, output tile, directory results and writeback bytes are
     # recorded through its directory, and the product's steal events name
     # the stolen tasks; the [compute, fetch, writeback] clocks are then
     # refolded here with the cost functions called directly, and must
     # match the session's to the bit.  The claim time is read from the
-    # session's compute clock as the task's output is admitted.
+    # session's compute clock as the task's output is admitted.  A step's
+    # compute is priced on the stored tiles its requests name, as the
+    # product reads them: transposed for a transposed operand.
     rt = Runtime(machine, tile_size=tile)
     d = rt.directory
     # [device, claim time, output key, requests, results, writeback bytes],
@@ -956,24 +1024,29 @@ def test_sim_clocks_equal_a_direct_replay(machine, tile, shapes):
 
     d.admit_output, d.acquire_input, d.release_output = admit, acquire, release
     rng = np.random.default_rng(0)
-    arrays = {}  # same-shaped operands share a uid, so products reuse tiles
+    # operands stored in the same shape share a uid, so products reuse
+    # tiles, whether they read them straight or transposed
+    arrays = {}
 
-    def operand(name, rows, cols):
-        uid = f"{name}{rows}x{cols}"
+    def operand(name, rows, cols, transposed):
+        """A ``rows x cols`` operand as read, and the uid of its stored array."""
+        shape = (cols, rows) if transposed else (rows, cols)
+        uid = f"{name}{shape[0]}x{shape[1]}"
         if uid not in arrays:
-            arrays[uid] = int_matrix(rng, rows, cols)
+            arrays[uid] = int_matrix(rng, *shape)
         return arrays[uid], uid
 
-    def tile_shape(key):
+    def read_shape(key, transposed):
         rows, cols = arrays[key.matrix].shape
-        return min(tile, rows - key.row * tile), min(tile, cols - key.col * tile)
+        shape = min(tile, rows - key.row * tile), min(tile, cols - key.col * tile)
+        return shape[::-1] if transposed else shape
 
     clocks = {dev.device_id: [0.0, 0.0, 0.0] for dev in machine.devices}
-    for m, k, n in shapes:
-        (a, a_uid), (b, b_uid) = operand("A", m, k), operand("B", k, n)
+    for m, k, n, ta, tb in shapes:
+        (a, a_uid), (b, b_uid) = operand("A", m, k, ta), operand("B", k, n, tb)
         tasks.clear()
-        c, stats = rt.multiply(a, b, a_uid=a_uid, b_uid=b_uid)
-        assert np.array_equal(c, reference_gemm(a, b))
+        c, stats = rt.multiply(a, b, ta, tb, a_uid=a_uid, b_uid=b_uid)
+        assert np.array_equal(c, reference_gemm(a.T if ta else a, b.T if tb else b))
         assert len(tasks) == stats.total_tasks
         steals = {(ev.thief, ev.task_id): ev.time for ev in stats.steal_events}
         before = max(max(cl) for cl in clocks.values())
@@ -1000,8 +1073,8 @@ def test_sim_clocks_equal_a_direct_replay(machine, tile, shapes):
                 ra, rb = results[s], results[s + 1]
                 tr += (transfer_cost(machine, ra.source, did, ra.nbytes_moved)
                        + transfer_cost(machine, rb.source, did, rb.nbytes_moved))
-                co = max(co, tr) + compute_cost(dev, tile_shape(requests[s][0]),
-                                                tile_shape(requests[s + 1][0]))
+                co = max(co, tr) + compute_cost(dev, read_shape(requests[s][0], ta),
+                                                read_shape(requests[s + 1][0], tb))
             wr = max(wr, co) + transfer_cost(machine, did, HOST, wb)
             clocks[did] = [co, tr, wr]
         assert not steals  # every steal event names a recorded task

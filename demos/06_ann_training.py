@@ -45,6 +45,9 @@ print("== cache reuse inside one training step ==")
 s = tiled.runtime.directory.stats()
 print(f"over the whole run the backward passes turned "
       f"{s.l1_hits + s.l2_hits} of {s.input_requests} tile requests into cache hits")
+resident = [tiled.runtime.directory.used_tiles(d) for d in range(2)]
+print(f"tiles resident per device after 2000 steps: {resident} "
+      f"(each step retires the activations, gradients and weights it read)")
 
 print()
 print("== gradient check against central finite differences ==")

@@ -71,6 +71,9 @@ class DenseBackend:
     def fresh_uid(self, prefix: str = "m"):
         return None
 
+    def retire(self, uids):
+        pass
+
     def sim_time(self):
         return None
 
@@ -97,6 +100,9 @@ class TiledBackend:
     def fresh_uid(self, prefix: str = "m"):
         return self.runtime.fresh_uid(prefix)
 
+    def retire(self, uids):
+        self.runtime.retire(uids)
+
     def sim_time(self):
         return self.runtime.sim_now() if self.runtime.mode == "sim" else None
 
@@ -110,7 +116,7 @@ class Layer:
     bias: np.ndarray | None = None  # fan_out
     activation: str = "sigmoid"
     tag: str = "layer"
-    version: int = 0  # bumped on every parameter update to retire stale cache keys
+    version: int = 0  # bumped on every update, so new weights get a new uid
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -204,26 +210,25 @@ class Network:
         return acts[-1] if acts else x
 
 
-def _backward_pass(net: Network, xs, ys, acts, uids, pred, target, backend):
-    """Common backward walk; returns per-layer (dW, db) without updating."""
+def loss_gradients(net: Network, x: np.ndarray, target: np.ndarray, backend):
+    """One forward+backward pass, no update: (MSE loss, per-layer (dW, db)).
+
+    No later product reads the pass's layer inputs or gradients, so their
+    uids are retired before it returns."""
+    xs, ys, acts, uids = net.forward(x, backend)
+    pred = acts[-1] if acts else x
     grads = [None] * len(net.layers)
+    dy_uids = []
     d_out = mse_grad(pred, target)
     for l in reversed(range(len(net.layers))):
         layer = net.layers[l]
         d_y = d_out * activation_grad(layer.activation, ys[l], acts[l])
-        dy_uid = backend.fresh_uid("dy")
+        dy_uids.append(backend.fresh_uid("dy"))
         d_w, d_b, d_x = backward_layer(layer, xs[l], d_y, backend,
-                                       x_uid=uids[l], dy_uid=dy_uid)
+                                       x_uid=uids[l], dy_uid=dy_uids[-1])
         grads[l] = (d_w, d_b)
         d_out = d_x
-    return grads
-
-
-def loss_gradients(net: Network, x: np.ndarray, target: np.ndarray, backend):
-    """One forward+backward pass, no update: (MSE loss, per-layer (dW, db))."""
-    xs, ys, acts, uids = net.forward(x, backend)
-    pred = acts[-1] if acts else x
-    grads = _backward_pass(net, xs, ys, acts, uids, pred, target, backend)
+    backend.retire(uids + dy_uids)
     return mse(pred, target), grads
 
 
@@ -231,11 +236,12 @@ def train_step(net: Network, x: np.ndarray, target: np.ndarray, lr: float,
                backend) -> float:
     """Forward, MSE loss, backward, SGD update.  Returns the loss."""
     loss, grads = loss_gradients(net, x, target, backend)
+    backend.retire([layer.weight_uid for layer in net.layers])  # read by no later product
     for layer, (d_w, d_b) in zip(net.layers, grads):
         layer.weights = layer.weights - lr * d_w
         if layer.bias is not None and d_b is not None:
             layer.bias = layer.bias - lr * d_b
-        layer.version += 1  # old weight tiles are dead cache entries now
+        layer.version += 1
     return loss
 
 

@@ -21,6 +21,11 @@ miss's source is the first peer in its ranking whose set holds the tile,
 and ``HOST`` when none does.  The fewest hops win, and a tie goes to the
 lowest id.
 
+Nothing is evicted for being dead, only for lack of room.  A session
+whose matrices die (a training step's activations, gradients and
+pre-update weights) retires their uids, which drops their tiles from
+every set, so its sets hold only what may still be read.
+
 A bounded device keeps one of its ``capacity_tiles`` slots for the output
 tile it is building, which never enters its set; the set holds input
 tiles only, up to ``capacity_tiles - 1`` of them, and an admission into
@@ -239,6 +244,17 @@ class CacheDirectory:
                 ds.bytes_host += bytes_host
                 ds.evictions += evictions
             return out
+
+    def retire(self, uids) -> None:
+        """Drop every input tile of the matrices ``uids``, which no later
+        request reads, from every device's set.  Not an eviction, so no
+        counter moves; output slots are untouched, and a uid with no
+        resident tile (``None`` included) is ignored."""
+        dead = set(uids)
+        with self._lock:
+            for order in self._order.values():
+                for key in [key for key in order if key.matrix in dead]:
+                    del order[key]
 
     def release_input(self, device: int, keys) -> None:
         """Does nothing: :meth:`acquire_input` holds no tile once it

@@ -635,6 +635,11 @@ class Runtime:
     operand its shape as read, transposition and dtype), and each
     ``multiply`` binds the template to its operands' uids.  Like the price
     tables, it stops growing once the session has met each shape.
+
+    The directory evicts only for want of room, so an unbounded set keeps
+    every tile it admits until the session retires the tile's uid
+    (:meth:`retire`): a session that keeps naming new matrices retires
+    those no later product reads.
     """
 
     def __init__(self, machine: Machine, tile_size: int, mode: str = "sim",
@@ -657,6 +662,11 @@ class Runtime:
     def fresh_uid(self, prefix: str = "m") -> str:
         self._uid_n += 1
         return f"{prefix}#{self._uid_n}"
+
+    def retire(self, uids) -> None:
+        """Drop the cached tiles of the matrices ``uids``, which no later
+        product reads (see :meth:`CacheDirectory.retire`)."""
+        self.directory.retire(uids)
 
     def sim_now(self) -> float:
         """The latest compute, fetch or writeback clock of any device."""

@@ -4,7 +4,7 @@ import pytest
 
 from tilerun.coherence import CacheDirectory
 
-MUTATORS = ("acquire_input", "admit_output", "release_output", "abort_output")
+MUTATORS = ("acquire_input", "admit_output", "release_output", "abort_output", "retire")
 
 
 @pytest.fixture

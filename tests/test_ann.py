@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tilerun.ann import (
     DenseBackend,
@@ -16,7 +20,8 @@ from tilerun.ann import (
     train_step,
     xor_dataset,
 )
-from tilerun.devices import homogeneous_machine
+from tilerun.coherence import CacheDirectory
+from tilerun.devices import DeviceSpec, Machine, ProximityMatrix, homogeneous_machine
 from tilerun.scheduler import Operand, plan
 from tilerun.tiles import partition
 
@@ -280,6 +285,135 @@ def test_train_step_makes_uids_only_for_operands_its_products_read(monkeypatch):
     assert len(backend.call_stats) == 6
     assert len(made) == len(set(made)) == 4
     assert read == set(made) | {"layer0.w.v0", "layer1.w.v0"}
+
+
+# -- bounded sessions --------------------------------------------------------
+
+
+def resident_tiles(backend):
+    rt = backend.runtime
+    return [rt.directory.used_tiles(d.device_id) for d in rt.machine.devices]
+
+
+@pytest.mark.parametrize("mode", ["sim", "threaded"])
+def test_a_long_training_session_keeps_no_tile_resident(mode):
+    # Every uid a step reads dies with the step: its layer inputs and
+    # gradients when loss_gradients returns, its weights when train_step
+    # bumps their version.  So after each step no device holds a tile.
+    rng = np.random.default_rng(0)
+    net = Network.from_sizes([2, 8, 1], rng, activation="sigmoid")
+    x, target = xor_dataset()
+    backend = tiled_backend(2, 2, mode=mode)
+    for step in range(1000):
+        train_step(net, x, target, 0.5, backend)
+        assert resident_tiles(backend) == [0, 0], f"tiles left resident after step {step}"
+
+
+def test_loss_gradients_keeps_only_the_weights_resident():
+    # without an update the weights stay live, and a repeated pass reads
+    # them from cache; the pass's own inputs and gradients are retired
+    rng = np.random.default_rng(5)
+    net = Network.from_sizes([8, 8, 4], rng)
+    x, target = random_regression(rng, 8, 8, 4)
+    backend = tiled_backend(1, 4)
+    loss_gradients(net, x, target, backend)
+    weight_uids = {layer.weight_uid for layer in net.layers}
+    assert {k.matrix for k in backend.runtime.directory.residents(0)} == weight_uids
+    hits = backend.runtime.directory.stats().l1_hits
+    bench_pass(net, x, target, backend, repeats=1)
+    assert backend.runtime.directory.stats().l1_hits > hits
+
+
+@st.composite
+def training_machines(draw):
+    """2-4 devices, perhaps the last a host worker; each accelerator's
+    capacity is bounded (3-8 tiles) or not; unequal speeds on a hop
+    matrix of 1s and 2s, so hop ties are common."""
+    n = draw(st.integers(2, 4))
+    host_worker = draw(st.booleans())
+    speed = st.floats(10.0, 5000.0)
+    devs = [DeviceSpec(i, capacity_tiles=draw(st.none() | st.integers(3, 8)),
+                       flops_per_unit=draw(speed), host_bandwidth=draw(speed))
+            for i in range(n - host_worker)]
+    if host_worker:
+        devs.append(DeviceSpec(n - 1, kind="host-worker", flops_per_unit=draw(speed)))
+    hops = np.zeros((n, n), dtype=int)
+    bandwidth = np.zeros((n, n))
+    for i, j in itertools.permutations(range(n), 2):
+        if i < j:
+            hops[i, j] = hops[j, i] = draw(st.integers(1, 2))
+        bandwidth[i, j] = draw(speed)
+    return Machine(devs, ProximityMatrix(hops, bandwidth),
+                   transfer_latency=draw(st.floats(0.0, 2.0)))
+
+
+training_sessions = dict(
+    sizes=st.lists(st.integers(1, 5), min_size=2, max_size=4),
+    batch=st.integers(1, 5), tile=st.integers(1, 3), steps=st.integers(2, 4),
+)
+
+
+def train_session(machine, sizes, batch, tile, steps, mode="sim"):
+    """``steps`` training steps of a fresh net; returns (losses, backend)."""
+    rng = np.random.default_rng(0)
+    net = Network.from_sizes(sizes, rng)
+    x, target = random_regression(rng, batch, sizes[0], sizes[-1])
+    backend = DenseBackend() if machine is None else TiledBackend(machine, tile, mode=mode)
+    return [train_step(net, x, target, 0.1, backend) for _ in range(steps)], backend
+
+
+def compare_with_no_op_retire(machine, sizes, batch, tile, steps):
+    """Run a sim session as shipped and with retire made a no-op, assert
+    that they differ in evictions alone, and return both sides' per-device
+    evictions.
+
+    A step retires every uid it read, after its last product, and no
+    later product reads one.  So in a set that still held them they are
+    older than every live tile and are never hit: LRU evicts them before
+    any live tile, and the live tiles, every transfer and every clock are
+    the same.  Only evictions may differ, and only downwards."""
+    losses, kept = train_session(machine, sizes, batch, tile, steps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CacheDirectory, "retire", lambda self, uids: None)
+        no_op_losses, no_op = train_session(machine, sizes, batch, tile, steps)
+    assert np.array(losses).tobytes() == np.array(no_op_losses).tobytes()
+    assert kept.runtime.sim_now() == no_op.runtime.sim_now()
+    assert [s.tasks_by_device for s in kept.call_stats] == \
+        [s.tasks_by_device for s in no_op.call_stats]
+    assert [s.steal_events for s in kept.call_stats] == [s.steal_events for s in no_op.call_stats]
+    got, want = kept.runtime.directory.stats_per_device(), no_op.runtime.directory.stats_per_device()
+    evictions = {d: (got[d].evictions, want[d].evictions) for d in got}
+    for d in got:
+        assert got[d].evictions <= want[d].evictions
+        got[d].evictions = want[d].evictions
+    assert got == want
+    assert resident_tiles(kept) == [0] * machine.n_devices
+    return evictions
+
+
+@settings(max_examples=60, deadline=None)
+@given(machine=training_machines(), **training_sessions)
+def test_retiring_dead_tiles_moves_nothing_but_evictions(machine, sizes, batch, tile, steps):
+    evictions = compare_with_no_op_retire(machine, sizes, batch, tile, steps)
+    if all(d.capacity_tiles is None for d in machine.devices):
+        assert all(got == want for got, want in evictions.values())
+
+
+def test_retiring_spares_a_bounded_session_its_dead_tile_evictions():
+    machine = homogeneous_machine(2, capacity_tiles=6)
+    evictions = compare_with_no_op_retire(machine, [2, 8, 1], 4, 2, 20)
+    assert all(got < want for got, want in evictions.values())
+
+
+@settings(max_examples=10, deadline=None)
+@given(machine=training_machines(), **training_sessions)
+def test_threaded_sessions_that_retire_train_as_dense(machine, sizes, batch, tile, steps):
+    # threaded interleavings are not deterministic, so only the losses
+    # are compared, with the dense backend's
+    losses, backend = train_session(machine, sizes, batch, tile, steps, mode="threaded")
+    dense_losses, _ = train_session(None, sizes, batch, tile, steps)
+    assert np.array(losses).tobytes() == np.array(dense_losses).tobytes()
+    assert resident_tiles(backend) == [0] * machine.n_devices
 
 
 # -- planning scale and benchmarking -------------------------------------------

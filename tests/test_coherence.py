@@ -198,6 +198,84 @@ def test_inputs_are_evictable_once_the_call_returns():
     assert d.residents(0) == [kb, kc]
 
 
+# -- retiring dead matrices ------------------------------------------------
+
+
+def retire_fixture():
+    """Two cached devices holding tiles of uids a, b and c, in a known
+    LRU order, with some of them on both."""
+    d = CacheDirectory(cap_machine(2))
+    a0, a1, b0, b1, c0 = (TileKey("a", 0, 0), TileKey("a", 1, 0), TileKey("b", 0, 0),
+                          TileKey("b", 0, 1), TileKey("c", 0, 0))
+    d.acquire_input(0, [(a0, 8), (b0, 8), (a1, 8), (c0, 8), (b1, 8)])
+    d.acquire_input(1, [(b1, 8), (c0, 8), (a0, 8)])
+    return d, (a0, a1, b0, b1, c0)
+
+
+@pytest.mark.usefixtures("directory_invariants")
+def test_retire_drops_only_the_named_uids_and_keeps_lru_order():
+    d, (a0, a1, b0, b1, c0) = retire_fixture()
+    d.retire(["b"])
+    assert d.residents(0) == [a0, a1, c0]
+    assert d.residents(1) == [c0, a0]
+    d.retire(("a", "c"))
+    assert d.residents(0) == [] and d.residents(1) == []
+
+
+@pytest.mark.usefixtures("directory_invariants")
+def test_retire_moves_no_counter():
+    d, _ = retire_fixture()
+    before = d.stats_per_device()
+    d.retire(["a", "b", "c"])
+    assert d.stats_per_device() == before
+    assert d.stats().evictions == 0
+
+
+@pytest.mark.usefixtures("directory_invariants")
+def test_retire_ignores_unknown_uids_and_none():
+    d, _ = retire_fixture()
+    residents = [d.residents(o) for o in (0, 1)]
+    for uids in ([], ["z"], [None], ["z", None, "a#1"]):
+        d.retire(uids)
+        assert [d.residents(o) for o in (0, 1)] == residents
+
+
+@pytest.mark.usefixtures("directory_invariants")
+def test_retire_leaves_the_output_slot():
+    # inputs may share the output's uid; retiring it drops those inputs,
+    # and the output tile is still the device's to write back
+    d = CacheDirectory(cap_machine(1, capacity=3))
+    c_key = TileKey("C", 0, 0)
+    touch(d, 0, c_key)
+    d.admit_output(0, c_key)
+    d.retire(["C"])
+    assert d.residents(0) == []
+    with pytest.raises(ValueError, match="still holds"):
+        d.admit_output(0, TileKey("C", 0, 1))
+    d.release_output(0, c_key, 8)
+    assert d.stats().writebacks == 1
+
+
+@pytest.mark.usefixtures("directory_invariants")
+def test_a_retired_tile_is_a_host_fetch_on_every_device():
+    d, (a0, *_) = retire_fixture()
+    for dev in (0, 1):
+        d.retire(["a"])
+        assert touch(d, dev, a0).source == HOST
+
+
+@pytest.mark.usefixtures("directory_invariants")
+def test_retire_frees_room():
+    # room 2: a third tile would evict, unless a retired one made room
+    d = CacheDirectory(cap_machine(1, capacity=3))
+    touch(d, 0, key("a"))
+    touch(d, 0, key("b"))
+    d.retire(["a"])
+    touch(d, 0, key("c"))
+    assert d.residents(0) == [key("b"), key("c")]
+    assert d.stats().evictions == 0
+
+
 def test_fresh_directory_stats_zero():
     d = CacheDirectory(cap_machine(2))
     s = d.stats()
@@ -517,8 +595,9 @@ def test_fill_count_matches_the_set():
     # len(keys) reaches the room, over transactions that mix L1 hits, peer
     # copies, host misses and evictions, some raising part way through:
     # after each, the set's size is its residents' count, within room,
-    # and the evictions are the list's.  A set never shrinks, so each
-    # round starts from empty sets, which a long transaction overfills.
+    # and the evictions are the list's.  Only retire shrinks a set, and
+    # this test does not call it, so each round starts from empty sets,
+    # which a long transaction overfills.
     capacity = 4
     rng = np.random.default_rng(7)
     universe = [key(f"t{i}") for i in range(8)]

@@ -55,3 +55,6 @@ def test_readme_library_examples_run():
     for block in blocks:
         exec(block, namespace)
     assert namespace["loss"] < 0.05  # the XOR example trains
+    # and its 2,000 steps leave no tile resident: each step retires its uids
+    directory = namespace["backend"].runtime.directory
+    assert [directory.used_tiles(d) for d in range(2)] == [0, 0]

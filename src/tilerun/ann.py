@@ -115,8 +115,8 @@ class Layer:
     weights: np.ndarray  # fan_in x fan_out
     bias: np.ndarray | None = None  # fan_out
     activation: str = "sigmoid"
-    tag: str = "layer"
-    version: int = 0  # bumped on every update, so new weights get a new uid
+    # minted by uid_in for the first product that reads the weights; cleared on update
+    weight_uid: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -138,16 +138,18 @@ class Layer:
     def fan_out(self) -> int:
         return self.weights.shape[1]
 
-    @property
-    def weight_uid(self) -> str:
-        return f"{self.tag}.w.v{self.version}"
+    def uid_in(self, backend):
+        """The weights' uid, which ``backend`` mints for their first product."""
+        if self.weight_uid is None:
+            self.weight_uid = backend.fresh_uid("w")
+        return self.weight_uid
 
 
 def forward_layer(layer: Layer, x: np.ndarray, backend, x_uid=None):
     """Returns (pre-activation, activation output)."""
     if x.shape[1] != layer.fan_in:
         raise ValueError(f"input width {x.shape[1]} != fan_in {layer.fan_in}")
-    y = backend.multiply(x, layer.weights, a_uid=x_uid, b_uid=layer.weight_uid)
+    y = backend.multiply(x, layer.weights, a_uid=x_uid, b_uid=layer.uid_in(backend))
     if layer.bias is not None:
         y = y + layer.bias
     return y, activate(layer.activation, y)
@@ -164,7 +166,7 @@ def backward_layer(layer: Layer, x: np.ndarray, d_y: np.ndarray, backend,
         raise ValueError(f"gradient shape {d_y.shape} inconsistent with layer")
     d_w = backend.multiply(x, d_y, transpose_a=True, a_uid=x_uid, b_uid=dy_uid)
     d_x = backend.multiply(d_y, layer.weights, transpose_b=True,
-                           a_uid=dy_uid, b_uid=layer.weight_uid)
+                           a_uid=dy_uid, b_uid=layer.uid_in(backend))
     d_b = d_y.sum(axis=0) if layer.bias is not None else None
     return d_w, d_b, d_x
 
@@ -181,10 +183,10 @@ class Network:
         Each layer draws its weights, then its bias, uniformly from
         [-1, 1)."""
         layers = []
-        for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
+        for fan_in, fan_out in zip(sizes, sizes[1:]):
             w = rng.uniform(-1.0, 1.0, size=(fan_in, fan_out))
             b = rng.uniform(-1.0, 1.0, size=fan_out)
-            layers.append(Layer(w, b, activation, tag=f"layer{i}"))
+            layers.append(Layer(w, b, activation))
         return cls(layers)
 
     def forward(self, x: np.ndarray, backend):
@@ -205,8 +207,10 @@ class Network:
         return xs, ys, acts, uids
 
     def predict(self, x: np.ndarray, backend=None) -> np.ndarray:
+        """The last activation; the layer inputs' uids are retired."""
         backend = backend or DenseBackend()
-        _, _, acts, _ = self.forward(x, backend)
+        _, _, acts, uids = self.forward(x, backend)
+        backend.retire(uids)
         return acts[-1] if acts else x
 
 
@@ -239,9 +243,9 @@ def train_step(net: Network, x: np.ndarray, target: np.ndarray, lr: float,
     backend.retire([layer.weight_uid for layer in net.layers])  # read by no later product
     for layer, (d_w, d_b) in zip(net.layers, grads):
         layer.weights = layer.weights - lr * d_w
+        layer.weight_uid = None  # the new weights get a new uid
         if layer.bias is not None and d_b is not None:
             layer.bias = layer.bias - lr * d_b
-        layer.version += 1
     return loss
 
 

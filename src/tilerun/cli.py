@@ -153,9 +153,8 @@ def cmd_sweep(args) -> int:
     # a one-device template keeps homogeneous_machine's peer bandwidth
     peer = {"peer_bandwidth": float(off[0])} if off.size else {}
 
-    fields = ["size", "devices", "tile_size", "makespan", "speedup",
-              "l1_hits", "l2_hits", "host_fetches", "bytes_host", "bytes_peer",
-              "evictions", "steals"]
+    cache_fields = ["l1_hits", "l2_hits", "host_fetches", "bytes_host", "bytes_peer", "evictions"]
+    fields = ["size", "devices", "tile_size", "makespan", "speedup", *cache_fields, "steals"]
     wrote = 0
     with open(args.out, "w", newline="") as f:
         w = csv.DictWriter(f, fieldnames=fields)
@@ -176,16 +175,12 @@ def cmd_sweep(args) -> int:
                                    mode="sim", coherence=not args.no_coherence)
                     if n == 1:
                         base = stats.makespan
+                    cache = stats.cache.as_dict()
                     w.writerow({
                         "size": size, "devices": n, "tile_size": args.tile_size,
                         "makespan": f"{stats.makespan:.9g}",
                         "speedup": f"{base / stats.makespan:.6g}",
-                        "l1_hits": stats.cache.l1_hits,
-                        "l2_hits": stats.cache.l2_hits,
-                        "host_fetches": stats.cache.host_fetches,
-                        "bytes_host": stats.cache.bytes_host,
-                        "bytes_peer": stats.cache.bytes_peer,
-                        "evictions": stats.cache.evictions,
+                        **{k: cache[k] for k in cache_fields},
                         "steals": len(stats.steal_events),
                     })
                     f.flush()  # keep partial results on a failing cell

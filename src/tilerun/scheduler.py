@@ -7,16 +7,17 @@ step table that a session builds once per product shape and binds to
 each call's uids, and the ``sim`` engine then prices each step's fetch
 and compute from per-device tables that the session fills as prices are
 first met.  Compute is priced per task: the tile extents the template
-keeps give each task's list of step prices.  The data never passes
-through the directory.  The fixed-order kernel accumulates the
-contraction index in ascending order however its operands are blocked,
-so the product's bits do not depend on the schedule: the ``sim`` engine
-computes the whole product with one kernel call before it claims any
-task, and the ``threaded`` engine makes one call per task, which
-multiplies the A row panel by the B column panel into the task's output
-tile.  Because every output tile has exactly one owner and the
-accumulation order is fixed, the numerical result is bit-identical
-across device counts, steal interleavings, and engine choice.
+keeps give each task's list of step prices.  The data, plain arrays that
+the tile size slices, never passes through the directory.  The
+fixed-order kernel accumulates the contraction index in ascending order
+however its operands are blocked, so the product's bits do not depend on
+the schedule: the ``sim`` engine computes the whole product with one
+kernel call before it claims any task, and the ``threaded`` engine makes
+one call per task, which multiplies the A row panel by the B column
+panel into the task's output tile.  Because every output tile has exactly
+one owner and the accumulation order is fixed, the numerical result is
+bit-identical across device counts, steal interleavings, and engine
+choice.
 
 Engines:
 
@@ -42,8 +43,8 @@ device that finds nothing to claim retires, and the ``sim`` engine ends a
 product at its last claim, since every claim after it would find
 nothing.  Both run each claimed task through ``_run_task``, the one task
 function: the ``sim`` engine passes no kernel, the ``threaded`` engine
-its panel kernel.  The engines keep no counters: per-device task counts
-come from ``Completion``, steal counts from the steal events.
+its panel kernel.  The engines keep no counters: a product's
+``RunStats`` derives them from ``Completion`` and the steal events.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ import json
 import threading
 import time
 from dataclasses import asdict, dataclass, field, fields
-from itertools import chain
+from functools import cached_property
+from itertools import chain, count
 
 import numpy as np
 
@@ -62,20 +64,20 @@ from .coherence import CacheDirectory, CacheStats, Memo
 from .devices import HOST, DeviceSpec, Machine, compute_cost, transfer_cost
 from .msqueue import MichaelScottQueue
 from .tiles import (
-    TiledMatrix,
     TileKey,
     accumulate_product,
+    as_matrix,
     as_tile_size,
     decode_task,
-    partition,
+    partition,  # noqa: F401 -- see below
     reassemble,  # noqa: F401 -- see below
 )
 
-# ``reassemble`` stays importable from here, and ``multiply`` keeps its
-# ``CacheDirectory.stats_per_device`` snapshot and ``CacheStats.__sub__``
-# diff: the benchmark's tracer wraps all three by name, and
-# tests/test_benchmark_hooks.py looks them up.  Their removal waits for
-# ROADMAP #1.
+# ``partition`` and ``reassemble`` stay importable from here, unused,
+# and ``multiply`` keeps its ``CacheDirectory.stats_per_device`` snapshot
+# and ``CacheStats.__sub__`` diff: the benchmark's tracer wraps all four
+# by name, and tests/test_benchmark_hooks.py looks them up.  Their
+# removal waits for ROADMAP #1.
 
 SCHEMA_VERSION = 2
 
@@ -106,23 +108,23 @@ class Completion:
 
 @dataclass
 class Operand:
-    """A tiled matrix as a product reads it, optionally transposed.
+    """A matrix as a product reads it, optionally transposed.
 
-    ``tiled`` partitions the matrix as read: for a transposed operand,
-    the transpose view of the stored matrix.  Its tile (i, k) is then
-    tile (k, i) of the stored matrix, transposed, and the cache key names
-    the stored coordinates.  The same tiles therefore keep the same
-    identity whether a pass reads the matrix straight or transposed,
-    which is what lets the cache see reuse between the two.
+    ``matrix`` is the matrix as read: for a transposed operand, the
+    transpose view of the stored matrix.  Its tile (i, k) is then tile
+    (k, i) of the stored matrix, transposed, and the cache key names the
+    stored coordinates.  The same tiles therefore keep the same identity
+    whether a pass reads the matrix straight or transposed, which is what
+    lets the cache see reuse between the two.
     """
 
-    tiled: TiledMatrix
+    matrix: np.ndarray
     uid: str
     transposed: bool = False
 
     @property
     def element_shape(self) -> tuple[int, int]:
-        return self.tiled.shape
+        return self.matrix.shape
 
 
 def _extents(n: int, t: int) -> list[int]:
@@ -149,6 +151,7 @@ class PlanTemplate:
     keys are known before any uid is.
     """
 
+    tile_size: int
     out_shape: tuple[int, int]
     out_dtype: np.dtype
     row_extents: list
@@ -159,13 +162,13 @@ class PlanTemplate:
     tasks: list
 
 
-def _shape_key(a: Operand, b: Operand) -> tuple:
+def _shape_key(a: Operand, b: Operand, tile_size: int) -> tuple:
     """Everything a plan template depends on: the tile size, and per
     operand its shape as read, whether it is transposed, and its dtype
     (the output's dtype is their result type)."""
-    return (a.tiled.tile_size,
-            (a.element_shape, a.transposed, a.tiled.base.dtype),
-            (b.element_shape, b.transposed, b.tiled.base.dtype))
+    return (tile_size,
+            (a.element_shape, a.transposed, a.matrix.dtype),
+            (b.element_shape, b.transposed, b.matrix.dtype))
 
 
 def _template(key: tuple) -> PlanTemplate:
@@ -183,7 +186,7 @@ def _template(key: tuple) -> PlanTemplate:
         i, j = decode_task(tid, len(cols), len(rows))
         tasks.append((i, j, TileKey("C", i, j), rows[i] * cols[j] * out_dtype.itemsize))
     return PlanTemplate(
-        out_shape=(a_shape[0], b_shape[1]), out_dtype=out_dtype,
+        tile_size=t, out_shape=(a_shape[0], b_shape[1]), out_dtype=out_dtype,
         row_extents=rows, col_extents=cols, step_extents=steps,
         a_rows=[[tile(i, k, m, s, a_dtype.itemsize, a_transposed) for k, s in enumerate(steps)]
                 for i, m in enumerate(rows)],
@@ -193,26 +196,12 @@ def _template(key: tuple) -> PlanTemplate:
     )
 
 
-@dataclass
-class Plan:
-    """The tasks of one product: a template bound to its operands' uids.
+class _Grid:
+    """A product's tile and grid sizes, read from its ``template``."""
 
-    ``a_rows`` and ``b_cols`` are the template's step tables with each
-    tile's coordinates turned into its :class:`TileKey`, as
-    ``(key, nbytes)``: the requests task ``(i, j)`` sends the directory,
-    A then B for each step.  ``template`` is the shape's
-    :class:`PlanTemplate`, whose tile extents price the steps and whose
-    task table gives each task's ``(i, j)`` and output tile.
-    """
-
-    a: Operand
-    b: Operand
-    c: Operand
-    template: PlanTemplate
-    queue: MichaelScottQueue
-    completion: Completion
-    a_rows: list
-    b_cols: list
+    @property
+    def tile_size(self) -> int:
+        return self.template.tile_size
 
     @property
     def grid_rows(self) -> int:
@@ -231,24 +220,44 @@ class Plan:
         return len(self.template.tasks)
 
 
-def plan(a: Operand, b: Operand, templates: Memo | None = None) -> Plan:
-    """Build one task per output tile and enqueue them all (row-major).
+@dataclass
+class Plan(_Grid):
+    """The tasks of one product: a template bound to its operands' uids.
+
+    ``a_rows`` and ``b_cols`` are the template's step tables with each
+    tile's coordinates turned into its :class:`TileKey`, as
+    ``(key, nbytes)``: the requests task ``(i, j)`` sends the directory,
+    A then B for each step.  ``template`` is the shape's
+    :class:`PlanTemplate`, whose tile extents price the steps and whose
+    task table gives each task's ``(i, j)`` and output tile in ``c``.
+    """
+
+    a: Operand
+    b: Operand
+    c: np.ndarray
+    template: PlanTemplate
+    queue: MichaelScottQueue
+    completion: Completion
+    a_rows: list
+    b_cols: list
+
+
+def plan(a: Operand, b: Operand, tile_size: int, templates: Memo | None = None) -> Plan:
+    """Build one task per output tile of ``tile_size`` and enqueue them
+    all (row-major).
 
     The template comes from ``templates``, a session's memo of templates
     by shape key (a :class:`Runtime` passes its own), or is built for this
     call alone; either way it is bound the same way, so the two give equal
-    plans.  The output is allocated as zeros of the operands' result dtype
-    and partitioned with their tile size.  Its uid is ``"C"``, which an
-    input may share: an output tile takes its device's reserved slot and
-    never enters a residency set, so its key meets no input's.
+    plans.  The output is allocated as zeros of the operands' result
+    dtype.  Its uid is ``"C"``, which an input may share: an output tile
+    takes its device's reserved slot and never enters a residency set, so
+    its key meets no input's.
     """
-    if a.tiled.tile_size != b.tiled.tile_size:
-        raise ValueError(
-            f"tile sizes differ: {a.tiled.tile_size} vs {b.tiled.tile_size}"
-        )
+    t = as_tile_size(tile_size)
     if a.element_shape[1] != b.element_shape[0]:
         raise ValueError(f"inner dimensions differ: {a.element_shape} x {b.element_shape}")
-    key = _shape_key(a, b)
+    key = _shape_key(a, b, t)
     tmpl = _template(key) if templates is None else templates[key]
     n_tasks = len(tmpl.tasks)
     queue = MichaelScottQueue()
@@ -257,7 +266,7 @@ def plan(a: Operand, b: Operand, templates: Memo | None = None) -> Plan:
     a_uid, b_uid = a.uid, b.uid
     return Plan(
         a=a, b=b,
-        c=Operand(partition(np.zeros(tmpl.out_shape, tmpl.out_dtype), a.tiled.tile_size), "C"),
+        c=np.zeros(tmpl.out_shape, tmpl.out_dtype),
         template=tmpl, queue=queue, completion=Completion(n_tasks),
         a_rows=[[(TileKey(a_uid, r, c), nbytes) for r, c, nbytes in row] for row in tmpl.a_rows],
         b_cols=[[(TileKey(b_uid, r, c), nbytes) for r, c, nbytes in col] for col in tmpl.b_cols],
@@ -333,25 +342,38 @@ class DeviceStats:
 
 
 @dataclass
-class RunStats:
+class RunStats(_Grid):
+    """One product's facts, from which every count is derived; ``machine``,
+    ``template`` and ``ran_on`` (the :class:`Completion` list) are shared."""
+
     mode: str
-    tile_size: int
-    grid_rows: int
-    grid_cols: int
-    k_steps: int
-    total_tasks: int
     steal_enabled: bool
     coherence_enabled: bool
-    devices: dict[int, DeviceStats]
-    cache: CacheStats
+    machine: Machine = field(compare=False, repr=False)
+    template: PlanTemplate = field(repr=False)
+    ran_on: list[int] = field(repr=False)
     cache_per_device: dict[int, CacheStats]
     makespan: float | None
     wall_elapsed: float
-    steal_events: list[StealEvent] = field(default_factory=list)
+    steal_events: list[StealEvent]
 
     @property
     def tasks_by_device(self) -> dict[int, int]:
         return {d: s.tasks_completed for d, s in self.devices.items()}
+
+    @cached_property
+    def devices(self) -> dict[int, DeviceStats]:
+        """Each device's task count and the steals it made and suffered."""
+        stats = {d.device_id: DeviceStats(d.device_id, d.kind, self.ran_on.count(d.device_id))
+                 for d in self.machine.devices}
+        for ev in self.steal_events:
+            stats[ev.thief].steals_performed += 1
+            stats[ev.victim].steals_suffered += 1
+        return stats
+
+    @cached_property
+    def cache(self) -> CacheStats:
+        return sum(self.cache_per_device.values(), CacheStats())
 
     def to_report_dict(self) -> dict:
         return {
@@ -391,13 +413,14 @@ _CSV_FIELDS = [f.name for f in fields(DeviceStats) + fields(CacheStats)]
 def write_report_csv(stats: RunStats, path) -> None:
     """One row per device plus a summary row, which sums the counters that
     follow ``device_id`` and ``kind``."""
+    devices = stats.devices
     with open(path, "w", newline="") as f:
         w = csv.DictWriter(f, fieldnames=_CSV_FIELDS)
         w.writeheader()
         w.writerows({**asdict(ds), **stats.cache_per_device[did].as_dict()}
-                    for did, ds in sorted(stats.devices.items()))
+                    for did, ds in sorted(devices.items()))
         w.writerow({"device_id": "total", "kind": "",
-                    **{f.name: sum(getattr(ds, f.name) for ds in stats.devices.values())
+                    **{f.name: sum(getattr(ds, f.name) for ds in devices.values())
                        for f in fields(DeviceStats)[2:]},
                     **stats.cache.as_dict()})
 
@@ -510,7 +533,7 @@ def _run_sim(machine, plan_, directory, clocks, prices, events, steal_enabled):
     task, step k+1's fetch may run any number of steps ahead of compute
     k on the same terms.  Every clock only moves forward, because every
     cost is >= 0."""
-    accumulate_product(plan_.a.tiled.base, plan_.b.tiled.base, plan_.c.tiled.base)
+    accumulate_product(plan_.a.matrix, plan_.b.matrix, plan_.c)
     stations = {d.device_id: ReservationStation(d.slots) for d in machine.devices}
     heap = [(clocks[d.device_id][0], d.device_id) for d in machine.devices]
     heapq.heapify(heap)
@@ -555,19 +578,19 @@ def _run_threaded(machine, plan_, directory, events, steal_enabled):
     abort = threading.Event()
     errors: list[BaseException] = []
 
-    a, b, c = plan_.a.tiled.base, plan_.b.tiled.base, plan_.c.tiled
-    t = c.tile_size
+    a, b, c = plan_.a.matrix, plan_.b.matrix, plan_.c
+    t = plan_.tile_size
 
     def worker(dev: DeviceSpec):
         did = dev.device_id
         sub_blocks = dev.subtile_factor if dev.is_host_worker else 1
 
         def kernel(i, j):
-            # A's tile row i times B's tile column j, one view each: the
+            # A's tile row i times B's tile column j into C's tile (i, j): the
             # kernel's ascending order makes one call bit-identical to one
             # call per step, and to the sim engine's one call
-            accumulate_product(a[i * t : (i + 1) * t], b[:, j * t : (j + 1) * t], c.tile(i, j),
-                               sub_blocks=sub_blocks)
+            rows, cols = slice(i * t, (i + 1) * t), slice(j * t, (j + 1) * t)
+            accumulate_product(a[rows], b[:, cols], c[rows, cols], sub_blocks=sub_blocks)
 
         while not abort.is_set():
             tid, victim = _claim(did, stations, plan_.queue, steal_enabled)
@@ -599,27 +622,15 @@ def _run_threaded(machine, plan_, directory, events, steal_enabled):
 # -- the runtime ----------------------------------------------------------
 
 
-def _device_stats(machine: Machine, completion: Completion,
-                  events: list[StealEvent]) -> dict[int, DeviceStats]:
-    """Per-device counts of a finished run, from ``Completion.ran_on`` and
-    the steal events."""
-    ran_on = completion.ran_on
-    stats = {d.device_id: DeviceStats(d.device_id, d.kind, ran_on.count(d.device_id))
-             for d in machine.devices}
-    for ev in events:
-        stats[ev.thief].steals_performed += 1
-        stats[ev.victim].steals_suffered += 1
-    return stats
-
-
 class Runtime:
     """A session: one machine, one directory, any number of products.
 
     Device clocks and cache residency persist across ``multiply`` calls,
     so back-to-back products (e.g. the passes of a training step) see
-    each other's cached tiles.  Per-call statistics are deltas against
-    the session counters.  Either engine runs every task of a product
-    through ``_run_task``.
+    each other's cached tiles.  A call's :class:`RunStats` keeps that
+    product's facts; its cache counts are deltas against the session
+    counters.  Either engine runs every task of a product through
+    ``_run_task``.
 
     A session prices and ranks peers from the machine it was built with.
     The directory fixes each device's capacity and peer ranking at
@@ -657,11 +668,12 @@ class Runtime:
         self.clocks = {d.device_id: [0.0, 0.0, 0.0] for d in machine.devices}
         self.prices = _price_tables(machine)
         self.templates = Memo(_template)
-        self._uid_n = 0
+
+    _uids = count(1)  # shared by every session
 
     def fresh_uid(self, prefix: str = "m") -> str:
-        self._uid_n += 1
-        return f"{prefix}#{self._uid_n}"
+        """A uid no other call returns in this process, whatever the session."""
+        return f"{prefix}#{next(Runtime._uids)}"
 
     def retire(self, uids) -> None:
         """Drop the cached tiles of the matrices ``uids``, which no later
@@ -674,8 +686,9 @@ class Runtime:
 
     def operand(self, m, uid: str | None = None, transposed: bool = False) -> Operand:
         """``m`` as a product reads it: ``m.T`` when ``transposed``."""
-        return Operand(partition(np.asarray(m).T if transposed else m, self.tile_size),
-                       uid or self.fresh_uid(), transposed)
+        m = np.asarray(m)
+        return Operand(as_matrix(m.T if transposed else m, m.dtype), uid or self.fresh_uid(),
+                       transposed)
 
     def multiply(self, a, b, transpose_a: bool = False, transpose_b: bool = False,
                  a_uid: str | None = None, b_uid: str | None = None):
@@ -683,10 +696,9 @@ class Runtime:
         transposed; returns ``(C, RunStats)``.
 
         ``C`` is the output array the plan zeroed for this call alone, not
-        a copy: the caller owns it, and no later product reads it.  The
-        stats are deltas of the session's counters."""
+        a copy: the caller owns it, and no later product reads it."""
         plan_ = plan(self.operand(a, a_uid, transpose_a), self.operand(b, b_uid, transpose_b),
-                     self.templates)
+                     self.tile_size, self.templates)
         events: list[StealEvent] = []
         cache_before = self.directory.stats_per_device()
         sim_before = self.sim_now()
@@ -703,24 +715,19 @@ class Runtime:
                 f"{plan_.total_tasks} tasks not run"
             )
         cache_after = self.directory.stats_per_device()
-        cache_per_device = {d: cache_after[d] - cache_before[d] for d in cache_after}
         stats = RunStats(
             mode=self.mode,
-            tile_size=self.tile_size,
-            grid_rows=plan_.grid_rows,
-            grid_cols=plan_.grid_cols,
-            k_steps=plan_.k_steps,
-            total_tasks=plan_.total_tasks,
             steal_enabled=self.steal,
             coherence_enabled=self.coherence,
-            devices=_device_stats(self.machine, plan_.completion, events),
-            cache=sum(cache_per_device.values(), CacheStats()),
-            cache_per_device=cache_per_device,
+            machine=self.machine,
+            template=plan_.template,
+            ran_on=plan_.completion.ran_on,
+            cache_per_device={d: cache_after[d] - cache_before[d] for d in cache_after},
             makespan=(self.sim_now() - sim_before) if self.mode == "sim" else None,
             wall_elapsed=wall,
             steal_events=events,
         )
-        return plan_.c.tiled.base, stats
+        return plan_.c, stats
 
 
 def run(machine: Machine, a, b, tile_size: int, mode: str = "sim",

@@ -72,15 +72,8 @@ class TiledMatrix:
 
     def __init__(self, matrix, tile_size: int):
         t = self.tile_size = as_tile_size(tile_size)
-        m = as_matrix(matrix, dtype=np.asarray(matrix).dtype)
-        self.base = m
-        self.rows, self.cols = m.shape
-        self.grid_rows = math.ceil(self.rows / t)
-        self.grid_cols = math.ceil(self.cols / t)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
+        self.base = as_matrix(matrix, dtype=np.asarray(matrix).dtype)
+        self.grid_rows, self.grid_cols = (math.ceil(n / t) for n in self.base.shape)
 
     def tile(self, row: int, col: int) -> np.ndarray:
         if not (0 <= row < self.grid_rows and 0 <= col < self.grid_cols):

@@ -23,7 +23,6 @@ from tilerun.ann import (
 from tilerun.coherence import CacheDirectory
 from tilerun.devices import DeviceSpec, Machine, ProximityMatrix, homogeneous_machine
 from tilerun.scheduler import Operand, plan
-from tilerun.tiles import partition
 
 
 def tiled_backend(n_devices=2, tile_size=4, **kw):
@@ -50,7 +49,7 @@ def test_forward_hand_computed_with_bias():
 def test_forward_tiled_equals_dense_bitwise():
     rng = np.random.default_rng(0)
     layer = Layer(rng.standard_normal((9, 7)), rng.standard_normal(7),
-                  activation="sigmoid", tag="l0")
+                  activation="sigmoid")
     x = rng.standard_normal((5, 9))
     yd, ad = forward_layer(layer, x, DenseBackend())
     yt, at = forward_layer(layer, x, tiled_backend())
@@ -86,7 +85,7 @@ def test_backward_scalar_chain_rule():
 
 def test_backward_tiled_equals_dense_bitwise():
     rng = np.random.default_rng(2)
-    layer = Layer(rng.standard_normal((8, 5)), rng.standard_normal(5), tag="l0")
+    layer = Layer(rng.standard_normal((8, 5)), rng.standard_normal(5))
     x = rng.standard_normal((6, 8))
     d_y = rng.standard_normal((6, 5))
     dense = backward_layer(layer, x, d_y, DenseBackend())
@@ -163,13 +162,48 @@ def test_tiled_training_trajectory_is_bitwise_equal():
         assert np.array_equal(l0.bias, l1.bias)
 
 
-def test_weight_version_bumps_on_update():
+def test_updated_weights_get_a_new_uid():
+    # A product mints the weights' uid in its session; train_step retires
+    # it with the old weights, and the next product mints a new one.
     rng = np.random.default_rng(4)
     net = Network.from_sizes([3, 3], rng)
     x, target = random_regression(rng, 4, 3, 3)
+    backend = tiled_backend(1, 2)
+    assert net.layers[0].weight_uid is None
+    net.predict(x, backend)
     uid_before = net.layers[0].weight_uid
-    train_step(net, x, target, 0.1, DenseBackend())
-    assert net.layers[0].weight_uid != uid_before
+    assert uid_before is not None
+    train_step(net, x, target, 0.1, backend)
+    assert net.layers[0].weight_uid is None
+    net.predict(x, backend)
+    assert net.layers[0].weight_uid not in (None, uid_before)
+
+
+def test_weights_of_distinct_layers_never_share_a_uid():
+    # Two 4x4 layers at tile 2: each product reads its input's 4 tiles and
+    # its weights' 4 tiles, 16 requests in all, and a first read of a tile
+    # is a host fetch.  Named alike, the second layer's weights would be
+    # counted as hits on tiles never fetched.
+    rng = np.random.default_rng(7)
+    w0, w1, x = (rng.uniform(-1.0, 1.0, (4, 4)) for _ in range(3))
+    backend = TiledBackend(homogeneous_machine(1), tile_size=2)
+    Network([Layer(w0), Layer(w1)]).predict(x, backend)
+    stats = backend.runtime.directory.stats()
+    assert (stats.host_fetches, stats.l1_hits) == (2 * (4 + 4), 2 * 16 - 2 * (4 + 4))
+    # two networks on one backend, the first named in an earlier session
+    # too: the second fetches its own weights, as in a session of its own
+    def net(seed):
+        return Network.from_sizes([4, 4, 4], np.random.default_rng(seed))
+
+    earlier, shared, alone = (TiledBackend(homogeneous_machine(1), tile_size=2)
+                              for _ in range(3))
+    first = net(0)
+    first.predict(x, earlier)
+    first.predict(x, shared)
+    before = shared.runtime.directory.stats()
+    net(1).predict(x, shared)
+    net(1).predict(x, alone)
+    assert shared.runtime.directory.stats() - before == alone.runtime.directory.stats()
 
 
 def test_backward_pass_reuses_forward_tiles():
@@ -262,7 +296,8 @@ def test_session_keeps_one_template_per_product_shape():
 
 def test_train_step_makes_uids_only_for_operands_its_products_read(monkeypatch):
     # A [2, 8, 1] step multiplies X0·W0, X1·W1, X1ᵀ·dY1, dY1·W1ᵀ, X0ᵀ·dY0
-    # and dY0·W0ᵀ: two layer inputs and two gradients, four uids.
+    # and dY0·W0ᵀ: two layer inputs, two weights and two gradients, six
+    # uids.
     rng = np.random.default_rng(0)
     net = Network.from_sizes([2, 8, 1], rng, activation="sigmoid")
     x, target = xor_dataset()
@@ -283,8 +318,8 @@ def test_train_step_makes_uids_only_for_operands_its_products_read(monkeypatch):
     monkeypatch.setattr(rt, "multiply", multiply_logged)
     train_step(net, x, target, 0.5, backend)
     assert len(backend.call_stats) == 6
-    assert len(made) == len(set(made)) == 4
-    assert read == set(made) | {"layer0.w.v0", "layer1.w.v0"}
+    assert len(made) == len(set(made)) == 6
+    assert read == set(made)
 
 
 # -- bounded sessions --------------------------------------------------------
@@ -299,7 +334,7 @@ def resident_tiles(backend):
 def test_a_long_training_session_keeps_no_tile_resident(mode):
     # Every uid a step reads dies with the step: its layer inputs and
     # gradients when loss_gradients returns, its weights when train_step
-    # bumps their version.  So after each step no device holds a tile.
+    # updates them.  So after each step no device holds a tile.
     rng = np.random.default_rng(0)
     net = Network.from_sizes([2, 8, 1], rng, activation="sigmoid")
     x, target = xor_dataset()
@@ -322,6 +357,22 @@ def test_loss_gradients_keeps_only_the_weights_resident():
     hits = backend.runtime.directory.stats().l1_hits
     bench_pass(net, x, target, backend, repeats=1)
     assert backend.runtime.directory.stats().l1_hits > hits
+
+
+def test_repeated_predicts_keep_only_the_weights_resident():
+    # predict retires its layer inputs before it returns, so a session of
+    # predicts holds the weights' tiles and nothing else
+    net = Network.from_sizes([2, 8, 1], np.random.default_rng(0), activation="sigmoid")
+    x, _ = xor_dataset()
+    backend = tiled_backend(2, 2)
+    directory = backend.runtime.directory
+    counts = []
+    for _ in range(3):
+        net.predict(x, backend)
+        weight_uids = {layer.weight_uid for layer in net.layers}
+        assert {k.matrix for d in (0, 1) for k in directory.residents(d)} == weight_uids
+        counts.append(resident_tiles(backend))
+    assert counts[0] == counts[1] == counts[2]
 
 
 @st.composite
@@ -424,7 +475,7 @@ def test_task_grid_tracks_batch_and_neurons():
                                       (9, 2, 2, 8)]:
         x = np.zeros((batch, fan_in))
         w = np.zeros((fan_in, fan_out))
-        p = plan(Operand(partition(x, t), "X"), Operand(partition(w, t), "W"))
+        p = plan(Operand(x, "X"), Operand(w, "W"), t)
         expected = -(-batch // t) * (-(-fan_out // t))
         assert p.total_tasks == expected
 

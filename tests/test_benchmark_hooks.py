@@ -15,7 +15,6 @@ import tilerun.scheduler
 import tilerun.tiles
 from tilerun import DeviceSpec, Machine, ProximityMatrix, Runtime, homogeneous_machine
 from tilerun.scheduler import Operand
-from tilerun.tiles import partition
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -60,10 +59,10 @@ def test_benchmark_plan_probe_counts_flops_of_straight_and_transposed_operands(m
     a, b = np.ones((m, k)), np.ones((k, n))
     for transposed in (False, True):
         # tiled as read, whichever way the matrix is stored
-        a_op = Operand(partition(a, 4), "A", transposed)
-        b_op = Operand(partition(b, 4), "B", transposed)
+        a_op = Operand(a, "A", transposed)
+        b_op = Operand(b, "B", transposed)
         probes = layers.Probes()
-        probes.on_plan((), tilerun.scheduler.plan(a_op, b_op))
+        probes.on_plan((), tilerun.scheduler.plan(a_op, b_op, 4))
         assert probes.flops == 2 * m * k * n
 
 

@@ -3,6 +3,7 @@ import json
 import sys
 import threading
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from tilerun.scheduler import (
     Operand,
     ReservationStation,
     Runtime,
+    StealEvent,
     _claim,
     _run_task,
     plan,
@@ -35,7 +37,7 @@ from tilerun.scheduler import (
     write_report_csv,
     write_report_json,
 )
-from tilerun.tiles import TileKey, accumulate_product, partition, reassemble, reference_gemm
+from tilerun.tiles import TileKey, TiledMatrix, accumulate_product, partition, reference_gemm
 
 
 def int_matrix(rng, rows, cols, lo=-4, hi=4):
@@ -53,20 +55,20 @@ def compute_bound_machine(n, **kw):
 # -- planning ---------------------------------------------------------------
 
 
-def operands(a, b, tile):
+def operands(a, b):
     """Two dense matrices as the planner's operands ``A`` and ``B``."""
-    return Operand(partition(a, tile), "A"), Operand(partition(b, tile), "B")
+    return Operand(a, "A"), Operand(b, "B")
 
 
 def test_plan_counts_square():
-    p = plan(*operands(np.zeros((4, 4)), np.zeros((4, 4)), 2))
+    p = plan(*operands(np.zeros((4, 4)), np.zeros((4, 4))), 2)
     assert p.total_tasks == 4
     assert p.k_steps == 2
     assert list(iter(p.queue.dequeue, None)) == [0, 1, 2, 3]
 
 
 def test_plan_counts_rectangular():
-    p = plan(*operands(np.zeros((6, 4)), np.zeros((4, 6)), 2))
+    p = plan(*operands(np.zeros((6, 4)), np.zeros((4, 6))), 2)
     assert (p.grid_rows, p.grid_cols) == (3, 3)
     assert p.total_tasks == 9
     assert p.k_steps == 2
@@ -74,22 +76,19 @@ def test_plan_counts_rectangular():
 
 
 def test_plan_single_tile_degenerate():
-    p = plan(*operands(np.zeros((2, 2)), np.zeros((2, 2)), 4))
+    p = plan(*operands(np.zeros((2, 2)), np.zeros((2, 2))), 4)
     assert p.total_tasks == 1
     assert p.k_steps == 1
 
 
 def test_plan_rejects_mismatches():
     with pytest.raises(ValueError):
-        plan(*operands(np.zeros((4, 4)), np.zeros((5, 4)), 2))
-    with pytest.raises(ValueError):
-        plan(Operand(partition(np.zeros((4, 4)), 2), "A"),
-             Operand(partition(np.zeros((4, 4)), 3), "B"))
+        plan(*operands(np.zeros((4, 4)), np.zeros((5, 4))), 2)
 
 
 def test_plan_output_allocated_as_zeros():
-    p = plan(*operands(np.ones((4, 4)), np.ones((4, 4)), 2))
-    assert np.array_equal(p.c.tiled.base, np.zeros((4, 4)))
+    p = plan(*operands(np.ones((4, 4)), np.ones((4, 4))), 2)
+    assert np.array_equal(p.c, np.zeros((4, 4)))
 
 
 # -- reservation stations and stealing ---------------------------------------
@@ -355,20 +354,20 @@ def test_exactly_once_under_threaded_stress():
 
 @pytest.mark.parametrize("transposed", [False, True])
 def test_read_tile_is_the_stored_tile_its_key_names(transposed):
-    # An operand is tiled as it is read; the key its plan's step table
-    # gives a tile names the stored tile, whose transpose the read tile is
-    # when the operand is transposed.
+    # An operand holds its matrix as it is read; the key its plan's step
+    # table gives a tile names the stored tile, whose transpose the read
+    # tile is when the operand is transposed.
     stored = np.arange(7 * 11, dtype=np.float64).reshape(7, 11)
     rt = Runtime(homogeneous_machine(1), tile_size=3)
     op = rt.operand(stored, "X", transposed)
     assert op.element_shape == ((11, 7) if transposed else (7, 11))
-    p = plan(op, rt.operand(np.zeros((op.element_shape[1], 1)), "Y"))
-    stored_tiles = partition(stored, 3)
-    for i in range(op.tiled.grid_rows):
-        for j in range(op.tiled.grid_cols):
+    p = plan(op, rt.operand(np.zeros((op.element_shape[1], 1)), "Y"), 3)
+    stored_tiles, read_tiles = partition(stored, 3), partition(op.matrix, 3)
+    for i in range(read_tiles.grid_rows):
+        for j in range(read_tiles.grid_cols):
             key = p.a_rows[i][j][0]
             want = stored_tiles.tile(key.row, key.col)
-            tile = op.tiled.tile(i, j)
+            tile = read_tiles.tile(i, j)
             assert np.array_equal(tile, want.T if transposed else want)
             assert np.shares_memory(tile, stored)  # a view, never a copy
 
@@ -387,9 +386,9 @@ def test_step_table_matches_tile_views(tile, grid, ragged, transposes, dtypes):
     stored = {uid: partition(np.zeros(shape[::-1] if t else shape, dtype=dt), tile)
               for shape, uid, t, dt in (((m, k), "A", transposes[0], dtypes[0]),
                                         ((k, n), "B", transposes[1], dtypes[1]))}
-    a, b = (Operand(partition(stored[uid].base.T if t else stored[uid].base, tile), uid, t)
+    a, b = (Operand(stored[uid].base.T if t else stored[uid].base, uid, t)
             for uid, t in zip("AB", transposes))
-    p = plan(a, b)
+    p = plan(a, b, tile)
 
     def stored_tile(op, i, j):
         """Tile (i, j) of ``op`` as read: its key, and the stored tile the
@@ -413,13 +412,14 @@ def test_step_table_matches_tile_views(tile, grid, ragged, transposes, dtypes):
     # (s_kk, n_j) tile of B, and writes an (m_i, n_j) tile of C
     tmpl = p.template
     rows, cols, steps = tmpl.row_extents, tmpl.col_extents, tmpl.step_extents
-    assert (len(rows), len(cols), len(steps)) == (a.tiled.grid_rows, b.tiled.grid_cols,
-                                                  a.tiled.grid_cols)
+    read_a, read_b = partition(a.matrix, tile), partition(b.matrix, tile)
+    assert (len(rows), len(cols), len(steps)) == (read_a.grid_rows, read_b.grid_cols,
+                                                  read_a.grid_cols)
     assert all(read_shape(a, i, kk) == (rows[i], steps[kk])
                for i in range(p.grid_rows) for kk in range(p.k_steps))
     assert all(read_shape(b, kk, j) == (steps[kk], cols[j])
                for kk in range(p.k_steps) for j in range(p.grid_cols))
-    c = p.c.tiled
+    c = partition(p.c, tile)
     assert c.base.dtype == np.result_type(*dtypes)
     assert tmpl.tasks == [(i, j, TileKey("C", i, j), c.tile(i, j).nbytes)
                           for i in range(c.grid_rows) for j in range(c.grid_cols)]
@@ -483,14 +483,14 @@ def test_session_template_key_names_transposes_and_dtypes(monkeypatch):
     assert len(session.templates) == 4 * len(dtypes) ** 2 == n_call + 1
 
 
-def _float_operand(rng, shape, dtype, tile, transposed):
-    # stored as the transpose when the operand reads it transposed, and
+def _float_tiles(rng, shape, dtype, tile, transposed):
+    # stored as the transpose when a product reads it transposed, and
     # tiled as read
     x = rng.standard_normal(shape[::-1] if transposed else shape)
     x *= 10.0 ** rng.integers(-6, 7, size=x.shape)
     x[rng.random(x.shape) < 0.1] = -0.0
     x = x.astype(dtype)
-    return Operand(partition(x.T if transposed else x, tile), "X", transposed)
+    return partition(x.T if transposed else x, tile)
 
 
 @settings(max_examples=150, deadline=None)
@@ -513,12 +513,11 @@ def test_task_panel_product_matches_per_step_loop_bitwise(tile, grid, ragged, dt
     # on the whole operands, as the sim engine makes.
     m, k, n = (tile * (g - 1) + 1 + r % tile for g, r in zip(grid, ragged))
     rng = np.random.default_rng(seed)
-    a = _float_operand(rng, (m, k), dtypes[0], tile, transposes[0])
-    b = _float_operand(rng, (k, n), dtypes[1], tile, transposes[1])
+    a = _float_tiles(rng, (m, k), dtypes[0], tile, transposes[0])
+    b = _float_tiles(rng, (k, n), dtypes[1], tile, transposes[1])
     # the output takes A's dtype, as plan() allocates it
-    c = _float_operand(rng, (m, n), dtypes[0], tile, False).tiled
+    c = _float_tiles(rng, (m, n), dtypes[0], tile, False)
     expected = partition(c.base.copy(), tile)
-    a, b = a.tiled, b.tiled
     whole = accumulate_product(a.base, b.base, c.base.copy())
     for i in range(c.grid_rows):
         for j in range(c.grid_cols):
@@ -693,13 +692,13 @@ def test_execute_task_and_double_execution_guard():
     rng = np.random.default_rng(16)
     a, b = int_matrix(rng, 8, 8), int_matrix(rng, 8, 8)
     machine = homogeneous_machine(1)
-    p = plan(*operands(a, b, 4))
+    p = plan(*operands(a, b), 4)
     directory = CacheDirectory(machine)
     stations = {0: ReservationStation(4)}
 
     def kernel(i, j):  # A's tile row i times B's tile column j
         accumulate_product(a[i * 4 : (i + 1) * 4], b[:, j * 4 : (j + 1) * 4],
-                           p.c.tiled.tile(i, j))
+                           p.c[i * 4 : (i + 1) * 4, j * 4 : (j + 1) * 4])
 
     while (tid := _claim(0, stations, p.queue, steal_enabled=True)[0]) is not None:
         assert not p.completion.all_done()
@@ -708,7 +707,7 @@ def test_execute_task_and_double_execution_guard():
         assert wb == 4 * 4 * 8  # one float64 output tile
     assert p.completion.all_done()
     assert p.completion.ran_on == [0] * p.total_tasks
-    assert np.array_equal(reassemble(p.c.tiled), reference_gemm(a, b))
+    assert np.array_equal(p.c, reference_gemm(a, b))
     # the completion record refuses a second execution of any task
     with pytest.raises(RuntimeError):
         p.completion.mark(0, 0)
@@ -719,7 +718,7 @@ def test_task_ids_outside_the_grid_are_rejected():
     # A task table indexed by id would wrap -1 round to the last task;
     # both the task function and the completion record refuse it, before
     # an output tile is admitted or a task marked.
-    p = plan(*operands(np.ones((4, 4)), np.ones((4, 4)), 2))
+    p = plan(*operands(np.ones((4, 4)), np.ones((4, 4))), 2)
     directory = CacheDirectory(homogeneous_machine(1))
     for tid in (-1, p.total_tasks):
         with pytest.raises(ValueError, match="task id"):
@@ -1223,20 +1222,13 @@ def test_report_json_schema_and_identity(tmp_path):
 
 
 @pytest.mark.parametrize("mode", ["sim", "threaded"])
-def test_per_call_stats_add_up_to_the_session(monkeypatch, mode):
+def test_per_call_stats_add_up_to_the_session(mode):
     # Over a session of mixed products on a machine with a host worker and
     # bounded caches: the per-call cache deltas sum to the directory's
     # session counters, each call's total is the sum of its devices, and
-    # the device counts match the Counter formula kept here as the oracle.
-    seen = []  # (ran_on, steal events, device stats) of each call
-
-    def spy(machine, completion, events):
-        out = real(machine, completion, events)
-        seen.append((completion.ran_on, events, out))
-        return out
-
-    real = tilerun.scheduler._device_stats
-    monkeypatch.setattr(tilerun.scheduler, "_device_stats", spy)
+    # the device counts match the Counter formula kept here as the oracle,
+    # applied to the facts the stats keep: which device ran each task, and
+    # the steal events.
     machine = Machine(
         [DeviceSpec(0, capacity_tiles=3, flops_per_unit=10.0),
          DeviceSpec(1, capacity_tiles=5, flops_per_unit=1000.0),
@@ -1247,25 +1239,84 @@ def test_per_call_stats_add_up_to_the_session(monkeypatch, mode):
     x, w, y = int_matrix(rng, 12, 10), int_matrix(rng, 10, 9), int_matrix(rng, 12, 5)
     rt = Runtime(machine, tile_size=4, mode=mode)
     total = {d.device_id: CacheStats() for d in machine.devices}
+    stolen = []
     for a, b, ta, tb in [(x, w, False, False), (x, y, True, False), (y, x, True, False),
                          (w, w, False, True), (x, w, False, False)]:
         _, stats = rt.multiply(a, b, transpose_a=ta, transpose_b=tb)
-        assert stats.cache == sum(stats.cache_per_device.values(), CacheStats())
+        cache = CacheStats()
         for d, cs in stats.cache_per_device.items():
             total[d] = total[d] + cs
-        ran_on, events, devices = seen[-1]
-        assert stats.devices is devices and stats.steal_events is events
-        tasks = Counter(ran_on)
-        performed = Counter(ev.thief for ev in events)
-        suffered = Counter(ev.victim for ev in events)
-        assert devices == {
+            cache = cache + cs
+        assert stats.cache == cache
+        assert len(stats.ran_on) == stats.total_tasks and None not in stats.ran_on
+        tasks = Counter(stats.ran_on)
+        performed = Counter(ev.thief for ev in stats.steal_events)
+        suffered = Counter(ev.victim for ev in stats.steal_events)
+        assert stats.tasks_by_device == {d.device_id: tasks[d.device_id]
+                                         for d in machine.devices}
+        assert stats.devices == {
             d.device_id: DeviceStats(d.device_id, d.kind, tasks[d.device_id],
                                      performed[d.device_id], suffered[d.device_id])
             for d in machine.devices}
+        stolen += stats.steal_events
     assert total == rt.directory.stats_per_device()
     if mode == "sim":  # threaded placement and steals depend on thread timing
         assert total[0].evictions > 0 and total[2].host_fetches > 0
-        assert any(events for _, events, _ in seen)
+        assert stolen
+
+
+@pytest.mark.parametrize("mode", ["sim", "threaded"])
+def test_a_product_wraps_no_matrix(monkeypatch, mode):
+    # A plan holds plain arrays: no TiledMatrix is built by a product,
+    # whichever engine runs it, straight or transposed.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a product built a TiledMatrix")
+
+    monkeypatch.setattr(TiledMatrix, "__init__", refuse)
+    rng = np.random.default_rng(31)
+    x, w = int_matrix(rng, 10, 7), int_matrix(rng, 9, 7)
+    rt = Runtime(homogeneous_machine(2), tile_size=4, mode=mode)
+    for _ in range(2):
+        c, stats = rt.multiply(x, w, transpose_b=True, a_uid="X", b_uid="W")
+        assert np.array_equal(c, reference_gemm(x, w.T))
+        assert sum(stats.tasks_by_device.values()) == stats.total_tasks == 9
+
+
+def test_stats_of_same_shaped_products_share_the_session_template():
+    # A RunStats keeps the session's machine and its shape's template, not
+    # copies of them: products of one shape share one template object.
+    rng = np.random.default_rng(32)
+    rt = Runtime(homogeneous_machine(2), tile_size=4)
+    x, y = int_matrix(rng, 10, 7), int_matrix(rng, 7, 9)
+    _, s1 = rt.multiply(x, y)
+    _, s2 = rt.multiply(x + 1, y - 1)
+    _, other = rt.multiply(y.T, x.T)
+    assert s1.template is s2.template
+    assert any(t is s1.template for t in rt.templates.values())
+    assert other.template is not s1.template
+    assert s1.machine is s2.machine is rt.machine
+    assert (s1.tile_size, s1.grid_rows, s1.grid_cols, s1.k_steps) == (4, 3, 3, 2)
+    assert all(name not in repr(s1) for name in ("machine", "template", "ran_on"))
+
+
+def test_run_stats_compare_and_keep_their_derived_counts():
+    # Stats of two sessions compare without raising: the machine, whose
+    # proximity arrays numpy will not compare with ==, takes no part.  The
+    # derived counts are derived once per record, so an in-place edit of
+    # stats.cache or stats.devices reaches every later read.
+    rng = np.random.default_rng(33)
+    x, y = int_matrix(rng, 10, 7), int_matrix(rng, 7, 9)
+    _, s1 = Runtime(homogeneous_machine(2), tile_size=4).multiply(x, y)
+    _, s2 = Runtime(homogeneous_machine(2), tile_size=4).multiply(x, y)
+    assert s1.machine is not s2.machine
+    assert replace(s2, wall_elapsed=s1.wall_elapsed) == s1
+    assert replace(s2, steal_events=[StealEvent(0, 1, 0)]) != s1
+    hits = s1.cache.l1_hits
+    s1.cache.l1_hits += 1
+    s1.devices[0].tasks_completed += 1
+    assert s1.cache.l1_hits == hits + 1
+    assert s1.to_report_dict()["cache"]["l1_hits"] == hits + 1
+    assert s1.tasks_by_device[0] == s1.ran_on.count(0) + 1
 
 
 def test_report_csv_row_count(tmp_path):

@@ -9,8 +9,9 @@ session.  Both use the same per-element accumulation order, so a
 training trajectory is bit-identical between them -- the whole point of
 the module is proving that reduction drives the runtime correctly.
 
-Transposed operands are passed as views with stable tile identities, so
-the cache sees the forward pass's tiles again during the backward pass.
+The network names no matrix: the tiled backend names each array it
+multiplies, and a pass only retires the arrays that die with it.  A
+transpose is a flag, so the backward pass reads the forward's tiles again.
 """
 
 from __future__ import annotations
@@ -62,16 +63,12 @@ def mse_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
 class DenseBackend:
     """Single-threaded fixed-order products; the comparison baseline."""
 
-    def multiply(self, a, b, transpose_a=False, transpose_b=False,
-                 a_uid=None, b_uid=None):
+    def multiply(self, a, b, transpose_a=False, transpose_b=False):
         a = a.T if transpose_a else a
         b = b.T if transpose_b else b
         return reference_gemm(a, b)
 
-    def fresh_uid(self, prefix: str = "m"):
-        return None
-
-    def retire(self, uids):
+    def retire(self, arrays):
         pass
 
     def sim_time(self):
@@ -82,26 +79,34 @@ class TiledBackend:
     """Products through a persistent scheduler session.
 
     Tile residency and device clocks carry across calls, so consecutive
-    products of one training step reuse each other's cached tiles.
+    products of one training step reuse each other's cached tiles.  The
+    backend names each array it multiplies (a transposed read keeps the
+    name) and holds it, so no other array takes its ``id``, until
+    :meth:`retire` says it is dead.  An array edited in place keeps its name.
     """
 
     def __init__(self, machine: Machine, tile_size: int, mode: str = "sim"):
         self.runtime = Runtime(machine, tile_size, mode=mode)
         self.call_stats = []
+        self._names = {}  # id(array) -> (array, uid)
 
-    def multiply(self, a, b, transpose_a=False, transpose_b=False,
-                 a_uid=None, b_uid=None):
+    def _uid(self, array):
+        entry = self._names.get(id(array))
+        if entry is None:
+            entry = self._names[id(array)] = (array, self.runtime.fresh_uid())
+        return entry[1]
+
+    def multiply(self, a, b, transpose_a=False, transpose_b=False):
         c, stats = self.runtime.multiply(a, b, transpose_a=transpose_a,
                                          transpose_b=transpose_b,
-                                         a_uid=a_uid, b_uid=b_uid)
+                                         a_uid=self._uid(a), b_uid=self._uid(b))
         self.call_stats.append(stats)
         return c
 
-    def fresh_uid(self, prefix: str = "m"):
-        return self.runtime.fresh_uid(prefix)
-
-    def retire(self, uids):
-        self.runtime.retire(uids)
+    def retire(self, arrays):
+        """Forget ``arrays`` and drop their tiles; an unnamed array is ignored."""
+        self.runtime.retire([self._names.pop(id(array))[1] for array in arrays
+                             if id(array) in self._names])
 
     def sim_time(self):
         return self.runtime.sim_now() if self.runtime.mode == "sim" else None
@@ -115,8 +120,6 @@ class Layer:
     weights: np.ndarray  # fan_in x fan_out
     bias: np.ndarray | None = None  # fan_out
     activation: str = "sigmoid"
-    # minted by uid_in for the first product that reads the weights; cleared on update
-    weight_uid: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -138,35 +141,27 @@ class Layer:
     def fan_out(self) -> int:
         return self.weights.shape[1]
 
-    def uid_in(self, backend):
-        """The weights' uid, which ``backend`` mints for their first product."""
-        if self.weight_uid is None:
-            self.weight_uid = backend.fresh_uid("w")
-        return self.weight_uid
 
-
-def forward_layer(layer: Layer, x: np.ndarray, backend, x_uid=None):
+def forward_layer(layer: Layer, x: np.ndarray, backend):
     """Returns (pre-activation, activation output)."""
     if x.shape[1] != layer.fan_in:
         raise ValueError(f"input width {x.shape[1]} != fan_in {layer.fan_in}")
-    y = backend.multiply(x, layer.weights, a_uid=x_uid, b_uid=layer.uid_in(backend))
+    y = backend.multiply(x, layer.weights)
     if layer.bias is not None:
         y = y + layer.bias
     return y, activate(layer.activation, y)
 
 
-def backward_layer(layer: Layer, x: np.ndarray, d_y: np.ndarray, backend,
-                   x_uid=None, dy_uid=None):
+def backward_layer(layer: Layer, x: np.ndarray, d_y: np.ndarray, backend):
     """Gradients for one layer given d loss / d pre-activation.
 
-    Both products run through the backend; the transposes are tile views,
-    not copies.
+    Both products run through the backend; the transposes are flags, not
+    copies.
     """
     if d_y.shape != (x.shape[0], layer.fan_out):
         raise ValueError(f"gradient shape {d_y.shape} inconsistent with layer")
-    d_w = backend.multiply(x, d_y, transpose_a=True, a_uid=x_uid, b_uid=dy_uid)
-    d_x = backend.multiply(d_y, layer.weights, transpose_b=True,
-                           a_uid=dy_uid, b_uid=layer.uid_in(backend))
+    d_w = backend.multiply(x, d_y, transpose_a=True)
+    d_x = backend.multiply(d_y, layer.weights, transpose_b=True)
     d_b = d_y.sum(axis=0) if layer.bias is not None else None
     return d_w, d_b, d_x
 
@@ -190,49 +185,42 @@ class Network:
         return cls(layers)
 
     def forward(self, x: np.ndarray, backend):
-        """Full forward pass; returns (inputs, preacts, acts, uids) per layer.
-
-        Each layer's input gets a fresh uid; the last activation, which no
-        product reads, gets none."""
-        xs, ys, acts, uids = [], [], [], []
+        """Full forward pass; returns (inputs, preacts, acts) per layer."""
+        xs, ys, acts = [], [], []
         cur = x
         for layer in self.layers:
-            cur_uid = backend.fresh_uid("x")
             xs.append(cur)
-            uids.append(cur_uid)
-            y, a = forward_layer(layer, cur, backend, x_uid=cur_uid)
+            y, a = forward_layer(layer, cur, backend)
             ys.append(y)
             acts.append(a)
             cur = a
-        return xs, ys, acts, uids
+        return xs, ys, acts
 
     def predict(self, x: np.ndarray, backend=None) -> np.ndarray:
-        """The last activation; the layer inputs' uids are retired."""
+        """The last activation; the layer inputs are retired."""
         backend = backend or DenseBackend()
-        _, _, acts, uids = self.forward(x, backend)
-        backend.retire(uids)
+        xs, _, acts = self.forward(x, backend)
+        backend.retire(xs)
         return acts[-1] if acts else x
 
 
 def loss_gradients(net: Network, x: np.ndarray, target: np.ndarray, backend):
     """One forward+backward pass, no update: (MSE loss, per-layer (dW, db)).
 
-    No later product reads the pass's layer inputs or gradients, so their
-    uids are retired before it returns."""
-    xs, ys, acts, uids = net.forward(x, backend)
+    No later product reads the pass's layer inputs or gradients, so they
+    are retired before it returns."""
+    xs, ys, acts = net.forward(x, backend)
     pred = acts[-1] if acts else x
     grads = [None] * len(net.layers)
-    dy_uids = []
+    d_ys = []
     d_out = mse_grad(pred, target)
     for l in reversed(range(len(net.layers))):
         layer = net.layers[l]
-        d_y = d_out * activation_grad(layer.activation, ys[l], acts[l])
-        dy_uids.append(backend.fresh_uid("dy"))
-        d_w, d_b, d_x = backward_layer(layer, xs[l], d_y, backend,
-                                       x_uid=uids[l], dy_uid=dy_uids[-1])
+        d_ys.append(d_out * activation_grad(layer.activation, ys[l], acts[l]))
+        d_w, d_b, d_x = backward_layer(layer, xs[l], d_ys[-1], backend)
         grads[l] = (d_w, d_b)
         d_out = d_x
-    backend.retire(uids + dy_uids)
+    backend.retire(xs + d_ys)
     return mse(pred, target), grads
 
 
@@ -240,10 +228,9 @@ def train_step(net: Network, x: np.ndarray, target: np.ndarray, lr: float,
                backend) -> float:
     """Forward, MSE loss, backward, SGD update.  Returns the loss."""
     loss, grads = loss_gradients(net, x, target, backend)
-    backend.retire([layer.weight_uid for layer in net.layers])  # read by no later product
+    backend.retire([layer.weights for layer in net.layers])  # read by no later product
     for layer, (d_w, d_b) in zip(net.layers, grads):
         layer.weights = layer.weights - lr * d_w
-        layer.weight_uid = None  # the new weights get a new uid
         if layer.bias is not None and d_b is not None:
             layer.bias = layer.bias - lr * d_b
     return loss

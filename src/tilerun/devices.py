@@ -136,6 +136,12 @@ class ProximityMatrix:
         if n > 1 and not ((0 < bw[off]) & (bw[off] < np.inf)).all():
             raise ConfigError("peer bandwidths must be finite and > 0")
 
+    def __eq__(self, other):  # the dataclass == would ask numpy for a truth value
+        if not isinstance(other, ProximityMatrix):
+            return NotImplemented
+        return (np.array_equal(self.hops, other.hops)
+                and np.array_equal(self.peer_bandwidth, other.peer_bandwidth))
+
     @property
     def n_devices(self) -> int:
         return self.hops.shape[0]

@@ -671,9 +671,9 @@ class Runtime:
 
     _uids = count(1)  # shared by every session
 
-    def fresh_uid(self, prefix: str = "m") -> str:
+    def fresh_uid(self) -> str:
         """A uid no other call returns in this process, whatever the session."""
-        return f"{prefix}#{next(Runtime._uids)}"
+        return f"m#{next(Runtime._uids)}"
 
     def retire(self, uids) -> None:
         """Drop the cached tiles of the matrices ``uids``, which no later

@@ -1,4 +1,5 @@
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -110,6 +111,21 @@ def test_gradients_match_finite_differences():
             assert rel_b.max() <= 1e-4
 
 
+def test_relu_gradients_match_finite_differences():
+    # relu is piecewise linear, so away from its kink a central difference
+    # is exact up to rounding
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        net = Network.from_sizes([3, 5, 2], rng, activation="relu")
+        x, target = random_regression(rng, 4, 3, 2)
+        _, analytic = loss_gradients(net, x, target, tiled_backend(2, 2))
+        numeric = finite_difference_gradients(net, x, target, h=1e-5)
+        assert any((a_w != 0).any() for a_w, _ in analytic)
+        for (a_w, a_b), (n_w, n_b) in zip(analytic, numeric):
+            assert np.allclose(a_w, n_w, rtol=0.0, atol=1e-9)
+            assert np.allclose(a_b, n_b, rtol=0.0, atol=1e-9)
+
+
 # -- training -----------------------------------------------------------------
 
 
@@ -162,21 +178,52 @@ def test_tiled_training_trajectory_is_bitwise_equal():
         assert np.array_equal(l0.bias, l1.bias)
 
 
-def test_updated_weights_get_a_new_uid():
-    # A product mints the weights' uid in its session; train_step retires
-    # it with the old weights, and the next product mints a new one.
+def test_relu_training_trajectory_is_bitwise_equal():
+    rng = np.random.default_rng(1)
+    x, target = random_regression(rng, 6, 3, 2)
+    nets = [Network.from_sizes([3, 5, 4, 2], np.random.default_rng(2), activation="relu")
+            for _ in range(2)]
+    dense, tiled = DenseBackend(), tiled_backend(3, 2)
+    losses = [[train_step(net, x, target, 0.05, backend) for _ in range(30)]
+              for net, backend in zip(nets, (dense, tiled))]
+    assert losses[0] == losses[1]
+    assert losses[0][-1] < losses[0][0]
+    for l0, l1 in zip(nets[0].layers, nets[1].layers):
+        assert np.array_equal(l0.weights, l1.weights)
+        assert np.array_equal(l0.bias, l1.bias)
+
+
+def logged_uids(monkeypatch, backend):
+    """The ``(a_uid, b_uid)`` of every product the backend's session runs
+    from now on, in call order."""
+    rt = backend.runtime
+    multiply, uids = rt.multiply, []
+
+    def logged(a, b, **kw):
+        uids.append((kw["a_uid"], kw["b_uid"]))
+        return multiply(a, b, **kw)
+
+    monkeypatch.setattr(rt, "multiply", logged)
+    return uids
+
+
+def test_updated_weights_get_a_new_uid(monkeypatch):
+    # The backend names the weights for their first product and keeps the
+    # name while they live; train_step retires them, and the updated
+    # weights array is named afresh by the next product that reads it.
     rng = np.random.default_rng(4)
     net = Network.from_sizes([3, 3], rng)
     x, target = random_regression(rng, 4, 3, 3)
     backend = tiled_backend(1, 2)
-    assert net.layers[0].weight_uid is None
-    net.predict(x, backend)
-    uid_before = net.layers[0].weight_uid
-    assert uid_before is not None
-    train_step(net, x, target, 0.1, backend)
-    assert net.layers[0].weight_uid is None
-    net.predict(x, backend)
-    assert net.layers[0].weight_uid not in (None, uid_before)
+    uids = logged_uids(monkeypatch, backend)
+    net.predict(x, backend)  # X·W
+    net.predict(x, backend)  # X·W
+    train_step(net, x, target, 0.1, backend)  # X·W, Xᵀ·dY, dY·Wᵀ
+    net.predict(x, backend)  # X·W'
+    assert uids[0][1] == uids[1][1] == uids[2][1] == uids[4][1]
+    assert uids[0][0] != uids[1][0]  # predict retires its input, so it is named again
+    assert uids[5][1] not in {uid for pair in uids[:5] for uid in pair}
+    assert {k.matrix for k in backend.runtime.directory.residents(0)} == {uids[5][1]}
 
 
 def test_weights_of_distinct_layers_never_share_a_uid():
@@ -204,6 +251,46 @@ def test_weights_of_distinct_layers_never_share_a_uid():
     net(1).predict(x, shared)
     net(1).predict(x, alone)
     assert shared.runtime.directory.stats() - before == alone.runtime.directory.stats()
+
+
+def test_weights_replaced_by_hand_are_fetched_not_hit():
+    # A 4x4 layer at tile 2: a product reads its input's 4 tiles and the
+    # weights' 4 tiles, 8 requests each.  Weights replaced by hand are a
+    # new array, so the second predict fetches each of its 8 tiles once
+    # and hits the other 8 requests.
+    rng = np.random.default_rng(7)
+    w0, w1, x = (rng.uniform(-1.0, 1.0, (4, 4)) for _ in range(3))
+    net = Network([Layer(w0)])
+    backend = TiledBackend(homogeneous_machine(1), tile_size=2)
+    net.predict(x, backend)
+    before = backend.runtime.directory.stats()
+    net.layers[0].weights = w1
+    net.predict(x, backend)
+    stats = backend.runtime.directory.stats() - before
+    assert (stats.host_fetches, stats.l1_hits) == (8, 8)
+
+
+def test_the_backend_keeps_no_retired_array_alive(monkeypatch):
+    # The backend holds each array it names until it is retired: after a
+    # step, the pre-update weights, the layer inputs and the gradients are
+    # all dead, and only the caller's data is still alive.
+    rng = np.random.default_rng(0)
+    net = Network.from_sizes([2, 8, 1], rng, activation="sigmoid")
+    x, target = xor_dataset()
+    backend = tiled_backend(2, 2)
+    old_weights = [weakref.ref(layer.weights) for layer in net.layers]
+    rt = backend.runtime
+    multiply, operands = rt.multiply, []
+
+    def logged(a, b, **kw):
+        operands.extend((weakref.ref(a), weakref.ref(b)))
+        return multiply(a, b, **kw)
+
+    monkeypatch.setattr(rt, "multiply", logged)
+    train_step(net, x, target, 0.5, backend)
+    assert len(operands) == 12
+    assert all(ref() is None for ref in old_weights)
+    assert all(ref() is None or ref() is x for ref in operands)
 
 
 def test_backward_pass_reuses_forward_tiles():
@@ -306,8 +393,8 @@ def test_train_step_makes_uids_only_for_operands_its_products_read(monkeypatch):
     made, read = [], set()
     fresh_uid, multiply = rt.fresh_uid, rt.multiply
 
-    def fresh_logged(prefix="m"):
-        made.append(fresh_uid(prefix))
+    def fresh_logged():
+        made.append(fresh_uid())
         return made[-1]
 
     def multiply_logged(a, b, **kw):
@@ -344,32 +431,36 @@ def test_a_long_training_session_keeps_no_tile_resident(mode):
         assert resident_tiles(backend) == [0, 0], f"tiles left resident after step {step}"
 
 
-def test_loss_gradients_keeps_only_the_weights_resident():
+def test_loss_gradients_keeps_only_the_weights_resident(monkeypatch):
     # without an update the weights stay live, and a repeated pass reads
     # them from cache; the pass's own inputs and gradients are retired
     rng = np.random.default_rng(5)
     net = Network.from_sizes([8, 8, 4], rng)
     x, target = random_regression(rng, 8, 8, 4)
     backend = tiled_backend(1, 4)
+    uids = logged_uids(monkeypatch, backend)
     loss_gradients(net, x, target, backend)
-    weight_uids = {layer.weight_uid for layer in net.layers}
+    weight_uids = {b_uid for _, b_uid in uids[:len(net.layers)]}  # the forward products
+    assert len(weight_uids) == len(net.layers)
     assert {k.matrix for k in backend.runtime.directory.residents(0)} == weight_uids
     hits = backend.runtime.directory.stats().l1_hits
     bench_pass(net, x, target, backend, repeats=1)
     assert backend.runtime.directory.stats().l1_hits > hits
 
 
-def test_repeated_predicts_keep_only_the_weights_resident():
+def test_repeated_predicts_keep_only_the_weights_resident(monkeypatch):
     # predict retires its layer inputs before it returns, so a session of
     # predicts holds the weights' tiles and nothing else
     net = Network.from_sizes([2, 8, 1], np.random.default_rng(0), activation="sigmoid")
     x, _ = xor_dataset()
     backend = tiled_backend(2, 2)
     directory = backend.runtime.directory
+    uids = logged_uids(monkeypatch, backend)
     counts = []
     for _ in range(3):
         net.predict(x, backend)
-        weight_uids = {layer.weight_uid for layer in net.layers}
+        weight_uids = {b_uid for _, b_uid in uids[-len(net.layers):]}
+        assert len(weight_uids) == len(net.layers)
         assert {k.matrix for d in (0, 1) for k in directory.residents(d)} == weight_uids
         counts.append(resident_tiles(backend))
     assert counts[0] == counts[1] == counts[2]

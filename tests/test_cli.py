@@ -224,6 +224,26 @@ def test_ann_bad_layers_is_config_error():
     assert run_cli("ann", "--layers", "5", "--steps", 1) == cli.EXIT_CONFIG
 
 
+def test_ann_xor_with_the_wrong_layer_shape_is_config_error(capsys):
+    assert run_cli("ann", "--data", "xor", "--layers", "3,4,1", "--steps", 1,
+                   "--backend", "dense") == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        "error: xor data needs --layers starting with 2 and ending with 1"]
+
+
+def test_ann_relu_runs_on_both_backends(tmp_path):
+    out = {}
+    for backend in ("dense", "tiled"):
+        loss_csv = tmp_path / f"{backend}.csv"
+        assert run_cli("ann", "--layers", "3,5,2", "--activation", "relu", "--steps", 10,
+                       "--lr", 0.05, "--backend", backend, "--tile-size", 2,
+                       "--loss-csv", loss_csv) == cli.EXIT_OK
+        out[backend] = loss_csv.read_text()
+    losses = [float(r["loss"]) for r in csv.DictReader(out["dense"].splitlines())]
+    assert len(losses) == 10 and np.isfinite(losses).all()
+    assert out["dense"] == out["tiled"]
+
+
 def test_ann_negative_steps_is_config_error(tmp_path, capsys):
     report = tmp_path / "ann.json"
     assert run_cli("ann", "--layers", "2,4,1", "--data", "xor", "--steps", -3,
@@ -257,6 +277,26 @@ def test_sweep_csv_shape_and_speedup_baseline(tmp_path):
         if r["devices"] == "1":
             assert float(r["speedup"]) == 1.0
         assert int(r["host_fetches"]) > 0
+
+
+def test_sweep_adds_the_one_device_baseline(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--sizes", "8", "--device-counts", "2",
+                   "--tile-size", 4, "--out", out) == cli.EXIT_OK
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [r["devices"] for r in rows] == ["1", "2"]
+    assert float(rows[0]["speedup"]) == 1.0
+
+
+@pytest.mark.parametrize("flag", ["--sizes", "--device-counts"])
+def test_sweep_empty_list_is_config_error(tmp_path, capsys, flag):
+    out = tmp_path / "sweep.csv"
+    argv = {"--sizes": "8", "--device-counts": "1,2", flag: ""}
+    assert run_cli("sweep", *[x for kv in argv.items() for x in kv],
+                   "--tile-size", 4, "--out", out) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        "error: sweep needs --sizes and --device-counts"]
+    assert not out.exists()
 
 
 def test_sweep_no_coherence_counts(tmp_path):

@@ -191,6 +191,18 @@ def test_machine_config_roundtrip(tmp_path):
     assert np.array_equal(loaded.proximity.peer_bandwidth, m.proximity.peer_bandwidth)
 
 
+def test_machines_compare_by_value(tmp_path):
+    m = homogeneous_machine(2)
+    assert m == homogeneous_machine(2)
+    path = tmp_path / "devices.json"
+    save_machine(path, m)
+    assert load_machine(path) == m
+    hops = m.proximity.hops.copy()
+    hops[0, 1] = hops[1, 0] = 2
+    other = Machine(m.devices, ProximityMatrix(hops, m.proximity.peer_bandwidth))
+    assert other != m
+
+
 def test_numpy_scalars_are_stored_as_python_numbers(tmp_path):
     m = homogeneous_machine(2, host_bandwidth=np.float64(512.0),
                             flops_per_unit=np.float32(1000.0), slots=np.int64(4),

@@ -105,7 +105,8 @@ class CacheStats:
     def __add__(self, other: "CacheStats") -> "CacheStats":
         return CacheStats(*map(operator.add, _stats_values(self), _stats_values(other)))
 
-    # multiply's per-call diff, which the benchmark's tracer wraps (see scheduler.py)
+    # no caller in the package; kept for the benchmark's tracer, which
+    # wraps it by name (see scheduler.py)
     def __sub__(self, other: "CacheStats") -> "CacheStats":
         return CacheStats(*map(operator.sub, _stats_values(self), _stats_values(other)))
 
@@ -137,7 +138,12 @@ class CacheDirectory:
     lowest id.  A local miss is served by the first peer in that ranking
     whose set holds the tile, or by host.  The counters are kept per
     device only, and a transaction adds to them once; :meth:`stats` is
-    their sum.
+    their sum.  While a product is open (:meth:`open_product`) a
+    transaction adds to that product's counters instead, and closing the
+    product adds them to the session's.  The session's readers include
+    an open product's counts, so every reader sees what counting each
+    transaction into both would give, and a product's counts need no
+    snapshot of the session's.
     """
 
     def __init__(self, machine: Machine, enabled: bool = True):
@@ -165,6 +171,9 @@ class CacheDirectory:
         self._output: dict[int, TileKey | None] = {d.device_id: None for d in machine.devices}
         self._host_workers = frozenset(d.device_id for d in machine.devices if d.is_host_worker)
         self._dev_stats = {d.device_id: CacheStats() for d in machine.devices}
+        # the per-device counters a transaction adds to: the open
+        # product's, or the session's when no product is open
+        self._counts = self._dev_stats
 
     def _drop_output_locked(self, device: int, key: TileKey) -> None:
         if self._output[device] != key:
@@ -197,7 +206,7 @@ class CacheDirectory:
         would, and nothing is held once the call returns.
         """
         with self._lock:
-            ds = self._dev_stats[requester]
+            ds = self._counts[requester]
             order = self._order.get(requester)
             from_host = self._results[HOST]
             if order is None:
@@ -280,7 +289,7 @@ class CacheDirectory:
         with self._lock:
             self._drop_output_locked(device, key)
             if device not in self._host_workers:
-                ds = self._dev_stats[device]
+                ds = self._counts[device]
                 ds.writebacks += 1
                 ds.bytes_writeback += nbytes
 
@@ -294,14 +303,40 @@ class CacheDirectory:
 
     # -- observability ---------------------------------------------------
 
+    def open_product(self) -> dict[int, CacheStats]:
+        """Count a product: until :meth:`close_product`, every transaction
+        adds to the returned per-device counters, which start at zero.
+        Opening a product closes the one before it."""
+        with self._lock:
+            self._close_locked()
+            self._counts = {d: CacheStats() for d in self._dev_stats}
+            return self._counts
+
+    def close_product(self) -> None:
+        """Add the open product's counts to the session's; later
+        transactions leave the product's counters as they are."""
+        with self._lock:
+            self._close_locked()
+
+    def _close_locked(self) -> None:
+        if self._counts is not self._dev_stats:
+            self._dev_stats = self._session_locked()
+            self._counts = self._dev_stats
+
+    def _session_locked(self) -> dict[int, CacheStats]:
+        """The session's per-device counts, an open product's included."""
+        if self._counts is self._dev_stats:
+            return self._dev_stats
+        return {d: s + self._counts[d] for d, s in self._dev_stats.items()}
+
     def stats(self) -> CacheStats:
         """Session totals: the sum of the per-device counters."""
         with self._lock:
-            return sum(self._dev_stats.values(), CacheStats())
+            return sum(self._session_locked().values(), CacheStats())
 
     def stats_per_device(self) -> dict[int, CacheStats]:
         with self._lock:
-            return {d: s.copy() for d, s in self._dev_stats.items()}
+            return {d: s.copy() for d, s in self._session_locked().items()}
 
     def used_tiles(self, device: int) -> int:
         with self._lock:

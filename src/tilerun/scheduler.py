@@ -36,15 +36,23 @@ Engines:
   clock replaces simulated time; all counters stay exact because the
   shared structures are linearizable.
 
-Both engines claim tasks through ``_claim``: refill the device's
-station, run its oldest reservation, and if the station is empty steal
-from the most-loaded peer station (ties to the lowest device id).  A
-device that finds nothing to claim retires, and the ``sim`` engine ends a
-product at its last claim, since every claim after it would find
-nothing.  Both run each claimed task through ``_run_task``, the one task
-function: the ``sim`` engine passes no kernel, the ``threaded`` engine
-its panel kernel.  The engines keep no counters: a product's
-``RunStats`` derives them from ``Completion`` and the steal events.
+Both engines claim tasks by one rule: refill the device's station from
+the global queue up to its width, run its oldest reservation, and if the
+station is empty steal the newest reservation of the most-loaded peer
+station (ties to the lowest device id, an order :func:`_victims` writes
+once).  A device that finds nothing to claim retires.  The ``sim``
+engine replays the rule on one thread over plain data (``_sim_claim``):
+each station is a ``deque`` and the global queue an iterator over the
+task ids, so a replay takes no lock; it ends a product at its last
+claim, since every claim after it would find nothing.  The ``threaded``
+engine runs the rule concurrently (``_claim``) over a filled
+:class:`MichaelScottQueue` and locked reservation stations.
+Both hand out the tasks in the same order (:func:`_task_order`), and
+both run each claimed task through ``_run_task``, the one task function:
+the ``sim`` engine passes no kernel, the ``threaded`` engine its panel
+kernel.  The engines keep no counters: a product's ``RunStats`` derives
+them from ``Completion`` and the steal events, and the directory counts
+its cache traffic as the product runs.
 """
 
 from __future__ import annotations
@@ -54,9 +62,10 @@ import heapq
 import json
 import threading
 import time
+from collections import deque
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
-from itertools import chain, count
+from itertools import chain, count, islice
 
 import numpy as np
 
@@ -73,11 +82,12 @@ from .tiles import (
     reassemble,  # noqa: F401 -- see below
 )
 
-# ``partition`` and ``reassemble`` stay importable from here, unused,
-# and ``multiply`` keeps its ``CacheDirectory.stats_per_device`` snapshot
-# and ``CacheStats.__sub__`` diff: the benchmark's tracer wraps all four
-# by name, and tests/test_benchmark_hooks.py looks them up.  Their
-# removal waits for ROADMAP #1.
+# ``partition`` and ``reassemble`` stay importable from here, unused, and
+# ``CacheDirectory.stats_per_device`` and ``CacheStats.__sub__`` stay
+# defined, though ``multiply`` no longer snapshots or diffs the session
+# counters: the benchmark's tracer wraps all four by name, and
+# tests/test_benchmark_hooks.py looks them up.  Their removal waits for
+# ROADMAP #1.
 
 SCHEMA_VERSION = 2
 
@@ -236,15 +246,14 @@ class Plan(_Grid):
     b: Operand
     c: np.ndarray
     template: PlanTemplate
-    queue: MichaelScottQueue
     completion: Completion
     a_rows: list
     b_cols: list
 
 
 def plan(a: Operand, b: Operand, tile_size: int, templates: Memo | None = None) -> Plan:
-    """Build one task per output tile of ``tile_size`` and enqueue them
-    all (row-major).
+    """Build one task per output tile of ``tile_size``; the engines hand
+    them out in :func:`_task_order`.
 
     The template comes from ``templates``, a session's memo of templates
     by shape key (a :class:`Runtime` passes its own), or is built for this
@@ -259,22 +268,25 @@ def plan(a: Operand, b: Operand, tile_size: int, templates: Memo | None = None) 
         raise ValueError(f"inner dimensions differ: {a.element_shape} x {b.element_shape}")
     key = _shape_key(a, b, t)
     tmpl = _template(key) if templates is None else templates[key]
-    n_tasks = len(tmpl.tasks)
-    queue = MichaelScottQueue()
-    for tid in range(n_tasks):
-        queue.enqueue(tid)
     a_uid, b_uid = a.uid, b.uid
     return Plan(
         a=a, b=b,
         c=np.zeros(tmpl.out_shape, tmpl.out_dtype),
-        template=tmpl, queue=queue, completion=Completion(n_tasks),
+        template=tmpl, completion=Completion(len(tmpl.tasks)),
         a_rows=[[(TileKey(a_uid, r, c), nbytes) for r, c, nbytes in row] for row in tmpl.a_rows],
         b_cols=[[(TileKey(b_uid, r, c), nbytes) for r, c, nbytes in col] for col in tmpl.b_cols],
     )
 
 
+def _task_order(plan_: Plan) -> range:
+    """The order in which both engines' global queue hands out a product's
+    tasks: by task id, which :func:`decode_task` makes row-major."""
+    return range(plan_.total_tasks)
+
+
 class ReservationStation:
-    """Fixed-width buffer of upcoming task ids for one device.
+    """Fixed-width buffer of upcoming task ids for one device, as the
+    threaded engine keeps it.
 
     The owner serves slots FIFO; a thief removes from the opposite end.
     One lock serializes owner, thieves, and refills, so a task is
@@ -311,13 +323,19 @@ class ReservationStation:
             return len(self._slots)
 
 
+def _victims(thief: int, loads: dict[int, int]) -> list[int]:
+    """The stations ``thief`` may steal from, given each station's number
+    of reserved tasks: every other non-empty one, most loaded first, ties
+    to the lowest device id.  The one statement of the victim rule."""
+    return sorted((d for d, n in loads.items() if n and d != thief),
+                  key=lambda d: (-loads[d], d))
+
+
 def steal_task(thief: int, stations: dict[int, ReservationStation]) -> tuple[int | None, int | None]:
-    """Steal one reserved task: victim is the most-loaded station, ties to
-    the lowest device id.  Returns (task_id, victim) or (None, None)."""
-    counts = [(s.reserved_count(), did) for did, s in stations.items() if did != thief]
-    for count, victim in sorted(counts, key=lambda cv: (-cv[0], cv[1])):
-        if count == 0:
-            break
+    """Steal one reserved task, walking :func:`_victims` under the station
+    locks.  Returns (task_id, victim) or (None, None)."""
+    loads = {did: s.reserved_count() for did, s in stations.items()}
+    for victim in _victims(thief, loads):
         tid = stations[victim].try_steal()
         if tid is not None:
             return tid, victim
@@ -474,11 +492,11 @@ def _run_task(plan_: Plan, directory: CacheDirectory, did: int, task_id: int,
 
 def _claim(did: int, stations: dict[int, ReservationStation], queue: MichaelScottQueue,
            steal_enabled: bool) -> tuple[int | None, int | None]:
-    """The next task for device ``did`` as ``(task_id, victim)``; victim is
-    None for a task of its own station.
+    """The threaded engine's claim: the next task for device ``did`` as
+    ``(task_id, victim)``; victim is None for a task of its own station.
 
     A station comes up empty after a refill only once the queue has
-    drained, and ``plan`` enqueues every task before a run, so
+    drained, and the engine enqueues every task before a run, so
     ``(None, None)`` means nothing is left to claim, now or later.
     """
     st = stations[did]
@@ -489,19 +507,46 @@ def _claim(did: int, stations: dict[int, ReservationStation], queue: MichaelScot
     return tid, None
 
 
-def _price_tables(machine: Machine) -> dict[int, tuple[Memo, Memo]]:
+def _sim_claim(did: int, width: int, stations: dict[int, deque], tasks,
+               steal_enabled: bool) -> tuple[int | None, int | None]:
+    """:func:`_claim`'s rule on one thread, over plain data.
+
+    ``stations`` maps each device to its FIFO of reserved task ids, and
+    ``tasks`` is the iterator the global queue has become.  Device
+    ``did`` refills its FIFO from ``tasks`` up to ``width`` and pops the
+    front; if the FIFO is still empty and stealing is on, it pops the
+    back of the first of :func:`_victims`.  ``(None, None)`` means
+    nothing is left to claim, now or later.
+    """
+    st = stations[did]
+    st.extend(islice(tasks, width - len(st)))
+    if st:
+        return st.popleft(), None
+    if steal_enabled:
+        victims = _victims(did, {d: len(s) for d, s in stations.items()})
+        if victims:
+            return stations[victims[0]].pop(), victims[0]
+    return None, None
+
+
+def _price_tables(machine: Machine) -> dict[int, tuple[Memo, Memo, Memo]]:
     """Per device: its transfer prices by ``(source, nbytes)`` (an
-    :class:`AcquireResult` is that key) and its compute prices by
-    ``(a_shape, b_shape)``.  ``transfer_cost`` and ``compute_cost`` are
-    looked up when a price is first missed, and a table only stores what
-    they return, so every price is the float they give."""
-    return {
-        d.device_id: (
+    :class:`AcquireResult` is that key), its compute prices by
+    ``(a_shape, b_shape)``, and its task prices by ``(m, n, steps)``: the
+    list of compute prices of the steps of an ``m x n`` output tile whose
+    contraction steps have the extents ``steps``, read through the
+    compute table.  ``transfer_cost`` and ``compute_cost`` are looked up
+    when a price is first missed, and a table only stores what they
+    return, so every price is the float they give."""
+    tables = {}
+    for d in machine.devices:
+        compute = Memo(lambda shapes, dev=d: compute_cost(dev, *shapes))
+        tables[d.device_id] = (
             Memo(lambda key, did=d.device_id: transfer_cost(machine, key[0], did, key[1])),
-            Memo(lambda shapes, dev=d: compute_cost(dev, *shapes)),
+            compute,
+            Memo(lambda key, compute=compute: [compute[(key[0], s), (s, key[1])] for s in key[2]]),
         )
-        for d in machine.devices
-    }
+    return tables
 
 
 def _run_sim(machine, plan_, directory, clocks, prices, events, steal_enabled):
@@ -511,12 +556,12 @@ def _run_sim(machine, plan_, directory, clocks, prices, events, steal_enabled):
     the directory, the clocks and the completion record untouched.  Each
     task's directory results are priced from its device's tables in
     ``prices`` (see :func:`_price_tables`) as the device's clocks fold
-    them.  Compute is priced per task: for each ``(device, m, n)`` that
-    an ``m x n`` output tile meets on a device, the product keeps the
-    list of its steps' prices, read from the template's tile extents
-    through the device's compute table.  The product ends at its last
-    claim: once every task is claimed, every later claim would find
-    nothing, so no device claims again.
+    them.  Compute is priced per task, from the device's task prices
+    for the task's tile extents in the template.  Claims follow
+    :func:`_sim_claim`, over per-product FIFOs of each device's
+    ``slots`` width and an iterator over :func:`_task_order`.  The
+    product ends at its last claim: once every task is claimed, every
+    later claim would find nothing, so no device claims again.
 
     ``clocks[device]`` is ``[compute, fetch, writeback]``.  A device
     claims when its compute clock is the earliest, so the claim time is
@@ -534,18 +579,18 @@ def _run_sim(machine, plan_, directory, clocks, prices, events, steal_enabled):
     k on the same terms.  Every clock only moves forward, because every
     cost is >= 0."""
     accumulate_product(plan_.a.matrix, plan_.b.matrix, plan_.c)
-    stations = {d.device_id: ReservationStation(d.slots) for d in machine.devices}
+    stations = {d.device_id: deque() for d in machine.devices}
+    widths = {d.device_id: d.slots for d in machine.devices}
+    tasks = iter(_task_order(plan_))
     heap = [(clocks[d.device_id][0], d.device_id) for d in machine.devices]
     heapq.heapify(heap)
     claimed = {}  # each device's previous claim time in this product
     tmpl = plan_.template
-    row_extents, col_extents, steps = tmpl.row_extents, tmpl.col_extents, tmpl.step_extents
-    # step_prices[did, m, n]: the compute price of each step of an m x n output tile
-    step_prices = Memo(lambda key: [prices[key[0]][1][(key[1], s), (s, key[2])] for s in steps])
+    row_extents, col_extents, steps = tmpl.row_extents, tmpl.col_extents, tuple(tmpl.step_extents)
     unclaimed = plan_.total_tasks
     while unclaimed and heap:  # an empty heap leaves the run incomplete, which multiply reports
         t, did = heapq.heappop(heap)
-        tid, victim = _claim(did, stations, plan_.queue, steal_enabled)
+        tid, victim = _sim_claim(did, widths[did], stations, tasks, steal_enabled)
         if tid is None:
             continue  # the device retires
         unclaimed -= 1
@@ -557,11 +602,11 @@ def _run_sim(machine, plan_, directory, clocks, prices, events, steal_enabled):
         claimed[did] = t
         i, j, got, wb = _run_task(plan_, directory, did, tid)
         got = iter(got)
-        fetch = prices[did][0]
+        fetch, _, step_prices = prices[did]
         co, tr, wr = clocks[did]
         tr = max(tr, lead)
         # zip(got, got) pairs each step's A and B results
-        for ra, rb, c in zip(got, got, step_prices[did, row_extents[i], col_extents[j]]):
+        for ra, rb, c in zip(got, got, step_prices[row_extents[i], col_extents[j], steps]):
             tr += fetch[ra] + fetch[rb]
             if tr > co:  # compute k waits for its data; fetch k+1 overlaps it
                 co = tr
@@ -573,6 +618,9 @@ def _run_sim(machine, plan_, directory, clocks, prices, events, steal_enabled):
 
 
 def _run_threaded(machine, plan_, directory, events, steal_enabled):
+    queue = MichaelScottQueue()
+    for tid in _task_order(plan_):
+        queue.enqueue(tid)
     stations = {d.device_id: ReservationStation(d.slots) for d in machine.devices}
     shared_lock = threading.Lock()
     abort = threading.Event()
@@ -593,7 +641,7 @@ def _run_threaded(machine, plan_, directory, events, steal_enabled):
             accumulate_product(a[rows], b[:, cols], c[rows, cols], sub_blocks=sub_blocks)
 
         while not abort.is_set():
-            tid, victim = _claim(did, stations, plan_.queue, steal_enabled)
+            tid, victim = _claim(did, stations, queue, steal_enabled)
             if tid is None:
                 return  # the device retires
             if victim is not None:
@@ -628,9 +676,10 @@ class Runtime:
     Device clocks and cache residency persist across ``multiply`` calls,
     so back-to-back products (e.g. the passes of a training step) see
     each other's cached tiles.  A call's :class:`RunStats` keeps that
-    product's facts; its cache counts are deltas against the session
-    counters.  Either engine runs every task of a product through
-    ``_run_task``.
+    product's facts; its cache counts are the per-device counters the
+    directory kept for that product alone while it ran
+    (:meth:`CacheDirectory.open_product`), which no later request moves.
+    Either engine runs every task of a product through ``_run_task``.
 
     A session prices and ranks peers from the machine it was built with.
     The directory fixes each device's capacity and peer ranking at
@@ -682,7 +731,7 @@ class Runtime:
 
     def sim_now(self) -> float:
         """The latest compute, fetch or writeback clock of any device."""
-        return max(max(c) for c in self.clocks.values())
+        return max(map(max, self.clocks.values()))
 
     def operand(self, m, uid: str | None = None, transposed: bool = False) -> Operand:
         """``m`` as a product reads it: ``m.T`` when ``transposed``."""
@@ -700,21 +749,23 @@ class Runtime:
         plan_ = plan(self.operand(a, a_uid, transpose_a), self.operand(b, b_uid, transpose_b),
                      self.tile_size, self.templates)
         events: list[StealEvent] = []
-        cache_before = self.directory.stats_per_device()
         sim_before = self.sim_now()
+        cache = self.directory.open_product()
         t0 = time.perf_counter()
-        if self.mode == "sim":
-            _run_sim(self.machine, plan_, self.directory, self.clocks, self.prices, events,
-                     self.steal)
-        else:
-            _run_threaded(self.machine, plan_, self.directory, events, self.steal)
+        try:
+            if self.mode == "sim":
+                _run_sim(self.machine, plan_, self.directory, self.clocks, self.prices, events,
+                         self.steal)
+            else:
+                _run_threaded(self.machine, plan_, self.directory, events, self.steal)
+        finally:
+            self.directory.close_product()
         wall = time.perf_counter() - t0
         if not plan_.completion.all_done():
             raise RuntimeError(
                 f"run incomplete: {plan_.completion.ran_on.count(None)} of "
                 f"{plan_.total_tasks} tasks not run"
             )
-        cache_after = self.directory.stats_per_device()
         stats = RunStats(
             mode=self.mode,
             steal_enabled=self.steal,
@@ -722,7 +773,7 @@ class Runtime:
             machine=self.machine,
             template=plan_.template,
             ran_on=plan_.completion.ran_on,
-            cache_per_device={d: cache_after[d] - cache_before[d] for d in cache_after},
+            cache_per_device=cache,
             makespan=(self.sim_now() - sim_before) if self.mode == "sim" else None,
             wall_elapsed=wall,
             steal_events=events,

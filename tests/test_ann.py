@@ -315,7 +315,7 @@ def test_session_price_tables_and_peer_ranking_stay_bounded():
     rt = backend.runtime
 
     def entries():
-        return (sum(len(fetch) + len(compute) for fetch, compute in rt.prices.values())
+        return (sum(len(table) for tables in rt.prices.values() for table in tables)
                 + sum(len(peers) for peers in rt.directory._peers.values()))
 
     counts = {}

@@ -141,12 +141,23 @@ def test_gemm_missing_input_is_io_error(tmp_path):
     '{"devices": [{"id": 0}, {"id": 1}], '
     '"proximity": {"hops": [[0, 1], [1, 0]], "peer_bandwidth": [[0, 1], [1, 0]], "hop": 1}}',
     '{"devices": [{"id": 0}], "dtype": "float64"}',
+    '{"devices": [{"id": -1}]}',
+    '{"devices": [{"id": 0, "slots": 0}]}',
+    '{"devices": [{"id": 0, "kind": "host-worker", "subtile_factor": 0}]}',
+    '{"devices": [{"id": 0}, {"id": 1}], '
+    '"proximity": {"hops": [[0, 1, 1], [1, 0, 1]], "peer_bandwidth": [[0, 1, 1], [1, 0, 1]]}}',
+    '{"devices": [{"id": 0}, {"id": 1}], '
+    '"proximity": {"hops": [[0, 1], [1, 0]], "peer_bandwidth": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}}',
+    '{"devices": [{"id": 0}, {"id": 1}], '
+    '"proximity": {"hops": [[0, -1], [-1, 0]], "peer_bandwidth": [[0, 1], [1, 0]]}}',
 ], ids=["capacity-below-3", "capacity-float", "id-float", "latency-str", "dtype-bogus",
         "flops-nan", "bandwidth-nan", "peer-bandwidth-nan", "latency-nan",
         "flops-inf", "bandwidth-inf", "peer-bandwidth-inf", "peer-bandwidth-bool",
         "peer-bandwidth-str", "latency-inf",
         "hops-float", "hops-bool", "hops-inf", "hops-beyond-int64",
-        "device-key-typo", "top-level-key-typo", "proximity-key-typo", "dtype-float64"])
+        "device-key-typo", "top-level-key-typo", "proximity-key-typo", "dtype-float64",
+        "id-negative", "slots-zero", "subtile-zero", "hops-not-square", "shapes-differ",
+        "hops-negative"])
 def test_gemm_bad_device_config_is_config_error(tmp_path, capsys, config):
     pa = gen(tmp_path, "a.txt", 4, 4)
     pb = gen(tmp_path, "b.txt", 4, 4)
@@ -168,6 +179,21 @@ def test_gemm_malformed_matrix_value_is_config_error(tmp_path, capsys, token):
     assert run_cli("gemm", "--a", pa, "--b", pb) == cli.EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize("name, content", [
+    ("a.txt", b"4\n1 2 3 4\n"),
+    ("a.txt", b""),
+    ("a.bin", b"\x02\x00\x00"),
+], ids=["text-one-field", "text-empty", "binary-truncated"])
+def test_gemm_malformed_matrix_header_is_config_error(tmp_path, capsys, name, content):
+    pa = tmp_path / name
+    pa.write_bytes(content)
+    pb = gen(tmp_path, "b.txt", 2, 2)
+    capsys.readouterr()
+    assert run_cli("gemm", "--a", pa, "--b", pb) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "header" in err[0], err
 
 
 def test_ann_dense_backend_xor(tmp_path):

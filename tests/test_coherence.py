@@ -637,3 +637,46 @@ def test_fill_count_matches_the_set():
                 assert d.used_tiles(o) == len(d.residents(o)) <= capacity - 1
                 assert d.stats_per_device()[o].evictions == evicted[o]
     assert raised > 0 and kinds == 0b111 and overfilled > 0
+
+
+def test_an_open_product_counts_its_own_traffic():
+    # While a product is open, each transaction counts into the product's
+    # per-device counters as well as the session's, host workers and
+    # raising transactions included; once the product is closed, or the
+    # next one opened, later transactions leave its counters alone.
+    machine = Machine([DeviceSpec(0), DeviceSpec(1), DeviceSpec(2, kind="host-worker")],
+                      ProximityMatrix.uniform(3))
+    d = CacheDirectory(machine)
+    touch(d, 0, key("a"))  # before any product: the session's alone
+    first = d.open_product()
+    assert first == {0: CacheStats(), 1: CacheStats(), 2: CacheStats()}
+    d.acquire_input(0, [(key("a"), 8), (key("b"), 8)])
+    touch(d, 1, key("b"))
+    touch(d, 2, key("c"))
+    with pytest.raises(TypeError):
+        d.acquire_input(1, [(key("d"), 8), ([], 8)])
+    c = TileKey("C", 0, 0)
+    for device in (1, 2):
+        d.admit_output(device, c)
+        d.release_output(device, c, 16)
+    want = {0: CacheStats(l1_hits=1, host_fetches=1, bytes_host=8),
+            1: CacheStats(l2_hits=1, host_fetches=1, bytes_peer=8, bytes_host=8,
+                          writebacks=1, bytes_writeback=16),
+            2: CacheStats(host_fetches=1)}
+    assert first == want
+    session = {0: CacheStats(host_fetches=2, bytes_host=16, l1_hits=1), 1: want[1], 2: want[2]}
+    assert d.stats_per_device() == session  # an open product's counts included
+    assert d.stats() == sum(session.values(), CacheStats())
+    second = d.open_product()
+    touch(d, 0, key("e"))
+    d.close_product()
+    touch(d, 0, key("f"))
+    d.admit_output(0, c)
+    d.release_output(0, c, 16)
+    assert first == want
+    assert second == {0: CacheStats(host_fetches=1, bytes_host=8), 1: CacheStats(),
+                      2: CacheStats()}
+    assert d.stats_per_device()[0] == CacheStats(l1_hits=1, host_fetches=4, bytes_host=32,
+                                                 writebacks=1, bytes_writeback=16)
+    d.close_product()  # closing with no product open changes nothing
+    assert d.stats() == sum(d.stats_per_device().values(), CacheStats())

@@ -138,6 +138,35 @@ def test_device_spec_validation(bad):
                subtile_factor=np.uint8(2))  # numpy integers are integers
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"device_id": -1}, "device_id must be >= 0"),
+    ({"slots": 0}, "slots must be >= 1"),
+    ({"subtile_factor": 0}, "subtile_factor must be >= 1"),
+], ids=["id-negative", "slots-zero", "subtile-zero"])
+def test_device_spec_rejects_integers_below_their_range(bad, message):
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        DeviceSpec(**{"device_id": 0, **bad})
+
+
+@pytest.mark.parametrize("hops, bandwidth, message", [
+    (np.zeros((2, 3), dtype=int), np.ones((2, 3)), r"hops must be square, got shape \(2, 3\)"),
+    (np.zeros((2, 2), dtype=int), np.ones((3, 3)), "peer_bandwidth shape must match hops"),
+    ([[0, -1], [-1, 0]], np.ones((2, 2)), "hop counts must be non-negative"),
+], ids=["hops-not-square", "shapes-differ", "hops-negative"])
+def test_proximity_rejects_bad_shapes_and_negative_hops(hops, bandwidth, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        ProximityMatrix(hops, bandwidth)
+
+
+def test_cost_functions_reject_bad_arguments():
+    machine = make_machine(2)
+    with pytest.raises(ValueError, match=r"^inner dimensions differ: \(4, 3\) x \(2, 4\)$"):
+        compute_cost(machine.device(0), (4, 3), (2, 4))
+    with pytest.raises(ValueError, match="^nbytes must be >= 0$"):
+        transfer_cost(machine, HOST, 0, -1)
+    assert transfer_cost(machine, HOST, 0, 0) == machine.transfer_latency  # 0 bytes is fine
+
+
 def test_proximity_validation():
     with pytest.raises(ConfigError):
         ProximityMatrix(np.array([[0, 1], [2, 0]]), np.ones((2, 2)))  # asymmetric

@@ -62,6 +62,23 @@ def test_binary_roundtrip_bitwise(tmp_path):
     assert np.array_equal(out.view(np.uint64), m.view(np.uint64))  # bit level
 
 
+@pytest.mark.parametrize("header", ["", "3\n1 2 3\n", "1 3 1\n1 2 3\n"],
+                         ids=["empty", "one-field", "three-fields"])
+def test_text_rejects_a_header_without_two_fields(tmp_path, header):
+    p = tmp_path / "m.txt"
+    p.write_text(header)
+    with pytest.raises(ValueError, match="expected 'rows cols' header$"):
+        load_matrix_text(p)
+
+
+@pytest.mark.parametrize("size", [0, 8, 15])
+def test_binary_rejects_a_truncated_header(tmp_path, size):
+    p = tmp_path / "m.bin"
+    p.write_bytes(bytes(size))
+    with pytest.raises(ValueError, match="truncated header$"):
+        load_matrix_binary(p)
+
+
 def test_binary_header_is_16_bytes_le(tmp_path):
     p = tmp_path / "m.bin"
     save_matrix_binary(p, np.zeros((3, 2)))

@@ -31,6 +31,7 @@ from tilerun.scheduler import (
     StealEvent,
     _claim,
     _run_task,
+    _task_order,
     plan,
     run,
     steal_task,
@@ -64,7 +65,9 @@ def test_plan_counts_square():
     p = plan(*operands(np.zeros((4, 4)), np.zeros((4, 4))), 2)
     assert p.total_tasks == 4
     assert p.k_steps == 2
-    assert list(iter(p.queue.dequeue, None)) == [0, 1, 2, 3]
+    assert list(_task_order(p)) == [0, 1, 2, 3]
+    # task-id order is row-major
+    assert [task[:2] for task in p.template.tasks] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_plan_counts_rectangular():
@@ -72,7 +75,7 @@ def test_plan_counts_rectangular():
     assert (p.grid_rows, p.grid_cols) == (3, 3)
     assert p.total_tasks == 9
     assert p.k_steps == 2
-    assert list(iter(p.queue.dequeue, None)) == list(range(9))
+    assert list(_task_order(p)) == list(range(9))
 
 
 def test_plan_single_tile_degenerate():
@@ -178,10 +181,11 @@ def test_claim_retires_when_nothing_is_claimable():
 def test_sim_product_ends_at_its_last_claim(monkeypatch):
     # Once every task of a product is claimed, any later claim finds
     # nothing, so no device claims again: each product of an XOR
-    # [2, 8, 1] session with steals on makes one claim per task.
+    # [2, 8, 1] session with steals on makes one claim per task.  Claims
+    # are counted where the sim engine makes them, at _sim_claim.
     claims = []
-    real_claim = tilerun.scheduler._claim
-    monkeypatch.setattr(tilerun.scheduler, "_claim",
+    real_claim = tilerun.scheduler._sim_claim
+    monkeypatch.setattr(tilerun.scheduler, "_sim_claim",
                         lambda did, *rest: claims.append(did) or real_claim(did, *rest))
     backend = TiledBackend(homogeneous_machine(2), tile_size=2)
     rt = backend.runtime
@@ -204,6 +208,96 @@ def test_sim_product_ends_at_its_last_claim(monkeypatch):
     assert all(n_claims == tasks for n_claims, tasks, _ in per_product)
     assert sum(tasks for _, tasks, _ in per_product) == 3 * 28
     assert sum(steals for *_, steals in per_product) > 0
+
+
+def test_a_sim_product_builds_no_queue_station_or_snapshot(monkeypatch):
+    # The sim engine claims over plain FIFOs and a task iterator, and the
+    # directory counts a product's traffic as it runs: a sim product,
+    # stealing or not, builds no MS queue, no reservation station and no
+    # snapshot or diff of the session counters.
+    def refuse(*args, **kwargs):
+        raise AssertionError("built by a sim product")
+
+    for owner, name in [(MichaelScottQueue, "__init__"), (ReservationStation, "__init__"),
+                        (CacheDirectory, "stats_per_device"), (CacheStats, "__sub__")]:
+        monkeypatch.setattr(owner, name, refuse)
+    rng = np.random.default_rng(36)
+    a, b = int_matrix(rng, 10, 7), int_matrix(rng, 7, 9)
+    machine = Machine([DeviceSpec(0, flops_per_unit=10.0, slots=2)]
+                      + [DeviceSpec(i, flops_per_unit=1000.0, slots=2) for i in (1, 2)],
+                      ProximityMatrix.uniform(3))
+    for steal in (True, False):
+        rt = Runtime(machine, tile_size=2, steal=steal)
+        steals = 0
+        for _ in range(2):
+            c, stats = rt.multiply(a, b)
+            assert np.array_equal(c, reference_gemm(a, b))
+            assert stats.cache.input_requests == 2 * stats.total_tasks * stats.k_steps
+            steals += len(stats.steal_events)
+        assert (steals > 0) == steal
+
+
+@st.composite
+def claim_machines(draw):
+    """1-4 devices with 1-4 station slots and unequal speeds, bounded or
+    unbounded caches, and maybe a host worker as the last device."""
+    n = draw(st.integers(1, 4))
+    host_worker = n > 1 and draw(st.booleans())
+    speed = st.floats(10.0, 5000.0)
+    devs = [DeviceSpec(i, capacity_tiles=draw(st.one_of(st.none(), st.integers(3, 8))),
+                       flops_per_unit=draw(speed), host_bandwidth=draw(speed),
+                       slots=draw(st.integers(1, 4)))
+            for i in range(n - host_worker)]
+    if host_worker:
+        devs.append(DeviceSpec(n - 1, kind="host-worker", flops_per_unit=draw(speed),
+                               slots=draw(st.integers(1, 4))))
+    return Machine(devs, ProximityMatrix.uniform(n, bandwidth=draw(speed)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(machine=claim_machines(), steal=st.booleans(), tile=st.integers(1, 3),
+       shapes=st.lists(st.tuples(*[st.integers(1, 9)] * 3), min_size=1, max_size=3))
+def test_sim_claims_replay_through_the_threaded_claim(machine, steal, tile, shapes):
+    # The sim engine claims over plain FIFOs and a task iterator, the
+    # threaded engine over locked stations and the MS queue: one rule, two
+    # data structures.  Every claim of a session of ragged products is
+    # recorded as (device, task, victim), in order, retirements included,
+    # and replayed in the same device order through _claim on fresh
+    # ReservationStations and a queue filled in task-id order.  Each replayed
+    # claim must return what the sim's did.  Each steal's victim is also
+    # checked against the rule as written out here, before the claim: the
+    # most-loaded other station, ties to the lowest id.
+    claims = []
+    real_claim = tilerun.scheduler._sim_claim
+
+    def recording(did, *rest):
+        tid, victim = real_claim(did, *rest)
+        claims.append((did, tid, victim))
+        return tid, victim
+
+    rng = np.random.default_rng(0)
+    rt = Runtime(machine, tile_size=tile, steal=steal)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tilerun.scheduler, "_sim_claim", recording)
+        for m, k, n in shapes:
+            claims.clear()
+            _, stats = rt.multiply(int_matrix(rng, m, k), int_matrix(rng, k, n))
+            stations = {d.device_id: ReservationStation(d.slots) for d in machine.devices}
+            queue = fill_queue(range(stats.total_tasks))  # task-id order, as the engines use
+            for did, tid, victim in claims:
+                if victim is not None:
+                    loads = {d: st_.reserved_count() for d, st_ in stations.items()
+                             if d != did and st_.reserved_count()}
+                    assert victim == min(loads, key=lambda d: (-loads[d], d))
+                assert _claim(did, stations, queue, steal) == (tid, victim)
+            ran = [(did, tid) for did, tid, _ in claims if tid is not None]
+            assert sorted(tid for _, tid in ran) == list(range(stats.total_tasks))
+            assert all(stats.ran_on[tid] == did for did, tid in ran)
+            assert [(ev.thief, ev.task_id, ev.victim) for ev in stats.steal_events] == [
+                claim for claim in claims if claim[2] is not None]
+            if not steal:
+                assert not stats.steal_events
+            assert queue.dequeue() is None
 
 
 # -- end-to-end correctness ---------------------------------------------------
@@ -700,7 +794,8 @@ def test_execute_task_and_double_execution_guard():
         accumulate_product(a[i * 4 : (i + 1) * 4], b[:, j * 4 : (j + 1) * 4],
                            p.c[i * 4 : (i + 1) * 4, j * 4 : (j + 1) * 4])
 
-    while (tid := _claim(0, stations, p.queue, steal_enabled=True)[0]) is not None:
+    queue = fill_queue(_task_order(p))
+    while (tid := _claim(0, stations, queue, steal_enabled=True)[0]) is not None:
         assert not p.completion.all_done()
         i, j, got, wb = _run_task(p, directory, 0, tid, kernel)
         assert (i, j) == divmod(tid, 2) and len(got) == 2 * p.k_steps
@@ -884,7 +979,8 @@ def test_kernel_calls_per_engine(monkeypatch, mode):
 
         return wrapper
 
-    for name in ("accumulate_product", "_claim"):
+    claim = "_sim_claim" if mode == "sim" else "_claim"  # each engine's claim point
+    for name in ("accumulate_product", claim):
         monkeypatch.setattr(scheduler, name, logged(name))
     rng = np.random.default_rng(27)
     a, b = int_matrix(rng, 10, 7), int_matrix(rng, 7, 9)  # ragged: 3x3 tasks
@@ -896,6 +992,7 @@ def test_kernel_calls_per_engine(monkeypatch, mode):
         assert stats.total_tasks == 9
         if mode == "sim":  # the whole product, before the first claim
             assert log.count("accumulate_product") == 1 and log[0] == "accumulate_product"
+            assert log.count(claim) == 9
         else:  # one per task
             assert log.count("accumulate_product") == 9
 
@@ -1263,6 +1360,69 @@ def test_per_call_stats_add_up_to_the_session(mode):
     if mode == "sim":  # threaded placement and steals depend on thread timing
         assert total[0].evictions > 0 and total[2].host_fetches > 0
         assert stolen
+
+
+def stats_machine():
+    """Bounded, unequal accelerators and a host worker."""
+    return Machine(
+        [DeviceSpec(0, capacity_tiles=3, flops_per_unit=10.0),
+         DeviceSpec(1, capacity_tiles=5, flops_per_unit=1000.0),
+         DeviceSpec(2, kind="host-worker", subtile_factor=2)],
+        ProximityMatrix.uniform(3, bandwidth=4.0),
+    )
+
+
+@pytest.mark.parametrize("mode", ["sim", "threaded"])
+def test_each_products_counts_equal_a_session_diff_around_it(mode):
+    # The directory counts a product's traffic as the product runs; the
+    # counts must equal what a snapshot of the session counters taken
+    # before and after the call gives.
+    rng = np.random.default_rng(34)
+    x, w, y = int_matrix(rng, 12, 10), int_matrix(rng, 10, 9), int_matrix(rng, 12, 5)
+    rt = Runtime(stats_machine(), tile_size=4, mode=mode)
+    for a, b, ta, tb in [(x, w, False, False), (x, y, True, False), (w, w, False, True),
+                         (x, w, False, False)]:
+        before = rt.directory.stats_per_device()
+        _, stats = rt.multiply(a, b, transpose_a=ta, transpose_b=tb)
+        after = rt.directory.stats_per_device()
+        assert stats.cache_per_device == {d: after[d] - before[d] for d in after}
+        assert stats.cache.input_requests == 2 * stats.total_tasks * stats.k_steps
+
+
+@pytest.mark.parametrize("mode", ["sim", "threaded"])
+def test_a_returned_products_counts_do_not_move(mode):
+    # A RunStats is a record of its product: later products, and requests
+    # and writebacks sent to the directory directly, leave its counts as
+    # they were when multiply returned.
+    rng = np.random.default_rng(35)
+    x, w = int_matrix(rng, 12, 10), int_matrix(rng, 10, 9)
+    rt = Runtime(stats_machine(), tile_size=4, mode=mode)
+    _, first = rt.multiply(x, w, a_uid="X", b_uid="W")
+    kept = {d: CacheStats(**cs.as_dict()) for d, cs in first.cache_per_device.items()}
+    assert sum(kept.values(), CacheStats()).input_requests > 0
+    rt.multiply(x, w, a_uid="X", b_uid="W")
+    rt.multiply(w.T, x.T, a_uid="WT", b_uid="XT")
+    d = rt.directory
+    for device in (0, 1, 2):
+        d.acquire_input(device, [(TileKey("X", 0, 0), 128), (TileKey("Z", 0, 0), 128)])
+        d.admit_output(device, TileKey("C", 0, 0))
+        d.release_output(device, TileKey("C", 0, 0), 128)
+    assert first.cache_per_device == kept
+    assert first.cache == sum(kept.values(), CacheStats())
+
+
+@pytest.mark.parametrize("mode", ["sim", "threaded"])
+def test_multiply_reports_a_task_no_device_could_claim(monkeypatch, mode):
+    # Every task is handed out before a run, so multiply's "run incomplete"
+    # guard cannot fire by construction; leaving one task out of the
+    # engine's queue reaches it.  The sim claims with stealing on, so its
+    # devices retire with every station empty and the task still unrun.
+    real_order = tilerun.scheduler._task_order
+    monkeypatch.setattr(tilerun.scheduler, "_task_order",
+                        lambda p: [tid for tid in real_order(p) if tid != 4])
+    rt = Runtime(homogeneous_machine(2), tile_size=2, mode=mode)
+    with pytest.raises(RuntimeError, match=r"^run incomplete: 1 of 9 tasks not run$"):
+        rt.multiply(np.ones((6, 4)), np.ones((4, 6)))
 
 
 @pytest.mark.parametrize("mode", ["sim", "threaded"])

@@ -11,6 +11,8 @@ from tilerun.ann import (
     Layer,
     Network,
     TiledBackend,
+    activate,
+    activation_grad,
     backward_layer,
     bench_pass,
     finite_difference_gradients,
@@ -595,6 +597,29 @@ def test_bench_pass_zero_layer_net():
     elapsed = bench_pass(net, x, x, backend, repeats=2)
     assert elapsed == 0.0  # no products planned, simulated clocks never move
     assert backend.runtime.sim_now() == 0.0
+
+
+def test_bench_pass_times_a_dense_backend_by_wall_clock():
+    rng = np.random.default_rng(9)
+    net = Network.from_sizes([4, 3, 2], rng)
+    x, target = random_regression(rng, 5, 4, 2)
+    backend = DenseBackend()
+    assert backend.sim_time() is None
+    assert bench_pass(net, x, target, backend, repeats=2) > 0.0
+
+
+def test_backward_rejects_a_gradient_of_the_wrong_shape():
+    layer = Layer(np.ones((3, 2)))
+    with pytest.raises(ValueError, match="gradient shape"):
+        backward_layer(layer, np.ones((4, 3)), np.ones((4, 3)), DenseBackend())
+
+
+def test_unknown_activation_is_rejected_by_both_functions():
+    y = np.zeros((1, 2))
+    with pytest.raises(ValueError, match="unknown activation 'softplus'"):
+        activate("softplus", y)
+    with pytest.raises(ValueError, match="unknown activation 'softplus'"):
+        activation_grad("softplus", y, y)
 
 
 def test_layer_validation():

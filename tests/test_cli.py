@@ -43,6 +43,13 @@ def test_gen_int_distribution_in_range(tmp_path):
     assert m.min() >= -4 and m.max() <= 4
 
 
+def test_gen_float_distribution_in_range(tmp_path):
+    p = gen(tmp_path, "a.txt", 20, 20, dist="float")
+    m = load_matrix(p)
+    assert m.min() >= -4 and m.max() < 4
+    assert not np.array_equal(m, np.round(m))
+
+
 def test_gen_single_value_and_binary(tmp_path):
     p = tmp_path / "one.bin"
     assert run_cli("gen", "--rows", 1, "--cols", 1, "--out", p) == 0

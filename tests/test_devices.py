@@ -187,6 +187,13 @@ def test_proximity_validation():
     assert prox.hops.dtype == np.int64 and prox.hops.tolist() == [[0, 2], [2, 0]]
 
 
+def test_proximity_equals_only_a_proximity_matrix():
+    prox = ProximityMatrix(np.zeros((1, 1), dtype=int), np.ones((1, 1)))
+    assert prox == ProximityMatrix(np.zeros((1, 1), dtype=int), np.ones((1, 1)))
+    assert prox.__eq__(1) is NotImplemented
+    assert not prox == 1
+
+
 def test_machine_validation():
     with pytest.raises(ConfigError):
         Machine([], ProximityMatrix.uniform(0))

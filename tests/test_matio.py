@@ -1,8 +1,14 @@
+import os
+import threading
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tilerun import cli, matio
 from tilerun.matio import (
     load_matrix,
     load_matrix_binary,
@@ -40,6 +46,110 @@ def test_text_rejects_wrong_count(tmp_path):
     p.write_text("2 2\n1 2 3\n")
     with pytest.raises(ValueError):
         load_matrix_text(p)
+
+
+def test_text_rejects_more_values_than_declared(tmp_path):
+    p = tmp_path / "m.txt"
+    p.write_text("2 2\n1 2 3 4 5\n")
+    with pytest.raises(ValueError, match="expected 4 values for 2x2, got 5$"):
+        load_matrix_text(p)
+
+
+@pytest.mark.parametrize("content", ["-1 2\n1 2\n", "-1 -1\n5\n", "-2 -3\n1 2 3 4 5 6\n"])
+def test_text_rejects_negative_dimensions(tmp_path, content):
+    p = tmp_path / "m.txt"
+    p.write_text(content)
+    with pytest.raises(ValueError):
+        load_matrix_text(p)
+
+
+# 10**10 values declared in a 20-byte file, one file per format
+HUGE_HEADERS = {
+    "m.txt": b"100000 100000\n1 2 3\n",
+    "m.bin": (100_000).to_bytes(8, "little") * 2 + bytes(4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_HEADERS))
+def test_a_header_the_file_cannot_hold_allocates_nothing(tmp_path, name):
+    p = tmp_path / name
+    p.write_bytes(HUGE_HEADERS[name])
+    assert p.stat().st_size == 20
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="for 100000x100000, got"):
+            load_matrix(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_HEADERS))
+def test_gemm_on_a_header_the_file_cannot_hold_exits_2(tmp_path, capsys, name):
+    pa = tmp_path / name
+    pa.write_bytes(HUGE_HEADERS[name])
+    pb = tmp_path / "b.txt"
+    save_matrix_text(pb, np.eye(2))
+    assert cli.main(["gemm", "--a", str(pa), "--b", str(pb)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "100000x100000" in err[0], err
+
+
+@pytest.mark.parametrize("one_line", [False, True], ids=["row-per-line", "one-line"])
+def test_text_load_memory_is_one_block_beyond_the_result(tmp_path, one_line):
+    # A token list of the whole file peaks at about 6.4 MB here; the
+    # result is 0.5 MB.
+    m = np.random.default_rng(3).uniform(-1.0, 1.0, (256, 256))
+    p = tmp_path / "m.txt"
+    rows = [" ".join(f"{v:.17g}" for v in row) for row in m]
+    p.write_text("256 256\n" + ("  " if one_line else "\n").join(rows) + "\n")
+    tracemalloc.start()
+    try:
+        out = load_matrix_text(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.tobytes() == m.tobytes()
+    assert peak < m.nbytes + 2_000_000, peak
+
+
+def test_tokens_cut_by_block_ends_parse_as_float(tmp_path):
+    block = matio._BLOCK
+    exact = "0." + "0" * (block - 3) + "1"  # ends where the first block ends
+    spanning = "1." + "0" * (3 * block) + "25"  # fills whole blocks
+    tokens = [exact, "2.5", spanning, "-3", spanning]
+    p = tmp_path / "m.txt"
+    p.write_text(f"1 {len(tokens)}\n" + " ".join(tokens))
+    expected = np.array([float(t) for t in tokens], dtype=np.float64)
+    assert load_matrix_text(p).tobytes() == expected.tobytes()
+
+
+TOKEN_FORMATS = ["{:.17g}", "{:.3g}", "{:.6e}", "{:.0f}", "{!r}", "{:+.17e}"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=30),
+    formats=st.lists(st.sampled_from(TOKEN_FORMATS), min_size=1, max_size=5),
+    seps=st.lists(st.sampled_from([" ", "\n", "\t", "  ", " \r\n", "\n\n   "]),
+                  min_size=1, max_size=5),
+    lead=st.integers(0, 97),
+    tail=st.sampled_from(["", "\n"]),
+)
+def test_text_parse_across_blocks_matches_float_bitwise(tmp_path_factory, values, formats,
+                                                        seps, lead, tail):
+    # The drawn tokens repeat until the file spans several blocks; varying
+    # token lengths and a leading run of blanks move where the blocks end.
+    pattern = [formats[i % len(formats)].format(v) for i, v in enumerate(values)]
+    width = sum(map(len, pattern)) + len(pattern)
+    tokens = pattern * (3 * matio._BLOCK // width + 1)
+    body = " " * lead + "".join(t + seps[i % len(seps)] for i, t in enumerate(tokens))
+    p = tmp_path_factory.mktemp("m") / "m.txt"
+    with open(p, "w", newline="") as f:  # keep "\r\n" as written
+        f.write(f"1 {len(tokens)}\n" + body.rstrip() + tail)
+    expected = np.array([float(t) for t in tokens], dtype=np.float64)
+    assert load_matrix_text(p).tobytes() == expected.tobytes()
 
 
 @settings(max_examples=50, deadline=None)
@@ -94,6 +204,54 @@ def test_binary_rejects_truncation(tmp_path):
     p.write_bytes(p.read_bytes()[:-4])
     with pytest.raises(ValueError):
         load_matrix_binary(p)
+
+
+def test_binary_rejects_extra_payload_bytes(tmp_path):
+    p = tmp_path / "m.bin"
+    save_matrix_binary(p, np.zeros((2, 2)))
+    p.write_bytes(p.read_bytes() + bytes(3))
+    with pytest.raises(ValueError, match="expected 32 payload bytes for 2x2, got 35$"):
+        load_matrix_binary(p)
+
+
+def test_binary_rejects_a_file_that_shrinks_while_read(tmp_path, monkeypatch):
+    p = tmp_path / "m.bin"
+    save_matrix_binary(p, np.ones((1, 2)))
+    p.write_bytes(p.read_bytes()[:-8])
+
+    def fstat(fd, fstat=os.fstat):  # the size seen before the payload was cut
+        st = fstat(fd)
+        return SimpleNamespace(st_mode=st.st_mode, st_size=st.st_size + 8)
+
+    monkeypatch.setattr(os, "fstat", fstat)
+    with pytest.raises(ValueError, match="expected 16 payload bytes for 1x2, got 8$"):
+        load_matrix_binary(p)
+
+
+def test_binary_writer_writes_the_array_bytes(tmp_path):
+    m = np.arange(12.0).reshape(3, 4)
+    for layout in (m, np.asfortranarray(m), m.astype(">f8"), m.astype(np.float32)):
+        p = tmp_path / "m.bin"
+        save_matrix_binary(p, layout)
+        assert p.read_bytes() == (3).to_bytes(8, "little") + (4).to_bytes(8, "little") + \
+            m.astype("<f8").tobytes()
+
+
+@pytest.mark.parametrize("name", ["m.txt", "m.bin"])
+def test_a_pipe_loads_like_a_file(tmp_path, name):
+    m = np.random.default_rng(4).standard_normal((3, 40_000))  # text spans many blocks
+    src = tmp_path / name
+    save_matrix(src, m)
+    fifo = tmp_path / ("fifo" + src.suffix)
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(src.read_bytes()), daemon=True)
+    writer.start()
+    try:
+        out = load_matrix(fifo)
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert out.tobytes() == m.tobytes()
 
 
 def test_suffix_dispatch(tmp_path):

@@ -47,6 +47,12 @@ def test_partition_rectangular_and_reassemble():
     assert np.array_equal(reassemble(tm), m)
 
 
+@pytest.mark.parametrize("row,col", [(2, 0), (0, 2), (-1, 0), (0, -1)])
+def test_tile_outside_the_grid_is_an_index_error(row, col):
+    with pytest.raises(IndexError, match=r"outside 2x2 grid"):
+        partition(np.ones((4, 4)), 2).tile(row, col)
+
+
 def test_partition_rejects_zero_tile_size():
     with pytest.raises(ValueError):
         partition(np.ones((2, 2)), 0)
@@ -186,6 +192,11 @@ def test_reference_gemm_identity_and_zeros():
     assert np.array_equal(reference_gemm(np.eye(3), m), m)
     z = reference_gemm(np.zeros((2, 3)), rng.standard_normal((3, 4)))
     assert np.array_equal(z, np.zeros((2, 4)))
+
+
+def test_reference_gemm_rejects_unequal_inner_dimensions():
+    with pytest.raises(ValueError, match="inner dimensions differ"):
+        reference_gemm(np.ones((2, 3)), np.ones((2, 3)))
 
 
 def test_reference_matches_scalar_triple_loop():

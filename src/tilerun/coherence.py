@@ -85,7 +85,7 @@ class Memo(dict):
         return value
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheStats:
     l1_hits: int = 0
     l2_hits: int = 0
@@ -105,6 +105,20 @@ class CacheStats:
     def __add__(self, other: "CacheStats") -> "CacheStats":
         return CacheStats(*map(operator.add, _stats_values(self), _stats_values(other)))
 
+    def __iadd__(self, other: "CacheStats") -> "CacheStats":
+        # field by field: a product's close folds into the session's
+        # counters in place, and a loop over the fields costs as much as
+        # building a new object
+        self.l1_hits += other.l1_hits
+        self.l2_hits += other.l2_hits
+        self.host_fetches += other.host_fetches
+        self.bytes_host += other.bytes_host
+        self.bytes_peer += other.bytes_peer
+        self.evictions += other.evictions
+        self.writebacks += other.writebacks
+        self.bytes_writeback += other.bytes_writeback
+        return self
+
     # no caller in the package; kept for the benchmark's tracer, which
     # wraps it by name (see scheduler.py)
     def __sub__(self, other: "CacheStats") -> "CacheStats":
@@ -118,6 +132,20 @@ class CacheStats:
 # the counters in field order, read by one C call instead of dataclasses.fields
 _STATS_FIELDS = tuple(f.name for f in fields(CacheStats))
 _stats_values = operator.attrgetter(*_STATS_FIELDS)
+
+
+class _DeviceCache(NamedTuple):
+    """A cached device's side of the directory, read by one lookup per
+    transaction: its LRU set of input tiles, the number of input tiles
+    the set may hold (one slot of a bounded device is its output's, and
+    an unbounded set's room is ``sys.maxsize``), its peers as ``(peer's
+    set, peer's results)`` ranked fewest hops first, then lowest id, and
+    its shared L1-hit result."""
+
+    order: OrderedDict
+    room: int
+    peers: list
+    l1_hit: AcquireResult
 
 
 class CacheDirectory:
@@ -140,33 +168,31 @@ class CacheDirectory:
     device only, and a transaction adds to them once; :meth:`stats` is
     their sum.  While a product is open (:meth:`open_product`) a
     transaction adds to that product's counters instead, and closing the
-    product adds them to the session's.  The session's readers include
-    an open product's counts, so every reader sees what counting each
-    transaction into both would give, and a product's counts need no
-    snapshot of the session's.
+    product adds them into the session's counters in place (a field-by-
+    field ``+=``), so the product's own counters never move again.  The
+    session's readers include an open product's counts, so every reader
+    sees what counting each transaction into both would give, and a
+    product's counts need no snapshot of the session's.
     """
 
     def __init__(self, machine: Machine, enabled: bool = True):
         self._lock = threading.Lock()
-        cached = [d for d in machine.devices if enabled and not d.is_host_worker]
-        self._order: dict[int, OrderedDict] = {d.device_id: OrderedDict() for d in cached}
-        # input tiles a set may hold: one slot of a bounded device is its
-        # output's, and an unbounded set's room is sys.maxsize
-        self._room: dict[int, int] = {
-            d.device_id: sys.maxsize if d.capacity_tiles is None else d.capacity_tiles - 1
-            for d in cached}
+        cached = {d.device_id: d for d in machine.devices if enabled and not d.is_host_worker}
         # _results[source][nbytes]: the one shared result for that pair,
         # made when first returned and kept for the directory's life
         self._results: dict[object, Memo] = {
             src: Memo(lambda nbytes, src=src: AcquireResult(src, nbytes))
             for src in (HOST, *(d.device_id for d in machine.devices))}
-        # per cached device: (peer's set, peer's results), fewest hops
-        # first, then lowest id
         hops = machine.proximity.hops
-        self._peers: dict[int, list[tuple[OrderedDict, Memo]]] = {
-            d: [(self._order[p], self._results[p])
-                for p in sorted(self._order, key=lambda p: (hops[d, p], p)) if p != d]
-            for d in self._order}
+        sets = {d: OrderedDict() for d in cached}
+        self._caches: dict[int, _DeviceCache] = {
+            d: _DeviceCache(
+                sets[d],
+                sys.maxsize if dev.capacity_tiles is None else dev.capacity_tiles - 1,
+                [(sets[p], self._results[p])
+                 for p in sorted(cached, key=lambda p: (hops[d, p], p)) if p != d],
+                self._results[d][0])
+            for d, dev in cached.items()}
         # the output tile each device is building, or None
         self._output: dict[int, TileKey | None] = {d.device_id: None for d in machine.devices}
         self._host_workers = frozenset(d.device_id for d in machine.devices if d.is_host_worker)
@@ -183,7 +209,8 @@ class CacheDirectory:
     def residents(self, device: int) -> list[TileKey]:
         """Keys resident on ``device``, least recently used first."""
         with self._lock:
-            return list(self._order.get(device, ()))
+            cache = self._caches.get(device)
+            return [] if cache is None else list(cache.order)
 
     # -- the runtime-facing operations ----------------------------------
     #
@@ -207,18 +234,16 @@ class CacheDirectory:
         """
         with self._lock:
             ds = self._counts[requester]
-            order = self._order.get(requester)
+            cache = self._caches.get(requester)
             from_host = self._results[HOST]
-            if order is None:
+            if cache is None:
                 # host workers' tiles are already local: a fetch in name only
                 free = requester in self._host_workers
                 out = [from_host[0 if free else nbytes] for _key, nbytes in requests]
                 ds.host_fetches += len(out)
                 ds.bytes_host += sum(res.nbytes_moved for res in out)
                 return out
-            room = self._room[requester]
-            peers = self._peers[requester]
-            l1_hit = self._results[requester][0]
+            order, room, peers, l1_hit = cache
             out = []
             append, move_to_end, popitem = out.append, order.move_to_end, order.popitem
             l1 = l2 = bytes_peer = bytes_host = evictions = 0
@@ -261,7 +286,8 @@ class CacheDirectory:
         resident tile (``None`` included) is ignored."""
         dead = set(uids)
         with self._lock:
-            for order in self._order.values():
+            for cache in self._caches.values():
+                order = cache.order
                 for key in [key for key in order if key.matrix in dead]:
                     del order[key]
 
@@ -313,14 +339,16 @@ class CacheDirectory:
             return self._counts
 
     def close_product(self) -> None:
-        """Add the open product's counts to the session's; later
-        transactions leave the product's counters as they are."""
+        """Add the open product's counts into the session's counters in
+        place; later transactions leave the product's counters as they
+        are."""
         with self._lock:
             self._close_locked()
 
     def _close_locked(self) -> None:
         if self._counts is not self._dev_stats:
-            self._dev_stats = self._session_locked()
+            for d, s in self._dev_stats.items():
+                s += self._counts[d]
             self._counts = self._dev_stats
 
     def _session_locked(self) -> dict[int, CacheStats]:
@@ -340,9 +368,10 @@ class CacheDirectory:
 
     def used_tiles(self, device: int) -> int:
         with self._lock:
-            return len(self._order.get(device, ()))
+            cache = self._caches.get(device)
+            return 0 if cache is None else len(cache.order)
 
     def check_invariants(self) -> None:
         with self._lock:
-            for d, order in self._order.items():
-                assert len(order) <= self._room[d], f"device {d} over capacity"
+            for d, cache in self._caches.items():
+                assert len(cache.order) <= cache.room, f"device {d} over capacity"

@@ -147,11 +147,12 @@ def _extents(n: int, t: int) -> list[int]:
 class PlanTemplate:
     """What the plan of a product derives from its shapes alone.
 
-    ``row_extents``, ``col_extents`` and ``step_extents`` are the tile
-    extents of the output's rows and columns and of the contraction
-    steps, as read: step ``k`` of task ``(i, j)`` multiplies an
-    ``(row_extents[i], step_extents[k])`` tile of A by a
-    ``(step_extents[k], col_extents[j])`` tile of B.  ``a_rows[i]`` lists
+    ``row_extents``, ``col_extents`` and ``step_extents`` (a tuple, so it
+    keys the sim engine's task prices as it is) are the tile extents of
+    the output's rows and columns and of the contraction steps, as read:
+    step ``k`` of task ``(i, j)`` multiplies an ``(row_extents[i],
+    step_extents[k])`` tile of A by a ``(step_extents[k],
+    col_extents[j])`` tile of B.  ``a_rows[i]`` lists
     tile row ``i`` of A and ``b_cols[j]`` tile column ``j`` of B, in
     contraction order, as ``(row, col, nbytes)``: the tile's stored
     coordinates (swapped, once, for a transposed operand) and its bytes.
@@ -166,7 +167,7 @@ class PlanTemplate:
     out_dtype: np.dtype
     row_extents: list
     col_extents: list
-    step_extents: list
+    step_extents: tuple
     a_rows: list
     b_cols: list
     tasks: list
@@ -184,7 +185,8 @@ def _shape_key(a: Operand, b: Operand, tile_size: int) -> tuple:
 def _template(key: tuple) -> PlanTemplate:
     """The template of a :func:`_shape_key`, built from the key alone."""
     t, (a_shape, a_transposed, a_dtype), (b_shape, b_transposed, b_dtype) = key
-    rows, steps, cols = _extents(a_shape[0], t), _extents(a_shape[1], t), _extents(b_shape[1], t)
+    rows, cols = _extents(a_shape[0], t), _extents(b_shape[1], t)
+    steps = tuple(_extents(a_shape[1], t))
 
     def tile(i, j, height, width, itemsize, transposed):
         r, c = (j, i) if transposed else (i, j)
@@ -269,12 +271,17 @@ def plan(a: Operand, b: Operand, tile_size: int, templates: Memo | None = None) 
     key = _shape_key(a, b, t)
     tmpl = _template(key) if templates is None else templates[key]
     a_uid, b_uid = a.uid, b.uid
+    # tuple.__new__ makes the same TileKey as TileKey(uid, r, c) without
+    # the NamedTuple constructor's keyword handling, at about 2/5 the cost
+    new = tuple.__new__
     return Plan(
         a=a, b=b,
         c=np.zeros(tmpl.out_shape, tmpl.out_dtype),
         template=tmpl, completion=Completion(len(tmpl.tasks)),
-        a_rows=[[(TileKey(a_uid, r, c), nbytes) for r, c, nbytes in row] for row in tmpl.a_rows],
-        b_cols=[[(TileKey(b_uid, r, c), nbytes) for r, c, nbytes in col] for col in tmpl.b_cols],
+        a_rows=[[(new(TileKey, (a_uid, r, c)), nbytes) for r, c, nbytes in row]
+                for row in tmpl.a_rows],
+        b_cols=[[(new(TileKey, (b_uid, r, c)), nbytes) for r, c, nbytes in col]
+                for col in tmpl.b_cols],
     )
 
 
@@ -342,7 +349,7 @@ def steal_task(thief: int, stations: dict[int, ReservationStation]) -> tuple[int
     return None, None
 
 
-@dataclass
+@dataclass(slots=True)
 class StealEvent:
     thief: int
     victim: int
@@ -519,7 +526,9 @@ def _sim_claim(did: int, width: int, stations: dict[int, deque], tasks,
     nothing is left to claim, now or later.
     """
     st = stations[did]
-    st.extend(islice(tasks, width - len(st)))
+    room = width - len(st)
+    if room:
+        st.extend(islice(tasks, room))
     if st:
         return st.popleft(), None
     if steal_enabled:
@@ -549,7 +558,7 @@ def _price_tables(machine: Machine) -> dict[int, tuple[Memo, Memo, Memo]]:
     return tables
 
 
-def _run_sim(machine, plan_, directory, clocks, prices, events, steal_enabled):
+def _run_sim(plan_, directory, clocks, prices, widths, events, steal_enabled) -> float:
     """Compute the product with one kernel call, then replay the model.
 
     The data step runs before the first claim, so a kernel fault leaves
@@ -559,9 +568,11 @@ def _run_sim(machine, plan_, directory, clocks, prices, events, steal_enabled):
     them.  Compute is priced per task, from the device's task prices
     for the task's tile extents in the template.  Claims follow
     :func:`_sim_claim`, over per-product FIFOs of each device's
-    ``slots`` width and an iterator over :func:`_task_order`.  The
-    product ends at its last claim: once every task is claimed, every
-    later claim would find nothing, so no device claims again.
+    ``widths`` entry (its ``slots``) and an iterator over
+    :func:`_task_order`.  The product ends at its last claim: once every
+    task is claimed, every later claim would find nothing, so no device
+    claims again.  Returns the latest writeback clock the product set,
+    or 0.0 if it ran no task.
 
     ``clocks[device]`` is ``[compute, fetch, writeback]``.  A device
     claims when its compute clock is the earliest, so the claim time is
@@ -577,19 +588,22 @@ def _run_sim(machine, plan_, directory, clocks, prices, events, steal_enabled):
     claim order, and a prefetched tile takes no extra capacity; within a
     task, step k+1's fetch may run any number of steps ahead of compute
     k on the same terms.  Every clock only moves forward, because every
-    cost is >= 0."""
+    cost is >= 0.  So after each task its device's compute clock is at
+    least its fetch clock (a task has at least one step, whose compute
+    waits for its data) and its writeback clock at least its compute
+    clock: the writeback clock is the device's latest."""
     accumulate_product(plan_.a.matrix, plan_.b.matrix, plan_.c)
-    stations = {d.device_id: deque() for d in machine.devices}
-    widths = {d.device_id: d.slots for d in machine.devices}
+    stations = {did: deque() for did in widths}
     tasks = iter(_task_order(plan_))
-    heap = [(clocks[d.device_id][0], d.device_id) for d in machine.devices]
+    heap = [(clocks[did][0], did) for did in widths]
     heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
     claimed = {}  # each device's previous claim time in this product
     tmpl = plan_.template
-    row_extents, col_extents, steps = tmpl.row_extents, tmpl.col_extents, tuple(tmpl.step_extents)
+    row_extents, col_extents, steps = tmpl.row_extents, tmpl.col_extents, tmpl.step_extents
     unclaimed = plan_.total_tasks
     while unclaimed and heap:  # an empty heap leaves the run incomplete, which multiply reports
-        t, did = heapq.heappop(heap)
+        t, did = heappop(heap)
         tid, victim = _sim_claim(did, widths[did], stations, tasks, steal_enabled)
         if tid is None:
             continue  # the device retires
@@ -604,7 +618,8 @@ def _run_sim(machine, plan_, directory, clocks, prices, events, steal_enabled):
         got = iter(got)
         fetch, _, step_prices = prices[did]
         co, tr, wr = clocks[did]
-        tr = max(tr, lead)
+        if lead > tr:
+            tr = lead
         # zip(got, got) pairs each step's A and B results
         for ra, rb, c in zip(got, got, step_prices[row_extents[i], col_extents[j], steps]):
             tr += fetch[ra] + fetch[rb]
@@ -613,8 +628,9 @@ def _run_sim(machine, plan_, directory, clocks, prices, events, steal_enabled):
             co += c
         # a host link costs the same either way, so the writeback is priced
         # as a host fetch of its bytes
-        clocks[did] = [co, tr, max(wr, co) + fetch[HOST, wb]]
-        heapq.heappush(heap, (co, did))
+        clocks[did] = [co, tr, (co if co > wr else wr) + fetch[HOST, wb]]
+        heappush(heap, (co, did))
+    return max([clocks[did][2] for did in claimed], default=0.0)
 
 
 def _run_threaded(machine, plan_, directory, events, steal_enabled):
@@ -678,8 +694,16 @@ class Runtime:
     each other's cached tiles.  A call's :class:`RunStats` keeps that
     product's facts; its cache counts are the per-device counters the
     directory kept for that product alone while it ran
-    (:meth:`CacheDirectory.open_product`), which no later request moves.
-    Either engine runs every task of a product through ``_run_task``.
+    (:meth:`CacheDirectory.open_product`) and then added into the
+    session's counters in place, which no later request moves.  Either
+    engine runs every task of a product through ``_run_task``.
+
+    A sim product reads the session's clocks once, before it runs: after
+    each task its device's writeback clock is that device's latest, so
+    the latest clock after the product is the later of that and the
+    latest writeback clock the product set (:func:`_run_sim`'s result).
+    The session keeps each device's station width (``widths``), so a
+    replay sets up its stations from it.
 
     A session prices and ranks peers from the machine it was built with.
     The directory fixes each device's capacity and peer ranking at
@@ -713,9 +737,10 @@ class Runtime:
         self.coherence = coherence
         self.directory = CacheDirectory(machine, enabled=coherence)
         # per device: [compute, fetch, writeback] engine time of the sim
-        # engine, and the price tables it folds into them
+        # engine, the price tables it folds into them, and its station width
         self.clocks = {d.device_id: [0.0, 0.0, 0.0] for d in machine.devices}
         self.prices = _price_tables(machine)
+        self.widths = {d.device_id: d.slots for d in machine.devices}
         self.templates = Memo(_template)
 
     _uids = count(1)  # shared by every session
@@ -749,15 +774,18 @@ class Runtime:
         plan_ = plan(self.operand(a, a_uid, transpose_a), self.operand(b, b_uid, transpose_b),
                      self.tile_size, self.templates)
         events: list[StealEvent] = []
-        sim_before = self.sim_now()
         cache = self.directory.open_product()
         t0 = time.perf_counter()
         try:
             if self.mode == "sim":
-                _run_sim(self.machine, plan_, self.directory, self.clocks, self.prices, events,
-                         self.steal)
+                # every device's latest clock is its writeback clock, and a
+                # device the product left alone is no later than before
+                before = self.sim_now()
+                makespan = max(_run_sim(plan_, self.directory, self.clocks, self.prices,
+                                        self.widths, events, self.steal), before) - before
             else:
                 _run_threaded(self.machine, plan_, self.directory, events, self.steal)
+                makespan = None
         finally:
             self.directory.close_product()
         wall = time.perf_counter() - t0
@@ -774,7 +802,7 @@ class Runtime:
             template=plan_.template,
             ran_on=plan_.completion.ran_on,
             cache_per_device=cache,
-            makespan=(self.sim_now() - sim_before) if self.mode == "sim" else None,
+            makespan=makespan,
             wall_elapsed=wall,
             steal_events=events,
         )

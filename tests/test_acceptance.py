@@ -53,6 +53,7 @@ def int_matrix(rng, rows, cols):
     return rng.integers(-4, 5, size=(rows, cols)).astype(np.float64)
 
 
+@pytest.mark.wallclock
 @criterion(1, "runtime output matches the dense reference on 50 randomized cases")
 def test_c1_correctness_vs_oracle():
     rng = np.random.default_rng(20240601)
@@ -168,6 +169,7 @@ def test_c4_speedup_curve_shape(tmp_path):
         assert s >= 0.95 * peak, f"post-saturation point {s} below 95% of {peak}"
 
 
+@pytest.mark.wallclock
 @criterion(5, "queue keeps conservation and per-producer FIFO over 1e6 ops")
 def test_c5_queue_contract():
     n_producers = n_consumers = 4

@@ -318,7 +318,7 @@ def test_session_price_tables_and_peer_ranking_stay_bounded():
 
     def entries():
         return (sum(len(table) for tables in rt.prices.values() for table in tables)
-                + sum(len(peers) for peers in rt.directory._peers.values()))
+                + sum(len(cache.peers) for cache in rt.directory._caches.values()))
 
     counts = {}
     for step in range(1, 1001):

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -350,7 +351,7 @@ def test_invariants_fixture_checks_after_a_test_undo(directory_invariants, monke
     d = CacheDirectory(cap_machine(1, capacity=3))
     monkeypatch.setattr(d, "residents", lambda device: [])
     monkeypatch.undo()  # the test's own undo keeps the checks in place
-    d._order[0].update(dict.fromkeys(key(n) for n in "xyz"))  # three inputs in room for two
+    d._caches[0].order.update(dict.fromkeys(key(n) for n in "xyz"))  # three inputs in room for two
     with pytest.raises(AssertionError, match="over capacity"):
         touch(d, 0, key("a"))  # one victim: three tiles remain
     with pytest.raises(AssertionError, match="over capacity"):
@@ -680,3 +681,19 @@ def test_an_open_product_counts_its_own_traffic():
                                                  writebacks=1, bytes_writeback=16)
     d.close_product()  # closing with no product open changes nothing
     assert d.stats() == sum(d.stats_per_device().values(), CacheStats())
+
+
+def test_in_place_add_covers_exactly_the_counter_fields():
+    # Closing a product folds its counts into the session's with +=, which
+    # names each counter: it must add every field of CacheStats once, into
+    # the session's own object, and leave the product's counts alone.
+    names = [f.name for f in fields(CacheStats)]
+    assert CacheStats.__slots__ == tuple(names)
+    session = CacheStats(*(3 ** i for i in range(len(names))))
+    product = CacheStats(*(5 * 7 ** i for i in range(len(names))))
+    kept = session
+    session += product
+    assert session is kept
+    assert {n: getattr(session, n) for n in names} == {
+        n: 3 ** i + 5 * 7 ** i for i, n in enumerate(names)}
+    assert product == CacheStats(*(5 * 7 ** i for i in range(len(names))))

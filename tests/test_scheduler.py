@@ -502,6 +502,9 @@ def test_step_table_matches_tile_views(tile, grid, ragged, transposes, dtypes):
                         for i in range(p.grid_rows)]
     assert p.b_cols == [[entry(b, kk, j) for kk in range(p.k_steps)]
                         for j in range(p.grid_cols)]
+    # a TileKey, not only a tuple equal to one
+    assert all(type(key) is TileKey for table in (p.a_rows, p.b_cols)
+               for steps in table for key, _ in steps)
     # step kk of task (i, j) reads an (m_i, s_kk) tile of A and an
     # (s_kk, n_j) tile of B, and writes an (m_i, n_j) tile of C
     tmpl = p.template
@@ -1082,12 +1085,13 @@ def priced_machines(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(machine=priced_machines(), tile=st.integers(2, 4),
+@given(machine=st.one_of(priced_machines(), claim_machines()), tile=st.integers(2, 4),
        shapes=st.lists(st.tuples(*[st.integers(1, 9)] * 3, st.booleans(), st.booleans()),
                        min_size=2, max_size=3))
 def test_sim_clocks_equal_a_direct_replay(machine, tile, shapes):
     # A session of 2-3 ragged products back to back, each operand read
-    # straight or transposed.  Each task's device,
+    # straight or transposed, on a machine with bounded or unbounded
+    # caches and station widths of 1-4.  Each task's device,
     # claim time, output tile, directory results and writeback bytes are
     # recorded through its directory, and the product's steal events name
     # the stolen tasks; the [compute, fetch, writeback] clocks are then
@@ -1095,7 +1099,9 @@ def test_sim_clocks_equal_a_direct_replay(machine, tile, shapes):
     # match the session's to the bit.  The claim time is read from the
     # session's compute clock as the task's output is admitted.  A step's
     # compute is priced on the stored tiles its requests name, as the
-    # product reads them: transposed for a transposed operand.
+    # product reads them: transposed for a transposed operand.  After
+    # each product every device's writeback clock is its latest, which is
+    # what lets multiply read the session's clocks once per product.
     rt = Runtime(machine, tile_size=tile)
     d = rt.directory
     # [device, claim time, output key, requests, results, writeback bytes],
@@ -1176,6 +1182,7 @@ def test_sim_clocks_equal_a_direct_replay(machine, tile, shapes):
         assert not steals  # every steal event names a recorded task
         assert stats.makespan == max(max(cl) for cl in clocks.values()) - before
         assert rt.clocks == clocks
+        assert all(wr == max(co, tr, wr) for co, tr, wr in clocks.values())
 
 
 @settings(max_examples=60, deadline=None)
@@ -1191,6 +1198,43 @@ def test_sim_makespan_at_least_the_area_bound(machine, tile, shape):
     c, stats = run(machine, a, b, tile_size=tile)
     assert np.array_equal(c, reference_gemm(a, b))
     assert stats.makespan >= 2 * m * k * n / sum(d.flops_per_unit for d in machine.devices)
+
+
+@pytest.mark.parametrize("mode", ["sim", "threaded"])
+@settings(max_examples=25, deadline=None)
+@given(machine=claim_machines(), coherence=st.booleans(), tile=st.integers(1, 3),
+       products=st.lists(st.tuples(*[st.integers(1, 7)] * 3, st.booleans(), st.booleans()),
+                         min_size=2, max_size=4))
+def test_session_counts_are_its_products_folded_in(mode, machine, coherence, tile, products):
+    # Closing a product adds its counts into the session's counters in
+    # place.  Over a session of ragged products, whose operands stored in
+    # the same shape share a uid so that later products hit, the session's
+    # per-device counts after every product equal the sum of the counts
+    # every returned RunStats holds, and those stay as they were when
+    # their multiply returned.
+    rng = np.random.default_rng(0)
+    rt = Runtime(machine, tile_size=tile, mode=mode, coherence=coherence)
+    stored = {}
+
+    def read_as(rows, cols, transposed):
+        """The stored matrix read as ``rows x cols``, and its uid."""
+        shape = (cols, rows) if transposed else (rows, cols)
+        if shape not in stored:
+            stored[shape] = int_matrix(rng, *shape)
+        return stored[shape], f"M{shape}"
+
+    returned = []  # (stats, a copy of its counts as returned)
+    for m, k, n, ta, tb in products:
+        (a, a_uid), (b, b_uid) = read_as(m, k, ta), read_as(k, n, tb)
+        _, stats = rt.multiply(a, b, ta, tb, a_uid=a_uid, b_uid=b_uid)
+        returned.append((stats, {d: cs.copy() for d, cs in stats.cache_per_device.items()}))
+        total = {d.device_id: CacheStats() for d in machine.devices}
+        for kept_stats, kept in returned:
+            assert kept_stats.cache_per_device == kept
+            for d, cs in kept.items():
+                total[d] = total[d] + cs
+        assert rt.directory.stats_per_device() == total
+        assert rt.directory.stats() == sum(total.values(), CacheStats())
 
 
 @pytest.mark.parametrize("capacity", [None, 3, 5])

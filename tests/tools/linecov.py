@@ -10,6 +10,12 @@ with their source.  A line is executable when a code object compiled
 from the file maps bytecode to it.  Lines run only in a subprocess (the
 demos, the CLI run through ``python -m``) are not seen.
 
+The traced run deselects the tests marked ``wallclock``, whose wall-clock
+budgets the hook's slowdown would break; a second pytest run, in a
+subprocess and untraced, runs those tests alone over the same
+arguments.  The tool adds ``-m`` to each run, so the arguments should
+not.  Lines only a ``wallclock`` test reaches count as unreached.
+
 ``UNREACHABLE`` lists the lines argued unreachable from an in-process
 test, by file and source text, each with its reason.  They are reported
 but allowed; an entry that matches no unreached line is reported as
@@ -17,13 +23,16 @@ stale.
 
 The hook makes the suite about three times slower, so this is a tool to
 run by hand, not part of the tier-1 run; pytest does not collect it (its
-name does not start with ``test_``).  Exit status is pytest's when that
-is not 0, else 1 when an unreached line is not in ``UNREACHABLE`` or an
-entry there is stale, else 0.
+name does not start with ``test_``).  Exit status is the traced run's
+pytest status when that is not 0, else the untraced run's when that is
+not 0 (a selection with no ``wallclock`` test in it counts as 0), else 1
+when an unreached line is not in ``UNREACHABLE`` or an entry there is
+stale, else 0.
 """
 
 from __future__ import annotations
 
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -86,6 +95,7 @@ def report() -> int:
 
 
 def main(argv: list[str]) -> int:
+    args = argv or [str(ROOT / "tests"), "-q", "-p", "no:cacheprovider"]
     sys.path.insert(0, str(ROOT / "src"))
     # installed before pytest imports tilerun, so module bodies are traced too
     threading.settrace(_global)
@@ -93,13 +103,17 @@ def main(argv: list[str]) -> int:
     try:
         import pytest
 
-        status = pytest.main(argv or [str(ROOT / "tests"), "-q", "-p", "no:cacheprovider"])
+        status = pytest.main([*args, "-m", "not wallclock"])
     finally:
         sys.settrace(None)
         threading.settrace(None)
+    print("running the wallclock tests untraced")
+    timed = subprocess.run([sys.executable, "-m", "pytest", *args, "-m", "wallclock"],
+                           cwd=ROOT).returncode
     missing = report()
     print(f"{missing} unreached lines in {SRC.relative_to(ROOT)} not argued unreachable")
-    return int(status) or int(missing > 0)
+    return (int(status) or (0 if timed == pytest.ExitCode.NO_TESTS_COLLECTED else timed)
+            or int(missing > 0))
 
 
 if __name__ == "__main__":

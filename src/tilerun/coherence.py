@@ -8,6 +8,14 @@ sets: a tile's owners are the devices whose set holds it.  A single lock
 makes every public operation atomic with respect to every other, which
 is all the runtime's correctness argument needs.
 
+A task's directory transaction is one :meth:`CacheDirectory.acquire_input`
+call under one lock hold.  Given the task's output key, it refuses a
+device whose output slot is busy, resolves the task's input requests,
+and then either takes the slot (the threaded engine computes the tile
+after it returns and ends with ``release_output`` or ``abort_output``)
+or, given the writeback bytes as well, counts the writeback and leaves
+the slot free (the sim engine, which computes nothing in between).
+
 Hit taxonomy for a requesting accelerator:
 
 * L1 hit  -- tile already resident locally; free.
@@ -201,6 +209,10 @@ class CacheDirectory:
         # product's, or the session's when no product is open
         self._counts = self._dev_stats
 
+    def _busy_locked(self, device: int) -> ValueError:
+        return ValueError(
+            f"device {device} still holds unfinished output tile {self._output[device]}")
+
     def _drop_output_locked(self, device: int, key: TileKey) -> None:
         if self._output[device] != key:
             raise ValueError(f"{key} is not the output tile of device {device}")
@@ -212,16 +224,22 @@ class CacheDirectory:
             cache = self._caches.get(device)
             return [] if cache is None else list(cache.order)
 
+    def output_tile(self, device: int) -> TileKey | None:
+        """The output tile ``device`` is building, or None."""
+        with self._lock:
+            return self._output[device]
+
     # -- the runtime-facing operations ----------------------------------
     #
     # Resolving an input tile is lookup + transfer accounting + admit.  A
-    # task resolves all of its input tiles as one call under one lock
-    # acquisition, which makes the whole task's input accounting
-    # linearizable: the hit counters stay exact even with racing worker
-    # threads (e.g. two devices missing on the same tile at the same
-    # instant still produce exactly one host fetch).
+    # task resolves all of its input tiles, and claims or writes back its
+    # output tile, as one call under one lock acquisition, which makes the
+    # whole task's accounting linearizable: the hit counters stay exact
+    # even with racing worker threads (e.g. two devices missing on the
+    # same tile at the same instant still produce exactly one host fetch).
 
-    def acquire_input(self, requester: int, requests) -> list[AcquireResult]:
+    def acquire_input(self, requester: int, requests, output: TileKey | None = None,
+                      writeback: int | None = None) -> list[AcquireResult]:
         """Resolve a task's input tiles for ``requester`` under one lock
         hold.  ``requests`` is an ordered sequence of ``(key, nbytes)``
         pairs (a task sends A, B for each contraction step in turn);
@@ -231,8 +249,23 @@ class CacheDirectory:
 
         Requests resolve in order, each exactly as a one-request call
         would, and nothing is held once the call returns.
+
+        Given the task's ``output`` key, the call is the task's whole
+        directory transaction.  It first refuses a device whose output
+        slot is busy, with :meth:`admit_output`'s ``ValueError``, before
+        resolving anything.  Once every request has resolved, it takes
+        the slot for ``output`` if ``writeback`` is ``None`` (the task
+        ends with :meth:`release_output` or :meth:`abort_output`), and
+        otherwise counts ``writeback`` bytes written back, as
+        :meth:`release_output` would, and leaves the slot free.  The
+        result is what :meth:`admit_output`, a call without ``output``
+        and then :meth:`release_output` would give.  A request that
+        raises leaves the slot free and counts no writeback; the requests
+        resolved before it stay counted and admitted.
         """
         with self._lock:
+            if output is not None and self._output[requester] is not None:
+                raise self._busy_locked(requester)
             ds = self._counts[requester]
             cache = self._caches.get(requester)
             from_host = self._results[HOST]
@@ -242,41 +275,47 @@ class CacheDirectory:
                 out = [from_host[0 if free else nbytes] for _key, nbytes in requests]
                 ds.host_fetches += len(out)
                 ds.bytes_host += sum(res.nbytes_moved for res in out)
-                return out
-            order, room, peers, l1_hit = cache
-            out = []
-            append, move_to_end, popitem = out.append, order.move_to_end, order.popitem
-            l1 = l2 = bytes_peer = bytes_host = evictions = 0
-            fill = len(order)  # len(order), kept as each miss admits its tile
-            try:
-                for key, nbytes in requests:
-                    if key in order:
-                        l1 += 1
-                        move_to_end(key)
-                        append(l1_hit)
-                        continue
-                    for held, sent in peers:
-                        if key in held:
-                            l2 += 1
-                            bytes_peer += nbytes
-                            append(sent[nbytes])
-                            break
-                    else:
-                        bytes_host += nbytes
-                        append(from_host[nbytes])
-                    if fill < room:
-                        fill += 1
-                    else:  # never above room: one victim
-                        popitem(False)
-                        evictions += 1
-                    order[key] = None
-            finally:  # the requests resolved so far, even if one raised
-                ds.l1_hits += l1
-                ds.l2_hits += l2
-                ds.host_fetches += len(out) - l1 - l2
-                ds.bytes_peer += bytes_peer
-                ds.bytes_host += bytes_host
-                ds.evictions += evictions
+            else:
+                order, room, peers, l1_hit = cache
+                out = []
+                append, move_to_end, popitem = out.append, order.move_to_end, order.popitem
+                l1 = l2 = bytes_peer = bytes_host = evictions = 0
+                fill = len(order)  # len(order), kept as each miss admits its tile
+                try:
+                    for key, nbytes in requests:
+                        if key in order:
+                            l1 += 1
+                            move_to_end(key)
+                            append(l1_hit)
+                            continue
+                        for held, sent in peers:
+                            if key in held:
+                                l2 += 1
+                                bytes_peer += nbytes
+                                append(sent[nbytes])
+                                break
+                        else:
+                            bytes_host += nbytes
+                            append(from_host[nbytes])
+                        if fill < room:
+                            fill += 1
+                        else:  # never above room: one victim
+                            popitem(False)
+                            evictions += 1
+                        order[key] = None
+                finally:  # the requests resolved so far, even if one raised
+                    ds.l1_hits += l1
+                    ds.l2_hits += l2
+                    ds.host_fetches += len(out) - l1 - l2
+                    ds.bytes_peer += bytes_peer
+                    ds.bytes_host += bytes_host
+                    ds.evictions += evictions
+            if output is not None:
+                if writeback is None:
+                    self._output[requester] = output
+                elif requester not in self._host_workers:
+                    ds.writebacks += 1
+                    ds.bytes_writeback += writeback
             return out
 
     def retire(self, uids) -> None:
@@ -298,11 +337,13 @@ class CacheDirectory:
     def admit_output(self, device: int, key: TileKey) -> None:
         """Start building ``key`` as ``device``'s output tile, in the slot
         its set leaves free.  Raises :class:`ValueError` while the device
-        still holds an unfinished output tile."""
+        still holds an unfinished output tile.  No engine calls it:
+        :meth:`acquire_input` given the output key takes the slot within
+        the task's one transaction.  Kept for tests and as a name the
+        benchmark's tracer wraps."""
         with self._lock:
             if self._output[device] is not None:
-                raise ValueError(
-                    f"device {device} still holds unfinished output tile {self._output[device]}")
+                raise self._busy_locked(device)
             self._output[device] = key
 
     def release_output(self, device: int, key: TileKey, nbytes: int) -> None:

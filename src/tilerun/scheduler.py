@@ -2,22 +2,23 @@
 
 One task per output tile.  The task's contraction steps, in ascending
 order, are accounting only: one cache-directory transaction resolves the
-input tiles of all of them, read as ``(key, nbytes)`` requests from a
-step table that a session builds once per product shape and binds to
-each call's uids, and the ``sim`` engine then prices each step's fetch
-and compute from per-device tables that the session fills as prices are
-first met.  Compute is priced per task: the tile extents the template
-keeps give each task's list of step prices.  The data, plain arrays that
-the tile size slices, never passes through the directory.  The
-fixed-order kernel accumulates the contraction index in ascending order
-however its operands are blocked, so the product's bits do not depend on
-the schedule: the ``sim`` engine computes the whole product with one
-kernel call before it claims any task, and the ``threaded`` engine makes
-one call per task, which multiplies the A row panel by the B column
-panel into the task's output tile.  Because every output tile has exactly
-one owner and the accumulation order is fixed, the numerical result is
-bit-identical across device counts, steal interleavings, and engine
-choice.
+input tiles of all of them (and claims the task's output slot, or in the
+``sim`` engine writes the output back), read as ``(key, nbytes)``
+requests from a step table that a session builds once per product shape
+and binds to each call's uids, and the ``sim`` engine then prices each
+step's fetch and compute from per-device tables that the session fills
+as prices are first met.  Compute is priced per task: the tile extents
+the template keeps give each task's list of step prices.  The data,
+plain arrays that the tile size slices, never passes through the
+directory.  The fixed-order kernel accumulates the contraction index in
+ascending order however its operands are blocked, so the product's bits
+do not depend on the schedule: the ``sim`` engine computes the whole
+product with one kernel call before it claims any task, and the
+``threaded`` engine makes one call per task, which multiplies the A row
+panel by the B column panel into the task's output tile.  Because every
+output tile has exactly one owner and the accumulation order is fixed,
+the numerical result is bit-identical across device counts, steal
+interleavings, and engine choice.
 
 Engines:
 
@@ -457,22 +458,28 @@ def _run_task(plan_: Plan, directory: CacheDirectory, did: int, task_id: int,
               kernel=None) -> tuple[int, int, list, int]:
     """Run task ``task_id`` on device ``did``: the one task of both engines.
 
-    The output tile takes the device's reserved output slot until it is
-    written back; the device's set holds input tiles only.  The
-    contraction steps are accounting only, read from the plan's step
-    table: one directory transaction resolves the requests A, B of each
-    step in turn, so B is admitted while its step's A is the most recent
-    input, and LRU with room for at least two inputs keeps that A beside
-    it.  The task holds no input once the transaction returns.  Then, if
-    a ``kernel`` is given (the threaded engine's), ``kernel(i, j)``
-    computes output tile ``(i, j)`` while the tile is held.  If anything
-    raises, the task aborts the output tile, so it leaves no output tile
-    behind.  Otherwise the tile is written back and released, and the
-    task is recorded as run on ``did``.
+    The contraction steps are accounting only, read from the plan's step
+    table: one directory transaction (:meth:`CacheDirectory.acquire_input`
+    given the output key) refuses a device whose output slot is busy,
+    then resolves the requests A, B of each step in turn, so B is
+    admitted while its step's A is the most recent input, and LRU with
+    room for at least two inputs keeps that A beside it.  The task holds
+    no input once the transaction returns; the device's set holds input
+    tiles only.
+
+    Without a ``kernel`` (the sim engine, which computes nothing in
+    between) the same transaction also writes the output tile back, so
+    the task makes one locked directory call.  With one (the threaded
+    engine's), the transaction takes the device's reserved output slot,
+    ``kernel(i, j)`` computes output tile ``(i, j)`` while the tile is
+    held, and :meth:`CacheDirectory.release_output` writes it back.  If
+    anything raises once the slot is taken, the task aborts the output
+    tile, so it leaves no output tile behind; a transaction that raises
+    has taken no slot.  A task that ends is recorded as run on ``did``.
 
     The task's output tile, its key and its writeback bytes are read from
     the template's task table; an id outside it is a ``ValueError``,
-    raised before the output tile is admitted.
+    raised before the directory is called.
 
     Returns ``(i, j, results, writeback bytes)``, where ``results`` are
     the directory's results, A and B per step in step order.
@@ -480,16 +487,18 @@ def _run_task(plan_: Plan, directory: CacheDirectory, did: int, task_id: int,
     tasks = plan_.template.tasks
     _check_task_id(task_id, len(tasks))
     i, j, c_key, wb_bytes = tasks[task_id]
-    directory.admit_output(did, c_key)
-    try:
-        got = directory.acquire_input(
-            did, list(chain.from_iterable(zip(plan_.a_rows[i], plan_.b_cols[j]))))
-        if kernel is not None:
+    requests = list(chain.from_iterable(zip(plan_.a_rows[i], plan_.b_cols[j])))
+    if kernel is None:
+        got = directory.acquire_input(did, requests, c_key, wb_bytes)
+    else:
+        try:
+            got = directory.acquire_input(did, requests, c_key)
             kernel(i, j)
-    except BaseException:
-        directory.abort_output(did, c_key)
-        raise
-    directory.release_output(did, c_key, wb_bytes)
+        except BaseException:
+            if directory.output_tile(did) == c_key:
+                directory.abort_output(did, c_key)
+            raise
+        directory.release_output(did, c_key, wb_bytes)
     plan_.completion.mark(task_id, did)
     return i, j, got, wb_bytes
 
@@ -696,7 +705,9 @@ class Runtime:
     directory kept for that product alone while it ran
     (:meth:`CacheDirectory.open_product`) and then added into the
     session's counters in place, which no later request moves.  Either
-    engine runs every task of a product through ``_run_task``.
+    engine runs every task of a product through ``_run_task``: a sim task
+    makes one locked directory call, its whole transaction, and a
+    threaded task two, the transaction and the release after its kernel.
 
     A sim product reads the session's clocks once, before it runs: after
     each task its device's writeback clock is that device's latest, so

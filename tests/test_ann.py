@@ -341,8 +341,8 @@ def test_session_keeps_one_shared_result_per_source_and_size(monkeypatch):
     returned = {}  # id -> every result object the directory returned
     acquire = directory.acquire_input
 
-    def recording(requester, requests):
-        out = acquire(requester, requests)
+    def recording(requester, requests, *output):
+        out = acquire(requester, requests, *output)
         returned.update((id(res), res) for res in out)
         return out
 

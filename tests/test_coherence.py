@@ -529,15 +529,32 @@ def machines(draw):
     return Machine(devs, ProximityMatrix(hops, np.full((size, size), 10.0)))
 
 
+def _raised(call, *args):
+    """``call(*args)``'s result, or the type of what it raised."""
+    try:
+        return call(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
 @settings(max_examples=60, deadline=None)
 @given(machine=machines(), data=st.data())
 def test_every_admission_finds_a_victim(machine, data):
-    # A task is admit_output, one acquire_input of its steps' A and B
-    # tiles in turn, then release_output or abort_output; the tasks of
-    # different devices interleave, one open task per device.  A twin
-    # directory runs each task's steps as one call per step, which
-    # resolves exactly as the task's one call does, and is looked at
-    # after each step's B is admitted.
+    # A task's directory calls take one of three forms: admit_output, one
+    # acquire_input of its steps' A and B tiles in turn, then
+    # release_output or abort_output; one acquire_input given the output
+    # key, which takes the slot, then release_output or abort_output; or
+    # one acquire_input given the key and the writeback bytes, the whole
+    # task.  The tasks of different devices interleave, one open task per
+    # device, and a device with an open task is sometimes sent a one-call
+    # task, which its busy slot refuses before resolving anything.  Some
+    # tasks carry an unhashable key, which raises mid-resolution, after
+    # the requests before it; a task that raises is aborted, as _run_task
+    # aborts it.  A twin directory replays every task as the three calls,
+    # with its steps as one call per step, which resolves exactly as the
+    # task's one call does, and is looked at after each step's B is
+    # admitted.  After every task the two agree on results, per-device
+    # counters, residents and output slots.
     d, twin = CacheDirectory(machine), CacheDirectory(machine)
     open_tasks = {}  # device -> output key of its unfinished task
     serial = itertools.count()
@@ -545,7 +562,13 @@ def test_every_admission_finds_a_victim(machine, data):
     room = {dev.device_id: dev.capacity_tiles and dev.capacity_tiles - 1
             for dev in machine.devices}
     for dev in data.draw(st.lists(st.integers(0, n_devices - 1), min_size=1, max_size=40)):
-        if dev in open_tasks:
+        form = data.draw(st.sampled_from(["three calls", "key", "key and writeback"]))
+        if dev in open_tasks and form != "three calls" and data.draw(st.booleans()):
+            c_key = TileKey("C", next(serial), 0)
+            one_call = (c_key,) if form == "key" else (c_key, 8)
+            assert _raised(d.acquire_input, dev, [(key("busy"), 8)], *one_call) is ValueError
+            assert _raised(twin.admit_output, dev, c_key) is ValueError
+        elif dev in open_tasks:
             c_key, release = open_tasks.pop(dev), data.draw(st.booleans())
             for x in (d, twin):
                 if release:
@@ -556,17 +579,36 @@ def test_every_admission_finds_a_victim(machine, data):
             i, j = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
             ks = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
             c_key = TileKey("C", next(serial), 0)
-            open_tasks[dev] = c_key
             steps = [[(TileKey("A", i, k), 8), (TileKey("B", k, j), 8)] for k in ks]
-            d.admit_output(dev, c_key)
-            got = d.acquire_input(dev, [r for step in steps for r in step])
+            if data.draw(st.booleans()):  # a fault mid-resolution
+                step = steps[data.draw(st.integers(0, len(steps) - 1))]
+                step.insert(data.draw(st.integers(0, 2)), ([], 8))
+            requests = [r for step in steps for r in step]
+            if form == "three calls":
+                d.admit_output(dev, c_key)
+                got = _raised(d.acquire_input, dev, requests)
+                if got is TypeError:
+                    d.abort_output(dev, c_key)
+            else:
+                got = _raised(d.acquire_input, dev, requests,
+                              *((c_key,) if form == "key" else (c_key, 8)))
             twin.admit_output(dev, c_key)
             stepwise = []
             for step in steps:
-                stepwise += twin.acquire_input(dev, step)
+                result = _raised(twin.acquire_input, dev, step)
+                if result is TypeError:
+                    stepwise = result
+                    twin.abort_output(dev, c_key)
+                    break
+                stepwise += result
                 if room[dev] is not None:  # LRU keeps the step's A beside its B
                     assert twin.residents(dev)[-2:] == [k for k, _ in step]
             assert got == stepwise
+            if got is not TypeError:
+                if form == "key and writeback":
+                    twin.release_output(dev, c_key, 8)
+                else:
+                    open_tasks[dev] = c_key
             # the output sits in its reserved slot, never among the inputs
             assert c_key not in d.residents(dev)
         for x in (d, twin):
@@ -574,6 +616,9 @@ def test_every_admission_finds_a_victim(machine, data):
         assert [d.residents(o) for o in range(n_devices)] == \
             [twin.residents(o) for o in range(n_devices)]
         assert d.stats_per_device() == twin.stats_per_device()
+        assert [d.output_tile(o) for o in range(n_devices)] == \
+            [twin.output_tile(o) for o in range(n_devices)] == \
+            [open_tasks.get(o) for o in range(n_devices)]
         assert all(room[o] is None or d.used_tiles(o) <= room[o] for o in range(n_devices))
 
 

@@ -907,10 +907,12 @@ def test_failed_task_leaves_no_pins_or_output_tile(monkeypatch, site, mode):
     else:  # B's admission fails inside the task's transaction, after A's
         # The transaction is replayed one request per call, which resolves
         # exactly as the one call does, so the set can be looked at
-        # between a step's A and its B.
+        # between a step's A and its B; a last call with no request then
+        # does the output slot's part, as the one call does once every
+        # request has resolved.
         acquire, b_seen = d.acquire_input, itertools.count(1)
 
-        def acquire_watching_a(dev, requests):
+        def acquire_watching_a(dev, requests, *output):
             got = []
             for a_req, b_req in zip(requests[::2], requests[1::2]):
                 got += acquire(dev, [a_req])
@@ -919,7 +921,7 @@ def test_failed_task_leaves_no_pins_or_output_tile(monkeypatch, site, mode):
                 full = len(d.residents(dev)) == 2  # capacity 3 has room for two inputs
                 got += acquire(dev, [b_req])
                 a_kept.append((full, d.residents(dev)[-2:] == [a_req[0], b_req[0]]))
-            return got
+            return got + acquire(dev, [], *output)
 
         monkeypatch.setattr(d, "acquire_input", acquire_watching_a)
     with pytest.raises(ArithmeticError, match="call 5$"):
@@ -1004,15 +1006,17 @@ def test_kernel_calls_per_engine(monkeypatch, mode):
 def test_one_directory_transaction_per_task(monkeypatch, mode):
     import tilerun.scheduler as scheduler
 
-    calls = {"acquire_input": [], "release_input": []}  # each call's argument
+    # each call's arguments after the device
+    calls = {name: [] for name in ("acquire_input", "release_input", "admit_output",
+                                   "release_output", "abort_output")}
     priced = []  # the pricing calls, as (name, device, what is priced)
 
     def counted(name):
         real, seen = getattr(CacheDirectory, name), calls[name]
 
-        def wrapper(self, device, arg):
-            seen.append(list(arg))
-            return real(self, device, arg)
+        def wrapper(self, device, *args):
+            seen.append(args)
+            return real(self, device, *args)
 
         return wrapper
 
@@ -1040,11 +1044,24 @@ def test_one_directory_transaction_per_task(monkeypatch, mode):
             c, stats = rt.multiply(a, b, a_uid="A", b_uid="B")
             assert np.array_equal(c, reference_gemm(a, b))
             assert (stats.total_tasks, stats.k_steps) == (9, 2)
-            # one flat acquire of A and B for each step in turn, and nothing to release
-            tasks = sorted([k for k, _ in requests] for requests in calls["acquire_input"])
-            assert tasks == [[TileKey("A", i, 0), TileKey("B", 0, j), TileKey("A", i, 1),
-                              TileKey("B", 1, j)] for i in range(3) for j in range(3)]
-            assert calls["release_input"] == []
+            # one flat acquire of A and B for each step in turn, given the
+            # task's output key, and no input to release
+            tasks = sorted(([k for k, _ in requests], output)
+                           for requests, output, *_ in calls["acquire_input"])
+            assert tasks == [([TileKey("A", i, 0), TileKey("B", 0, j), TileKey("A", i, 1),
+                               TileKey("B", 1, j)], TileKey("C", i, j))
+                             for i in range(3) for j in range(3)]
+            assert calls["release_input"] == calls["admit_output"] == calls["abort_output"] == []
+            writebacks = sorted(args[-1] for args in calls[
+                "acquire_input" if mode == "sim" else "release_output"])
+            # ragged 4, 4, 2 rows by 4, 4, 1 columns of 8-byte elements
+            assert writebacks == sorted(8 * m * n for m in (4, 4, 2) for n in (4, 4, 1))
+            if mode == "sim":  # the one call writes the tile back too
+                assert calls["release_output"] == []
+            else:  # the call takes the slot; the release after the kernel writes back
+                assert [args[2:] for args in calls["acquire_input"]] == [()] * 9
+                assert sorted(key for key, _ in calls["release_output"]) == \
+                    sorted(output for _, output in tasks)
             if mode == "threaded":  # the threaded engine keeps no clocks: it prices nothing
                 assert priced == []
                 continue
@@ -1093,11 +1110,12 @@ def test_sim_clocks_equal_a_direct_replay(machine, tile, shapes):
     # straight or transposed, on a machine with bounded or unbounded
     # caches and station widths of 1-4.  Each task's device,
     # claim time, output tile, directory results and writeback bytes are
-    # recorded through its directory, and the product's steal events name
+    # recorded through its one directory call, which also names its output
+    # tile and writeback bytes, and the product's steal events name
     # the stolen tasks; the [compute, fetch, writeback] clocks are then
     # refolded here with the cost functions called directly, and must
     # match the session's to the bit.  The claim time is read from the
-    # session's compute clock as the task's output is admitted.  A step's
+    # session's compute clock as the task's directory call is made.  A step's
     # compute is priced on the stored tiles its requests name, as the
     # product reads them: transposed for a transposed operand.  After
     # each product every device's writeback clock is its latest, which is
@@ -1107,24 +1125,21 @@ def test_sim_clocks_equal_a_direct_replay(machine, tile, shapes):
     # [device, claim time, output key, requests, results, writeback bytes],
     # in claim order
     tasks = []
-    real_admit, real_acquire, real_release = d.admit_output, d.acquire_input, d.release_output
+    real_acquire = d.acquire_input
 
-    def admit(device, key):
-        real_admit(device, key)
-        tasks.append([device, rt.clocks[device][0], key, None, None, None])
-
-    def acquire(device, requests):
-        results = real_acquire(device, requests)
-        assert tasks[-1][0] == device and tasks[-1][4] is None
-        tasks[-1][3:5] = requests, results
+    def acquire(device, requests, key, nbytes):
+        # the task's whole transaction: its output tile and writeback bytes
+        # come with its requests, and it leaves the output slot free
+        results = real_acquire(device, requests, key, nbytes)
+        assert d.output_tile(device) is None and nbytes is not None
+        tasks.append([device, rt.clocks[device][0], key, requests, results, nbytes])
         return results
 
-    def release(device, key, nbytes):
-        real_release(device, key, nbytes)
-        assert tasks[-1][0] == device and tasks[-1][2] == key and tasks[-1][5] is None
-        tasks[-1][5] = nbytes
+    def unused(*args):
+        raise AssertionError("a sim task makes one directory call")
 
-    d.admit_output, d.acquire_input, d.release_output = admit, acquire, release
+    d.admit_output = d.release_output = d.abort_output = unused
+    d.acquire_input = acquire
     rng = np.random.default_rng(0)
     # operands stored in the same shape share a uid, so products reuse
     # tiles, whether they read them straight or transposed

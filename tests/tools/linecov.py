@@ -7,8 +7,11 @@ Runs pytest in this process (by default over ``tests/``) with a
 engine's workers, that records every line executed in ``src/tilerun``.
 Then it prints, per file, the executable lines that no test reached,
 with their source.  A line is executable when a code object compiled
-from the file maps bytecode to it.  Lines run only in a subprocess (the
-demos, the CLI run through ``python -m``) are not seen.
+from the file maps bytecode to it.  Each file is read once, before the
+traced run imports it, and the report compiles and prints that snapshot,
+so a file edited while the tests run is reported as the tests ran it.
+Lines run only in a subprocess (the demos, the CLI run through ``python
+-m``) are not seen.
 
 The traced run deselects the tests marked ``wallclock``, whose wall-clock
 budgets the hook's slowdown would break; a second pytest run, in a
@@ -63,9 +66,15 @@ def _global(frame, event, arg):
     return _local
 
 
-def executable_lines(path: Path) -> set[int]:
-    """The lines some code object compiled from ``path`` runs."""
-    lines, todo = set(), [compile(path.read_text(), str(path), "exec")]
+def snapshot() -> dict[Path, str]:
+    """The source of each file in ``src/tilerun``, as it reads now."""
+    return {path: path.read_text() for path in sorted(SRC.glob("*.py"))}
+
+
+def executable_lines(path: Path, source: str) -> set[int]:
+    """The lines some code object compiled from ``source``, read from
+    ``path``, runs."""
+    lines, todo = set(), [compile(source, str(path), "exec")]
     while todo:
         code = todo.pop()
         lines.update(line for *_, line in code.co_lines() if line is not None)
@@ -73,14 +82,16 @@ def executable_lines(path: Path) -> set[int]:
     return lines
 
 
-def report() -> int:
-    """Print each file's unreached lines; returns how many are not in
-    ``UNREACHABLE``, plus its stale entries."""
+def report(sources: dict[Path, str]) -> int:
+    """Print each file's unreached lines, by the ``sources`` the run
+    started from; returns how many are not in ``UNREACHABLE``, plus its
+    stale entries."""
     missing, used = 0, set()
-    for path in sorted(SRC.glob("*.py")):
-        unreached = sorted(executable_lines(path) - {ln for f, ln in reached if f == str(path)})
+    for path, text in sources.items():
+        unreached = sorted(executable_lines(path, text)
+                           - {ln for f, ln in reached if f == str(path)})
         print(f"{path.relative_to(ROOT)}: {len(unreached)} unreached")
-        source = path.read_text().splitlines()
+        source = text.splitlines()
         for ln in unreached:
             key = (path.name, source[ln - 1].strip())
             reason = UNREACHABLE.get(key)
@@ -97,6 +108,7 @@ def report() -> int:
 def main(argv: list[str]) -> int:
     args = argv or [str(ROOT / "tests"), "-q", "-p", "no:cacheprovider"]
     sys.path.insert(0, str(ROOT / "src"))
+    sources = snapshot()  # before tilerun is imported, which compiles the same text
     # installed before pytest imports tilerun, so module bodies are traced too
     threading.settrace(_global)
     sys.settrace(_global)
@@ -110,7 +122,7 @@ def main(argv: list[str]) -> int:
     print("running the wallclock tests untraced")
     timed = subprocess.run([sys.executable, "-m", "pytest", *args, "-m", "wallclock"],
                            cwd=ROOT).returncode
-    missing = report()
+    missing = report(sources)
     print(f"{missing} unreached lines in {SRC.relative_to(ROOT)} not argued unreachable")
     return (int(status) or (0 if timed == pytest.ExitCode.NO_TESTS_COLLECTED else timed)
             or int(missing > 0))

@@ -9,12 +9,10 @@ makes every public operation atomic with respect to every other, which
 is all the runtime's correctness argument needs.
 
 A task's directory transaction is one :meth:`CacheDirectory.acquire_input`
-call under one lock hold.  Given the task's output key, it refuses a
-device whose output slot is busy, resolves the task's input requests,
-and then either takes the slot (the threaded engine computes the tile
-after it returns and ends with ``release_output`` or ``abort_output``)
-or, given the writeback bytes as well, counts the writeback and leaves
-the slot free (the sim engine, which computes nothing in between).
+call under one lock hold, the same in both engines, which have computed
+the tile before it.  Given the task's output key and writeback bytes,
+it refuses a device whose output slot is busy, resolves the task's
+input requests, counts the writeback and leaves the slot free.
 
 Hit taxonomy for a requesting accelerator:
 
@@ -213,27 +211,17 @@ class CacheDirectory:
         return ValueError(
             f"device {device} still holds unfinished output tile {self._output[device]}")
 
-    def _drop_output_locked(self, device: int, key: TileKey) -> None:
-        if self._output[device] != key:
-            raise ValueError(f"{key} is not the output tile of device {device}")
-        self._output[device] = None
-
     def residents(self, device: int) -> list[TileKey]:
         """Keys resident on ``device``, least recently used first."""
         with self._lock:
             cache = self._caches.get(device)
             return [] if cache is None else list(cache.order)
 
-    def output_tile(self, device: int) -> TileKey | None:
-        """The output tile ``device`` is building, or None."""
-        with self._lock:
-            return self._output[device]
-
     # -- the runtime-facing operations ----------------------------------
     #
     # Resolving an input tile is lookup + transfer accounting + admit.  A
-    # task resolves all of its input tiles, and claims or writes back its
-    # output tile, as one call under one lock acquisition, which makes the
+    # task resolves all of its input tiles, and writes back its output
+    # tile, as one call under one lock acquisition, which makes the
     # whole task's accounting linearizable: the hit counters stay exact
     # even with racing worker threads (e.g. two devices missing on the
     # same tile at the same instant still produce exactly one host fetch).
@@ -250,18 +238,16 @@ class CacheDirectory:
         Requests resolve in order, each exactly as a one-request call
         would, and nothing is held once the call returns.
 
-        Given the task's ``output`` key, the call is the task's whole
-        directory transaction.  It first refuses a device whose output
-        slot is busy, with :meth:`admit_output`'s ``ValueError``, before
-        resolving anything.  Once every request has resolved, it takes
-        the slot for ``output`` if ``writeback`` is ``None`` (the task
-        ends with :meth:`release_output` or :meth:`abort_output`), and
-        otherwise counts ``writeback`` bytes written back, as
-        :meth:`release_output` would, and leaves the slot free.  The
-        result is what :meth:`admit_output`, a call without ``output``
-        and then :meth:`release_output` would give.  A request that
-        raises leaves the slot free and counts no writeback; the requests
-        resolved before it stay counted and admitted.
+        Given the task's ``output`` key and its ``writeback`` bytes, the
+        call is the task's whole directory transaction, in either engine.
+        It first refuses a device whose output slot is busy, with
+        :meth:`admit_output`'s ``ValueError``, before resolving anything.
+        Once every request has resolved, it counts ``writeback`` bytes
+        written back, as :meth:`release_output` would, and leaves the
+        slot free.  The result is what :meth:`admit_output`, a call
+        without ``output`` and then :meth:`release_output` would give.  A
+        request that raises counts no writeback; the requests resolved
+        before it stay counted and admitted.
         """
         with self._lock:
             if output is not None and self._output[requester] is not None:
@@ -310,12 +296,9 @@ class CacheDirectory:
                     ds.bytes_peer += bytes_peer
                     ds.bytes_host += bytes_host
                     ds.evictions += evictions
-            if output is not None:
-                if writeback is None:
-                    self._output[requester] = output
-                elif requester not in self._host_workers:
-                    ds.writebacks += 1
-                    ds.bytes_writeback += writeback
+            if output is not None and requester not in self._host_workers:
+                ds.bytes_writeback += writeback  # first: a missing writeback moves no counter
+                ds.writebacks += 1
             return out
 
     def retire(self, uids) -> None:
@@ -337,10 +320,10 @@ class CacheDirectory:
     def admit_output(self, device: int, key: TileKey) -> None:
         """Start building ``key`` as ``device``'s output tile, in the slot
         its set leaves free.  Raises :class:`ValueError` while the device
-        still holds an unfinished output tile.  No engine calls it:
-        :meth:`acquire_input` given the output key takes the slot within
-        the task's one transaction.  Kept for tests and as a name the
-        benchmark's tracer wraps."""
+        still holds an unfinished output tile.  No engine calls it: a
+        task's one :meth:`acquire_input` call checks the slot and leaves
+        it free.  Kept for tests and as a name the benchmark's tracer
+        wraps."""
         with self._lock:
             if self._output[device] is not None:
                 raise self._busy_locked(device)
@@ -352,21 +335,18 @@ class CacheDirectory:
         completion).  An uncached accelerator writes back too; a host
         worker's output is already in host memory.  Raises
         :class:`ValueError` if ``key`` is not the device's current output
-        tile."""
+        tile.  No engine calls it: :meth:`acquire_input` given the output
+        key and writeback bytes counts the writeback within the task's
+        one transaction.  Kept for tests and as a name the benchmark's
+        tracer wraps, until ROADMAP #1."""
         with self._lock:
-            self._drop_output_locked(device, key)
+            if self._output[device] != key:
+                raise ValueError(f"{key} is not the output tile of device {device}")
+            self._output[device] = None
             if device not in self._host_workers:
                 ds = self._counts[device]
                 ds.writebacks += 1
                 ds.bytes_writeback += nbytes
-
-    def abort_output(self, device: int, key: TileKey) -> None:
-        """Output tile of a failed task: free the device's output slot.
-        Nothing was written back, so no counter moves.  Raises
-        :class:`ValueError` if ``key`` is not the device's current output
-        tile."""
-        with self._lock:
-            self._drop_output_locked(device, key)
 
     # -- observability ---------------------------------------------------
 

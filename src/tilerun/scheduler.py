@@ -2,8 +2,8 @@
 
 One task per output tile.  The task's contraction steps, in ascending
 order, are accounting only: one cache-directory transaction resolves the
-input tiles of all of them (and claims the task's output slot, or in the
-``sim`` engine writes the output back), read as ``(key, nbytes)``
+input tiles of all of them (and, in either engine, writes the output
+back), read as ``(key, nbytes)``
 requests from a step table that a session builds once per product shape
 and binds to each call's uids, and the ``sim`` engine then prices each
 step's fetch and compute from per-device tables that the session fills
@@ -51,9 +51,10 @@ engine runs the rule concurrently (``_claim``) over a filled
 Both hand out the tasks in the same order (:func:`_task_order`), and
 both run each claimed task through ``_run_task``, the one task function:
 the ``sim`` engine passes no kernel, the ``threaded`` engine its panel
-kernel.  The engines keep no counters: a product's ``RunStats`` derives
-them from ``Completion`` and the steal events, and the directory counts
-its cache traffic as the product runs.
+kernel, which runs before the task's one directory call.  The engines
+keep no counters: a product's ``RunStats`` derives them from
+``Completion`` and the steal events, and the directory counts its cache
+traffic as the product runs.
 """
 
 from __future__ import annotations
@@ -93,21 +94,15 @@ from .tiles import (
 SCHEMA_VERSION = 2
 
 
-def _check_task_id(task_id: int, n_tasks: int) -> None:
-    if not 0 <= task_id < n_tasks:
-        raise ValueError(f"task id {task_id} outside 0..{n_tasks - 1}")
-
-
 class Completion:
     """Exactly-once execution record: the device that ran each task.
-    Marking a task twice, or an id outside the tasks, is an error."""
+    Marking a task twice is an error; ``_run_task`` checks the id."""
 
     def __init__(self, n_tasks: int):
         self.ran_on: list[int | None] = [None] * n_tasks
         self._lock = threading.Lock()
 
     def mark(self, task_id: int, device: int) -> None:
-        _check_task_id(task_id, len(self.ran_on))
         with self._lock:
             if self.ran_on[task_id] is not None:
                 raise RuntimeError(f"task {task_id} executed twice")
@@ -458,47 +453,36 @@ def _run_task(plan_: Plan, directory: CacheDirectory, did: int, task_id: int,
               kernel=None) -> tuple[int, int, list, int]:
     """Run task ``task_id`` on device ``did``: the one task of both engines.
 
-    The contraction steps are accounting only, read from the plan's step
-    table: one directory transaction (:meth:`CacheDirectory.acquire_input`
-    given the output key) refuses a device whose output slot is busy,
-    then resolves the requests A, B of each step in turn, so B is
-    admitted while its step's A is the most recent input, and LRU with
-    room for at least two inputs keeps that A beside it.  The task holds
-    no input once the transaction returns; the device's set holds input
-    tiles only.
-
-    Without a ``kernel`` (the sim engine, which computes nothing in
-    between) the same transaction also writes the output tile back, so
-    the task makes one locked directory call.  With one (the threaded
-    engine's), the transaction takes the device's reserved output slot,
-    ``kernel(i, j)`` computes output tile ``(i, j)`` while the tile is
-    held, and :meth:`CacheDirectory.release_output` writes it back.  If
-    anything raises once the slot is taken, the task aborts the output
-    tile, so it leaves no output tile behind; a transaction that raises
-    has taken no slot.  A task that ends is recorded as run on ``did``.
-
     The task's output tile, its key and its writeback bytes are read from
     the template's task table; an id outside it is a ``ValueError``,
-    raised before the directory is called.
+    raised before anything else.  Given a ``kernel`` (the threaded
+    engine's), ``kernel(i, j)`` then computes output tile ``(i, j)``; the
+    sim engine has computed the whole product before its first claim and
+    passes none.
+
+    The contraction steps are accounting only, read from the plan's step
+    table: one directory transaction (:meth:`CacheDirectory.acquire_input`
+    given the output key and writeback bytes) refuses a device whose
+    output slot is busy, then resolves the requests A, B of each step in
+    turn, so B is admitted while its step's A is the most recent input,
+    and LRU with room for at least two inputs keeps that A beside it, and
+    writes the output tile back.  So every task, in either engine, makes
+    one locked directory call, after its kernel: a kernel that raises
+    leaves the directory untouched.  The task holds no input and no
+    output slot once the call returns; the device's set holds input tiles
+    only.  A task that ends is recorded as run on ``did``.
 
     Returns ``(i, j, results, writeback bytes)``, where ``results`` are
     the directory's results, A and B per step in step order.
     """
     tasks = plan_.template.tasks
-    _check_task_id(task_id, len(tasks))
+    if not 0 <= task_id < len(tasks):
+        raise ValueError(f"task id {task_id} outside 0..{len(tasks) - 1}")
     i, j, c_key, wb_bytes = tasks[task_id]
+    if kernel is not None:
+        kernel(i, j)
     requests = list(chain.from_iterable(zip(plan_.a_rows[i], plan_.b_cols[j])))
-    if kernel is None:
-        got = directory.acquire_input(did, requests, c_key, wb_bytes)
-    else:
-        try:
-            got = directory.acquire_input(did, requests, c_key)
-            kernel(i, j)
-        except BaseException:
-            if directory.output_tile(did) == c_key:
-                directory.abort_output(did, c_key)
-            raise
-        directory.release_output(did, c_key, wb_bytes)
+    got = directory.acquire_input(did, requests, c_key, wb_bytes)
     plan_.completion.mark(task_id, did)
     return i, j, got, wb_bytes
 
@@ -705,9 +689,8 @@ class Runtime:
     directory kept for that product alone while it ran
     (:meth:`CacheDirectory.open_product`) and then added into the
     session's counters in place, which no later request moves.  Either
-    engine runs every task of a product through ``_run_task``: a sim task
-    makes one locked directory call, its whole transaction, and a
-    threaded task two, the transaction and the release after its kernel.
+    engine runs every task of a product through ``_run_task``, and every
+    task makes one locked directory call, its whole transaction.
 
     A sim product reads the session's clocks once, before it runs: after
     each task its device's writeback clock is that device's latest, so

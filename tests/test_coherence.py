@@ -116,7 +116,7 @@ def test_output_key_never_enters_the_set():
     # refreshes the input
     assert touch(d, 1, kb).source == HOST and touch(d, 0, ka).source == 0
     d.release_output(0, ka, 64)
-    d.abort_output(1, kb)
+    d.release_output(1, kb, 64)
     assert d.residents(0) == [ka] and d.residents(1) == [kb]
     assert d.stats().evictions == 0
 
@@ -153,20 +153,19 @@ def test_admit_output_rejected_while_an_output_is_unfinished():
 
 
 @pytest.mark.usefixtures("directory_invariants")
-def test_release_and_abort_reject_a_key_that_is_not_the_output():
+def test_release_rejects_a_key_that_is_not_the_output():
     d = CacheDirectory(cap_machine(1, capacity=3))
     ka, kc = key("a"), key("c")
     touch(d, 0, ka)
-    for finish in (lambda k: d.release_output(0, k, 64), lambda k: d.abort_output(0, k)):
-        with pytest.raises(ValueError, match="not the output tile"):
-            finish(kc)  # no output tile at all
-        d.admit_output(0, kc)
-        with pytest.raises(ValueError, match="not the output tile"):
-            finish(ka)  # resident, but as an input
-        finish(kc)
-        with pytest.raises(ValueError, match="not the output tile"):
-            finish(kc)  # finished already
-        assert d.residents(0) == [ka]
+    with pytest.raises(ValueError, match="not the output tile"):
+        d.release_output(0, kc, 64)  # no output tile at all
+    d.admit_output(0, kc)
+    with pytest.raises(ValueError, match="not the output tile"):
+        d.release_output(0, ka, 64)  # resident, but as an input
+    d.release_output(0, kc, 64)
+    with pytest.raises(ValueError, match="not the output tile"):
+        d.release_output(0, kc, 64)  # finished already
+    assert d.residents(0) == [ka]
     # only the successful release counted a writeback
     assert (d.stats().writebacks, d.stats().bytes_writeback) == (1, 64)
 
@@ -417,10 +416,10 @@ class ModelDirectory:
     def admit_output(self, dev, k):
         self.output[dev] = k
 
-    def drop_output(self, dev, nbytes=None):
-        """Release (``nbytes`` written back) or abort the output tile."""
+    def write_back(self, dev, nbytes):
+        """Free the output slot and count ``nbytes`` written back."""
         self.output[dev] = None
-        if nbytes is not None and dev not in self.host_workers:
+        if dev not in self.host_workers:
             self.stats[dev].writebacks += 1
             self.stats[dev].bytes_writeback += nbytes
 
@@ -428,9 +427,13 @@ class ModelDirectory:
 @pytest.mark.usefixtures("directory_invariants")
 def test_model_based_directory_agreement():
     # Each call is one of: admit an output tile, on a device without one
-    # (its key sometimes that of an input tile);
-    # release or abort the device's output tile; or a task's acquire, one
-    # call of 1-8 tiles, which the model resolves one tile at a time.
+    # (its key sometimes that of an input tile); release the device's
+    # output tile; the engines' one-call task on a device whose output
+    # slot is busy, which raises before it resolves anything; or a task's
+    # acquire, one call of 1-8 tiles, which the model resolves one tile at
+    # a time.  On a device without an output tile, half the acquires are
+    # the engines' one-call task, given an output key and writeback bytes,
+    # which also writes back.
     # Each trial draws its own symmetric hop matrix of 1s and 2s, so hop
     # ties are common and the model's min over (hops, id) checks the
     # directory's peer ranking.  Some trials add a host worker, and some
@@ -438,7 +441,7 @@ def test_model_based_directory_agreement():
     # uncached and host worker.  Tiles come in three sizes.
     rng = np.random.default_rng(99)
     serial = itertools.count()
-    peer_hits = refetched = released = aborted = evicted_mid_task = 0
+    peer_hits = refetched = released = one_call_tasks = refused = evicted_mid_task = 0
     tied_sources = 0  # L2 sources chosen among owners at equal hops
     requesters = set()  # the kinds of requester walked
     for trial in range(30):
@@ -471,17 +474,20 @@ def test_model_based_directory_agreement():
                 model.admit_output(dev, c_key)
                 d.admit_output(dev, c_key)
             elif r < 0.2:
-                if rng.integers(0, 2):
-                    model.drop_output(dev, 64)
-                    d.release_output(dev, c_key, 64)
-                    released += 1
-                else:
-                    model.drop_output(dev)
-                    d.abort_output(dev, c_key)
-                    aborted += 1
+                model.write_back(dev, 64)
+                d.release_output(dev, c_key, 64)
+                released += 1
+            elif r < 0.3 and c_key is not None:
+                with pytest.raises(ValueError, match="unfinished output tile"):
+                    d.acquire_input(dev, [(k, nbytes[k]) for k in universe[:4]],
+                                    TileKey("C", next(serial), 0), 64)
+                refused += 1
             else:
                 tiles = [universe[int(i)]
                          for i in rng.integers(0, len(universe), int(rng.integers(1, 9)))]
+                one_call = ()
+                if c_key is None and rng.integers(0, 2):
+                    one_call = (TileKey("C", next(serial), 0), 64)
                 evictions, want = model.stats[dev].evictions, []
                 for k in tiles:
                     owners = [o for o in range(size) if o != dev and k in model.keys[o]]
@@ -493,7 +499,10 @@ def test_model_based_directory_agreement():
                                          sum(hops[dev, o] == hops[dev, src] for o in owners) > 1)
                         refetched += src == HOST and k in seen
                         seen.add(k)
-                got = d.acquire_input(dev, [(k, nbytes[k]) for k in tiles])
+                got = d.acquire_input(dev, [(k, nbytes[k]) for k in tiles], *one_call)
+                if one_call:
+                    model.write_back(dev, 64)
+                    one_call_tasks += 1
                 # each result equals one built afresh, and is the directory's
                 # one shared object for its (source, bytes moved)
                 assert got == [AcquireResult(*w) for w in want]
@@ -507,9 +516,10 @@ def test_model_based_directory_agreement():
             assert d.stats_per_device() == dict(enumerate(model.stats))
     # the walk reached peer copies, tiles evicted from every owner came back
     # as host misses, hop ties were broken, inputs were evicted while an
-    # output tile was held, and outputs were both released and aborted
+    # output tile was held, outputs were released, and one-call tasks both
+    # wrote back and were refused by a busy slot
     assert peer_hits > 0 and refetched > 0 and tied_sources > 0 and evicted_mid_task > 0
-    assert released > 0 and aborted > 0
+    assert released > 0 and one_call_tasks > 0 and refused > 0
     assert requesters == {"cached", "uncached", "host worker"}
 
 
@@ -540,21 +550,24 @@ def _raised(call, *args):
 @settings(max_examples=60, deadline=None)
 @given(machine=machines(), data=st.data())
 def test_every_admission_finds_a_victim(machine, data):
-    # A task's directory calls take one of three forms: admit_output, one
+    # A task's directory calls take one of two forms: admit_output, one
     # acquire_input of its steps' A and B tiles in turn, then
-    # release_output or abort_output; one acquire_input given the output
-    # key, which takes the slot, then release_output or abort_output; or
-    # one acquire_input given the key and the writeback bytes, the whole
-    # task.  The tasks of different devices interleave, one open task per
-    # device, and a device with an open task is sometimes sent a one-call
-    # task, which its busy slot refuses before resolving anything.  Some
-    # tasks carry an unhashable key, which raises mid-resolution, after
-    # the requests before it; a task that raises is aborted, as _run_task
-    # aborts it.  A twin directory replays every task as the three calls,
-    # with its steps as one call per step, which resolves exactly as the
-    # task's one call does, and is looked at after each step's B is
-    # admitted.  After every task the two agree on results, per-device
-    # counters, residents and output slots.
+    # release_output; or one acquire_input given the output key and the
+    # writeback bytes, the engines' whole task.  The tasks of different
+    # devices interleave, one open three-call task per device, and a
+    # device with an open task is sometimes sent a one-call task, which
+    # its busy slot refuses before resolving anything.  Some tasks carry
+    # an unhashable key, which raises mid-resolution, after the requests
+    # before it: a one-call task that raises writes nothing back, and a
+    # three-call task keeps its slot until its release.  A twin directory
+    # replays every task with its steps as one call per step, which
+    # resolves exactly as the task's one call does, and is looked at after
+    # each step's B is admitted.  The twin takes and frees a three-call
+    # task's slot as the task does, and does a one-call task's slot part
+    # through the one-call form, with a last call that has no requests,
+    # as the one call does once every request has resolved.  After every
+    # task the two agree on results, per-device counters, residents and
+    # output slots.
     d, twin = CacheDirectory(machine), CacheDirectory(machine)
     open_tasks = {}  # device -> output key of its unfinished task
     serial = itertools.count()
@@ -562,19 +575,15 @@ def test_every_admission_finds_a_victim(machine, data):
     room = {dev.device_id: dev.capacity_tiles and dev.capacity_tiles - 1
             for dev in machine.devices}
     for dev in data.draw(st.lists(st.integers(0, n_devices - 1), min_size=1, max_size=40)):
-        form = data.draw(st.sampled_from(["three calls", "key", "key and writeback"]))
-        if dev in open_tasks and form != "three calls" and data.draw(st.booleans()):
+        one_call = data.draw(st.booleans())
+        if dev in open_tasks and one_call and data.draw(st.booleans()):
             c_key = TileKey("C", next(serial), 0)
-            one_call = (c_key,) if form == "key" else (c_key, 8)
-            assert _raised(d.acquire_input, dev, [(key("busy"), 8)], *one_call) is ValueError
-            assert _raised(twin.admit_output, dev, c_key) is ValueError
+            assert _raised(d.acquire_input, dev, [(key("busy"), 8)], c_key, 8) is ValueError
+            assert _raised(twin.acquire_input, dev, [], c_key, 8) is ValueError
         elif dev in open_tasks:
-            c_key, release = open_tasks.pop(dev), data.draw(st.booleans())
+            c_key = open_tasks.pop(dev)
             for x in (d, twin):
-                if release:
-                    x.release_output(dev, c_key, 8)
-                else:
-                    x.abort_output(dev, c_key)
+                x.release_output(dev, c_key, 8)
         else:
             i, j = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
             ks = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
@@ -584,31 +593,25 @@ def test_every_admission_finds_a_victim(machine, data):
                 step = steps[data.draw(st.integers(0, len(steps) - 1))]
                 step.insert(data.draw(st.integers(0, 2)), ([], 8))
             requests = [r for step in steps for r in step]
-            if form == "three calls":
-                d.admit_output(dev, c_key)
-                got = _raised(d.acquire_input, dev, requests)
-                if got is TypeError:
-                    d.abort_output(dev, c_key)
+            if one_call:
+                got = _raised(d.acquire_input, dev, requests, c_key, 8)
             else:
-                got = _raised(d.acquire_input, dev, requests,
-                              *((c_key,) if form == "key" else (c_key, 8)))
-            twin.admit_output(dev, c_key)
+                for x in (d, twin):
+                    x.admit_output(dev, c_key)
+                open_tasks[dev] = c_key
+                got = _raised(d.acquire_input, dev, requests)
             stepwise = []
             for step in steps:
                 result = _raised(twin.acquire_input, dev, step)
                 if result is TypeError:
                     stepwise = result
-                    twin.abort_output(dev, c_key)
                     break
                 stepwise += result
                 if room[dev] is not None:  # LRU keeps the step's A beside its B
                     assert twin.residents(dev)[-2:] == [k for k, _ in step]
             assert got == stepwise
-            if got is not TypeError:
-                if form == "key and writeback":
-                    twin.release_output(dev, c_key, 8)
-                else:
-                    open_tasks[dev] = c_key
+            if one_call and got is not TypeError:
+                assert twin.acquire_input(dev, [], c_key, 8) == []
             # the output sits in its reserved slot, never among the inputs
             assert c_key not in d.residents(dev)
         for x in (d, twin):
@@ -616,8 +619,8 @@ def test_every_admission_finds_a_victim(machine, data):
         assert [d.residents(o) for o in range(n_devices)] == \
             [twin.residents(o) for o in range(n_devices)]
         assert d.stats_per_device() == twin.stats_per_device()
-        assert [d.output_tile(o) for o in range(n_devices)] == \
-            [twin.output_tile(o) for o in range(n_devices)] == \
+        assert [d._output[o] for o in range(n_devices)] == \
+            [twin._output[o] for o in range(n_devices)] == \
             [open_tasks.get(o) for o in range(n_devices)]
         assert all(room[o] is None or d.used_tiles(o) <= room[o] for o in range(n_devices))
 

@@ -813,16 +813,17 @@ def test_execute_task_and_double_execution_guard():
 
 @pytest.mark.usefixtures("directory_invariants")
 def test_task_ids_outside_the_grid_are_rejected():
-    # A task table indexed by id would wrap -1 round to the last task;
-    # both the task function and the completion record refuse it, before
-    # an output tile is admitted or a task marked.
+    # A task table indexed by id would wrap -1 round to the last task; the
+    # task function refuses it before its kernel runs, the directory is
+    # called or the task is marked.
     p = plan(*operands(np.ones((4, 4)), np.ones((4, 4))), 2)
     directory = CacheDirectory(homogeneous_machine(1))
+    computed = []
     for tid in (-1, p.total_tasks):
-        with pytest.raises(ValueError, match="task id"):
-            _run_task(p, directory, 0, tid)
-        with pytest.raises(ValueError, match="task id"):
-            p.completion.mark(tid, 0)
+        for kernel in (None, lambda i, j: computed.append((i, j))):
+            with pytest.raises(ValueError, match="task id"):
+                _run_task(p, directory, 0, tid, kernel)
+    assert computed == []
     assert directory._output == {0: None}
     assert directory.stats() == CacheStats()
     assert p.completion.ran_on == [None] * p.total_tasks
@@ -872,7 +873,7 @@ def _fail_at(real, n, counted=lambda *args: True):
     return wrapper
 
 
-# a sim kernel fault comes before any task: test_sim_kernel_fault_leaves_model_untouched
+# a sim kernel fault comes before any task: test_kernel_fault_leaves_model_untouched
 @pytest.mark.parametrize("site,mode", [
     ("kernel", "threaded"),
     ("both-inputs-held", "sim"), ("both-inputs-held", "threaded"),
@@ -943,16 +944,24 @@ def test_failed_task_leaves_no_pins_or_output_tile(monkeypatch, site, mode):
     assert set(d._output.values()) == {None}
 
 
+# the threaded engine on one device, so that no other task runs beside
+# the one whose kernel faults
+@pytest.mark.parametrize("mode,n_devices", [("sim", 2), ("threaded", 1)],
+                         ids=["sim", "threaded"])
 @pytest.mark.usefixtures("directory_invariants")
-def test_sim_kernel_fault_leaves_model_untouched(monkeypatch):
+def test_kernel_fault_leaves_model_untouched(monkeypatch, mode, n_devices):
+    # In either engine a task's kernel runs before its one directory call,
+    # so a product whose first kernel call faults leaves the directory,
+    # the clocks and the output slots as they were.
     import tilerun.scheduler as scheduler
 
     rng = np.random.default_rng(26)
-    rt = Runtime(homogeneous_machine(2, capacity_tiles=3), tile_size=4, mode="sim")
+    rt = Runtime(homogeneous_machine(n_devices, capacity_tiles=3), tile_size=4, mode=mode)
     d = rt.directory
     x, y = int_matrix(rng, 12, 12), int_matrix(rng, 12, 12)
     rt.multiply(x, y)  # a product before, so that there is a model to keep
     clocks, stats = [list(c) for c in rt.clocks.values()], d.stats()
+    residents, outputs = [d.residents(dev) for dev in range(n_devices)], dict(d._output)
     monkeypatch.setattr(scheduler, "accumulate_product",
                         _fail_at(scheduler.accumulate_product, 1))
     a, b = int_matrix(rng, 12, 12), int_matrix(rng, 12, 12)
@@ -960,8 +969,10 @@ def test_sim_kernel_fault_leaves_model_untouched(monkeypatch):
         rt.multiply(a, b, a_uid="X", b_uid="W")
     monkeypatch.undo()
     d.check_invariants()
-    assert set(d._output.values()) == {None}
-    assert not [k for dev in (0, 1) for k in d.residents(dev) if k.matrix in ("X", "W", "C")]
+    assert d._output == outputs and set(outputs.values()) == {None}
+    assert [d.residents(dev) for dev in range(n_devices)] == residents
+    assert not [k for dev in range(n_devices) for k in d.residents(dev)
+                if k.matrix in ("X", "W", "C")]
     assert [list(c) for c in rt.clocks.values()] == clocks
     assert d.stats() == stats
     c, after = rt.multiply(a, b)
@@ -1008,7 +1019,7 @@ def test_one_directory_transaction_per_task(monkeypatch, mode):
 
     # each call's arguments after the device
     calls = {name: [] for name in ("acquire_input", "release_input", "admit_output",
-                                   "release_output", "abort_output")}
+                                   "release_output")}
     priced = []  # the pricing calls, as (name, device, what is priced)
 
     def counted(name):
@@ -1044,24 +1055,17 @@ def test_one_directory_transaction_per_task(monkeypatch, mode):
             c, stats = rt.multiply(a, b, a_uid="A", b_uid="B")
             assert np.array_equal(c, reference_gemm(a, b))
             assert (stats.total_tasks, stats.k_steps) == (9, 2)
-            # one flat acquire of A and B for each step in turn, given the
-            # task's output key, and no input to release
-            tasks = sorted(([k for k, _ in requests], output)
-                           for requests, output, *_ in calls["acquire_input"])
+            # in either engine, each task's one call: a flat acquire of A
+            # and B for each step in turn, given the task's output key and
+            # its writeback bytes (ragged 4, 4, 2 rows by 4, 4, 1 columns of
+            # 8-byte elements), and no other directory call
+            tasks = sorted(([k for k, _ in requests], *rest)
+                           for requests, *rest in calls["acquire_input"])
             assert tasks == [([TileKey("A", i, 0), TileKey("B", 0, j), TileKey("A", i, 1),
-                               TileKey("B", 1, j)], TileKey("C", i, j))
-                             for i in range(3) for j in range(3)]
-            assert calls["release_input"] == calls["admit_output"] == calls["abort_output"] == []
-            writebacks = sorted(args[-1] for args in calls[
-                "acquire_input" if mode == "sim" else "release_output"])
-            # ragged 4, 4, 2 rows by 4, 4, 1 columns of 8-byte elements
-            assert writebacks == sorted(8 * m * n for m in (4, 4, 2) for n in (4, 4, 1))
-            if mode == "sim":  # the one call writes the tile back too
-                assert calls["release_output"] == []
-            else:  # the call takes the slot; the release after the kernel writes back
-                assert [args[2:] for args in calls["acquire_input"]] == [()] * 9
-                assert sorted(key for key, _ in calls["release_output"]) == \
-                    sorted(output for _, output in tasks)
+                               TileKey("B", 1, j)], TileKey("C", i, j), 8 * m * n)
+                             for i, m in enumerate((4, 4, 2)) for j, n in enumerate((4, 4, 1))]
+            assert calls["release_input"] == calls["admit_output"] == \
+                calls["release_output"] == []
             if mode == "threaded":  # the threaded engine keeps no clocks: it prices nothing
                 assert priced == []
                 continue
@@ -1076,6 +1080,50 @@ def test_one_directory_transaction_per_task(monkeypatch, mode):
                 # price is new.  (On two devices, a task may land on the
                 # other device this time and meet prices new to it.)
                 assert priced == []
+
+
+@pytest.mark.parametrize("device", [
+    DeviceSpec(0, capacity_tiles=4),
+    DeviceSpec(0),
+    DeviceSpec(0, kind="host-worker", subtile_factor=2),
+], ids=["bounded", "unbounded", "host-worker"])
+def test_one_device_session_has_the_same_facts_in_both_engines(device):
+    # On one device both engines claim the tasks in task-id order, and in
+    # both a task makes its one directory call after its kernel, so a
+    # session's facts do not depend on the engine: per product, the output
+    # bits, the per-device cache counts, the device each task ran on and
+    # the device's residents.  The session reads operands straight and
+    # transposed, shares uids between products and between the two
+    # operands of one product, and retires uids between products.
+    machine = Machine([device], ProximityMatrix.uniform(1))
+    rng = np.random.default_rng(31)
+    w, x, y = (rng.standard_normal(shape) for shape in ((9, 7), (7, 6), (9, 6)))
+    # (a, b, transpose_a, transpose_b, a_uid, b_uid, uids retired after)
+    session = [
+        (w, x, False, False, "W", "X", ()),
+        (w, y, True, False, "W", "Y", ()),  # W's tiles, read transposed
+        (w, w, False, True, "W", "W", ("W",)),  # one uid for both operands
+        (y, w, True, False, "Y", "W", ()),  # W's tiles, met afresh
+        (x, w, True, True, "X", "W", ("X", "Y")),
+        (w, x, False, False, "W", "X", ()),
+    ]
+    runtimes = [Runtime(machine, tile_size=4, mode=mode) for mode in ("sim", "threaded")]
+    total = CacheStats()
+    for a, b, ta, tb, a_uid, b_uid, dead in session:
+        facts = []
+        for rt in runtimes:
+            c, stats = rt.multiply(a, b, ta, tb, a_uid=a_uid, b_uid=b_uid)
+            facts.append((c.tobytes(), stats.cache_per_device, stats.ran_on,
+                          rt.directory.residents(0)))
+            rt.retire(dead)
+        assert facts[0] == facts[1]
+        total += stats.cache
+    # the session met what each device kind has to meet
+    if device.is_host_worker:
+        assert total.writebacks == 0 and total.input_requests == total.host_fetches
+    else:
+        assert total.l1_hits > 0 and total.writebacks > 0
+        assert (total.evictions > 0) == (device.capacity_tiles is not None)
 
 
 @st.composite
@@ -1131,14 +1179,14 @@ def test_sim_clocks_equal_a_direct_replay(machine, tile, shapes):
         # the task's whole transaction: its output tile and writeback bytes
         # come with its requests, and it leaves the output slot free
         results = real_acquire(device, requests, key, nbytes)
-        assert d.output_tile(device) is None and nbytes is not None
+        assert d._output[device] is None and nbytes is not None
         tasks.append([device, rt.clocks[device][0], key, requests, results, nbytes])
         return results
 
     def unused(*args):
         raise AssertionError("a sim task makes one directory call")
 
-    d.admit_output = d.release_output = d.abort_output = unused
+    d.admit_output = d.release_output = unused
     d.acquire_input = acquire
     rng = np.random.default_rng(0)
     # operands stored in the same shape share a uid, so products reuse

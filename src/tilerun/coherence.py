@@ -10,9 +10,8 @@ is all the runtime's correctness argument needs.
 
 A task's directory transaction is one :meth:`CacheDirectory.acquire_input`
 call under one lock hold, the same in both engines, which have computed
-the tile before it.  Given the task's output key and writeback bytes,
-it refuses a device whose output slot is busy, resolves the task's
-input requests, counts the writeback and leaves the slot free.
+the tile before it: it resolves the task's input requests and counts
+the output tile's writeback.
 
 Hit taxonomy for a requesting accelerator:
 
@@ -33,13 +32,12 @@ pre-update weights) retires their uids, which drops their tiles from
 every set, so its sets hold only what may still be read.
 
 A bounded device keeps one of its ``capacity_tiles`` slots for the output
-tile it is building, which never enters its set; the set holds input
-tiles only, up to ``capacity_tiles - 1`` of them, and an admission into
-a full set evicts its least recently used tile.  A task's requests come
-A, B per contraction step, and a bounded capacity is at least 3, so when
-a step's B is admitted into a full set its A is the most recent input
-and some older one is there to go: LRU alone keeps a step's A beside
-its B.
+tile it is building, so its set holds input tiles only, up to
+``capacity_tiles - 1`` of them, and an admission into a full set evicts
+its least recently used tile.  A task's requests come A, B per
+contraction step, and a bounded capacity is at least 3, so when a step's
+B is admitted into a full set its A is the most recent input and some
+older one is there to go: LRU alone keeps a step's A beside its B.
 
 Which devices cache is decided when the directory is built.  Host
 workers have no set: their tiles are host tiles, so every request they
@@ -143,10 +141,9 @@ _stats_values = operator.attrgetter(*_STATS_FIELDS)
 class _DeviceCache(NamedTuple):
     """A cached device's side of the directory, read by one lookup per
     transaction: its LRU set of input tiles, the number of input tiles
-    the set may hold (one slot of a bounded device is its output's, and
-    an unbounded set's room is ``sys.maxsize``), its peers as ``(peer's
-    set, peer's results)`` ranked fewest hops first, then lowest id, and
-    its shared L1-hit result."""
+    the set may hold (``capacity_tiles - 1``, or ``sys.maxsize`` when
+    unbounded), its peers as ``(peer's set, peer's results)`` ranked
+    fewest hops first, then lowest id, and its shared L1-hit result."""
 
     order: OrderedDict
     room: int
@@ -156,7 +153,7 @@ class _DeviceCache(NamedTuple):
 
 class CacheDirectory:
     """Per-device LRU sets of input tiles, whose union is the L2
-    directory, and the output tile each device is building.
+    directory.
 
     Which devices cache is fixed at construction: every accelerator when
     ``enabled``, none otherwise.  Only those devices have an LRU set, so
@@ -164,8 +161,7 @@ class CacheDirectory:
     the tile's recency.  A bounded set's room is ``capacity_tiles - 1``,
     the last slot being the output tile's; the victim is the set's least
     recently used tile, and a bounded capacity is at least 3, so LRU
-    keeps a step's A beside its B.  An output key never enters a set, so
-    it cannot collide with an input tile of the same key.
+    keeps a step's A beside its B.
 
     Each cached device ranks its peers once, from the machine's hop
     counts: the other cached devices' sets, fewest hops first, then the
@@ -199,17 +195,11 @@ class CacheDirectory:
                  for p in sorted(cached, key=lambda p: (hops[d, p], p)) if p != d],
                 self._results[d][0])
             for d, dev in cached.items()}
-        # the output tile each device is building, or None
-        self._output: dict[int, TileKey | None] = {d.device_id: None for d in machine.devices}
         self._host_workers = frozenset(d.device_id for d in machine.devices if d.is_host_worker)
         self._dev_stats = {d.device_id: CacheStats() for d in machine.devices}
         # the per-device counters a transaction adds to: the open
         # product's, or the session's when no product is open
         self._counts = self._dev_stats
-
-    def _busy_locked(self, device: int) -> ValueError:
-        return ValueError(
-            f"device {device} still holds unfinished output tile {self._output[device]}")
 
     def residents(self, device: int) -> list[TileKey]:
         """Keys resident on ``device``, least recently used first."""
@@ -220,38 +210,29 @@ class CacheDirectory:
     # -- the runtime-facing operations ----------------------------------
     #
     # Resolving an input tile is lookup + transfer accounting + admit.  A
-    # task resolves all of its input tiles, and writes back its output
-    # tile, as one call under one lock acquisition, which makes the
+    # task resolves all of its input tiles, and counts its output tile's
+    # writeback, as one call under one lock acquisition, which makes the
     # whole task's accounting linearizable: the hit counters stay exact
     # even with racing worker threads (e.g. two devices missing on the
     # same tile at the same instant still produce exactly one host fetch).
 
-    def acquire_input(self, requester: int, requests, output: TileKey | None = None,
-                      writeback: int | None = None) -> list[AcquireResult]:
-        """Resolve a task's input tiles for ``requester`` under one lock
-        hold.  ``requests`` is an ordered sequence of ``(key, nbytes)``
-        pairs (a task sends A, B for each contraction step in turn);
-        returns one :class:`AcquireResult` per request, in order.  A
-        result is shared, not built for the call: every request with the
-        same source and bytes moved gets the same immutable object.
+    def acquire_input(self, requester: int, requests, writeback: int) -> list[AcquireResult]:
+        """A task's whole directory transaction, in either engine, under
+        one lock hold.  ``requests`` is an ordered sequence of ``(key,
+        nbytes)`` pairs (a task sends A, B for each contraction step in
+        turn); returns one :class:`AcquireResult` per request, in order.
+        A result is shared, not built for the call: every request with
+        the same source and bytes moved gets the same immutable object.
 
         Requests resolve in order, each exactly as a one-request call
-        would, and nothing is held once the call returns.
-
-        Given the task's ``output`` key and its ``writeback`` bytes, the
-        call is the task's whole directory transaction, in either engine.
-        It first refuses a device whose output slot is busy, with
-        :meth:`admit_output`'s ``ValueError``, before resolving anything.
-        Once every request has resolved, it counts ``writeback`` bytes
-        written back, as :meth:`release_output` would, and leaves the
-        slot free.  The result is what :meth:`admit_output`, a call
-        without ``output`` and then :meth:`release_output` would give.  A
-        request that raises counts no writeback; the requests resolved
-        before it stay counted and admitted.
+        would, and nothing is held once the call returns.  Then the call
+        counts one writeback of ``writeback`` bytes, the task's output
+        tile, unless ``requester`` is a host worker, whose output is
+        already in host memory.  A request that raises counts no
+        writeback; the requests resolved before it stay counted and
+        admitted.
         """
         with self._lock:
-            if output is not None and self._output[requester] is not None:
-                raise self._busy_locked(requester)
             ds = self._counts[requester]
             cache = self._caches.get(requester)
             from_host = self._results[HOST]
@@ -296,16 +277,16 @@ class CacheDirectory:
                     ds.bytes_peer += bytes_peer
                     ds.bytes_host += bytes_host
                     ds.evictions += evictions
-            if output is not None and requester not in self._host_workers:
-                ds.bytes_writeback += writeback  # first: a missing writeback moves no counter
+            if requester not in self._host_workers:
+                ds.bytes_writeback += writeback
                 ds.writebacks += 1
             return out
 
     def retire(self, uids) -> None:
         """Drop every input tile of the matrices ``uids``, which no later
         request reads, from every device's set.  Not an eviction, so no
-        counter moves; output slots are untouched, and a uid with no
-        resident tile (``None`` included) is ignored."""
+        counter moves, and a uid with no resident tile (``None``
+        included) is ignored."""
         dead = set(uids)
         with self._lock:
             for cache in self._caches.values():
@@ -318,35 +299,12 @@ class CacheDirectory:
         returns.  Kept only as a name the benchmark's tracer wraps."""
 
     def admit_output(self, device: int, key: TileKey) -> None:
-        """Start building ``key`` as ``device``'s output tile, in the slot
-        its set leaves free.  Raises :class:`ValueError` while the device
-        still holds an unfinished output tile.  No engine calls it: a
-        task's one :meth:`acquire_input` call checks the slot and leaves
-        it free.  Kept for tests and as a name the benchmark's tracer
-        wraps."""
-        with self._lock:
-            if self._output[device] is not None:
-                raise self._busy_locked(device)
-            self._output[device] = key
+        """Does nothing: a device keeps no output slot beyond the room its
+        set leaves.  Kept only as a name the benchmark's tracer wraps."""
 
     def release_output(self, device: int, key: TileKey, nbytes: int) -> None:
-        """Output tile written back to host: free the device's output slot
-        and count the writeback traffic.  Not an eviction (it is a
-        completion).  An uncached accelerator writes back too; a host
-        worker's output is already in host memory.  Raises
-        :class:`ValueError` if ``key`` is not the device's current output
-        tile.  No engine calls it: :meth:`acquire_input` given the output
-        key and writeback bytes counts the writeback within the task's
-        one transaction.  Kept for tests and as a name the benchmark's
-        tracer wraps, until ROADMAP #1."""
-        with self._lock:
-            if self._output[device] != key:
-                raise ValueError(f"{key} is not the output tile of device {device}")
-            self._output[device] = None
-            if device not in self._host_workers:
-                ds = self._counts[device]
-                ds.writebacks += 1
-                ds.bytes_writeback += nbytes
+        """Does nothing: :meth:`acquire_input` counts a task's writeback.
+        Kept only as a name the benchmark's tracer wraps."""
 
     # -- observability ---------------------------------------------------
 

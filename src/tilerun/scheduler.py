@@ -2,15 +2,14 @@
 
 One task per output tile.  The task's contraction steps, in ascending
 order, are accounting only: one cache-directory transaction resolves the
-input tiles of all of them (and, in either engine, writes the output
-back), read as ``(key, nbytes)``
-requests from a step table that a session builds once per product shape
-and binds to each call's uids, and the ``sim`` engine then prices each
-step's fetch and compute from per-device tables that the session fills
-as prices are first met.  Compute is priced per task: the tile extents
-the template keeps give each task's list of step prices.  The data,
-plain arrays that the tile size slices, never passes through the
-directory.  The fixed-order kernel accumulates the contraction index in
+input tiles of all of them, read as ``(key, nbytes)`` requests from a
+step table that a session builds once per product shape and binds to
+each call's uids, and counts the output tile's writeback; the ``sim``
+engine then prices each step's fetch and compute from per-device tables
+that the session fills as prices are first met.  Compute is priced per
+task: the tile extents the template keeps give each task's list of step
+prices.  The data, plain arrays that the tile size slices, never passes
+through the directory.  The fixed-order kernel accumulates the contraction index in
 ascending order however its operands are blocked, so the product's bits
 do not depend on the schedule: the ``sim`` engine computes the whole
 product with one kernel call before it claims any task, and the
@@ -154,8 +153,7 @@ class PlanTemplate:
     coordinates (swapped, once, for a transposed operand) and its bytes.
     Its bytes are its elements times the operand's itemsize; input and
     output tiles alike follow this rule.  ``tasks[task_id]`` is ``(i, j,
-    output key, writeback bytes)``; every output's uid is ``"C"``, so its
-    keys are known before any uid is.
+    writeback bytes)``.
     """
 
     tile_size: int
@@ -192,7 +190,7 @@ def _template(key: tuple) -> PlanTemplate:
     tasks = []
     for tid in range(len(rows) * len(cols)):
         i, j = decode_task(tid, len(cols), len(rows))
-        tasks.append((i, j, TileKey("C", i, j), rows[i] * cols[j] * out_dtype.itemsize))
+        tasks.append((i, j, rows[i] * cols[j] * out_dtype.itemsize))
     return PlanTemplate(
         tile_size=t, out_shape=(a_shape[0], b_shape[1]), out_dtype=out_dtype,
         row_extents=rows, col_extents=cols, step_extents=steps,
@@ -237,7 +235,7 @@ class Plan(_Grid):
     ``(key, nbytes)``: the requests task ``(i, j)`` sends the directory,
     A then B for each step.  ``template`` is the shape's
     :class:`PlanTemplate`, whose tile extents price the steps and whose
-    task table gives each task's ``(i, j)`` and output tile in ``c``.
+    task table gives each task's output tile ``(i, j)`` in ``c``.
     """
 
     a: Operand
@@ -257,9 +255,7 @@ def plan(a: Operand, b: Operand, tile_size: int, templates: Memo | None = None) 
     by shape key (a :class:`Runtime` passes its own), or is built for this
     call alone; either way it is bound the same way, so the two give equal
     plans.  The output is allocated as zeros of the operands' result
-    dtype.  Its uid is ``"C"``, which an input may share: an output tile
-    takes its device's reserved slot and never enters a residency set, so
-    its key meets no input's.
+    dtype.
     """
     t = as_tile_size(tile_size)
     if a.element_shape[1] != b.element_shape[0]:
@@ -453,24 +449,20 @@ def _run_task(plan_: Plan, directory: CacheDirectory, did: int, task_id: int,
               kernel=None) -> tuple[int, int, list, int]:
     """Run task ``task_id`` on device ``did``: the one task of both engines.
 
-    The task's output tile, its key and its writeback bytes are read from
-    the template's task table; an id outside it is a ``ValueError``,
-    raised before anything else.  Given a ``kernel`` (the threaded
-    engine's), ``kernel(i, j)`` then computes output tile ``(i, j)``; the
-    sim engine has computed the whole product before its first claim and
-    passes none.
+    The task's output tile and its writeback bytes are read from the
+    template's task table; an id outside it is a ``ValueError``, raised
+    before anything else.  Given a ``kernel`` (the threaded engine's),
+    ``kernel(i, j)`` then computes output tile ``(i, j)``; the sim engine
+    has computed the whole product before its first claim and passes none.
 
     The contraction steps are accounting only, read from the plan's step
-    table: one directory transaction (:meth:`CacheDirectory.acquire_input`
-    given the output key and writeback bytes) refuses a device whose
-    output slot is busy, then resolves the requests A, B of each step in
-    turn, so B is admitted while its step's A is the most recent input,
-    and LRU with room for at least two inputs keeps that A beside it, and
-    writes the output tile back.  So every task, in either engine, makes
-    one locked directory call, after its kernel: a kernel that raises
-    leaves the directory untouched.  The task holds no input and no
-    output slot once the call returns; the device's set holds input tiles
-    only.  A task that ends is recorded as run on ``did``.
+    table: one directory transaction (:meth:`CacheDirectory.acquire_input`)
+    resolves the requests A, B of each step in turn, then counts the
+    output tile's writeback.  B is admitted while its step's A is the most
+    recent input, so LRU with room for at least two inputs keeps that A
+    beside it.  So every task, in either engine, makes one locked
+    directory call, after its kernel: a kernel that raises leaves the
+    directory untouched.  A task that ends is recorded as run on ``did``.
 
     Returns ``(i, j, results, writeback bytes)``, where ``results`` are
     the directory's results, A and B per step in step order.
@@ -478,11 +470,11 @@ def _run_task(plan_: Plan, directory: CacheDirectory, did: int, task_id: int,
     tasks = plan_.template.tasks
     if not 0 <= task_id < len(tasks):
         raise ValueError(f"task id {task_id} outside 0..{len(tasks) - 1}")
-    i, j, c_key, wb_bytes = tasks[task_id]
+    i, j, wb_bytes = tasks[task_id]
     if kernel is not None:
         kernel(i, j)
     requests = list(chain.from_iterable(zip(plan_.a_rows[i], plan_.b_cols[j])))
-    got = directory.acquire_input(did, requests, c_key, wb_bytes)
+    got = directory.acquire_input(did, requests, wb_bytes)
     plan_.completion.mark(task_id, did)
     return i, j, got, wb_bytes
 
@@ -690,7 +682,8 @@ class Runtime:
     (:meth:`CacheDirectory.open_product`) and then added into the
     session's counters in place, which no later request moves.  Either
     engine runs every task of a product through ``_run_task``, and every
-    task makes one locked directory call, its whole transaction.
+    task makes one locked directory call, ``acquire_input(device,
+    requests, writeback)``, its whole transaction.
 
     A sim product reads the session's clocks once, before it runs: after
     each task its device's writeback clock is that device's latest, so

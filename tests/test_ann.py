@@ -341,8 +341,8 @@ def test_session_keeps_one_shared_result_per_source_and_size(monkeypatch):
     returned = {}  # id -> every result object the directory returned
     acquire = directory.acquire_input
 
-    def recording(requester, requests, *output):
-        out = acquire(requester, requests, *output)
+    def recording(requester, requests, writeback):
+        out = acquire(requester, requests, writeback)
         returned.update((id(res), res) for res in out)
         return out
 

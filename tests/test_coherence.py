@@ -1,5 +1,5 @@
 import itertools
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -19,10 +19,16 @@ def cap_machine(n=1, capacity=None, **kw):
     return homogeneous_machine(n, capacity_tiles=capacity, **kw)
 
 
-def touch(d, device, k, nbytes=8):
-    """Acquire one tile as a one-request call."""
-    (res,) = d.acquire_input(device, [(k, nbytes)])
+def touch(d, device, k, nbytes=8, writeback=0):
+    """Acquire one tile as a one-request task that writes ``writeback``
+    bytes back."""
+    (res,) = d.acquire_input(device, [(k, nbytes)], writeback)
     return res
+
+
+def input_counts(per_device):
+    """Per-device counters with the writeback counters zeroed."""
+    return {dev: replace(s, writebacks=0, bytes_writeback=0) for dev, s in per_device.items()}
 
 
 def test_lookup_levels():
@@ -106,93 +112,57 @@ def test_admit_evicts_lru_first():
 
 @pytest.mark.usefixtures("directory_invariants")
 def test_output_key_never_enters_the_set():
+    # a task's writeback is bytes only: the set gains its inputs alone
     d = CacheDirectory(cap_machine(2, capacity=3))
     ka, kb = key("a"), key("b")
-    touch(d, 0, ka)
-    d.admit_output(0, ka)  # the key of a resident input: no collision
-    d.admit_output(1, kb)  # the key of no tile anywhere
+    touch(d, 0, ka, writeback=64)
     assert d.residents(0) == [ka] and d.residents(1) == []
-    # the output is not an owner: its key is still a miss, and an L1 hit
-    # refreshes the input
-    assert touch(d, 1, kb).source == HOST and touch(d, 0, ka).source == 0
-    d.release_output(0, ka, 64)
-    d.release_output(1, kb, 64)
+    assert touch(d, 1, kb, writeback=64).source == HOST
+    assert touch(d, 0, ka, writeback=64).source == 0
     assert d.residents(0) == [ka] and d.residents(1) == [kb]
-    assert d.stats().evictions == 0
+    s = d.stats()
+    assert (s.evictions, s.writebacks, s.bytes_writeback) == (0, 3, 192)
 
 
 @pytest.mark.usefixtures("directory_invariants")
 def test_output_slot_is_reserved_and_inputs_evict_lru():
     d = CacheDirectory(cap_machine(1, capacity=3))
-    ka, kb, kc, kx, ky = (key(n) for n in "abcxy")
-    d.admit_output(0, kc)
+    ka, kb, kx, ky = (key(n) for n in "abxy")
     touch(d, 0, kx)
     touch(d, 0, ky)
     # two inputs fill the room the output slot leaves: a goes for x, b
     # for y, then x, which this call resolved, goes for a
-    got = d.acquire_input(0, [(ka, 8), (kb, 8), (kx, 8)])
+    got = d.acquire_input(0, [(ka, 8), (kb, 8), (kx, 8)], 64)
     assert got == [(HOST, 8)] * 3
     assert d.residents(0) == [kb, kx]
     assert d.stats().evictions == 3
 
 
 @pytest.mark.usefixtures("directory_invariants")
-def test_admit_output_rejected_while_an_output_is_unfinished():
-    d = CacheDirectory(cap_machine(2, capacity=3))
-    c1, c2 = key("c1"), key("c2")
-    d.admit_output(0, c1)
-    with pytest.raises(ValueError, match="unfinished output tile"):
-        d.admit_output(0, c2)
-    d.admit_output(1, c2)  # another device builds its own
-    d.release_output(0, c1, 64)
-    d.admit_output(0, c2)  # once finished, the device takes the next
-    with pytest.raises(ValueError, match="unfinished output tile"):
-        d.admit_output(1, c1)
-    assert d.residents(0) == d.residents(1) == []
-    assert d.stats().writebacks == 1
-
-
-@pytest.mark.usefixtures("directory_invariants")
-def test_release_rejects_a_key_that_is_not_the_output():
-    d = CacheDirectory(cap_machine(1, capacity=3))
-    ka, kc = key("a"), key("c")
-    touch(d, 0, ka)
-    with pytest.raises(ValueError, match="not the output tile"):
-        d.release_output(0, kc, 64)  # no output tile at all
-    d.admit_output(0, kc)
-    with pytest.raises(ValueError, match="not the output tile"):
-        d.release_output(0, ka, 64)  # resident, but as an input
-    d.release_output(0, kc, 64)
-    with pytest.raises(ValueError, match="not the output tile"):
-        d.release_output(0, kc, 64)  # finished already
-    assert d.residents(0) == [ka]
-    # only the successful release counted a writeback
-    assert (d.stats().writebacks, d.stats().bytes_writeback) == (1, 64)
-
-
-@pytest.mark.usefixtures("directory_invariants")
 def test_task_call_leaves_what_stepwise_calls_leave():
-    ka, kb, kc, kd, ke, kout = (key(n) for n in ("a", "b", "c", "d", "e", "out"))
+    ka, kb, kc, kd, ke = (key(n) for n in "abcde")
     task, stepwise = (CacheDirectory(cap_machine(2, capacity=3)) for _ in range(2))
     for d in (task, stepwise):
         touch(d, 1, kc)  # a peer copy for device 0 to find
-        d.admit_output(0, kout)
     # seven requests through the two slots the output leaves
     requests = [(k, 8) for k in (ka, kb, kc, kd, kd, ka, ke)]
-    got = task.acquire_input(0, requests)
+    got = task.acquire_input(0, requests, 64)
     assert [r.source for r in got] == [HOST, HOST, 1, HOST, 0, HOST, HOST]
     assert got == [touch(stepwise, 0, k, n) for k, n in requests]
     assert task.residents(0) == stepwise.residents(0) == [ka, ke]
     assert task.residents(1) == stepwise.residents(1) == [kc]
-    assert task.stats_per_device() == stepwise.stats_per_device()
+    # every call writes back once: the task once, the stepwise replay per request
+    assert input_counts(task.stats_per_device()) == input_counts(stepwise.stats_per_device())
     assert task.stats().evictions == 4
+    assert (task.stats_per_device()[0].writebacks, task.stats().bytes_writeback) == (1, 64)
+    assert stepwise.stats_per_device()[0].writebacks == len(requests)
 
 
 @pytest.mark.usefixtures("directory_invariants")
 def test_inputs_are_evictable_once_the_call_returns():
     d = CacheDirectory(cap_machine(1, capacity=3))
     ka, kb, kc = (key(n) for n in "abc")
-    d.acquire_input(0, [(ka, 8), (kb, 8)])
+    d.acquire_input(0, [(ka, 8), (kb, 8)], 64)
     d.release_input(0, (ka, kb))  # a no-op: the call held nothing
     touch(d, 0, kc)  # a, the call's first tile, is the least recent: it goes
     assert d.residents(0) == [kb, kc]
@@ -207,8 +177,8 @@ def retire_fixture():
     d = CacheDirectory(cap_machine(2))
     a0, a1, b0, b1, c0 = (TileKey("a", 0, 0), TileKey("a", 1, 0), TileKey("b", 0, 0),
                           TileKey("b", 0, 1), TileKey("c", 0, 0))
-    d.acquire_input(0, [(a0, 8), (b0, 8), (a1, 8), (c0, 8), (b1, 8)])
-    d.acquire_input(1, [(b1, 8), (c0, 8), (a0, 8)])
+    d.acquire_input(0, [(a0, 8), (b0, 8), (a1, 8), (c0, 8), (b1, 8)], 64)
+    d.acquire_input(1, [(b1, 8), (c0, 8), (a0, 8)], 64)
     return d, (a0, a1, b0, b1, c0)
 
 
@@ -242,18 +212,14 @@ def test_retire_ignores_unknown_uids_and_none():
 
 @pytest.mark.usefixtures("directory_invariants")
 def test_retire_leaves_the_output_slot():
-    # inputs may share the output's uid; retiring it drops those inputs,
-    # and the output tile is still the device's to write back
+    # an input may have any uid, "C" included; retiring it drops the
+    # input, and the writeback its task counted stays counted
     d = CacheDirectory(cap_machine(1, capacity=3))
-    c_key = TileKey("C", 0, 0)
-    touch(d, 0, c_key)
-    d.admit_output(0, c_key)
+    touch(d, 0, TileKey("C", 0, 0), writeback=8)
     d.retire(["C"])
     assert d.residents(0) == []
-    with pytest.raises(ValueError, match="still holds"):
-        d.admit_output(0, TileKey("C", 0, 1))
-    d.release_output(0, c_key, 8)
-    assert d.stats().writebacks == 1
+    touch(d, 0, TileKey("C", 0, 1), writeback=8)  # the device's next task runs
+    assert (d.stats().writebacks, d.stats().bytes_writeback) == (2, 16)
 
 
 @pytest.mark.usefixtures("directory_invariants")
@@ -303,14 +269,12 @@ def test_bypass_mode_always_host():
     d = CacheDirectory(cap_machine(2), enabled=False)
     k = key("a")
     for _ in range(5):
-        (r,) = d.acquire_input(0, [(k, 10)])
+        (r,) = d.acquire_input(0, [(k, 10)], 64)  # written back, though never cached
         assert r.source == HOST and r.nbytes_moved == 10
-    d.admit_output(0, key("c"))
-    d.release_output(0, key("c"), 64)  # written back, though never cached
     s = d.stats()
     assert s.host_fetches == 5 and s.bytes_host == 50
     assert s.l1_hits == 0 and s.l2_hits == 0
-    assert (s.writebacks, s.bytes_writeback) == (1, 64)
+    assert (s.writebacks, s.bytes_writeback) == (5, 320)
     assert d.residents(0) == [] and d.used_tiles(0) == 0
 
 
@@ -320,10 +284,9 @@ def test_host_worker_requests_are_free_host_fetches():
     for enabled in (True, False):
         d = CacheDirectory(m, enabled=enabled)
         touch(d, 0, key("a"))  # resident on the accelerator when enabled
-        (r,) = d.acquire_input(1, [(key("a"), 999)])
+        # its output is already in host memory: no writeback
+        (r,) = d.acquire_input(1, [(key("a"), 999)], 64)
         assert r.source == HOST and r.nbytes_moved == 0
-        d.admit_output(1, key("c"))
-        d.release_output(1, key("c"), 64)  # its output is already in host memory
         s = d.stats_per_device()[1]
         assert s.host_fetches == 1 and s.bytes_host == 0
         assert (s.writebacks, s.bytes_writeback) == (0, 0)
@@ -333,14 +296,10 @@ def test_host_worker_requests_are_free_host_fetches():
 
 @pytest.mark.usefixtures("directory_invariants")
 def test_output_tiles_pinned_then_released():
+    # the output tile has the reserved slot: four inputs share the other two
     d = CacheDirectory(cap_machine(1, capacity=3))
-    ck = key("c")
-    d.admit_output(0, ck)
-    for n in "abde":
-        touch(d, 0, key(n))
-        # held in the reserved slot, never in the set of inputs
-        assert ck not in d.residents(0) and d.used_tiles(0) <= 2
-    d.release_output(0, ck, 64)
+    d.acquire_input(0, [(key(n), 8) for n in "abde"], 64)
+    assert d.residents(0) == [key("d"), key("e")]
     s = d.stats()
     assert s.writebacks == 1 and s.bytes_writeback == 64
     assert s.evictions == 2  # inputs only: completion is not an eviction
@@ -354,7 +313,7 @@ def test_invariants_fixture_checks_after_a_test_undo(directory_invariants, monke
     with pytest.raises(AssertionError, match="over capacity"):
         touch(d, 0, key("a"))  # one victim: three tiles remain
     with pytest.raises(AssertionError, match="over capacity"):
-        d.admit_output(0, key("c"))  # a call that admits no input is checked too
+        d.acquire_input(0, [], 8)  # a call that admits no input is checked too
 
 
 class ModelDirectory:
@@ -373,7 +332,6 @@ class ModelDirectory:
         self.cached = cached
         self.host_workers = host_workers
         self.keys = [[] for _ in hops]
-        self.output = [None for _ in hops]
         self.stats = [CacheStats() for _ in hops]
 
     def source(self, dev, k):
@@ -413,12 +371,8 @@ class ModelDirectory:
             st.bytes_peer += nbytes
         return src, nbytes
 
-    def admit_output(self, dev, k):
-        self.output[dev] = k
-
     def write_back(self, dev, nbytes):
-        """Free the output slot and count ``nbytes`` written back."""
-        self.output[dev] = None
+        """Count ``nbytes`` written back."""
         if dev not in self.host_workers:
             self.stats[dev].writebacks += 1
             self.stats[dev].bytes_writeback += nbytes
@@ -426,22 +380,16 @@ class ModelDirectory:
 
 @pytest.mark.usefixtures("directory_invariants")
 def test_model_based_directory_agreement():
-    # Each call is one of: admit an output tile, on a device without one
-    # (its key sometimes that of an input tile); release the device's
-    # output tile; the engines' one-call task on a device whose output
-    # slot is busy, which raises before it resolves anything; or a task's
-    # acquire, one call of 1-8 tiles, which the model resolves one tile at
-    # a time.  On a device without an output tile, half the acquires are
-    # the engines' one-call task, given an output key and writeback bytes,
-    # which also writes back.
+    # Each call is a task: one call of 1-8 tiles and a writeback of 0-2
+    # tiles' bytes, which the model resolves one tile at a time and then
+    # writes back.
     # Each trial draws its own symmetric hop matrix of 1s and 2s, so hop
     # ties are common and the model's min over (hops, id) checks the
     # directory's peer ranking.  Some trials add a host worker, and some
     # turn the cache off, so every kind of requester is walked: cached,
     # uncached and host worker.  Tiles come in three sizes.
     rng = np.random.default_rng(99)
-    serial = itertools.count()
-    peer_hits = refetched = released = one_call_tasks = refused = evicted_mid_task = 0
+    peer_hits = refetched = evicted_mid_task = 0
     tied_sources = 0  # L2 sources chosen among owners at equal hops
     requesters = set()  # the kinds of requester walked
     for trial in range(30):
@@ -465,61 +413,36 @@ def test_model_based_directory_agreement():
         seen = set()  # keys that were resident somewhere before
         for _ in range(200):
             dev = int(rng.integers(0, size))
-            c_key = model.output[dev]
-            r = rng.random()
-            if r < 0.2 and c_key is None:
-                # some output keys name input tiles: they must not collide
-                c_key = (universe[int(rng.integers(0, len(universe)))] if r < 0.05
-                         else TileKey("C", next(serial), 0))
-                model.admit_output(dev, c_key)
-                d.admit_output(dev, c_key)
-            elif r < 0.2:
-                model.write_back(dev, 64)
-                d.release_output(dev, c_key, 64)
-                released += 1
-            elif r < 0.3 and c_key is not None:
-                with pytest.raises(ValueError, match="unfinished output tile"):
-                    d.acquire_input(dev, [(k, nbytes[k]) for k in universe[:4]],
-                                    TileKey("C", next(serial), 0), 64)
-                refused += 1
-            else:
-                tiles = [universe[int(i)]
-                         for i in rng.integers(0, len(universe), int(rng.integers(1, 9)))]
-                one_call = ()
-                if c_key is None and rng.integers(0, 2):
-                    one_call = (TileKey("C", next(serial), 0), 64)
-                evictions, want = model.stats[dev].evictions, []
-                for k in tiles:
-                    owners = [o for o in range(size) if o != dev and k in model.keys[o]]
-                    want.append(model.acquire(dev, k, nbytes[k]))
-                    src = want[-1][0]
-                    if dev in cached and src != dev:  # not an L1 hit
-                        peer_hits += src != HOST
-                        tied_sources += (src != HOST and
-                                         sum(hops[dev, o] == hops[dev, src] for o in owners) > 1)
-                        refetched += src == HOST and k in seen
-                        seen.add(k)
-                got = d.acquire_input(dev, [(k, nbytes[k]) for k in tiles], *one_call)
-                if one_call:
-                    model.write_back(dev, 64)
-                    one_call_tasks += 1
-                # each result equals one built afresh, and is the directory's
-                # one shared object for its (source, bytes moved)
-                assert got == [AcquireResult(*w) for w in want]
-                assert all(type(res) is AcquireResult for res in got)
-                assert all(shared.setdefault(tuple(res), res) is res for res in got)
-                requesters.add("host worker" if dev in host_workers
-                               else "cached" if dev in cached else "uncached")
-                evicted_mid_task += c_key is not None and model.stats[dev].evictions > evictions
+            tiles = [universe[int(i)]
+                     for i in rng.integers(0, len(universe), int(rng.integers(1, 9)))]
+            writeback = 8 * int(rng.integers(0, 3))
+            evictions, want = model.stats[dev].evictions, []
+            for k in tiles:
+                owners = [o for o in range(size) if o != dev and k in model.keys[o]]
+                want.append(model.acquire(dev, k, nbytes[k]))
+                src = want[-1][0]
+                if dev in cached and src != dev:  # not an L1 hit
+                    peer_hits += src != HOST
+                    tied_sources += (src != HOST and
+                                     sum(hops[dev, o] == hops[dev, src] for o in owners) > 1)
+                    refetched += src == HOST and k in seen
+                    seen.add(k)
+            model.write_back(dev, writeback)
+            got = d.acquire_input(dev, [(k, nbytes[k]) for k in tiles], writeback)
+            # each result equals one built afresh, and is the directory's
+            # one shared object for its (source, bytes moved)
+            assert got == [AcquireResult(*w) for w in want]
+            assert all(type(res) is AcquireResult for res in got)
+            assert all(shared.setdefault(tuple(res), res) is res for res in got)
+            requesters.add("host worker" if dev in host_workers
+                           else "cached" if dev in cached else "uncached")
+            evicted_mid_task += model.stats[dev].evictions > evictions
             for o in range(size):
                 assert d.residents(o) == model.keys[o]
             assert d.stats_per_device() == dict(enumerate(model.stats))
     # the walk reached peer copies, tiles evicted from every owner came back
-    # as host misses, hop ties were broken, inputs were evicted while an
-    # output tile was held, outputs were released, and one-call tasks both
-    # wrote back and were refused by a busy slot
+    # as host misses, hop ties were broken, and tasks evicted inputs
     assert peer_hits > 0 and refetched > 0 and tied_sources > 0 and evicted_mid_task > 0
-    assert released > 0 and one_call_tasks > 0 and refused > 0
     assert requesters == {"cached", "uncached", "host worker"}
 
 
@@ -540,88 +463,58 @@ def machines(draw):
 
 
 def _raised(call, *args):
-    """``call(*args)``'s result, or the type of what it raised."""
+    """``call(*args)``'s result, or ``TypeError`` if it raised one."""
     try:
         return call(*args)
-    except (TypeError, ValueError) as exc:
-        return type(exc)
+    except TypeError:
+        return TypeError
 
 
 @settings(max_examples=60, deadline=None)
 @given(machine=machines(), data=st.data())
 def test_every_admission_finds_a_victim(machine, data):
-    # A task's directory calls take one of two forms: admit_output, one
-    # acquire_input of its steps' A and B tiles in turn, then
-    # release_output; or one acquire_input given the output key and the
-    # writeback bytes, the engines' whole task.  The tasks of different
-    # devices interleave, one open three-call task per device, and a
-    # device with an open task is sometimes sent a one-call task, which
-    # its busy slot refuses before resolving anything.  Some tasks carry
-    # an unhashable key, which raises mid-resolution, after the requests
-    # before it: a one-call task that raises writes nothing back, and a
-    # three-call task keeps its slot until its release.  A twin directory
-    # replays every task with its steps as one call per step, which
-    # resolves exactly as the task's one call does, and is looked at after
-    # each step's B is admitted.  The twin takes and frees a three-call
-    # task's slot as the task does, and does a one-call task's slot part
-    # through the one-call form, with a last call that has no requests,
-    # as the one call does once every request has resolved.  After every
-    # task the two agree on results, per-device counters, residents and
-    # output slots.
+    # Each task is one acquire_input of its steps' A and B tiles in turn
+    # and its writeback bytes, the engines' whole task, on a drawn device.
+    # Some tasks carry an unhashable key, which raises mid-resolution,
+    # after the requests before it: a task that raises writes nothing
+    # back.  A twin directory replays every task with its steps as one
+    # call per step, which resolves exactly as the task's one call does,
+    # and is looked at after each step's B is admitted.  After every task
+    # the two agree on results, residents and per-device input counters,
+    # and the task's directory has counted one writeback per task that
+    # returned on an accelerator.
     d, twin = CacheDirectory(machine), CacheDirectory(machine)
-    open_tasks = {}  # device -> output key of its unfinished task
-    serial = itertools.count()
     n_devices = len(machine.devices)
     room = {dev.device_id: dev.capacity_tiles and dev.capacity_tiles - 1
             for dev in machine.devices}
+    written = {dev.device_id: 0 for dev in machine.devices}  # writebacks counted
     for dev in data.draw(st.lists(st.integers(0, n_devices - 1), min_size=1, max_size=40)):
-        one_call = data.draw(st.booleans())
-        if dev in open_tasks and one_call and data.draw(st.booleans()):
-            c_key = TileKey("C", next(serial), 0)
-            assert _raised(d.acquire_input, dev, [(key("busy"), 8)], c_key, 8) is ValueError
-            assert _raised(twin.acquire_input, dev, [], c_key, 8) is ValueError
-        elif dev in open_tasks:
-            c_key = open_tasks.pop(dev)
-            for x in (d, twin):
-                x.release_output(dev, c_key, 8)
-        else:
-            i, j = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
-            ks = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
-            c_key = TileKey("C", next(serial), 0)
-            steps = [[(TileKey("A", i, k), 8), (TileKey("B", k, j), 8)] for k in ks]
-            if data.draw(st.booleans()):  # a fault mid-resolution
-                step = steps[data.draw(st.integers(0, len(steps) - 1))]
-                step.insert(data.draw(st.integers(0, 2)), ([], 8))
-            requests = [r for step in steps for r in step]
-            if one_call:
-                got = _raised(d.acquire_input, dev, requests, c_key, 8)
-            else:
-                for x in (d, twin):
-                    x.admit_output(dev, c_key)
-                open_tasks[dev] = c_key
-                got = _raised(d.acquire_input, dev, requests)
-            stepwise = []
-            for step in steps:
-                result = _raised(twin.acquire_input, dev, step)
-                if result is TypeError:
-                    stepwise = result
-                    break
-                stepwise += result
-                if room[dev] is not None:  # LRU keeps the step's A beside its B
-                    assert twin.residents(dev)[-2:] == [k for k, _ in step]
-            assert got == stepwise
-            if one_call and got is not TypeError:
-                assert twin.acquire_input(dev, [], c_key, 8) == []
-            # the output sits in its reserved slot, never among the inputs
-            assert c_key not in d.residents(dev)
+        i, j = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+        ks = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+        steps = [[(TileKey("A", i, k), 8), (TileKey("B", k, j), 8)] for k in ks]
+        if data.draw(st.booleans()):  # a fault mid-resolution
+            step = steps[data.draw(st.integers(0, len(steps) - 1))]
+            step.insert(data.draw(st.integers(0, 2)), ([], 8))
+        requests = [r for step in steps for r in step]
+        got = _raised(d.acquire_input, dev, requests, 8)
+        stepwise = []
+        for step in steps:
+            result = _raised(twin.acquire_input, dev, step, 8)
+            if result is TypeError:
+                stepwise = result
+                break
+            stepwise += result
+            if room[dev] is not None:  # LRU keeps the step's A beside its B
+                assert twin.residents(dev)[-2:] == [k for k, _ in step]
+        assert got == stepwise
+        written[dev] += got is not TypeError and not machine.device(dev).is_host_worker
         for x in (d, twin):
             x.check_invariants()
         assert [d.residents(o) for o in range(n_devices)] == \
             [twin.residents(o) for o in range(n_devices)]
-        assert d.stats_per_device() == twin.stats_per_device()
-        assert [d._output[o] for o in range(n_devices)] == \
-            [twin._output[o] for o in range(n_devices)] == \
-            [open_tasks.get(o) for o in range(n_devices)]
+        assert input_counts(d.stats_per_device()) == input_counts(twin.stats_per_device())
+        assert {o: (s.writebacks, s.bytes_writeback) for o, s in d.stats_per_device().items()} \
+            == {o: (n, 8 * n) for o, n in written.items()}
         assert all(room[o] is None or d.used_tiles(o) <= room[o] for o in range(n_devices))
 
 
@@ -631,8 +524,8 @@ def test_a_request_that_raises_keeps_the_counters_of_those_before_it():
     # already admitted.
     d = CacheDirectory(cap_machine(2))
     touch(d, 1, key("p"))
-    with pytest.raises(TypeError):
-        d.acquire_input(0, [(key("a"), 8), (key("p"), 8), (key("a"), 8), ([], 8)])
+    with pytest.raises(TypeError):  # and counts no writeback
+        d.acquire_input(0, [(key("a"), 8), (key("p"), 8), (key("a"), 8), ([], 8)], 64)
     assert d.residents(0) == [key("p"), key("a")]  # the L1 hit refreshed a
     assert d.stats_per_device()[0] == CacheStats(l1_hits=1, l2_hits=1, host_fetches=1,
                                                  bytes_host=8, bytes_peer=8)
@@ -675,7 +568,7 @@ def test_fill_count_matches_the_set():
                 keys.append(k)
             overfilled += misses > capacity - 1 - d.used_tiles(dev)
             try:
-                got = d.acquire_input(dev, requests)
+                got = d.acquire_input(dev, requests, 8)
             except TypeError:
                 raised += 1
             else:
@@ -699,34 +592,33 @@ def test_an_open_product_counts_its_own_traffic():
     touch(d, 0, key("a"))  # before any product: the session's alone
     first = d.open_product()
     assert first == {0: CacheStats(), 1: CacheStats(), 2: CacheStats()}
-    d.acquire_input(0, [(key("a"), 8), (key("b"), 8)])
+    d.acquire_input(0, [(key("a"), 8), (key("b"), 8)], 16)
     touch(d, 1, key("b"))
     touch(d, 2, key("c"))
     with pytest.raises(TypeError):
-        d.acquire_input(1, [(key("d"), 8), ([], 8)])
-    c = TileKey("C", 0, 0)
+        d.acquire_input(1, [(key("d"), 8), ([], 8)], 16)
     for device in (1, 2):
-        d.admit_output(device, c)
-        d.release_output(device, c, 16)
-    want = {0: CacheStats(l1_hits=1, host_fetches=1, bytes_host=8),
-            1: CacheStats(l2_hits=1, host_fetches=1, bytes_peer=8, bytes_host=8,
+        d.acquire_input(device, [], 16)
+    want = {0: CacheStats(l1_hits=1, host_fetches=1, bytes_host=8,
                           writebacks=1, bytes_writeback=16),
+            1: CacheStats(l2_hits=1, host_fetches=1, bytes_peer=8, bytes_host=8,
+                          writebacks=2, bytes_writeback=16),
             2: CacheStats(host_fetches=1)}
     assert first == want
-    session = {0: CacheStats(host_fetches=2, bytes_host=16, l1_hits=1), 1: want[1], 2: want[2]}
+    session = {0: CacheStats(host_fetches=2, bytes_host=16, l1_hits=1,
+                             writebacks=2, bytes_writeback=16), 1: want[1], 2: want[2]}
     assert d.stats_per_device() == session  # an open product's counts included
     assert d.stats() == sum(session.values(), CacheStats())
     second = d.open_product()
     touch(d, 0, key("e"))
     d.close_product()
     touch(d, 0, key("f"))
-    d.admit_output(0, c)
-    d.release_output(0, c, 16)
+    d.acquire_input(0, [], 16)
     assert first == want
-    assert second == {0: CacheStats(host_fetches=1, bytes_host=8), 1: CacheStats(),
+    assert second == {0: CacheStats(host_fetches=1, bytes_host=8, writebacks=1), 1: CacheStats(),
                       2: CacheStats()}
     assert d.stats_per_device()[0] == CacheStats(l1_hits=1, host_fetches=4, bytes_host=32,
-                                                 writebacks=1, bytes_writeback=16)
+                                                 writebacks=5, bytes_writeback=32)
     d.close_product()  # closing with no product open changes nothing
     assert d.stats() == sum(d.stats_per_device().values(), CacheStats())
 

@@ -58,3 +58,27 @@ def test_package_reexports_are_names_the_benchmark_tracer_wraps(monkeypatch):
     assert kept
     assert [(module, name) for module, name in kept
             if name not in wrapped.get(module, ())] == []
+
+
+
+def is_stub(node) -> bool:
+    """Whether ``node`` is a function whose body is only a docstring."""
+    return (isinstance(node, ast.FunctionDef) and len(node.body) == 1
+            and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)
+            and isinstance(node.body[0].value.value, str))
+
+
+def test_docstring_only_methods_are_names_the_benchmark_tracer_wraps(monkeypatch):
+    # A method whose body is only a docstring does nothing; the package
+    # keeps such a stub only as a name perfbench/layers.py wraps (its
+    # _METHODS), so each goes once it is not wrapped.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    layers = importlib.import_module("layers")
+    wrapped = {(prefix, name) for _, prefix, names in layers._METHODS for name in names}
+    stubs = [(f"{p.stem}.{cls.name}", fn.name)
+             for p in sorted((ROOT / "src/tilerun").glob("*.py"))
+             for cls in ast.walk(ast.parse(p.read_text())) if isinstance(cls, ast.ClassDef)
+             for fn in cls.body if is_stub(fn)]
+    assert stubs
+    assert [stub for stub in stubs if stub not in wrapped] == []

@@ -518,7 +518,7 @@ def test_step_table_matches_tile_views(tile, grid, ragged, transposes, dtypes):
                for kk in range(p.k_steps) for j in range(p.grid_cols))
     c = partition(p.c, tile)
     assert c.base.dtype == np.result_type(*dtypes)
-    assert tmpl.tasks == [(i, j, TileKey("C", i, j), c.tile(i, j).nbytes)
+    assert tmpl.tasks == [(i, j, c.tile(i, j).nbytes)
                           for i in range(c.grid_rows) for j in range(c.grid_cols)]
     assert all(c.tile(i, j).shape == (rows[i], cols[j]) for i, j, *_ in tmpl.tasks)
 
@@ -824,7 +824,6 @@ def test_task_ids_outside_the_grid_are_rejected():
             with pytest.raises(ValueError, match="task id"):
                 _run_task(p, directory, 0, tid, kernel)
     assert computed == []
-    assert directory._output == {0: None}
     assert directory.stats() == CacheStats()
     assert p.completion.ran_on == [None] * p.total_tasks
 
@@ -885,8 +884,7 @@ def test_failed_task_leaves_no_pins_or_output_tile(monkeypatch, site, mode):
 
     rng = np.random.default_rng(24)
     a, b = int_matrix(rng, 12, 12), int_matrix(rng, 12, 12)
-    # capacity 3 holds exactly one task's A, B and C: a leaked output tile
-    # and the device's next admit_output raises
+    # capacity 3 leaves room for exactly one step's A and B
     rt = Runtime(homogeneous_machine(2, capacity_tiles=3), tile_size=4, mode=mode)
     d = rt.directory
     done = []  # kernel calls that returned
@@ -908,21 +906,21 @@ def test_failed_task_leaves_no_pins_or_output_tile(monkeypatch, site, mode):
     else:  # B's admission fails inside the task's transaction, after A's
         # The transaction is replayed one request per call, which resolves
         # exactly as the one call does, so the set can be looked at
-        # between a step's A and its B; a last call with no request then
-        # does the output slot's part, as the one call does once every
-        # request has resolved.
+        # between a step's A and its B.  Each replayed call counts a
+        # writeback, of no bytes but for the last call's; the faulted
+        # product's counters are not read.
         acquire, b_seen = d.acquire_input, itertools.count(1)
 
-        def acquire_watching_a(dev, requests, *output):
+        def acquire_watching_a(dev, requests, writeback):
             got = []
             for a_req, b_req in zip(requests[::2], requests[1::2]):
-                got += acquire(dev, [a_req])
+                got += acquire(dev, [a_req], 0)
                 if next(b_seen) == 5:
                     raise ArithmeticError("injected fault at call 5")
                 full = len(d.residents(dev)) == 2  # capacity 3 has room for two inputs
-                got += acquire(dev, [b_req])
+                got += acquire(dev, [b_req], 0)
                 a_kept.append((full, d.residents(dev)[-2:] == [a_req[0], b_req[0]]))
-            return got + acquire(dev, [], *output)
+            return got + acquire(dev, [], writeback)
 
         monkeypatch.setattr(d, "acquire_input", acquire_watching_a)
     with pytest.raises(ArithmeticError, match="call 5$"):
@@ -933,15 +931,13 @@ def test_failed_task_leaves_no_pins_or_output_tile(monkeypatch, site, mode):
         assert any(full for full, _ in a_kept)  # B's admission had to evict
     assert not [t for t in threading.enumerate() if t.name.startswith("device-")]
     d.check_invariants()
-    assert set(d._output.values()) == {None}
-    assert not [k for dev in (0, 1) for k in d.residents(dev) if k.matrix == "C"]
+    assert {k.matrix for dev in (0, 1) for k in d.residents(dev)} <= {"X", "W"}
     if site == "kernel":
         assert d.stats().writebacks == len(done)  # the failed task wrote nothing back
     x, y = int_matrix(rng, 12, 12), int_matrix(rng, 12, 12)
     c, stats = rt.multiply(x, y)
     assert np.array_equal(c, reference_gemm(x, y))
     assert stats.cache.writebacks == stats.total_tasks
-    assert set(d._output.values()) == {None}
 
 
 # the threaded engine on one device, so that no other task runs beside
@@ -951,8 +947,8 @@ def test_failed_task_leaves_no_pins_or_output_tile(monkeypatch, site, mode):
 @pytest.mark.usefixtures("directory_invariants")
 def test_kernel_fault_leaves_model_untouched(monkeypatch, mode, n_devices):
     # In either engine a task's kernel runs before its one directory call,
-    # so a product whose first kernel call faults leaves the directory,
-    # the clocks and the output slots as they were.
+    # so a product whose first kernel call faults leaves the directory and
+    # the clocks as they were.
     import tilerun.scheduler as scheduler
 
     rng = np.random.default_rng(26)
@@ -961,7 +957,7 @@ def test_kernel_fault_leaves_model_untouched(monkeypatch, mode, n_devices):
     x, y = int_matrix(rng, 12, 12), int_matrix(rng, 12, 12)
     rt.multiply(x, y)  # a product before, so that there is a model to keep
     clocks, stats = [list(c) for c in rt.clocks.values()], d.stats()
-    residents, outputs = [d.residents(dev) for dev in range(n_devices)], dict(d._output)
+    residents = [d.residents(dev) for dev in range(n_devices)]
     monkeypatch.setattr(scheduler, "accumulate_product",
                         _fail_at(scheduler.accumulate_product, 1))
     a, b = int_matrix(rng, 12, 12), int_matrix(rng, 12, 12)
@@ -969,10 +965,9 @@ def test_kernel_fault_leaves_model_untouched(monkeypatch, mode, n_devices):
         rt.multiply(a, b, a_uid="X", b_uid="W")
     monkeypatch.undo()
     d.check_invariants()
-    assert d._output == outputs and set(outputs.values()) == {None}
     assert [d.residents(dev) for dev in range(n_devices)] == residents
     assert not [k for dev in range(n_devices) for k in d.residents(dev)
-                if k.matrix in ("X", "W", "C")]
+                if k.matrix in ("X", "W")]
     assert [list(c) for c in rt.clocks.values()] == clocks
     assert d.stats() == stats
     c, after = rt.multiply(a, b)
@@ -1056,13 +1051,13 @@ def test_one_directory_transaction_per_task(monkeypatch, mode):
             assert np.array_equal(c, reference_gemm(a, b))
             assert (stats.total_tasks, stats.k_steps) == (9, 2)
             # in either engine, each task's one call: a flat acquire of A
-            # and B for each step in turn, given the task's output key and
-            # its writeback bytes (ragged 4, 4, 2 rows by 4, 4, 1 columns of
-            # 8-byte elements), and no other directory call
+            # and B for each step in turn, given the task's writeback bytes
+            # (ragged 4, 4, 2 rows by 4, 4, 1 columns of 8-byte elements),
+            # and no other directory call
             tasks = sorted(([k for k, _ in requests], *rest)
                            for requests, *rest in calls["acquire_input"])
             assert tasks == [([TileKey("A", i, 0), TileKey("B", 0, j), TileKey("A", i, 1),
-                               TileKey("B", 1, j)], TileKey("C", i, j), 8 * m * n)
+                               TileKey("B", 1, j)], 8 * m * n)
                              for i, m in enumerate((4, 4, 2)) for j, n in enumerate((4, 4, 1))]
             assert calls["release_input"] == calls["admit_output"] == \
                 calls["release_output"] == []
@@ -1156,31 +1151,28 @@ def priced_machines(draw):
 def test_sim_clocks_equal_a_direct_replay(machine, tile, shapes):
     # A session of 2-3 ragged products back to back, each operand read
     # straight or transposed, on a machine with bounded or unbounded
-    # caches and station widths of 1-4.  Each task's device,
-    # claim time, output tile, directory results and writeback bytes are
-    # recorded through its one directory call, which also names its output
-    # tile and writeback bytes, and the product's steal events name
-    # the stolen tasks; the [compute, fetch, writeback] clocks are then
-    # refolded here with the cost functions called directly, and must
-    # match the session's to the bit.  The claim time is read from the
-    # session's compute clock as the task's directory call is made.  A step's
-    # compute is priced on the stored tiles its requests name, as the
-    # product reads them: transposed for a transposed operand.  After
-    # each product every device's writeback clock is its latest, which is
-    # what lets multiply read the session's clocks once per product.
+    # caches and station widths of 1-4.  Each task's device, claim time,
+    # requests, directory results and writeback bytes are recorded through
+    # its one directory call, its first step's keys name its output tile,
+    # and the product's steal events name the stolen tasks; the [compute,
+    # fetch, writeback] clocks are then refolded here with the cost
+    # functions called directly, and must match the session's to the bit.
+    # The claim time is read from the session's compute clock as the
+    # task's directory call is made.  A step's compute is priced on the
+    # stored tiles its requests name, as the product reads them:
+    # transposed for a transposed operand.  After each product every
+    # device's writeback clock is its latest, which is what lets multiply
+    # read the session's clocks once per product.
     rt = Runtime(machine, tile_size=tile)
     d = rt.directory
-    # [device, claim time, output key, requests, results, writeback bytes],
-    # in claim order
+    # [device, claim time, requests, results, writeback bytes], in claim order
     tasks = []
     real_acquire = d.acquire_input
 
-    def acquire(device, requests, key, nbytes):
-        # the task's whole transaction: its output tile and writeback bytes
-        # come with its requests, and it leaves the output slot free
-        results = real_acquire(device, requests, key, nbytes)
-        assert d._output[device] is None and nbytes is not None
-        tasks.append([device, rt.clocks[device][0], key, requests, results, nbytes])
+    def acquire(device, requests, nbytes):
+        # the task's whole transaction: its writeback bytes come with its requests
+        results = real_acquire(device, requests, nbytes)
+        tasks.append([device, rt.clocks[device][0], requests, results, nbytes])
         return results
 
     def unused(*args):
@@ -1217,14 +1209,18 @@ def test_sim_clocks_equal_a_direct_replay(machine, tile, shapes):
         before = max(max(cl) for cl in clocks.values())
         previous = {}  # each device's previous claim time in this product
         last_claim = -1.0
-        for did, t, c_key, requests, results, wb in tasks:
+        for did, t, requests, results, wb in tasks:
             dev = machine.device(did)
             co, tr, wr = clocks[did]
             # a device claims when its compute clock is the earliest, so
             # claims come in time order
             assert t == co and t >= last_claim
             last_claim = t
-            steal_time = steals.pop((did, c_key.row * stats.grid_cols + c_key.col), None)
+            # output tile (i, j) reads A's tile row i and B's tile column j,
+            # whose stored coordinates a transposed operand swaps
+            (a0, _), (b0, _) = requests[:2]
+            i, j = a0.col if ta else a0.row, b0.row if tb else b0.col
+            steal_time = steals.pop((did, i * stats.grid_cols + j), None)
             assert steal_time in (None, t)  # a steal happens at its claim
             # the first fetch starts at or after the lead: the device's
             # previous claim in the product for a task from its own station,
@@ -1304,8 +1300,9 @@ def test_session_counts_are_its_products_folded_in(mode, machine, coherence, til
 @pytest.mark.parametrize("mode", ["sim", "threaded"])
 @pytest.mark.usefixtures("directory_invariants")
 def test_output_uid_may_name_any_operand(mode, capacity):
-    # A session multiplies X·Y, then P·Q.  Every output's uid is "C", and
-    # naming any one operand "C" too changes nothing but that name.
+    # A session multiplies X·Y, then P·Q.  An output tile never reaches the
+    # directory by name, so naming any one operand "C", as if it were an
+    # output, changes nothing but that name.
     # Threaded task placement races on more than one device, so that
     # engine runs on one.
     rng = np.random.default_rng(28)
@@ -1511,9 +1508,7 @@ def test_a_returned_products_counts_do_not_move(mode):
     rt.multiply(w.T, x.T, a_uid="WT", b_uid="XT")
     d = rt.directory
     for device in (0, 1, 2):
-        d.acquire_input(device, [(TileKey("X", 0, 0), 128), (TileKey("Z", 0, 0), 128)])
-        d.admit_output(device, TileKey("C", 0, 0))
-        d.release_output(device, TileKey("C", 0, 0), 128)
+        d.acquire_input(device, [(TileKey("X", 0, 0), 128), (TileKey("Z", 0, 0), 128)], 128)
     assert first.cache_per_device == kept
     assert first.cache == sum(kept.values(), CacheStats())
 

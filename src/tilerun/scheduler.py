@@ -12,7 +12,8 @@ prices.  The data, plain arrays that the tile size slices, never passes
 through the directory.  The fixed-order kernel accumulates the contraction index in
 ascending order however its operands are blocked, so the product's bits
 do not depend on the schedule: the ``sim`` engine computes the whole
-product with one kernel call before it claims any task, and the
+product before it claims any task, in one kernel call or, from
+``_SPLIT_FLOPS`` flops, one per block of output rows and CPU; the
 ``threaded`` engine makes one call per task, which multiplies the A row
 panel by the B column panel into the task's output tile.  Because every
 output tile has exactly one owner and the accumulation order is fixed,
@@ -61,6 +62,7 @@ from __future__ import annotations
 import csv
 import heapq
 import json
+import os
 import threading
 import time
 from collections import deque
@@ -75,6 +77,7 @@ from .devices import HOST, DeviceSpec, Machine, compute_cost, transfer_cost
 from .msqueue import MichaelScottQueue
 from .tiles import (
     TileKey,
+    _block_ranges,
     accumulate_product,
     as_matrix,
     as_tile_size,
@@ -543,11 +546,22 @@ def _price_tables(machine: Machine) -> dict[int, tuple[Memo, Memo, Memo]]:
     return tables
 
 
-def _run_sim(plan_, directory, clocks, prices, widths, events, steal_enabled) -> float:
-    """Compute the product with one kernel call, then replay the model.
+# A sim product of at least this many flops (2*m*k*n) splits its kernel
+# into row blocks.  Split time over one call's, median of 21 interleaved
+# n x n float64 products on 2 idle vCPUs, two runs, bits equal: n 64:
+# 1.43/1.53, 96: 0.62/0.63, 128: 0.64/0.75, 160: 0.72/0.67, 192: 0.59/0.58,
+# 256: 0.56/0.55.  The margin above break-even allows for a busy 2nd CPU.
+_SPLIT_FLOPS = 2 * 128**3
 
-    The data step runs before the first claim, so a kernel fault leaves
-    the directory, the clocks and the completion record untouched.  Each
+
+def _run_sim(plan_, directory, clocks, prices, widths, events, steal_enabled) -> float:
+    """Compute the product, then replay the model.
+
+    The data step is one kernel call, or from ``_SPLIT_FLOPS`` one per
+    block of ``c``'s rows and CPU, the first on this thread; every block
+    ends before the first claim, and only then is the first failed
+    block's error raised, so a kernel fault leaves the directory, the
+    clocks and the completion record untouched.  Each
     task's directory results are priced from its device's tables in
     ``prices`` (see :func:`_price_tables`) as the device's clocks fold
     them.  Compute is priced per task, from the device's task prices
@@ -577,7 +591,18 @@ def _run_sim(plan_, directory, clocks, prices, widths, events, steal_enabled) ->
     least its fetch clock (a task has at least one step, whose compute
     waits for its data) and its writeback clock at least its compute
     clock: the writeback clock is the device's latest."""
-    accumulate_product(plan_.a.matrix, plan_.b.matrix, plan_.c)
+    a, b, c = plan_.a.matrix, plan_.b.matrix, plan_.c
+    if 2 * a.size * c.shape[1] < _SPLIT_FLOPS:
+        accumulate_product(a, b, c)
+    else:  # one block of c's rows per CPU; sim-kernel threads take all but the first
+        from concurrent.futures import ThreadPoolExecutor  # imported here: it loads logging
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        first, *rest = (slice(*r) for r in _block_ranges(len(a), min(cpus or 1, len(a))))
+        with ThreadPoolExecutor(max(len(rest), 1), "sim-kernel") as pool:
+            helpers = [pool.submit(accumulate_product, a[r], b, c[r]) for r in rest]
+            accumulate_product(a[first], b, c[first])
+        for h in helpers:  # every block has ended: raise the first failed block's error
+            h.result()
     stations = {did: deque() for did in widths}
     tasks = iter(_task_order(plan_))
     heap = [(clocks[did][0], did) for did in widths]

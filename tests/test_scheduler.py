@@ -2,6 +2,7 @@ import itertools
 import json
 import sys
 import threading
+import time
 from collections import Counter
 from dataclasses import replace
 
@@ -38,7 +39,14 @@ from tilerun.scheduler import (
     write_report_csv,
     write_report_json,
 )
-from tilerun.tiles import TileKey, TiledMatrix, accumulate_product, partition, reference_gemm
+from tilerun.tiles import (
+    TileKey,
+    TiledMatrix,
+    _block_ranges,
+    accumulate_product,
+    partition,
+    reference_gemm,
+)
 
 
 def int_matrix(rng, rows, cols, lo=-4, hi=4):
@@ -940,15 +948,38 @@ def test_failed_task_leaves_no_pins_or_output_tile(monkeypatch, site, mode):
     assert stats.cache.writebacks == stats.total_tasks
 
 
-# the threaded engine on one device, so that no other task runs beside
-# the one whose kernel faults
-@pytest.mark.parametrize("mode,n_devices", [("sim", 2), ("threaded", 1)],
-                         ids=["sim", "threaded"])
+def _first_row(block):
+    """The row of the sim kernel's output array at which ``block``, that
+    array or a block of its rows, starts."""
+    whole = block if block.base is None else block.base
+    offset = block.__array_interface__["data"][0] - whole.__array_interface__["data"][0]
+    return offset // whole.strides[0]
+
+
+def _force_split(mp, cpus):
+    """Make every sim product split its kernel over ``cpus`` CPUs."""
+    mp.setattr(tilerun.scheduler, "_SPLIT_FLOPS", 0)
+    mp.setattr(tilerun.scheduler.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+               raising=False)
+
+
+def _kernel_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("sim-kernel")]
+
+
+# The threaded engine runs on one device, so that no other task runs
+# beside the one whose kernel faults.  The split sim cases fault in the
+# first of three row blocks, on the caller's thread, or in the last, on a
+# helper thread.
+@pytest.mark.parametrize("mode,n_devices,split_fault", [
+    ("sim", 2, None), ("threaded", 1, None), ("sim", 2, 0), ("sim", 2, 8),
+], ids=["sim", "threaded", "sim-split-first-block", "sim-split-last-block"])
 @pytest.mark.usefixtures("directory_invariants")
-def test_kernel_fault_leaves_model_untouched(monkeypatch, mode, n_devices):
+def test_kernel_fault_leaves_model_untouched(monkeypatch, mode, n_devices, split_fault):
     # In either engine a task's kernel runs before its one directory call,
     # so a product whose first kernel call faults leaves the directory and
-    # the clocks as they were.
+    # the clocks as they were.  A split sim product raises the failed
+    # block's error once every block has ended.
     import tilerun.scheduler as scheduler
 
     rng = np.random.default_rng(26)
@@ -958,12 +989,19 @@ def test_kernel_fault_leaves_model_untouched(monkeypatch, mode, n_devices):
     rt.multiply(x, y)  # a product before, so that there is a model to keep
     clocks, stats = [list(c) for c in rt.clocks.values()], d.stats()
     residents = [d.residents(dev) for dev in range(n_devices)]
+
+    def counted(a_, b_, c_):  # the call that faults: the first, or the split's at that row
+        return split_fault is None or _first_row(c_) == split_fault
+
+    if split_fault is not None:
+        _force_split(monkeypatch, 3)  # 12 rows: blocks at rows 0, 4 and 8
     monkeypatch.setattr(scheduler, "accumulate_product",
-                        _fail_at(scheduler.accumulate_product, 1))
+                        _fail_at(scheduler.accumulate_product, 1, counted))
     a, b = int_matrix(rng, 12, 12), int_matrix(rng, 12, 12)
     with pytest.raises(ArithmeticError, match="call 1$"):
         rt.multiply(a, b, a_uid="X", b_uid="W")
     monkeypatch.undo()
+    assert not _kernel_threads()
     d.check_invariants()
     assert [d.residents(dev) for dev in range(n_devices)] == residents
     assert not [k for dev in range(n_devices) for k in d.residents(dev)
@@ -1006,6 +1044,103 @@ def test_kernel_calls_per_engine(monkeypatch, mode):
             assert log.count(claim) == 9
         else:  # one per task
             assert log.count("accumulate_product") == 9
+
+
+@settings(max_examples=60, deadline=None)
+@given(machine=claim_machines(), steal=st.booleans(), tile=st.integers(1, 4),
+       parts=st.integers(2, 5), m=st.integers(1, 9), n=st.integers(1, 9),
+       k=st.one_of(st.integers(1, 2), st.integers(3, 40)),  # the rank-1 and chunked paths
+       transposed=st.tuples(st.booleans(), st.booleans()),
+       dtypes=st.tuples(*[st.sampled_from([np.float32, np.float64])] * 2),
+       seed=st.integers(0, 2**16))
+def test_split_sim_kernel_is_bit_identical(machine, steal, tile, parts, m, n, k, transposed,
+                                           dtypes, seed):
+    # A sim product forced to split over `parts` CPUs computes its output
+    # in disjoint row blocks that cover every row, the first on the calling
+    # thread, all of them done before the first claim, and its bits and
+    # its every RunStats fact equal an unsplit product's.  A helper thread
+    # sleeps before its block, so a block that ended after a claim shows.
+    rng = np.random.default_rng(seed)
+    shapes = [(k, m) if transposed[0] else (m, k), (n, k) if transposed[1] else (k, n)]
+    a, b = (rng.standard_normal(shape).astype(dt) for shape, dt in zip(shapes, dtypes))
+    expected = reference_gemm(a.T if transposed[0] else a, b.T if transposed[1] else b)
+    log = []  # ("kernel", first row, rows, on the calling thread) or ("claim",)
+    real_kernel, real_claim = tilerun.scheduler.accumulate_product, tilerun.scheduler._sim_claim
+
+    def kernel(a_, b_, c_):
+        caller = threading.current_thread() is threading.main_thread()
+        if not caller:
+            time.sleep(0.002)
+        real_kernel(a_, b_, c_)
+        log.append(("kernel", _first_row(c_), len(c_), caller))
+
+    def session_stats(split):
+        rt = Runtime(machine, tile_size=tile, steal=steal)
+        runs = []
+        with pytest.MonkeyPatch.context() as mp:
+            if split:
+                _force_split(mp, parts)
+                mp.setattr(tilerun.scheduler, "accumulate_product", kernel)
+                mp.setattr(tilerun.scheduler, "_sim_claim",
+                           lambda *args: log.append(("claim",)) or real_claim(*args))
+            for _ in range(2):  # the second product meets the first one's tiles
+                log.clear()
+                c, stats = rt.multiply(a, b, *transposed)
+                assert c.dtype == expected.dtype and c.tobytes() == expected.tobytes()
+                if split:
+                    calls = [entry for entry in log if entry[0] == "kernel"]
+                    assert log[:len(calls)] == calls  # every block before the first claim
+                    blocks = sorted((row, row + rows) for _, row, rows, _ in calls)
+                    assert len(blocks) == len(_block_ranges(m, min(parts, m)))
+                    assert [r0 for r0, _ in blocks] == [0] + [r1 for _, r1 in blocks[:-1]]
+                    assert blocks[-1][1] == m
+                    assert [caller for _, row, _, caller in calls if row == 0] == [True]
+                runs.append(replace(stats, wall_elapsed=0.0))
+        assert not _kernel_threads()
+        return runs
+
+    unsplit = session_stats(False)
+    split = session_stats(True)
+    assert split == unsplit
+    assert [s.devices for s in split] == [s.devices for s in unsplit]
+
+
+def test_small_sim_products_start_no_thread(monkeypatch):
+    # An XOR [2, 8, 1] training step and a 96x96 product on tile 4 (the
+    # benchmark's eviction workload) are below the split threshold: their
+    # kernels run on the calling thread, however many CPUs there are.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a small sim product started a thread")
+
+    monkeypatch.setattr(tilerun.scheduler.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    monkeypatch.setattr(tilerun.scheduler.threading, "Thread", refuse)
+    rng = np.random.default_rng(39)
+    net = Network.from_sizes([2, 8, 1], rng, activation="sigmoid")
+    train_step(net, *xor_dataset(), 0.5, TiledBackend(homogeneous_machine(2), tile_size=2))
+    hosts = [DeviceSpec(i, capacity_tiles=52, flops_per_unit=f, host_bandwidth=512.0)
+             for i, f in enumerate((250.0, 500.0, 750.0))]
+    machine = Machine(hosts + [DeviceSpec(3, kind="host-worker", flops_per_unit=200.0,
+                                          subtile_factor=2)], ProximityMatrix.uniform(4))
+    a, b = rng.random((96, 96)), rng.random((96, 96))
+    c, _ = run(machine, a, b, tile_size=4)
+    assert np.array_equal(c, reference_gemm(a, b))
+
+
+def test_a_256_cube_sim_product_splits(monkeypatch):
+    # At the benchmark's CLI size, 256x256 times 256x256, the sim kernel
+    # splits into one row block per CPU.
+    rows = []
+    real = tilerun.scheduler.accumulate_product
+    monkeypatch.setattr(tilerun.scheduler.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    monkeypatch.setattr(tilerun.scheduler, "accumulate_product",
+                        lambda a_, b_, c_: rows.append(_first_row(c_)) or real(a_, b_, c_))
+    rng = np.random.default_rng(40)
+    a, b = rng.random((256, 256)), rng.random((256, 256))
+    c, _ = run(homogeneous_machine(4), a, b, tile_size=16)
+    assert np.array_equal(c, reference_gemm(a, b))
+    assert sorted(rows) == [0, 128]
 
 
 @pytest.mark.parametrize("mode", ["sim", "threaded"])

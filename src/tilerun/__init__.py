@@ -1,11 +1,11 @@
 """tilerun: out-of-core tiled matrix multiplication over simulated devices.
 
-A library (and small CLI) that partitions matrices into tiles, schedules
-one task per output tile across simulated heterogeneous devices through
-a concurrent FIFO, per-device reservation stations, work sharing and
-stealing, and a two-level tile cache with full transfer statistics.  A
-minimal fully-connected network reduces its training passes to these
-scheduled products.
+A library (and small CLI) that cuts a product into square tiles of one
+size, ragged at the edges, and schedules one task per output tile across
+simulated heterogeneous devices through a concurrent FIFO, per-device
+reservation stations, work sharing and stealing, and a two-level tile
+cache with full transfer statistics.  A minimal fully-connected network
+reduces its training passes to these scheduled products.
 """
 
 from .ann import (
@@ -46,14 +46,6 @@ from .scheduler import (
     write_report_csv,
     write_report_json,
 )
-from .tiles import (
-    TiledMatrix,
-    TileKey,
-    accumulate_product,
-    decode_task,
-    partition,
-    reassemble,
-    reference_gemm,
-)
+from .tiles import TileKey, accumulate_product, reference_gemm
 
 __version__ = "0.1.0"

@@ -265,7 +265,8 @@ def finite_difference_gradients(net: Network, x: np.ndarray, target: np.ndarray,
     """Central-difference loss gradients for every parameter.
 
     Independent of the backward pass: only repeated forward evaluations
-    through the dense backend.  Returns one (dW, db) pair per layer.
+    through the dense backend.  Returns one (dW, db) pair per layer, db
+    None for a layer without a bias.
     """
     backend = DenseBackend()
 
@@ -274,27 +275,22 @@ def finite_difference_gradients(net: Network, x: np.ndarray, target: np.ndarray,
 
     out = []
     for layer in net.layers:
-        d_w = np.zeros_like(layer.weights)
-        for idx in np.ndindex(layer.weights.shape):
-            orig = layer.weights[idx]
-            layer.weights[idx] = orig + h
-            up = loss_now()
-            layer.weights[idx] = orig - h
-            down = loss_now()
-            layer.weights[idx] = orig
-            d_w[idx] = (up - down) / (2.0 * h)
-        d_b = None
-        if layer.bias is not None:
-            d_b = np.zeros_like(layer.bias)
-            for idx in np.ndindex(layer.bias.shape):
-                orig = layer.bias[idx]
-                layer.bias[idx] = orig + h
+        grads = []
+        for param in (layer.weights, layer.bias):
+            if param is None:
+                grads.append(None)
+                continue
+            grad = np.zeros_like(param)
+            for idx in np.ndindex(param.shape):
+                orig = param[idx]
+                param[idx] = orig + h
                 up = loss_now()
-                layer.bias[idx] = orig - h
+                param[idx] = orig - h
                 down = loss_now()
-                layer.bias[idx] = orig
-                d_b[idx] = (up - down) / (2.0 * h)
-        out.append((d_w, d_b))
+                param[idx] = orig
+                grad[idx] = (up - down) / (2.0 * h)
+            grads.append(grad)
+        out.append(tuple(grads))
     return out
 
 

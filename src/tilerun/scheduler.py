@@ -81,19 +81,20 @@ from .tiles import (
     accumulate_product,
     as_matrix,
     as_tile_size,
-    decode_task,
-    partition,  # noqa: F401 -- see below
-    reassemble,  # noqa: F401 -- see below
 )
 
-# ``partition`` and ``reassemble`` stay importable from here, unused, and
-# ``CacheDirectory.stats_per_device`` and ``CacheStats.__sub__`` stay
-# defined, though ``multiply`` no longer snapshots or diffs the session
-# counters: the benchmark's tracer wraps all four by name, and
-# tests/test_benchmark_hooks.py looks them up.  Their removal waits for
-# ROADMAP #1.
-
 SCHEMA_VERSION = 2
+
+
+def partition(matrix, tile_size: int) -> None:
+    """Does nothing: no product builds a tile object, and :func:`plan`
+    reads the tile extents from the shapes.  Kept only as a name the
+    benchmark's tracer wraps."""
+
+
+def reassemble(tm) -> None:
+    """Does nothing: every engine writes its product into one plain array.
+    Kept only as a name the benchmark's tracer wraps."""
 
 
 class Completion:
@@ -190,10 +191,6 @@ def _template(key: tuple) -> PlanTemplate:
         return r, c, height * width * itemsize
 
     out_dtype = np.result_type(a_dtype, b_dtype)
-    tasks = []
-    for tid in range(len(rows) * len(cols)):
-        i, j = decode_task(tid, len(cols), len(rows))
-        tasks.append((i, j, rows[i] * cols[j] * out_dtype.itemsize))
     return PlanTemplate(
         tile_size=t, out_shape=(a_shape[0], b_shape[1]), out_dtype=out_dtype,
         row_extents=rows, col_extents=cols, step_extents=steps,
@@ -201,7 +198,8 @@ def _template(key: tuple) -> PlanTemplate:
                 for i, m in enumerate(rows)],
         b_cols=[[tile(k, j, s, n, b_dtype.itemsize, b_transposed) for k, s in enumerate(steps)]
                 for j, n in enumerate(cols)],
-        tasks=tasks,
+        tasks=[(i, j, m * n * out_dtype.itemsize)
+               for i, m in enumerate(rows) for j, n in enumerate(cols)],
     )
 
 
@@ -282,7 +280,7 @@ def plan(a: Operand, b: Operand, tile_size: int, templates: Memo | None = None) 
 
 def _task_order(plan_: Plan) -> range:
     """The order in which both engines' global queue hands out a product's
-    tasks: by task id, which :func:`decode_task` makes row-major."""
+    tasks: by task id, which the template's task table makes row-major."""
     return range(plan_.total_tasks)
 
 

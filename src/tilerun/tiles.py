@@ -1,10 +1,4 @@
-"""Tile partitioning, task-id decoding, and the fixed-order GEMM kernels.
-
-A matrix here is a plain 2-D float numpy array.  Partitioning splits it
-into a grid of tiles, each a view sliced without copying when asked
-for; edge tiles are smaller when the tile size does not divide the
-matrix evenly (no zero padding, so byte accounting downstream stays
-honest).
+"""Tile keys, matrix and tile-size checks, and the fixed-order GEMM kernels.
 
 Every kernel in this module accumulates over the contraction index in
 strictly ascending order.  ``accumulate_product`` folds a chunk of
@@ -58,60 +52,6 @@ def as_matrix(x, dtype=np.float64) -> np.ndarray:
     if m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"matrix dimensions must be >= 1, got {m.shape}")
     return m
-
-
-class TiledMatrix:
-    """A matrix logically split into a grid of tiles.
-
-    Interior tiles are ``tile_size`` square; the last row/column of tiles
-    is ragged when the dimensions are not multiples of ``tile_size``.
-    :meth:`tile` slices a view of the one backing array when called, so
-    no element is copied and writing through a tile writes the backing
-    store.
-    """
-
-    def __init__(self, matrix, tile_size: int):
-        t = self.tile_size = as_tile_size(tile_size)
-        self.base = as_matrix(matrix, dtype=np.asarray(matrix).dtype)
-        self.grid_rows, self.grid_cols = (math.ceil(n / t) for n in self.base.shape)
-
-    def tile(self, row: int, col: int) -> np.ndarray:
-        if not (0 <= row < self.grid_rows and 0 <= col < self.grid_cols):
-            raise IndexError(
-                f"tile ({row},{col}) outside {self.grid_rows}x{self.grid_cols} grid"
-            )
-        t = self.tile_size
-        return self.base[row * t : (row + 1) * t, col * t : (col + 1) * t]
-
-
-def partition(matrix, tile_size: int) -> TiledMatrix:
-    """Split a matrix into its tiled representation (views, no copies)."""
-    return TiledMatrix(matrix, tile_size)
-
-
-def reassemble(tm: TiledMatrix) -> np.ndarray:
-    """Stitch the tile grid back into one dense matrix.
-
-    Built from the tiles themselves (not the backing array) so it doubles
-    as the round-trip oracle for ``partition``.
-    """
-    rows = [np.hstack([tm.tile(r, c) for c in range(tm.grid_cols)])
-            for r in range(tm.grid_rows)]
-    return np.vstack(rows)
-
-
-def decode_task(task_id: int, grid_cols: int, grid_rows: int) -> tuple[int, int]:
-    """The output tile ``(row, col)`` of a row-major task id, which is
-    ``row * grid_cols + col``.  Rejects ids outside the grid."""
-    if grid_cols < 1:
-        raise ValueError(f"grid_cols must be >= 1, got {grid_cols}")
-    if task_id < 0:
-        raise ValueError(f"task id must be >= 0, got {task_id}")
-    if task_id >= grid_rows * grid_cols:
-        raise ValueError(
-            f"task id {task_id} out of range for a {grid_rows}x{grid_cols} grid"
-        )
-    return divmod(task_id, grid_cols)
 
 
 def _block_ranges(n: int, parts: int) -> list[tuple[int, int]]:

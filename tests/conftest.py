@@ -7,6 +7,16 @@ from tilerun.coherence import CacheDirectory
 MUTATORS = ("acquire_input", "retire")
 
 
+def tile_grid(x, t):
+    """``x`` cut into tiles of size ``t``: ``grid[i][j]`` is the view
+    ``x[i*t:(i+1)*t, j*t:(j+1)*t]``, ragged at the edges, and
+    ``len(grid)``, ``len(grid[0])`` is the grid size.  The tests' tiling
+    oracle: it shares no code with the library."""
+    rows, cols = (-(-n // t) for n in x.shape)
+    return [[x[i * t : (i + 1) * t, j * t : (j + 1) * t] for j in range(cols)]
+            for i in range(rows)]
+
+
 @pytest.fixture
 def directory_invariants():
     """Every ``CacheDirectory`` re-checks its invariants after each call to

@@ -128,6 +128,28 @@ def test_relu_gradients_match_finite_differences():
             assert np.allclose(a_b, n_b, rtol=0.0, atol=1e-9)
 
 
+def test_finite_differences_skip_a_missing_bias(monkeypatch):
+    # A layer without a bias gets no bias gradient and costs no forward
+    # evaluation for one: two dense evaluations per parameter.
+    rng = np.random.default_rng(6)
+    net = Network([Layer(rng.uniform(-1, 1, (3, 4))),
+                   Layer(rng.uniform(-1, 1, (4, 2)), rng.uniform(-1, 1, 2))])
+    x, target = random_regression(rng, 5, 3, 2)
+    _, analytic = loss_gradients(net, x, target, DenseBackend())
+    backends = []
+    real_predict = Network.predict
+    monkeypatch.setattr(Network, "predict",
+                        lambda self, x, backend: backends.append(backend)
+                        or real_predict(self, x, backend))
+    numeric = finite_difference_gradients(net, x, target, h=1e-5)
+    assert len(backends) == 2 * (12 + 8 + 2)
+    assert all(type(b) is DenseBackend for b in backends)
+    assert numeric[0][1] is None and analytic[0][1] is None
+    for (a_w, _), (n_w, _) in zip(analytic, numeric):
+        assert np.allclose(a_w, n_w, rtol=1e-6, atol=1e-9)
+    assert np.allclose(analytic[1][1], numeric[1][1], rtol=1e-6, atol=1e-9)
+
+
 # -- training -----------------------------------------------------------------
 
 

@@ -2,10 +2,10 @@
 
 A stdlib-only stand-in for a linter's unused-import rule: a name an
 import binds must be read somewhere in the same file.  Package
-``__init__.py`` files, whose imports are re-exports, and import lines
-marked ``# noqa: F401`` are exempt.  Outside ``__init__.py``, such a
-marked import in the package is kept only for the benchmark's tracer,
-so it must name what the tracer wraps in that module.
+``__init__.py`` files, whose imports are re-exports, are exempt, and no
+other file keeps a re-export marked ``# noqa: F401``.  A function the
+package keeps with only a docstring must be a name the benchmark's
+tracer wraps.
 """
 
 import ast
@@ -13,6 +13,10 @@ import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# every Python file of the package, its tests and its demos, but the
+# packages' __init__.py files
+FILES = [p for d in ("src/tilerun", "tests", "demos") for p in sorted((ROOT / d).rglob("*.py"))
+         if p.name != "__init__.py"]
 
 
 def bound_names(path: Path):
@@ -36,29 +40,19 @@ def unused_imports(path: Path) -> list[str]:
     bound, tree = bound_names(path)
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return [f"{path.relative_to(ROOT)}:{line}: {name}"
-            for name, line, noqa in sorted(bound, key=lambda b: b[1])
-            if not noqa and name not in read]
+            for name, line, _ in sorted(bound, key=lambda b: b[1]) if name not in read]
 
 
 def test_no_unused_imports():
-    files = [p for d in ("src/tilerun", "tests", "demos") for p in sorted((ROOT / d).rglob("*.py"))
-             if p.name != "__init__.py"]
-    assert len(files) > 20
-    assert [u for p in files for u in unused_imports(p)] == []
+    assert len(FILES) > 20
+    assert [u for p in FILES for u in unused_imports(p)] == []
 
 
-def test_package_reexports_are_names_the_benchmark_tracer_wraps(monkeypatch):
-    # perfbench/layers.py wraps names where its caller looks them up
-    # (its _GLOBALS); a re-export kept for it goes once it is not wrapped.
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    layers = importlib.import_module("layers")
-    wrapped = {module.__name__: set(names) for module, names in layers._GLOBALS}
-    kept = [(f"tilerun.{p.stem}", name) for p in sorted((ROOT / "src/tilerun").glob("*.py"))
-            if p.name != "__init__.py" for name, _, noqa in bound_names(p)[0] if noqa]
-    assert kept
-    assert [(module, name) for module, name in kept
-            if name not in wrapped.get(module, ())] == []
-
+def test_no_reexport_is_left_outside_package_init():
+    # an import marked # noqa: F401 is a re-export; only a package's
+    # __init__.py keeps those
+    assert [f"{p.relative_to(ROOT)}:{line}: {name}" for p in FILES
+            for name, line, noqa in bound_names(p)[0] if noqa] == []
 
 
 def is_stub(node) -> bool:
@@ -70,15 +64,20 @@ def is_stub(node) -> bool:
 
 
 def test_docstring_only_methods_are_names_the_benchmark_tracer_wraps(monkeypatch):
-    # A method whose body is only a docstring does nothing; the package
-    # keeps such a stub only as a name perfbench/layers.py wraps (its
-    # _METHODS), so each goes once it is not wrapped.
+    # A function or method whose body is only a docstring does nothing; the
+    # package keeps such a stub only as a name perfbench/layers.py wraps: a
+    # module-level one where its caller looks it up (its _GLOBALS), a
+    # method on its class (its _METHODS).  Each goes once it is not wrapped.
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     layers = importlib.import_module("layers")
-    wrapped = {(prefix, name) for _, prefix, names in layers._METHODS for name in names}
-    stubs = [(f"{p.stem}.{cls.name}", fn.name)
-             for p in sorted((ROOT / "src/tilerun").glob("*.py"))
-             for cls in ast.walk(ast.parse(p.read_text())) if isinstance(cls, ast.ClassDef)
-             for fn in cls.body if is_stub(fn)]
+    wrapped = ({(module.__name__, name) for module, names in layers._GLOBALS for name in names}
+               | {(f"tilerun.{prefix}", name) for _, prefix, names in layers._METHODS
+                  for name in names})
+    stubs = []
+    for p in sorted((ROOT / "src/tilerun").glob("*.py")):
+        tree = ast.parse(p.read_text())
+        stubs += [(f"tilerun.{p.stem}", fn.name) for fn in tree.body if is_stub(fn)]
+        stubs += [(f"tilerun.{p.stem}.{cls.name}", fn.name) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) for fn in cls.body if is_stub(fn)]
     assert stubs
     assert [stub for stub in stubs if stub not in wrapped] == []

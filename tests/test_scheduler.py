@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import tile_grid
 from tilerun.ann import Network, TiledBackend, train_step, xor_dataset
 from tilerun.coherence import CacheDirectory, CacheStats
 from tilerun.devices import (
@@ -24,6 +25,7 @@ from tilerun.devices import (
 )
 from tilerun.msqueue import MichaelScottQueue
 import tilerun.scheduler
+import tilerun.tiles
 from tilerun.scheduler import (
     DeviceStats,
     Operand,
@@ -39,14 +41,7 @@ from tilerun.scheduler import (
     write_report_csv,
     write_report_json,
 )
-from tilerun.tiles import (
-    TileKey,
-    TiledMatrix,
-    _block_ranges,
-    accumulate_product,
-    partition,
-    reference_gemm,
-)
+from tilerun.tiles import TileKey, _block_ranges, accumulate_product, reference_gemm
 
 
 def int_matrix(rng, rows, cols, lo=-4, hi=4):
@@ -464,12 +459,11 @@ def test_read_tile_is_the_stored_tile_its_key_names(transposed):
     op = rt.operand(stored, "X", transposed)
     assert op.element_shape == ((11, 7) if transposed else (7, 11))
     p = plan(op, rt.operand(np.zeros((op.element_shape[1], 1)), "Y"), 3)
-    stored_tiles, read_tiles = partition(stored, 3), partition(op.matrix, 3)
-    for i in range(read_tiles.grid_rows):
-        for j in range(read_tiles.grid_cols):
+    stored_tiles = tile_grid(stored, 3)
+    for i, row in enumerate(tile_grid(op.matrix, 3)):
+        for j, tile in enumerate(row):
             key = p.a_rows[i][j][0]
-            want = stored_tiles.tile(key.row, key.col)
-            tile = read_tiles.tile(i, j)
+            want = stored_tiles[key.row][key.col]
             assert np.array_equal(tile, want.T if transposed else want)
             assert np.shares_memory(tile, stored)  # a view, never a copy
 
@@ -485,18 +479,19 @@ def test_step_table_matches_tile_views(tile, grid, ragged, transposes, dtypes):
     # views; the stored tiles the keys name, and the output's tiles, stay
     # the oracle, for straight and transposed operands of either width.
     m, k, n = (tile * (g - 1) + 1 + r % tile for g, r in zip(grid, ragged))
-    stored = {uid: partition(np.zeros(shape[::-1] if t else shape, dtype=dt), tile)
+    stored = {uid: np.zeros(shape[::-1] if t else shape, dtype=dt)
               for shape, uid, t, dt in (((m, k), "A", transposes[0], dtypes[0]),
                                         ((k, n), "B", transposes[1], dtypes[1]))}
-    a, b = (Operand(stored[uid].base.T if t else stored[uid].base, uid, t)
+    a, b = (Operand(stored[uid].T if t else stored[uid], uid, t)
             for uid, t in zip("AB", transposes))
+    tiles = {uid: tile_grid(x, tile) for uid, x in stored.items()}
     p = plan(a, b, tile)
 
     def stored_tile(op, i, j):
         """Tile (i, j) of ``op`` as read: its key, and the stored tile the
         key names."""
         key = TileKey(op.uid, j, i) if op.transposed else TileKey(op.uid, i, j)
-        return key, stored[key.matrix].tile(key.row, key.col)
+        return key, tiles[key.matrix][key.row][key.col]
 
     def entry(op, i, j):
         key, view = stored_tile(op, i, j)
@@ -517,18 +512,16 @@ def test_step_table_matches_tile_views(tile, grid, ragged, transposes, dtypes):
     # (s_kk, n_j) tile of B, and writes an (m_i, n_j) tile of C
     tmpl = p.template
     rows, cols, steps = tmpl.row_extents, tmpl.col_extents, tmpl.step_extents
-    read_a, read_b = partition(a.matrix, tile), partition(b.matrix, tile)
-    assert (len(rows), len(cols), len(steps)) == (read_a.grid_rows, read_b.grid_cols,
-                                                  read_a.grid_cols)
+    read_a, read_b = tile_grid(a.matrix, tile), tile_grid(b.matrix, tile)
+    assert (len(rows), len(cols), len(steps)) == (len(read_a), len(read_b[0]), len(read_a[0]))
     assert all(read_shape(a, i, kk) == (rows[i], steps[kk])
                for i in range(p.grid_rows) for kk in range(p.k_steps))
     assert all(read_shape(b, kk, j) == (steps[kk], cols[j])
                for kk in range(p.k_steps) for j in range(p.grid_cols))
-    c = partition(p.c, tile)
-    assert c.base.dtype == np.result_type(*dtypes)
-    assert tmpl.tasks == [(i, j, c.tile(i, j).nbytes)
-                          for i in range(c.grid_rows) for j in range(c.grid_cols)]
-    assert all(c.tile(i, j).shape == (rows[i], cols[j]) for i, j, *_ in tmpl.tasks)
+    assert p.c.dtype == np.result_type(*dtypes)
+    c = tile_grid(p.c, tile)
+    assert tmpl.tasks == [(i, j, c[i][j].nbytes) for i in range(len(c)) for j in range(len(c[0]))]
+    assert all(c[i][j].shape == (rows[i], cols[j]) for i, j, *_ in tmpl.tasks)
 
 
 def test_session_template_key_names_transposes_and_dtypes(monkeypatch):
@@ -555,11 +548,11 @@ def test_session_template_key_names_transposes_and_dtypes(monkeypatch):
         fresh_c, fresh = Runtime(homogeneous_machine(1), tile_size=tile).multiply(
             stored["A"], stored["B"], ta, tb, a_uid="A", b_uid="B")
         p = plans[-2]  # the session's plan, then the fresh one's
-        tiles = {uids[u]: partition(x, tile) for u, x in stored.items()}
+        tiles = {uids[u]: tile_grid(x, tile) for u, x in stored.items()}
 
         def stored_tile(uid, transposed, i, j):
             key = TileKey(uid, j, i) if transposed else TileKey(uid, i, j)
-            return key, tiles[uid].tile(key.row, key.col)
+            return key, tiles[uid][key.row][key.col]
 
         def entry(uid, transposed, i, j):
             key, view = stored_tile(uid, transposed, i, j)
@@ -588,14 +581,14 @@ def test_session_template_key_names_transposes_and_dtypes(monkeypatch):
     assert len(session.templates) == 4 * len(dtypes) ** 2 == n_call + 1
 
 
-def _float_tiles(rng, shape, dtype, tile, transposed):
+def _float_matrix(rng, shape, dtype, transposed):
     # stored as the transpose when a product reads it transposed, and
-    # tiled as read
+    # returned as read
     x = rng.standard_normal(shape[::-1] if transposed else shape)
     x *= 10.0 ** rng.integers(-6, 7, size=x.shape)
     x[rng.random(x.shape) < 0.1] = -0.0
     x = x.astype(dtype)
-    return partition(x.T if transposed else x, tile)
+    return x.T if transposed else x
 
 
 @settings(max_examples=150, deadline=None)
@@ -618,23 +611,23 @@ def test_task_panel_product_matches_per_step_loop_bitwise(tile, grid, ragged, dt
     # on the whole operands, as the sim engine makes.
     m, k, n = (tile * (g - 1) + 1 + r % tile for g, r in zip(grid, ragged))
     rng = np.random.default_rng(seed)
-    a = _float_tiles(rng, (m, k), dtypes[0], tile, transposes[0])
-    b = _float_tiles(rng, (k, n), dtypes[1], tile, transposes[1])
+    a = _float_matrix(rng, (m, k), dtypes[0], transposes[0])
+    b = _float_matrix(rng, (k, n), dtypes[1], transposes[1])
     # the output takes A's dtype, as plan() allocates it
-    c = _float_tiles(rng, (m, n), dtypes[0], tile, False)
-    expected = partition(c.base.copy(), tile)
-    whole = accumulate_product(a.base, b.base, c.base.copy())
-    for i in range(c.grid_rows):
-        for j in range(c.grid_cols):
-            for kk in range(a.grid_cols):
-                accumulate_product(a.tile(i, kk), b.tile(kk, j),
-                                   expected.tile(i, j), sub_blocks=sub_blocks)
+    c = _float_matrix(rng, (m, n), dtypes[0], False)
+    expected = c.copy()
+    whole = accumulate_product(a, b, c.copy())
+    a_tiles, b_tiles, want = tile_grid(a, tile), tile_grid(b, tile), tile_grid(expected, tile)
+    for i, row in enumerate(tile_grid(c, tile)):
+        for j, c_tile in enumerate(row):
+            for kk in range(len(a_tiles[0])):
+                accumulate_product(a_tiles[i][kk], b_tiles[kk][j], want[i][j],
+                                   sub_blocks=sub_blocks)
             # A's tile row i and B's tile column j, one view each
-            accumulate_product(a.base[i * tile : (i + 1) * tile],
-                               b.base[:, j * tile : (j + 1) * tile], c.tile(i, j),
-                               sub_blocks=sub_blocks)
-    assert c.base.tobytes() == expected.base.tobytes()
-    assert whole.tobytes() == expected.base.tobytes()
+            accumulate_product(a[i * tile : (i + 1) * tile], b[:, j * tile : (j + 1) * tile],
+                               c_tile, sub_blocks=sub_blocks)
+    assert c.tobytes() == expected.tobytes()
+    assert whole.tobytes() == expected.tobytes()
 
 
 # -- cache behaviour through full runs ---------------------------------------
@@ -1663,13 +1656,11 @@ def test_multiply_reports_a_task_no_device_could_claim(monkeypatch, mode):
 
 
 @pytest.mark.parametrize("mode", ["sim", "threaded"])
-def test_a_product_wraps_no_matrix(monkeypatch, mode):
-    # A plan holds plain arrays: no TiledMatrix is built by a product,
-    # whichever engine runs it, straight or transposed.
-    def refuse(*args, **kwargs):
-        raise AssertionError("a product built a TiledMatrix")
-
-    monkeypatch.setattr(TiledMatrix, "__init__", refuse)
+def test_a_product_wraps_no_matrix(mode):
+    # A plan holds plain arrays, and the library defines no tile object
+    # to wrap them in; either engine's product, straight or transposed, is
+    # still the reference's bits.
+    assert not hasattr(tilerun.tiles, "TiledMatrix")
     rng = np.random.default_rng(31)
     x, w = int_matrix(rng, 10, 7), int_matrix(rng, 9, 7)
     rt = Runtime(homogeneous_machine(2), tile_size=4, mode=mode)
@@ -1742,14 +1733,11 @@ def test_tile_size_must_be_an_integer(tile_size):
     # Python int it equals.
     a = np.arange(25, dtype=np.float64).reshape(5, 5)
     if not isinstance(tile_size, np.integer):
-        for build in (lambda: partition(a, tile_size),
-                      lambda: Runtime(homogeneous_machine(1), tile_size=tile_size),
+        for build in (lambda: Runtime(homogeneous_machine(1), tile_size=tile_size),
                       lambda: run(homogeneous_machine(1), a, a, tile_size=tile_size)):
             with pytest.raises(TypeError, match="tile_size must be an integer"):
                 build()
         return
-    tm = partition(a, tile_size)
-    assert type(tm.tile_size) is int and (tm.grid_rows, tm.grid_cols) == (3, 3)
     c, stats = run(homogeneous_machine(1), a, a, tile_size=tile_size)
     _, want = run(homogeneous_machine(1), a, a, tile_size=2)
     assert np.array_equal(c, reference_gemm(a, a))

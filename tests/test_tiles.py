@@ -5,84 +5,86 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import tile_grid
+from tilerun.scheduler import Operand, _extents, _shape_key, _template
 from tilerun.tiles import (
     TileKey,
     accumulate_product,
     as_matrix,
-    decode_task,
-    partition,
-    reassemble,
+    as_tile_size,
     reference_gemm,
 )
 
 
+def shapes(m, t):
+    """The tile shapes of ``m`` cut by ``t``, by the slicing oracle, after
+    checking that ``_extents`` gives the same extents."""
+    grid = tile_grid(m, t)
+    rows, cols = _extents(m.shape[0], t), _extents(m.shape[1], t)
+    got = [[tile.shape for tile in row] for row in grid]
+    assert got == [[(r, c) for c in cols] for r in rows]
+    return [shape for row in got for shape in row]
+
+
+def reassembled(m, t):
+    """The tiles of ``m`` whose extents ``_extents`` gives, stacked back."""
+    shapes(m, t)
+    return np.block(tile_grid(m, t))
+
+
 def test_partition_exact_division():
     m = np.arange(16, dtype=float).reshape(4, 4)
-    tm = partition(m, 2)
-    assert (tm.grid_rows, tm.grid_cols) == (2, 2)
-    for i in range(2):
-        for j in range(2):
-            assert tm.tile(i, j).shape == (2, 2)
+    assert _extents(4, 2) == [2, 2]
+    assert shapes(m, 2) == [(2, 2)] * 4
 
 
 def test_partition_ragged_edges():
     m = np.arange(25, dtype=float).reshape(5, 5)
-    tm = partition(m, 2)
-    assert (tm.grid_rows, tm.grid_cols) == (3, 3)
+    assert _extents(5, 2) == [2, 2, 1]
+    grid = shapes(m, 2)
     # 4 square 2x2 tiles, 5 ragged ones on the edges
-    shapes = [tm.tile(i, j).shape for i in range(3) for j in range(3)]
-    assert shapes.count((2, 2)) == 4
-    assert tm.tile(0, 2).shape == (2, 1)
-    assert tm.tile(2, 0).shape == (1, 2)
-    assert tm.tile(2, 2).shape == (1, 1)
+    assert grid.count((2, 2)) == 4
+    assert (grid[2], grid[6], grid[8]) == ((2, 1), (1, 2), (1, 1))
 
 
 def test_partition_rectangular_and_reassemble():
     m = np.arange(21, dtype=float).reshape(3, 7)
-    tm = partition(m, 3)
-    assert (tm.grid_rows, tm.grid_cols) == (1, 3)
-    assert tm.tile(0, 0).shape == (3, 3)
-    assert tm.tile(0, 1).shape == (3, 3)
-    assert tm.tile(0, 2).shape == (3, 1)
-    assert np.array_equal(reassemble(tm), m)
-
-
-@pytest.mark.parametrize("row,col", [(2, 0), (0, 2), (-1, 0), (0, -1)])
-def test_tile_outside_the_grid_is_an_index_error(row, col):
-    with pytest.raises(IndexError, match=r"outside 2x2 grid"):
-        partition(np.ones((4, 4)), 2).tile(row, col)
+    assert (_extents(3, 3), _extents(7, 3)) == ([3], [3, 3, 1])
+    assert shapes(m, 3) == [(3, 3), (3, 3), (3, 1)]
+    assert np.array_equal(reassembled(m, 3), m)
 
 
 def test_partition_rejects_zero_tile_size():
     with pytest.raises(ValueError):
-        partition(np.ones((2, 2)), 0)
+        as_tile_size(0)
 
 
 def test_partition_preserves_values():
     rng = np.random.default_rng(7)
     m = rng.standard_normal((11, 13))
-    tm = partition(m, 4)
-    for i in range(tm.grid_rows):
-        for j in range(tm.grid_cols):
+    rows, cols = _extents(11, 4), _extents(13, 4)
+    grid = tile_grid(m, 4)
+    for i, height in enumerate(rows):
+        for j, width in enumerate(cols):
             r0, c0 = i * 4, j * 4
-            t = tm.tile(i, j)
-            assert np.array_equal(t, m[r0 : r0 + t.shape[0], c0 : c0 + t.shape[1]])
+            assert np.array_equal(grid[i][j], m[r0 : r0 + height, c0 : c0 + width])
 
 
 def test_reassemble_identity_roundtrip():
     m = np.eye(4)
-    assert np.array_equal(reassemble(partition(m, 2)), m)
+    assert np.array_equal(reassembled(m, 2), m)
 
 
 def test_reassemble_random_roundtrip():
     rng = np.random.default_rng(42)
     m = rng.standard_normal((5, 5))
-    assert np.array_equal(reassemble(partition(m, 2)), m)
+    assert np.array_equal(reassembled(m, 2), m)
 
 
 def test_reassemble_degenerate_tile():
     m = np.array([[3.5]])
-    assert np.array_equal(reassemble(partition(m, 7)), m)
+    assert _extents(1, 7) == [1]
+    assert np.array_equal(reassembled(m, 7), m)
 
 
 def test_roundtrip_many_shapes_and_sizes():
@@ -92,9 +94,8 @@ def test_roundtrip_many_shapes_and_sizes():
         cols = int(rng.integers(1, 30))
         t = int(rng.integers(1, 12))
         m = rng.standard_normal((rows, cols))
-        tm = partition(m, t)
-        assert np.array_equal(reassemble(tm), m)
-        assert (tm.grid_rows, tm.grid_cols) == (-(-rows // t), -(-cols // t))
+        assert np.array_equal(reassembled(m, t), m)
+        assert (len(_extents(rows, t)), len(_extents(cols, t))) == (-(-rows // t), -(-cols // t))
 
 
 def test_tile_census_square_matrices():
@@ -102,58 +103,50 @@ def test_tile_census_square_matrices():
     # wide as what is left of the matrix past its grid position
     for n in range(1, 20):
         for t in range(1, n + 2):
-            tm = partition(np.zeros((n, n)), t)
             floor, ceil = n // t, -(-n // t)
-            assert (tm.grid_rows, tm.grid_cols) == (ceil, ceil)
-            shapes = [tm.tile(i, j).shape for i in range(ceil) for j in range(ceil)]
-            assert shapes == [(min(t, n - i * t), min(t, n - j * t))
-                              for i in range(ceil) for j in range(ceil)]
-            assert shapes.count((t, t)) == floor * floor
-            assert len(shapes) - shapes.count((t, t)) == ceil * ceil - floor * floor
+            grid = shapes(np.zeros((n, n)), t)
+            assert grid == [(min(t, n - i * t), min(t, n - j * t))
+                            for i in range(ceil) for j in range(ceil)]
+            assert grid.count((t, t)) == floor * floor
+            assert len(grid) - grid.count((t, t)) == ceil * ceil - floor * floor
+
+
+def tasks(m, k, n, t, dtypes=(np.float64, np.float64)):
+    """The task table of the template of an (m, k) x (k, n) product."""
+    a, b = np.zeros((m, k), dtypes[0]), np.zeros((k, n), dtypes[1])
+    return _template(_shape_key(Operand(a, "A"), Operand(b, "B"), t)).tasks
 
 
 def test_encode_decode_origin():
     # task ids are row-major: tile (row, col) is task row * grid_cols + col
-    assert decode_task(0, 1, 1) == (0, 0)
+    assert tasks(1, 1, 1, 1) == [(0, 0, 8)]
 
 
 def test_encode_decode_2x3_grid():
-    assert decode_task(5, 3, grid_rows=2) == (1, 2)
-    seen = set()
-    for i in range(2):
-        for j in range(3):
-            tid = i * 3 + j
-            assert decode_task(tid, 3, grid_rows=2) == (i, j)
-            seen.add(tid)
-    assert seen == set(range(6))
+    table = tasks(4, 2, 6, 2)
+    assert table[5][:2] == (1, 2)
+    assert [task[:2] for task in table] == [(i, j) for i in range(2) for j in range(3)]
 
 
 def test_encode_decode_exhaustive_4x4():
-    assert decode_task(15, 4, grid_rows=4) == (3, 3)
-    cells = {decode_task(tid, 4, grid_rows=4) for tid in range(16)}
-    assert cells == {(i, j) for i in range(4) for j in range(4)}
-
-
-def test_decode_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        decode_task(6, 3, grid_rows=2)
-    with pytest.raises(ValueError):
-        decode_task(-1, 3, 2)
-    with pytest.raises(ValueError):
-        decode_task(0, 0, 1)
+    table = tasks(16, 4, 16, 4)
+    assert table[15][:2] == (3, 3)
+    cells = [task[:2] for task in table]
+    assert len(cells) == 16 and set(cells) == {(i, j) for i in range(4) for j in range(4)}
 
 
 def test_encode_decode_bijection_random_grids():
+    # the table holds each output tile (i, j) once, at id i * grid_cols + j,
+    # with the writeback bytes of its extents and the output's itemsize
     rng = np.random.default_rng(5)
     for _ in range(30):
-        gr = int(rng.integers(1, 12))
-        gc = int(rng.integers(1, 12))
-        ids = [i * gc + j for i in range(gr) for j in range(gc)]
-        assert sorted(ids) == list(range(gr * gc))
-        for tid in ids:
-            i, j = decode_task(tid, gc, grid_rows=gr)
-            assert 0 <= i < gr and 0 <= j < gc
-            assert i * gc + j == tid
+        m, k, n = (int(x) for x in rng.integers(1, 40, size=3))
+        t = int(rng.integers(1, 12))
+        dtypes = [(np.float32, np.float64)[x] for x in rng.integers(2, size=2)]
+        rows, cols = _extents(m, t), _extents(n, t)
+        itemsize = np.result_type(*dtypes).itemsize
+        assert tasks(m, k, n, t, dtypes) == [(i, j, rows[i] * cols[j] * itemsize)
+                                             for i in range(len(rows)) for j in range(len(cols))]
 
 
 def test_accumulate_product_identity():
@@ -219,13 +212,13 @@ def test_tiled_product_equals_reference_for_every_tile_size():
     b = rng.integers(-9, 10, size=(5, 3)).astype(float)
     ref = reference_gemm(a, b)
     for t in (1, 2, 3, 5, 8):
-        ta, tb = partition(a, t), partition(b, t)
-        out = partition(np.zeros((7, 3)), t)
-        for i in range(out.grid_rows):
-            for j in range(out.grid_cols):
-                for k in range(ta.grid_cols):
-                    accumulate_product(ta.tile(i, k), tb.tile(k, j), out.tile(i, j))
-        assert np.array_equal(reassemble(out), ref), f"T={t}"
+        ta, tb = tile_grid(a, t), tile_grid(b, t)
+        out = np.zeros((7, 3))
+        for i, row in enumerate(tile_grid(out, t)):
+            for j, tile in enumerate(row):
+                for k in range(len(ta[0])):
+                    accumulate_product(ta[i][k], tb[k][j], tile)
+        assert np.array_equal(out, ref), f"T={t}"
 
 
 def test_tiled_float_product_is_bitwise_equal_too():
@@ -235,13 +228,13 @@ def test_tiled_float_product_is_bitwise_equal_too():
     b = rng.standard_normal((11, 6))
     ref = reference_gemm(a, b)
     for t in (2, 4, 7):
-        ta, tb = partition(a, t), partition(b, t)
-        out = partition(np.zeros((9, 6)), t)
-        for i in range(out.grid_rows):
-            for j in range(out.grid_cols):
-                for k in range(ta.grid_cols):
-                    accumulate_product(ta.tile(i, k), tb.tile(k, j), out.tile(i, j))
-        assert np.array_equal(reassemble(out), ref), f"T={t}"
+        ta, tb = tile_grid(a, t), tile_grid(b, t)
+        out = np.zeros((9, 6))
+        for i, row in enumerate(tile_grid(out, t)):
+            for j, tile in enumerate(row):
+                for k in range(len(ta[0])):
+                    accumulate_product(ta[i][k], tb[k][j], tile)
+        assert np.array_equal(out, ref), f"T={t}"
 
 
 def test_subblocked_kernel_is_bitwise_invariant():

@@ -1,7 +1,9 @@
 """Matrix file formats.
 
-Text: a header line ``rows cols`` followed by row-major whitespace
-separated decimal values (line breaks are not significant).  Values are
+Text: a header line ``rows cols``, then row-major decimal values: an
+optional sign, then ASCII digits with an optional point and exponent, or
+``inf``, ``infinity`` or ``nan`` in any case, separated by what
+``str.split()`` splits on (line breaks are not significant).  Values are
 written with 17 significant digits so float64 round-trips exactly.
 
 Binary: a 16-byte header of two little-endian u64 (rows, cols) followed
@@ -10,8 +12,8 @@ by the row-major little-endian float64 payload.
 ``save_matrix`` / ``load_matrix`` pick the format from the file suffix:
 ``.bin`` means binary, anything else text.
 
-A load holds the matrix once.  The text reader parses the values a block
-of ``_BLOCK`` characters at a time into the preallocated result, and the
+A load holds the matrix once.  numpy's C text reader parses a block of
+``_BLOCK`` characters at a time into the preallocated result, and the
 binary reader reads the payload straight into it, so beyond its result a
 load needs one fixed block whatever the file's size or line layout.
 Neither allocates from a header before checking it against the file's
@@ -59,44 +61,52 @@ def _open_sized(path, mode):
             yield (io.BytesIO if "b" in mode else io.StringIO)(data), len(data)
 
 
-def _token_blocks(f):
-    """The whitespace-separated tokens of the rest of ``f``, one list per
-    block read.  A token cut by a block's end is carried into the next,
-    piece by piece, so one spanning many blocks is joined only once."""
+def _text_chunks(f):
+    """The rest of ``f`` as strings of whole tokens, one per block read.  A
+    token cut by block ends is carried on piece by piece, joined once."""
     carry = []  # the pieces of a token cut by block ends
     while block := f.read(_BLOCK):
-        tokens = block.split()
-        if tokens == [block]:  # no separator: the cut token goes on
+        # split off the last token, unless whitespace ends the block
+        *whole, cut = [block, ""] if block[-1].isspace() else block.rsplit(None, 1)
+        if cut == block:  # no separator: the cut token goes on
             carry.append(block)
             continue
-        if carry:
-            if block[0].isspace():
-                tokens.insert(0, "".join(carry))
-            else:
-                tokens[0] = "".join(carry) + tokens[0]
-        carry = [] if block[-1].isspace() else [tokens.pop()]
-        yield tokens
+        chunk, carry = "".join(carry + whole), [cut] if cut else []
+        if chunk and not chunk.isspace():
+            yield chunk
     if carry:
-        yield ["".join(carry)]
+        yield "".join(carry)
+
+
+def _parse(text, path, first):
+    """``text``'s values, which start at value ``first`` of ``path``."""
+    try:
+        return np.loadtxt([text.replace("\n", " ")], comments=None, ndmin=1)
+    except ValueError:
+        tokens = text.split()
+        if len(tokens) > 1:  # parse token by token to name the first bad one
+            for i, token in enumerate(tokens):
+                _parse(token, path, first + i)
+        raise ValueError(f"{path}: value {first} is not a decimal: {tokens[0]!r}") from None
 
 
 def load_matrix_text(path) -> np.ndarray:
     with _open_sized(path, "r") as (f, size):
-        header = f.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: expected 'rows cols' header")
-        rows, cols = int(header[0]), int(header[1])
+        try:
+            rows, cols = map(int, f.readline().split())
+        except ValueError:  # not two fields, or a field that is no integer
+            raise ValueError(f"{path}: expected 'rows cols' header") from None
         n = rows * cols
         # every value takes a character and a separator, so a file of S
         # characters (a regular file's bytes) holds at most (S + 1) // 2
         fits = rows >= 0 and cols >= 0 and n <= (size + 1) // 2
         values = np.empty(n) if fits else None
         count = 0
-        for tokens in _token_blocks(f):
-            end = count + len(tokens)
+        for chunk in _text_chunks(f):
+            parsed = _parse(chunk, path, count)
+            end = count + len(parsed)
             if values is not None and end <= n:
-                # numpy parses each token as float() does, bit for bit
-                values[count:end] = np.array(tokens, dtype=np.float64)
+                values[count:end] = parsed
             count = end
     if values is None or count != n:
         raise ValueError(f"{path}: expected {n} values for {rows}x{cols}, got {count}")

@@ -1,6 +1,8 @@
 import os
+import re
 import threading
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -160,6 +162,80 @@ def test_text_parse_matches_float_bitwise(tmp_path_factory, values):
     p.write_text(f"1 {len(tokens)}\n" + " ".join(tokens) + "\n")
     expected = np.array([float(t) for t in tokens], dtype=np.float64)
     assert load_matrix_text(p).tobytes() == expected.tobytes()
+
+
+# float() reads these (a digit-group underscore, Arabic-Indic 12), the
+# text grammar does not
+NON_DECIMALS = {"1_0": 10.0, "\u0661\u0662": 12.0}
+
+
+@pytest.mark.parametrize("token", sorted(NON_DECIMALS))
+def test_text_rejects_tokens_only_float_accepts(tmp_path, token):
+    assert float(token) == NON_DECIMALS[token]
+    p = tmp_path / "m.txt"
+    p.write_text(f"1 3\n1 {token} 3\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: value 1 is not a decimal: "
+                                         f"{re.escape(repr(token))}$"):
+        load_matrix_text(p)
+
+
+def test_text_separators_are_those_of_str_split(tmp_path):
+    spaces = [chr(c) for c in range(0x3001) if chr(c).isspace()]
+    assert len(spaces) == 29
+    p = tmp_path / "m.txt"
+    with open(p, "w", newline="") as f:
+        f.write(f"1 {len(spaces) + 1}\n0")
+        f.write("".join(f"{c}{i + 1}{c}{c}" for i, c in enumerate(spaces)))
+    assert np.array_equal(load_matrix_text(p), [np.arange(len(spaces) + 1.0)])
+
+
+SPECIAL_TOKENS = ["inf", "-inf", "nan", "-nan", "-0", "4.9406564584124654e-324",
+                  "2.2250738585072011e-308", "1.7976931348623159e308"]
+
+
+@pytest.mark.parametrize("cut", [False, True], ids=["inside-a-block", "cut-by-a-block-end"])
+def test_special_tokens_load_as_float_reads_them(tmp_path, cut):
+    p = tmp_path / "m.txt"
+    for token in SPECIAL_TOKENS:
+        # a lead of blanks puts the token's first character last in block one
+        lead = " " * (matio._BLOCK - 1) if cut else ""
+        p.write_text(f"1 2\n{lead}{token} 1")
+        expected = np.array([float(token), 1.0])
+        assert load_matrix_text(p).tobytes() == expected.tobytes(), token
+    assert np.signbit(float("-nan")) and float("1.7976931348623159e308") == np.inf
+
+
+def test_blocks_of_blanks_parse_nothing(tmp_path):
+    # block one is "1" and blanks, blocks two and three only blanks, block
+    # four a blank and the start of a token that ends in block five
+    block = matio._BLOCK
+    long = "0." + "2" * block
+    p = tmp_path / "m.txt"
+    p.write_text("1 2\n1" + " " * (3 * block) + long + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warns on text with no values
+        out = load_matrix_text(p)
+    assert out.tobytes() == np.array([1.0, float(long)]).tobytes()
+
+
+FULL_BLOCK = matio._BLOCK // 2  # the values "1 " that fill the first block
+
+
+@pytest.mark.parametrize("content, message", [
+    ("1 6\n1 2 3 abc 5 6\n", "value 3 is not a decimal: 'abc'"),
+    (f"1 {FULL_BLOCK + 2}\n" + "1 " * FULL_BLOCK + "abc 2\n",
+     f"value {FULL_BLOCK} is not a decimal: 'abc'"),
+    (f"1 {FULL_BLOCK + 1}\n" + "1 " * (FULL_BLOCK - 1) + "1_0 2\n",
+     f"value {FULL_BLOCK - 1} is not a decimal: '1_0'"),
+    ("2.0 2\n1 2 3 4\n", "expected 'rows cols' header"),
+], ids=["first-block", "after-a-block-end", "cut-by-a-block-end", "non-integer-header"])
+def test_gemm_on_a_bad_text_file_names_it(tmp_path, capsys, content, message):
+    pa = tmp_path / "bad.txt"
+    pa.write_text(content)
+    pb = tmp_path / "b.txt"
+    save_matrix_text(pb, np.eye(2))
+    assert cli.main(["gemm", "--a", str(pa), "--b", str(pb)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [f"error: {pa}: {message}"]
 
 
 def test_binary_roundtrip_bitwise(tmp_path):
